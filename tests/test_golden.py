@@ -1,0 +1,50 @@
+"""Byte-identity gate: the canonical --json output of every subcommand that
+computes something, on a fixed corpus, must match the files in golden/.
+
+The files were written by the program before its per-graph facts were
+restructured; any change to a printed number, key or verdict shows up here.
+The only normalization is the solver backend name, which depends on whether
+the compiled kernel is built (the two kernels agree bit for bit).
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qspectra.cli import main
+from qspectra.spectral import BACKEND
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GRAPHS = {
+    "k1": ["--graph6", "@"],
+    "k3": ["--graph6", "Bw"],
+    "star6": ["--family", "star", "6"],
+    "cycle5": ["--family", "cycle", "5"],
+    "cycle7": ["--family", "cycle", "7"],
+    "prism5": ["--family", "prism", "5"],
+    "crown3": ["--family", "crown", "3"],
+    "k33": ["--family", "complete_bipartite", "3", "3"],
+    "two_k4": ["--family", "copies", "2", "complete", "4"],
+    "isolated_vertex": ["--edgelist", str(GOLDEN / "isolated_vertex.edgelist")],
+    # random_graph(16, 0.3, random.Random(2020))
+    "gnp16": ["--graph6", "OP?gQPC?CAXDEVAPg@CHK"],
+}
+
+CASES = {
+    **{f"{cmd}-{name}": [cmd, *args, "--json"]
+       for name, args in GRAPHS.items() for cmd in ("analyze", "bounds")},
+    "table1": ["table1", "--json"],
+    "table2": ["table2", "--json"],
+    "verify4": ["verify", "4", "--json"],
+    "verify5": ["verify", "5", "--json"],
+    "verify6-sample500-seed7": ["verify", "6", "--sample", "500", "--seed", "7", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_output_matches_golden(name, capsys):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="ascii")
+    expected = expected.replace('"backend": "python"', f'"backend": "{BACKEND}"')
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out == expected
