@@ -39,6 +39,7 @@ from .graph_core import (
 from .spectral import (
     BACKEND,
     EigenSolveReport,
+    GraphFacts,
     LemmaCheck,
     ProductSpectrumCheck,
     Spectrum,
@@ -98,7 +99,7 @@ __all__ = [
     "parse_graph6", "emit_graph6", "parse_edgelist", "emit_edgelist",
     "DegreeStats", "degree_stats", "StructureInfo", "structure",
     # spectra
-    "BACKEND", "symmetric_eigenvalues", "EigenSolveReport", "Spectrum",
+    "BACKEND", "symmetric_eigenvalues", "EigenSolveReport", "Spectrum", "GraphFacts",
     "adjacency_matrix", "laplacian_matrix", "signless_laplacian_matrix",
     "a_spectrum", "l_spectrum", "q_spectrum", "zero_multiplicity",
     "LemmaCheck", "check_spectral_lemmas",

@@ -20,21 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any
 
 from . import tolerances
 from .graph_core import (
     Graph,
-    degree_stats,
+    common_neighbour_counts,
     is_balanced_complete_bipartite,
     is_complete,
     is_perfect_matching,
     is_single_edge_with_isolates,
     is_star,
-    structure,
 )
-from .energy import gamma_sequence
+from .spectral import GraphFacts, graph_facts
 
 __all__ = [
     "BOUND_IDS",
@@ -87,54 +85,17 @@ class BoundResult:
     details: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    n: int
-    m: int
-    m1: int
-    dmax: int
-    dmin: int
-    degrees: tuple[int, ...]
-    connected: bool
-    bipartite: bool
-    regular: bool
-    qe: float
-    mean: float
-    g1: float
-    gn: float
-    gn_zero: bool
-
-
-@lru_cache(maxsize=8192)
-def _ctx(g: Graph) -> _Ctx:
-    stats = degree_stats(g)
-    info = structure(g)
-    gam = gamma_sequence(g)
-    # the energy is summed here from the deviation sequence directly so that
-    # evaluating bounds costs one eigensolve, not three
-    return _Ctx(
-        n=stats.n, m=stats.m, m1=stats.zagreb_m1,
-        dmax=stats.max_degree, dmin=stats.min_degree,
-        degrees=g.degrees,
-        connected=info.is_connected, bipartite=info.is_bipartite,
-        regular=info.is_regular,
-        qe=math.fsum(gam.values),
-        mean=gam.mean, g1=gam.values[0], gn=gam.values[-1],
-        gn_zero=gam.min_is_zero,
-    )
-
-
 def _skip(bound_id: str, direction: str, strict: bool, reason: str) -> BoundResult:
     return BoundResult(bound_id=bound_id, direction=direction, strict=strict,
                        applicable=False, reason=reason, value=None, gap=None,
                        diagnosis=None, details={})
 
 
-def _finish(bound_id: str, direction: str, strict: bool, value: float, c: _Ctx,
+def _finish(bound_id: str, direction: str, strict: bool, value: float, f: GraphFacts,
             condition: str | None, condition_met: bool | None,
             details: dict[str, Any]) -> BoundResult:
-    gap = (c.qe - value) if direction == "lower" else (value - c.qe)
-    tight = abs(gap) <= tolerances.tight_tol(c.qe)
+    gap = (f.qe - value) if direction == "lower" else (value - f.qe)
+    tight = abs(gap) <= tolerances.tight_tol(f.qe, scale=f.scale)
     if strict:
         verdict = "near-tight-strict" if tight else "consistent"
     elif condition is None:
@@ -161,20 +122,22 @@ def _finish(bound_id: str, direction: str, strict: bool, value: float, c: _Ctx,
 # on adjacency. Below PAIR_ENUMERATION_LIMIT vertices the details also carry the
 # spread of the estimate over every valid anchor/partner pair.
 
-def _top_pair_value(g: Graph, c: _Ctx, v1: int, v2: int) -> float:
-    d2 = c.degrees[v2]
-    if v2 in g.adjacency[v1]:
-        return (2 * c.m1 / c.m + c.degrees[v1] + d2
-                - math.sqrt((c.degrees[v1] - d2) ** 2 + 4) - 8 * c.m / c.n)
-    return 2 * c.m1 / c.m + 2 * d2 - 8 * c.m / c.n
+def _top_pair_value(f: GraphFacts, v1: int, v2: int) -> float:
+    s, deg = f.stats, f.graph.degrees
+    n, m, m1, d2 = s.n, s.m, s.zagreb_m1, deg[v2]
+    if v2 in f.graph.adjacency[v1]:
+        return (2 * m1 / m + deg[v1] + d2
+                - math.sqrt((deg[v1] - d2) ** 2 + 4) - 8 * m / n)
+    return 2 * m1 / m + 2 * d2 - 8 * m / n
 
 
-def _bottom_pair_value(g: Graph, c: _Ctx, vn: int, vn1: int) -> float:
-    dn1 = c.degrees[vn1]
-    if vn1 in g.adjacency[vn]:
-        return 8 * c.m / c.n - 2 * c.degrees[vn] - 2 * dn1
-    return 8 * c.m / c.n - (2 * dn1 + c.dmax + c.degrees[vn]
-                            - math.sqrt((c.dmax - c.degrees[vn]) ** 2 + 4))
+def _bottom_pair_value(f: GraphFacts, vn: int, vn1: int) -> float:
+    s, deg = f.stats, f.graph.degrees
+    n, m, dmax, dn1 = s.n, s.m, s.max_degree, deg[vn1]
+    if vn1 in f.graph.adjacency[vn]:
+        return 8 * m / n - 2 * deg[vn] - 2 * dn1
+    return 8 * m / n - (2 * dn1 + dmax + deg[vn]
+                        - math.sqrt((dmax - deg[vn]) ** 2 + 4))
 
 
 def _pair_candidates(degrees: tuple[int, ...], want_max: bool):
@@ -196,307 +159,322 @@ def _deterministic_pair(degrees: tuple[int, ...], want_max: bool) -> tuple[int, 
     return v1, v2
 
 
-def _pair_details(g: Graph, c: _Ctx, want_max: bool,
+def _pair_details(f: GraphFacts, want_max: bool,
                   value_fn) -> tuple[float, dict[str, Any]]:
-    v1, v2 = _deterministic_pair(c.degrees, want_max)
-    value = value_fn(g, c, v1, v2)
+    degrees = f.graph.degrees
+    v1, v2 = _deterministic_pair(degrees, want_max)
+    value = value_fn(f, v1, v2)
     details: dict[str, Any] = {
         "anchor_vertex": v1,
         "partner_vertex": v2,
-        "anchor_degree": c.degrees[v1],
-        "partner_degree": c.degrees[v2],
-        "pair_adjacent": v2 in g.adjacency[v1],
+        "anchor_degree": degrees[v1],
+        "partner_degree": degrees[v2],
+        "pair_adjacent": v2 in f.graph.adjacency[v1],
     }
-    if c.n <= PAIR_ENUMERATION_LIMIT:
-        vals = [value_fn(g, c, a, b) for a, b in _pair_candidates(c.degrees, want_max)]
+    if f.graph.n <= PAIR_ENUMERATION_LIMIT:
+        vals = [value_fn(f, a, b) for a, b in _pair_candidates(degrees, want_max)]
         details["pair_value_min"] = min(vals)
         details["pair_value_max"] = max(vals)
         details["pair_count"] = len(vals)
     return value, details
 
 
-def gan5_two_case_value(g: Graph) -> float:
+def gan5_two_case_value(g: Graph | GraphFacts) -> float:
     """The adjacency-branched form of the L-GAN5 estimate, evaluated without
     the bipartite special case. Exposed because the reference tables tabulate
     this form for every row, bipartite or not."""
-    c = _ctx(g)
-    if c.m < 1 or c.n < 2:
+    f = graph_facts(g)
+    if f.graph.m < 1 or f.graph.n < 2:
         raise ValueError("two-case estimate needs at least one edge and two vertices")
-    vn, vn1 = _deterministic_pair(c.degrees, want_max=False)
-    return _bottom_pair_value(g, c, vn, vn1)
+    vn, vn1 = _deterministic_pair(f.graph.degrees, want_max=False)
+    return _bottom_pair_value(f, vn, vn1)
 
 
 # -- equality-family predicates ---------------------------------------------------
 
-def _is_crown_like(g: Graph, c: _Ctx) -> bool:
+def _is_crown_like(f: GraphFacts) -> bool:
     # connected bipartite r-regular on 2r+2 vertices is exactly the complement
     # of a perfect matching inside a balanced complete bipartite graph
-    return (c.connected and c.regular and c.bipartite
-            and c.n == 2 * c.dmax + 2)
+    info = f.info
+    return (info.is_connected and info.is_regular and info.is_bipartite
+            and f.graph.n == 2 * f.stats.max_degree + 2)
 
 
-def _constant_common_neighbors(g: Graph) -> bool:
-    if g.n < 2:
-        return False
-    adj = g.adjacency
-    first = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            k = len(adj[u] & adj[v])
-            if first is None:
-                first = k
-            elif k != first:
-                return False
-    return True
-
-
-def _thm3_family(g: Graph, c: _Ctx) -> bool:
+def _thm3_family(f: GraphFacts) -> bool:
+    g = f.graph
     if is_complete(g) or is_perfect_matching(g):
         return True
     # strongly-regular-style case: regular with every vertex pair sharing the
     # same number of common neighbours, adjacent or not
-    return c.regular and c.m >= 1 and _constant_common_neighbors(g)
+    return (f.info.is_regular and g.m >= 1
+            and len({k for _, k in common_neighbour_counts(g)}) == 1)
 
 
 # -- lower bounds -----------------------------------------------------------------
+#
+# Each evaluator unpacks the facts it reads into the paper's notation.
 
-def _l_gan1(g: Graph, c: _Ctx) -> BoundResult:
-    if c.m < 1:
+def _l_gan1(f: GraphFacts) -> BoundResult:
+    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
+    if m < 1:
         return _skip("L-GAN1", "lower", False, "requires at least one edge")
-    value = 2 * (c.m1 / c.m - 2 * c.m / c.n)
-    return _finish("L-GAN1", "lower", False, value, c,
-                   "star", is_star(g), {})
+    value = 2 * (m1 / m - 2 * m / n)
+    return _finish("L-GAN1", "lower", False, value, f,
+                   "star", is_star(f.graph), {})
 
 
-def _l_gan2(g: Graph, c: _Ctx) -> BoundResult:
-    if c.m < 1:
+def _l_gan2(f: GraphFacts) -> BoundResult:
+    n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
+    if m < 1:
         return _skip("L-GAN2", "lower", False, "requires at least one edge")
-    value = 2 * c.dmax + 2 - 4 * c.m / c.n
-    return _finish("L-GAN2", "lower", False, value, c,
-                   "star", is_star(g), {})
+    value = 2 * dmax + 2 - 4 * m / n
+    return _finish("L-GAN2", "lower", False, value, f,
+                   "star", is_star(f.graph), {})
 
 
-def _l_gan3(g: Graph, c: _Ctx) -> BoundResult:
-    if c.m < 1:
+def _l_gan3(f: GraphFacts) -> BoundResult:
+    s = f.stats
+    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+    if m < 1:
         return _skip("L-GAN3", "lower", False, "requires at least one edge")
-    value = (c.dmax + c.dmin
-             + math.sqrt((c.dmax - c.dmin) ** 2 + 4 * c.dmax) - 4 * c.m / c.n)
-    return _finish("L-GAN3", "lower", False, value, c,
-                   "star", is_star(g), {})
+    value = (dmax + dmin
+             + math.sqrt((dmax - dmin) ** 2 + 4 * dmax) - 4 * m / n)
+    return _finish("L-GAN3", "lower", False, value, f,
+                   "star", is_star(f.graph), {})
 
 
-def _l_gan4(g: Graph, c: _Ctx) -> BoundResult:
-    if c.m < 1 or c.n < 2:
+def _l_gan4(f: GraphFacts) -> BoundResult:
+    if f.stats.m < 1 or f.stats.n < 2:
         return _skip("L-GAN4", "lower", False,
                      "requires at least one edge and two vertices")
-    value, details = _pair_details(g, c, want_max=True, value_fn=_top_pair_value)
-    return _finish("L-GAN4", "lower", False, value, c, None, None, details)
+    value, details = _pair_details(f, want_max=True, value_fn=_top_pair_value)
+    return _finish("L-GAN4", "lower", False, value, f, None, None, details)
 
 
-def _l_gan5(g: Graph, c: _Ctx) -> BoundResult:
+def _l_gan5(f: GraphFacts) -> BoundResult:
+    n, m, dmin = f.stats.n, f.stats.m, f.stats.min_degree
     # false for disconnected graphs, where deleting the extreme pair can touch
     # several components at once
-    if not c.connected or c.m < 1:
+    if not f.info.is_connected or m < 1:
         return _skip("L-GAN5", "lower", False,
                      "requires a connected graph with at least one edge")
-    if c.bipartite:
-        value = 8 * c.m / c.n - 2 * c.dmin
+    if f.info.is_bipartite:
+        value = 8 * m / n - 2 * dmin
         details: dict[str, Any] = {"branch": "bipartite"}
     else:
-        value, details = _pair_details(g, c, want_max=False,
+        value, details = _pair_details(f, want_max=False,
                                        value_fn=_bottom_pair_value)
         details["branch"] = "two-case"
-    return _finish("L-GAN5", "lower", False, value, c, None, None, details)
+    return _finish("L-GAN5", "lower", False, value, f, None, None, details)
 
 
-def _l_thm1(g: Graph, c: _Ctx) -> BoundResult:
-    if c.m < 1 or c.n < 2:
+def _l_thm1(f: GraphFacts) -> BoundResult:
+    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
+    if m < 1 or n < 2:
         return _skip("L-THM1", "lower", False,
                      "requires at least one edge and two vertices")
-    if c.gn_zero:
+    if f.gamma.min_is_zero:
         return _skip("L-THM1", "lower", False,
                      "requires every eigenvalue to deviate from the mean")
-    t = 2 * c.m + c.m1 - 4 * c.m * c.m / c.n
-    value = (2 * math.sqrt(t * c.n) * math.sqrt(c.g1 * c.gn) / (c.g1 + c.gn))
-    return _finish("L-THM1", "lower", False, value, c, None, None,
-                   {"gamma_max": c.g1, "gamma_min": c.gn})
+    g1, gn = f.gamma.values[0], f.gamma.values[-1]
+    t = 2 * m + m1 - 4 * m * m / n
+    value = (2 * math.sqrt(t * n) * math.sqrt(g1 * gn) / (g1 + gn))
+    return _finish("L-THM1", "lower", False, value, f, None, None,
+                   {"gamma_max": g1, "gamma_min": gn})
 
 
-def _deviation_threshold_scale(c: _Ctx) -> float:
+def _deviation_threshold_scale(n: int, m: int) -> float:
     # sqrt(m (n^3 - n^2 - 2mn + 4m)), computed in exact integers first
-    c_int = c.m * (c.n ** 3 - c.n ** 2 - 2 * c.m * c.n + 4 * c.m)
+    c_int = m * (n ** 3 - n ** 2 - 2 * m * n + 4 * m)
     return math.sqrt(c_int)
 
 
-def _l_cor4(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.connected or c.m < 1:
+def _l_cor4(f: GraphFacts) -> BoundResult:
+    s = f.stats
+    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+    if not f.info.is_connected or m < 1:
         return _skip("L-COR4", "lower", False,
                      "requires a connected graph with at least one edge")
-    threshold = _deviation_threshold_scale(c) / (2 * c.n)
-    if c.gn < threshold:
+    threshold = _deviation_threshold_scale(n, m) / (2 * n)
+    if f.gamma.values[-1] < threshold:
         return _skip("L-COR4", "lower", False,
                      "requires the minimum deviation to reach sqrt(c)/(2n)")
     value = (2 * math.sqrt(2) / 3) * math.sqrt(
-        (2 * c.m + 0.5 * (c.dmax - c.dmin) ** 2) * c.n)
-    return _finish("L-COR4", "lower", False, value, c,
+        (2 * m + 0.5 * (dmax - dmin) ** 2) * n)
+    return _finish("L-COR4", "lower", False, value, f,
                    "complete graph on three vertices",
-                   c.n == 3 and c.m == 3, {"threshold": threshold})
+                   n == 3 and m == 3, {"threshold": threshold})
 
 
-def _l_cor5(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.connected or c.m < 1:
+def _l_cor5(f: GraphFacts) -> BoundResult:
+    s = f.stats
+    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+    if not f.info.is_connected or m < 1:
         return _skip("L-COR5", "lower", True,
                      "requires a connected graph with at least one edge")
-    threshold = _deviation_threshold_scale(c) / c.n ** 3
-    if c.gn < threshold:
+    threshold = _deviation_threshold_scale(n, m) / n ** 3
+    if f.gamma.values[-1] < threshold:
         return _skip("L-COR5", "lower", True,
                      "requires the minimum deviation to reach sqrt(c)/n^3")
-    value = (2 * c.n * math.sqrt((2 * c.m + 0.5 * (c.dmax - c.dmin) ** 2) * c.n)
-             / (1 + c.n * c.n))
-    return _finish("L-COR5", "lower", True, value, c, None, None,
+    value = (2 * n * math.sqrt((2 * m + 0.5 * (dmax - dmin) ** 2) * n)
+             / (1 + n * n))
+    return _finish("L-COR5", "lower", True, value, f, None, None,
                    {"threshold": threshold})
 
 
-def _l_thm2(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.connected or c.m < 1:
+def _l_thm2(f: GraphFacts) -> BoundResult:
+    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
+    if not f.info.is_connected or m < 1:
         return _skip("L-THM2", "lower", False,
                      "requires a connected graph with at least one edge")
-    if not c.gn_zero:
+    if not f.gamma.min_is_zero:
         return _skip("L-THM2", "lower", False,
                      "requires some eigenvalue to sit at the mean")
-    t = 2 * c.m + c.m1 - 4 * c.m * c.m / c.n
-    value = t / c.g1
-    return _finish("L-THM2", "lower", False, value, c,
+    g1 = f.gamma.values[0]
+    t = 2 * m + m1 - 4 * m * m / n
+    value = t / g1
+    return _finish("L-THM2", "lower", False, value, f,
                    "balanced complete bipartite graph",
-                   is_balanced_complete_bipartite(g), {"gamma_max": c.g1})
+                   is_balanced_complete_bipartite(f.graph), {"gamma_max": g1})
 
 
-def _l_cor2(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.connected or c.m < 1:
+def _l_cor2(f: GraphFacts) -> BoundResult:
+    s = f.stats
+    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+    if not f.info.is_connected or m < 1:
         return _skip("L-COR2", "lower", False,
                      "requires a connected graph with at least one edge")
-    if not c.gn_zero:
+    if not f.gamma.min_is_zero:
         return _skip("L-COR2", "lower", False,
                      "requires some eigenvalue to sit at the mean")
-    value = ((2 * c.m + 0.5 * (c.dmax - c.dmin) ** 2)
-             / (2 * c.dmax - 2 * c.m / c.n))
-    return _finish("L-COR2", "lower", False, value, c,
+    value = ((2 * m + 0.5 * (dmax - dmin) ** 2)
+             / (2 * dmax - 2 * m / n))
+    return _finish("L-COR2", "lower", False, value, f,
                    "balanced complete bipartite graph",
-                   is_balanced_complete_bipartite(g), {})
+                   is_balanced_complete_bipartite(f.graph), {})
 
 
-def _l_cor3(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.connected or c.m < 1 or not c.regular:
+def _l_cor3(f: GraphFacts) -> BoundResult:
+    n, m, r = f.stats.n, f.stats.m, f.stats.max_degree
+    if not f.info.is_connected or m < 1 or not f.info.is_regular:
         return _skip("L-COR3", "lower", False,
                      "requires a connected regular graph with at least one edge")
-    r = c.dmax
-    if c.gn_zero:
-        value = float(c.n)
+    if f.gamma.min_is_zero:
+        value = float(n)
         condition = "balanced complete bipartite graph"
-        met = is_balanced_complete_bipartite(g)
+        met = is_balanced_complete_bipartite(f.graph)
         details: dict[str, Any] = {"branch": "zero-deviation"}
     else:
-        value = 2 * c.n * r * math.sqrt(c.gn) / (r + c.gn)
+        gn = f.gamma.values[-1]
+        value = 2 * n * r * math.sqrt(gn) / (r + gn)
         condition = "complete graph or crown graph"
-        met = is_complete(g) or _is_crown_like(g, c)
-        details = {"branch": "positive-deviation", "gamma_min": c.gn}
-    return _finish("L-COR3", "lower", False, value, c, condition, met, details)
+        met = is_complete(f.graph) or _is_crown_like(f)
+        details = {"branch": "positive-deviation", "gamma_min": gn}
+    return _finish("L-COR3", "lower", False, value, f, condition, met, details)
 
 
 # -- upper bounds -----------------------------------------------------------------
 
-def _u_abr1(g: Graph, c: _Ctx) -> BoundResult:
-    value = 4 * c.m * (1 - 1 / c.n)
-    return _finish("U-ABR1", "upper", False, value, c,
+def _u_abr1(f: GraphFacts) -> BoundResult:
+    n, m = f.stats.n, f.stats.m
+    value = 4 * m * (1 - 1 / n)
+    return _finish("U-ABR1", "upper", False, value, f,
                    "edgeless, or a single edge plus isolated vertices",
-                   c.m == 0 or is_single_edge_with_isolates(g), {})
+                   m == 0 or is_single_edge_with_isolates(f.graph), {})
 
 
-def _u_abr2(g: Graph, c: _Ctx) -> BoundResult:
+def _u_abr2(f: GraphFacts) -> BoundResult:
+    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
     # disconnected graphs (any union of single edges has M1 = 2m) and the
     # two-vertex graph break this estimate
-    if not c.connected or c.n < 3:
+    if not f.info.is_connected or n < 3:
         return _skip("U-ABR2", "upper", False,
                      "requires a connected graph on at least three vertices")
-    rad = c.m / 2 - (2 * c.m / c.n - 1)
-    spread = c.m1 - 2 * c.m
+    rad = m / 2 - (2 * m / n - 1)
+    spread = m1 - 2 * m
     if rad < 0 or spread < 0:
         return _skip("U-ABR2", "upper", False, "radicand is negative")
     value = (1 + math.sqrt(rad)) * math.sqrt(2 * spread)
-    return _finish("U-ABR2", "upper", False, value, c, None, None, {})
+    return _finish("U-ABR2", "upper", False, value, f, None, None, {})
 
 
-def _u_li(g: Graph, c: _Ctx) -> BoundResult:
-    if c.m < 1 or c.n < 2:
+def _u_li(f: GraphFacts) -> BoundResult:
+    n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
+    if m < 1 or n < 2:
         return _skip("U-LI", "upper", False,
                      "requires at least one edge and two vertices")
-    rad = (c.n - 2) * (2 * c.m * c.m / (c.n - 1)
-                       + (8 * c.m * c.dmax - 4 * c.m * c.m) / c.n
-                       + c.m * c.n - 4)
+    rad = (n - 2) * (2 * m * m / (n - 1)
+                     + (8 * m * dmax - 4 * m * m) / n
+                     + m * n - 4)
     if rad < 0:
         return _skip("U-LI", "upper", False, "radicand is negative")
-    value = 2 * c.m / (c.n - 1) + c.n - 2 + math.sqrt(rad)
-    return _finish("U-LI", "upper", False, value, c,
-                   "single edge", c.n == 2 and c.m == 1, {})
+    value = 2 * m / (n - 1) + n - 2 + math.sqrt(rad)
+    return _finish("U-LI", "upper", False, value, f,
+                   "single edge", n == 2 and m == 1, {})
 
 
-def _u_gan(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.connected:
+def _u_gan(f: GraphFacts) -> BoundResult:
+    n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
+    if not f.info.is_connected:
         return _skip("U-GAN", "upper", False, "requires a connected graph")
-    value = 2 * (2 * c.m + 1 - c.dmax - 2 * c.m / c.n)
-    return _finish("U-GAN", "upper", False, value, c, None, None, {})
+    value = 2 * (2 * m + 1 - dmax - 2 * m / n)
+    return _finish("U-GAN", "upper", False, value, f, None, None, {})
 
 
-def _u_thm3(g: Graph, c: _Ctx) -> BoundResult:
-    if c.m < 1:
+def _u_thm3(f: GraphFacts) -> BoundResult:
+    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
+    if m < 1:
         return _skip("U-THM3", "upper", False, "requires at least one edge")
-    t = 2 * c.m + c.m1 - 4 * c.m * c.m / c.n
+    t = 2 * m + m1 - 4 * m * m / n
     # integer case test: n (2m + M1) <= 8 m^2
-    mean_dominant = c.n * (2 * c.m + c.m1) <= 8 * c.m * c.m
+    mean_dominant = n * (2 * m + m1) <= 8 * m * m
     if mean_dominant:
-        value = (2 * c.m / c.n
-                 + math.sqrt((c.n - 1) * (t - (2 * c.m / c.n) ** 2)))
+        value = (2 * m / n
+                 + math.sqrt((n - 1) * (t - (2 * m / n) ** 2)))
         return _finish(
-            "U-THM3", "upper", False, value, c,
+            "U-THM3", "upper", False, value, f,
             "complete graph, perfect matching, or regular graph with constant "
-            "common-neighbour count", _thm3_family(g, c),
+            "common-neighbour count", _thm3_family(f),
             {"branch": "mean-at-least-rms", "strict_branch": False})
-    value = math.sqrt(t / c.n) + math.sqrt((c.n - 1) * t * (1 - 1 / c.n))
-    res = _finish("U-THM3", "upper", True, value, c, None, None,
+    value = math.sqrt(t / n) + math.sqrt((n - 1) * t * (1 - 1 / n))
+    res = _finish("U-THM3", "upper", True, value, f, None, None,
                   {"branch": "mean-below-rms", "strict_branch": True})
     return res
 
 
-def _u_cor6(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.connected or c.regular:
+def _u_cor6(f: GraphFacts) -> BoundResult:
+    s = f.stats
+    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+    if not f.info.is_connected or f.info.is_regular:
         return _skip("U-COR6", "upper", True,
                      "requires a connected irregular graph")
-    dd = (c.dmax - c.dmin) ** 2
+    dd = (dmax - dmin) ** 2
     # integer case test: (n dd + 4m)^2 <= 16 m^2 (1 + dd)
-    inside = (c.n * dd + 4 * c.m) ** 2 <= 16 * c.m * c.m * (1 + dd)
+    inside = (n * dd + 4 * m) ** 2 <= 16 * m * m * (1 + dd)
     if inside:
-        value = (2 * c.m / c.n
-                 + math.sqrt((c.n - 1) * (2 * c.m + c.n * dd / 4
-                                          - (2 * c.m / c.n) ** 2)))
+        value = (2 * m / n
+                 + math.sqrt((n - 1) * (2 * m + n * dd / 4
+                                        - (2 * m / n) ** 2)))
         branch = "below-degree-spread-threshold"
     else:
-        value = (math.sqrt(2 * c.m / c.n + dd / 4)
-                 + math.sqrt((c.n - 1) * (2 * c.m + (c.n - 1) * dd / 4
-                                          - 2 * c.m / c.n)))
+        value = (math.sqrt(2 * m / n + dd / 4)
+                 + math.sqrt((n - 1) * (2 * m + (n - 1) * dd / 4
+                                        - 2 * m / n)))
         branch = "above-degree-spread-threshold"
-    return _finish("U-COR6", "upper", True, value, c, None, None,
+    return _finish("U-COR6", "upper", True, value, f, None, None,
                    {"branch": branch})
 
 
-def _u_cor7(g: Graph, c: _Ctx) -> BoundResult:
-    if not c.regular or c.m < 1:
+def _u_cor7(f: GraphFacts) -> BoundResult:
+    n, m = f.stats.n, f.stats.m
+    if not f.info.is_regular or m < 1:
         return _skip("U-COR7", "upper", False,
                      "requires a regular graph with at least one edge")
-    value = (2 * c.m / c.n
-             + math.sqrt((c.n - 1) * (2 * c.m - (2 * c.m / c.n) ** 2)))
-    return _finish("U-COR7", "upper", False, value, c,
+    value = (2 * m / n
+             + math.sqrt((n - 1) * (2 * m - (2 * m / n) ** 2)))
+    return _finish("U-COR7", "upper", False, value, f,
                    "complete graph, perfect matching, or regular graph with "
-                   "constant common-neighbour count", _thm3_family(g, c), {})
+                   "constant common-neighbour count", _thm3_family(f), {})
 
 
 _EVALUATORS = {
@@ -511,15 +489,15 @@ _EVALUATORS = {
 assert tuple(_EVALUATORS) == BOUND_IDS
 
 
-def evaluate_bound(g: Graph, bound_id: str) -> BoundResult:
+def evaluate_bound(g: Graph | GraphFacts, bound_id: str) -> BoundResult:
     try:
         fn = _EVALUATORS[bound_id]
     except KeyError:
         raise ValueError(f"unknown bound id {bound_id!r}; "
                          f"known ids: {', '.join(BOUND_IDS)}") from None
-    return fn(g, _ctx(g))
+    return fn(graph_facts(g))
 
 
-def all_bounds(g: Graph) -> tuple[BoundResult, ...]:
-    c = _ctx(g)
-    return tuple(fn(g, c) for fn in _EVALUATORS.values())
+def all_bounds(g: Graph | GraphFacts) -> tuple[BoundResult, ...]:
+    f = graph_facts(g)
+    return tuple(fn(f) for fn in _EVALUATORS.values())

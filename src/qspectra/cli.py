@@ -13,7 +13,6 @@ import sys
 from dataclasses import asdict
 
 from .bounds import all_bounds
-from .energy import energies, gamma_sequence
 from .graph_core import Graph, build_family, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .reports import (
     TableReport,
@@ -25,7 +24,7 @@ from .reports import (
     verify_exhaustive,
     verify_report,
 )
-from .spectral import BACKEND
+from .spectral import BACKEND, GraphFacts
 from . import tolerances
 
 EXIT_OK = 0
@@ -196,8 +195,9 @@ def family_command(args) -> int:
 
 def bounds_command(args) -> int:
     g = _graph_from_args(args)
-    results = all_bounds(g)
-    qe = energies(g).signless_laplacian_energy
+    f = GraphFacts(g)
+    results = all_bounds(f)
+    qe = f.qe
     if args.json:
         payload = {
             "graph6": emit_graph6(g),
@@ -208,7 +208,7 @@ def bounds_command(args) -> int:
     else:
         print(f"QE = {_fmt(qe)} (n={g.n}, m={g.m}, graph6={emit_graph6(g)})")
         _print_bounds_grid([asdict(r) for r in results])
-    tol = tolerances.tight_tol(qe)
+    tol = tolerances.tight_tol(qe, scale=f.scale)
     violated = any(r.applicable and r.gap < -tol for r in results)
     return EXIT_VIOLATIONS if violated else EXIT_OK
 

@@ -6,37 +6,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import tolerances
-from .graph_core import Graph, degree_stats, structure
-from .spectral import a_spectrum, l_spectrum, q_spectrum
+from .graph_core import Graph
+from .spectral import GammaSequence, GraphFacts, graph_facts
 
 __all__ = ["GammaSequence", "EnergyReport", "gamma_sequence", "energies"]
 
 
-@dataclass(frozen=True)
-class GammaSequence:
-    """Deviations |q_i - 2m/n| of the signless Laplacian eigenvalues from the
-    average degree, sorted descending; ties are broken toward the larger
-    eigenvalue so gamma_1 always comes from q_1."""
-    values: tuple[float, ...]
-    q_values: tuple[float, ...]     # eigenvalue supplying each deviation
-    mean: float                     # 2m/n
-    min_is_zero: bool               # smallest deviation vanishes numerically
-
-
-@lru_cache(maxsize=8192)
-def gamma_sequence(g: Graph) -> GammaSequence:
-    stats = degree_stats(g)
-    mean = 2 * stats.m / stats.n
-    spec = q_spectrum(g)
-    paired = sorted(((abs(v - mean), v) for v in spec.values),
-                    key=lambda t: (-t[0], -t[1]))
-    values = tuple(p[0] for p in paired)
-    qs = tuple(p[1] for p in paired)
-    zero = values[-1] <= tolerances.zero_tol(max(1.0, spec.values[0]))
-    return GammaSequence(values=values, q_values=qs, mean=mean, min_is_zero=zero)
+def gamma_sequence(g: Graph | GraphFacts) -> GammaSequence:
+    return graph_facts(g).gamma
 
 
 @dataclass(frozen=True)
@@ -49,19 +28,18 @@ class EnergyReport:
     is_regular: bool
 
 
-@lru_cache(maxsize=8192)
-def energies(g: Graph) -> EnergyReport:
-    stats = degree_stats(g)
-    mean = 2 * stats.m / stats.n
-    e = math.fsum(abs(v) for v in a_spectrum(g).values)
-    le = math.fsum(abs(v - mean) for v in l_spectrum(g).values)
-    qe = math.fsum(gamma_sequence(g).values)
-    same = abs(qe - e) <= tolerances.tight_tol(qe)
+def energies(g: Graph | GraphFacts) -> EnergyReport:
+    f = graph_facts(g)
+    mean = 2 * f.graph.m / f.graph.n
+    e = math.fsum(abs(v) for v in f.adjacency.values)
+    le = math.fsum(abs(v - mean) for v in f.laplacian.values)
+    qe = f.qe
+    same = abs(qe - e) <= tolerances.tight_tol(qe, scale=f.scale)
     return EnergyReport(
         adjacency_energy=e,
         laplacian_energy=le,
         signless_laplacian_energy=qe,
         mean_degree=mean,
         qe_equals_adjacency_energy=same,
-        is_regular=structure(g).is_regular,
+        is_regular=f.info.is_regular,
     )

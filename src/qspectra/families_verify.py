@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 from . import tolerances
-from .energy import energies, gamma_sequence
-from .graph_core import Graph, degree_stats, structure
-from .spectral import a_spectrum, q_spectrum
+from .graph_core import Graph, common_neighbour_counts
+from .spectral import GraphFacts, graph_facts
 
 __all__ = [
     "QPatternResult",
@@ -56,16 +55,17 @@ def _no_pattern(reason: str) -> QPatternResult:
                           structure_verified=None)
 
 
-def classify_q_pattern(g: Graph) -> QPatternResult:
-    info = structure(g)
+def classify_q_pattern(g: Graph | GraphFacts) -> QPatternResult:
+    f = graph_facts(g)
+    info = f.info
     if not info.is_regular:
         return _no_pattern("graph is not regular")
     r = info.regularity_degree
     if r < 2:
         return _no_pattern("requires regularity degree at least 2")
-    spec = q_spectrum(g)
+    spec = f.signless_laplacian
     targets = (float(2 * r), float(r + 1), float(r - 1), 0.0)
-    tol = tolerances.grouping_tol(spec.radius)
+    tol = tolerances.grouping_tol(spec.radius, scale=f.scale)
     counts = {t: 0 for t in targets}
     for rep, mult in spec.groups:
         hits = [t for t in targets if abs(rep - t) <= tol]
@@ -82,7 +82,7 @@ def classify_q_pattern(g: Graph) -> QPatternResult:
         return _no_pattern("multiplicity at r+1 inconsistent with the crown count")
     if counts[float(r - 1)] != r * (g_count + h):
         return _no_pattern("multiplicity at r-1 inconsistent with the copy counts")
-    if g.n != (r + 1) * (g_count + 2 * h):
+    if f.graph.n != (r + 1) * (g_count + 2 * h):
         return _no_pattern("vertex count inconsistent with the copy counts")
 
     # structural confirmation of the spectral inference; in an r-regular graph
@@ -134,35 +134,33 @@ def _not_srg(reason: str) -> SrgResult:
                      three_eigenvalue_consistent=None)
 
 
-def detect_srg(g: Graph) -> SrgResult:
-    info = structure(g)
+def detect_srg(g: Graph | GraphFacts) -> SrgResult:
+    f = graph_facts(g)
+    info = f.info
     if not info.is_regular:
         return _not_srg("graph is not regular")
-    n, r = g.n, info.regularity_degree
-    if g.m == 0:
+    n, m, r = f.graph.n, f.graph.m, info.regularity_degree
+    if m == 0:
         return _not_srg("edgeless graphs are excluded by convention")
-    if g.m == n * (n - 1) // 2:
+    if m == n * (n - 1) // 2:
         return _not_srg("complete graphs are excluded by convention")
-    adj = g.adjacency
     a = c = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            k = len(adj[u] & adj[v])
-            if v in adj[u]:
-                if a is None:
-                    a = k
-                elif k != a:
-                    return _not_srg("adjacent pairs disagree on common neighbours")
-            else:
-                if c is None:
-                    c = k
-                elif k != c:
-                    return _not_srg("non-adjacent pairs disagree on common neighbours")
+    for adjacent, k in common_neighbour_counts(f.graph):
+        if adjacent:
+            if a is None:
+                a = k
+            elif k != a:
+                return _not_srg("adjacent pairs disagree on common neighbours")
+        else:
+            if c is None:
+                c = k
+            elif k != c:
+                return _not_srg("non-adjacent pairs disagree on common neighbours")
     # n >= 2 with some edge and some non-edge guarantees both kinds of pair
     feasible = r * (r - 1 - a) == (n - r - 1) * c
     three_ok = None
     if info.is_connected:
-        three_ok = len(a_spectrum(g).groups) <= 3
+        three_ok = len(f.adjacency.groups) <= 3
     return SrgResult(is_srg=True, reason=None, degree=r,
                      adjacent_common=a, nonadjacent_common=c,
                      is_S_nr=(a == c), feasibility_ok=feasible,
@@ -227,19 +225,19 @@ class CubicBounds:
     qe: float
 
 
-def cubic_bounds(g: Graph) -> CubicBounds:
+def cubic_bounds(g: Graph | GraphFacts) -> CubicBounds:
     """Signless Laplacian energy bounds for a 3-regular graph, branched on the
     smallest deviation gamma from the mean 3. The source statement claims
     strict inequalities, but the lower branch value 3n/2 is attained exactly
     (by the complete graph on four vertices), so no strictness is asserted
     here; values are reported as-is.
     """
-    stats = degree_stats(g)
-    if stats.max_degree != 3 or stats.min_degree != 3:
+    f = graph_facts(g)
+    if f.stats.max_degree != 3 or f.stats.min_degree != 3:
         raise ValueError("cubic bounds require a 3-regular graph")
-    n = g.n
-    gamma = gamma_sequence(g).values[-1]
-    zero = gamma <= tolerances.zero_tol(max(1.0, q_spectrum(g).values[0]))
+    n = f.graph.n
+    gamma = f.gamma.values[-1]
+    zero = f.gamma.min_is_zero
     # the boundary gamma = 1 takes the saturating branch, with a little slack
     # so closed-form families landing exactly on 1 are not misrouted
     if zero:
@@ -250,4 +248,4 @@ def cubic_bounds(g: Graph) -> CubicBounds:
         lower, branch = 6.0 * n * math.sqrt(gamma) / (3.0 + gamma), "deviation-below-one"
     upper = 3.0 + math.sqrt(3.0 * (n - 1) * (n - 3))
     return CubicBounds(n=n, gamma_min=gamma, lower=lower, lower_branch=branch,
-                       upper=upper, qe=energies(g).signless_laplacian_energy)
+                       upper=upper, qe=f.qe)

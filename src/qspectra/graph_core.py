@@ -40,7 +40,7 @@ __all__ = [
     "is_balanced_complete_bipartite",
     "complete_bipartite_parts",
     "is_single_edge_with_isolates",
-    "components_all_complete_or_crown",
+    "common_neighbour_counts",
     "parse_graph6",
     "emit_graph6",
     "parse_edgelist",
@@ -365,32 +365,13 @@ def is_single_edge_with_isolates(g: Graph) -> bool:
     return g.m == 1
 
 
-def _component_subgraph(g: Graph, verts: tuple[int, ...]) -> Graph:
-    index = {v: i for i, v in enumerate(verts)}
-    vset = set(verts)
-    edges = tuple(sorted((index[u], index[v]) for u, v in g.edges if u in vset))
-    return Graph(len(verts), edges)
-
-
-def components_all_complete_or_crown(g: Graph, r: int) -> tuple[int, int] | None:
-    """If every component of g is either the complete graph on r+1 vertices or
-    the r-regular crown on 2(r+1) vertices, return (complete_copies,
-    crown_copies); else None. A connected r-regular bipartite graph on 2(r+1)
-    vertices is necessarily the crown (its bipartite complement is a perfect
-    matching), so no isomorphism test is needed."""
-    if r < 1 or any(d != r for d in g.degrees):
-        return None
-    info = structure(g)
-    completes = crowns = 0
-    for comp, bip in zip(info.components, info.component_bipartite):
-        size = len(comp)
-        if size == r + 1:
-            completes += 1        # r-regular on r+1 vertices is forced complete
-        elif size == 2 * (r + 1) and bip:
-            crowns += 1
-        else:
-            return None
-    return completes, crowns
+def common_neighbour_counts(g: Graph) -> Iterator[tuple[bool, int]]:
+    """(adjacent, number of shared neighbours) for every vertex pair u < v,
+    in lexicographic pair order."""
+    adj = g.adjacency
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            yield v in adj[u], len(adj[u] & adj[v])
 
 
 # -- graph6 format ------------------------------------------------------------
@@ -513,13 +494,12 @@ def parse_edgelist(text: str) -> Graph:
 
 def iter_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^C(n,2) labeled graphs on exactly n vertices, in edge-mask order."""
-    pairs = tuple(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1)
-        yield Graph(n, edges)
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield graph_from_mask(n, mask)
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
+    """Bit i of mask selects the i-th pair of itertools.combinations(range(n), 2)."""
     pairs = tuple(itertools.combinations(range(n), 2))
     edges = tuple(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1)
     return Graph(n, edges)

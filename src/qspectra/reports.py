@@ -10,7 +10,6 @@ kept out of the JSON rendering.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -18,25 +17,11 @@ from importlib import resources
 from typing import Any
 
 from . import tolerances
-from .bounds import BOUND_IDS, all_bounds, evaluate_bound, gan5_two_case_value
-from .energy import energies, gamma_sequence
+from .bounds import all_bounds, evaluate_bound, gan5_two_case_value
+from .energy import energies
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
-from .graph_core import (
-    Graph,
-    degree_stats,
-    emit_graph6,
-    graph_from_mask,
-    is_complete,
-    prism,
-    structure,
-)
-from .spectral import (
-    BACKEND,
-    a_spectrum,
-    check_spectral_lemmas,
-    l_spectrum,
-    q_spectrum,
-)
+from .graph_core import Graph, emit_graph6, graph_from_mask, is_complete, prism
+from .spectral import GraphFacts, check_spectral_lemmas, graph_facts
 
 __all__ = [
     "TableRow",
@@ -94,11 +79,12 @@ def _load_expected(name: str) -> tuple[tuple[str, ...], dict[int, dict[str, floa
 def _table_report(title: str, data_file: str, compute_row) -> TableReport:
     t0 = time.perf_counter()
     names, expected_rows = _load_expected(data_file)
-    tol = tolerances.TABLE_ABS * tolerances.scale()
+    scale = tolerances.scale()
+    tol = tolerances.TABLE_ABS * scale
     rows = []
     worst = 0.0
     for cycle_n in sorted(expected_rows):
-        computed = compute_row(cycle_n)
+        computed = compute_row(cycle_n, GraphFacts(prism(cycle_n), scale))
         expected = expected_rows[cycle_n]
         deviation = {k: abs(computed[k] - expected[k]) for k in names}
         worst = max(worst, max(deviation.values()))
@@ -112,14 +98,13 @@ def _table_report(title: str, data_file: str, compute_row) -> TableReport:
 def reproduce_table1() -> TableReport:
     """Lower-bound table on circular ladders: the five general estimates next
     to the exact energy and the family closed form."""
-    def compute_row(cycle_n: int) -> dict[str, float]:
-        g = prism(cycle_n)
-        row = {"exact": math.fsum(gamma_sequence(g).values)}
+    def compute_row(cycle_n: int, f: GraphFacts) -> dict[str, float]:
+        row = {"exact": f.qe}
         for bid in ("L-GAN1", "L-GAN2", "L-GAN3", "L-GAN4"):
-            row[bid] = evaluate_bound(g, bid).value
+            row[bid] = evaluate_bound(f, bid).value
         # the reference table tabulates the two-case form on every row, even
         # the bipartite ones where the catalog entry switches branch
-        row["L-GAN5"] = gan5_two_case_value(g)
+        row["L-GAN5"] = gan5_two_case_value(f)
         row["prism_lower"] = prism_bounds(cycle_n).lower
         return row
     return _table_report("lower bounds on circular ladders",
@@ -129,11 +114,10 @@ def reproduce_table1() -> TableReport:
 def reproduce_table2() -> TableReport:
     """Upper-bound table on circular ladders: the four general estimates next
     to the exact energy and the family closed form."""
-    def compute_row(cycle_n: int) -> dict[str, float]:
-        g = prism(cycle_n)
-        row = {"exact": math.fsum(gamma_sequence(g).values)}
+    def compute_row(cycle_n: int, f: GraphFacts) -> dict[str, float]:
+        row = {"exact": f.qe}
         for bid in ("U-ABR1", "U-ABR2", "U-LI", "U-GAN"):
-            row[bid] = evaluate_bound(g, bid).value
+            row[bid] = evaluate_bound(f, bid).value
         row["prism_upper"] = prism_bounds(cycle_n).upper
         return row
     return _table_report("upper bounds on circular ladders",
@@ -157,14 +141,13 @@ def _spectrum_dict(spec) -> dict[str, Any]:
     }
 
 
-def analyze_report(g: Graph) -> dict[str, Any]:
+def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
     """Everything the library knows about one graph, as a JSON-safe dict."""
-    stats = degree_stats(g)
-    info = structure(g)
-    gam = gamma_sequence(g)
-    en = energies(g)
-    pattern = classify_q_pattern(g)
-    srg = detect_srg(g)
+    f = graph_facts(g)
+    g, stats, info, gam = f.graph, f.stats, f.info, f.gamma
+    en = energies(f)
+    pattern = classify_q_pattern(f)
+    srg = detect_srg(f)
     return {
         "graph": {
             "n": g.n,
@@ -187,9 +170,9 @@ def analyze_report(g: Graph) -> dict[str, Any]:
             "regularity_degree": info.regularity_degree,
         },
         "spectra": {
-            "adjacency": _spectrum_dict(a_spectrum(g)),
-            "laplacian": _spectrum_dict(l_spectrum(g)),
-            "signless_laplacian": _spectrum_dict(q_spectrum(g)),
+            "adjacency": _spectrum_dict(f.adjacency),
+            "laplacian": _spectrum_dict(f.laplacian),
+            "signless_laplacian": _spectrum_dict(f.signless_laplacian),
         },
         "gamma": {
             "values": list(gam.values),
@@ -202,8 +185,8 @@ def analyze_report(g: Graph) -> dict[str, Any]:
             "signless_laplacian_energy": en.signless_laplacian_energy,
             "qe_equals_adjacency_energy": en.qe_equals_adjacency_energy,
         },
-        "lemma_checks": [asdict(c) for c in check_spectral_lemmas(g)],
-        "bounds": [asdict(b) for b in all_bounds(g)],
+        "lemma_checks": [asdict(c) for c in check_spectral_lemmas(f)],
+        "bounds": [asdict(b) for b in all_bounds(f)],
         "q_pattern": asdict(pattern),
         "srg": asdict(srg),
     }
@@ -231,36 +214,35 @@ class VerifySummary:
         return not self.violations and not self.lemma_failures
 
 
-def _check_one(g: Graph) -> tuple[list[tuple[str, str, float]], list[tuple[str, str]]]:
+def _check_one(f: GraphFacts) -> tuple[list[tuple[str, str, float]], list[tuple[str, str]]]:
+    g = f.graph
     violations: list[tuple[str, str, float]] = []
     failures: list[tuple[str, str]] = []
-    qe = math.fsum(gamma_sequence(g).values)
-    tol = tolerances.tight_tol(qe)
-    for res in all_bounds(g):
+    tol = tolerances.tight_tol(f.qe, scale=f.scale)
+    for res in all_bounds(f):
         if res.applicable and res.gap < -tol:
             violations.append((emit_graph6(g), res.bound_id, res.gap))
-    for chk in check_spectral_lemmas(g):
+    for chk in check_spectral_lemmas(f):
         if chk.applicable and chk.holds is False:
             failures.append((emit_graph6(g), chk.check_id))
         elif chk.consistent is False:
             failures.append((emit_graph6(g), chk.check_id + ":equality"))
-    info = structure(g)
-    if info.is_connected and g.n >= 2:
+    if f.info.is_connected and g.n >= 2:
         # a connected graph has exactly two distinct grouped eigenvalues
         # exactly when it is complete
-        two = len(q_spectrum(g).groups) == 2
+        two = len(f.signless_laplacian.groups) == 2
         if two != is_complete(g):
             failures.append((emit_graph6(g), "two_distinct_q_complete"))
     return violations, failures
 
 
-def _verify_masks(args: tuple[int, Any]) -> tuple[int, list, list]:
-    n, masks = args
+def _verify_masks(args: tuple[int, Any, float]) -> tuple[int, list, list]:
+    n, masks, scale = args
     count = 0
     violations: list[tuple[str, str, float]] = []
     failures: list[tuple[str, str]] = []
     for mask in masks:
-        v, f = _check_one(graph_from_mask(n, mask))
+        v, f = _check_one(GraphFacts(graph_from_mask(n, mask), scale))
         violations.extend(v)
         failures.extend(f)
         count += 1
@@ -281,6 +263,7 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
         raise ValueError("vertex count must be an integer between 1 and 7")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    scale = tolerances.scale()   # one snapshot for the whole run, workers included
     t0 = time.perf_counter()
     total = 1 << (max_n * (max_n - 1) // 2)
     if sample is None:
@@ -292,13 +275,13 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
         masks = sorted(rng.sample(range(total), min(sample, total)))
 
     if workers == 1:
-        count, violations, failures = _verify_masks((max_n, masks))
+        count, violations, failures = _verify_masks((max_n, masks, scale))
     else:
         import multiprocessing
 
         mask_list = list(masks)
         chunk = max(1, len(mask_list) // (workers * 4))
-        jobs = [(max_n, mask_list[i:i + chunk])
+        jobs = [(max_n, mask_list[i:i + chunk], scale)
                 for i in range(0, len(mask_list), chunk)]
         count = 0
         violations, failures = [], []

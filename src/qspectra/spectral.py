@@ -1,29 +1,39 @@
-"""Dense symmetric eigensolver and graph spectra (adjacency, Laplacian,
-signless Laplacian).
+"""Dense symmetric eigensolver, graph spectra (adjacency, Laplacian,
+signless Laplacian), and the per-graph facts every report reads.
 
 The solver is a cyclic Jacobi iteration with a fixed rotation order,
 terminating when the off-diagonal Frobenius norm drops below 1e-12 times the
 input's Frobenius norm, capped at 50 sweeps (non-convergence is flagged, not
 raised). A compiled kernel is preferred; the pure-Python twin is selected when
 the extension is unavailable or QSPECTRA_BACKEND=python is set.
+
+``GraphFacts`` holds what the bounds and lemmas read about one graph: degree
+statistics, structure, the three spectra, the deviation sequence and QE, each
+computed on first use, plus one tolerance-scale snapshot. The spectrum,
+energy, bound and classifier functions accept either a Graph or a GraphFacts;
+a caller that asks several questions about one graph builds the facts once
+and passes them along.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import tolerances
-from .graph_core import Graph, degree_stats, structure
+from .graph_core import DegreeStats, Graph, StructureInfo, degree_stats, structure
 
 __all__ = [
     "BACKEND",
     "EigenSolveReport",
     "Spectrum",
+    "GammaSequence",
+    "GraphFacts",
+    "graph_facts",
     "LemmaCheck",
     "ProductSpectrumCheck",
     "symmetric_eigenvalues",
@@ -141,9 +151,9 @@ class Spectrum:
         return max(abs(self.values[0]), abs(self.values[-1]))
 
 
-def _group(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
+def _group(values: tuple[float, ...], scale: float) -> tuple[tuple[float, int], ...]:
     radius = max(abs(values[0]), abs(values[-1]))
-    tol = tolerances.grouping_tol(radius)
+    tol = tolerances.grouping_tol(radius, scale=scale)
     groups = []
     start = 0
     for i in range(1, len(values) + 1):
@@ -161,27 +171,88 @@ _MATRIX_BUILDERS = {
 }
 
 
-@lru_cache(maxsize=8192)
-def _spectrum(g: Graph, kind: str) -> Spectrum:
-    values, report = symmetric_eigenvalues(_MATRIX_BUILDERS[kind](g))
-    vt = tuple(float(v) for v in values)
-    return Spectrum(matrix=kind, values=vt, groups=_group(vt), solve=report)
+@dataclass(frozen=True)
+class GammaSequence:
+    """Deviations |q_i - 2m/n| of the signless Laplacian eigenvalues from the
+    average degree, sorted descending; ties are broken toward the larger
+    eigenvalue so gamma_1 always comes from q_1."""
+    values: tuple[float, ...]
+    q_values: tuple[float, ...]     # eigenvalue supplying each deviation
+    mean: float                     # 2m/n
+    min_is_zero: bool               # smallest deviation vanishes numerically
 
 
-def a_spectrum(g: Graph) -> Spectrum:
-    return _spectrum(g, "adjacency")
+@dataclass(frozen=True, eq=False)
+class GraphFacts:
+    """The facts about one graph, each computed at most once and only when
+    first read. ``scale`` is the tolerance multiplier every comparison on this
+    graph uses, read from the environment when the facts are built unless
+    the caller passes its own snapshot."""
+    graph: Graph
+    # a lambda, so the module attribute is looked up at construction time
+    scale: float = field(default_factory=lambda: tolerances.scale())
+
+    @cached_property
+    def stats(self) -> DegreeStats:
+        return degree_stats(self.graph)
+
+    @cached_property
+    def info(self) -> StructureInfo:
+        return structure(self.graph)
+
+    def _solve(self, kind: str) -> Spectrum:
+        values, report = symmetric_eigenvalues(_MATRIX_BUILDERS[kind](self.graph))
+        vt = tuple(float(v) for v in values)
+        return Spectrum(matrix=kind, values=vt, groups=_group(vt, self.scale), solve=report)
+
+    @cached_property
+    def adjacency(self) -> Spectrum:
+        return self._solve("adjacency")
+
+    @cached_property
+    def laplacian(self) -> Spectrum:
+        return self._solve("laplacian")
+
+    @cached_property
+    def signless_laplacian(self) -> Spectrum:
+        return self._solve("signless_laplacian")
+
+    @cached_property
+    def gamma(self) -> GammaSequence:
+        mean = 2 * self.graph.m / self.graph.n
+        spec = self.signless_laplacian
+        paired = sorted(((abs(v - mean), v) for v in spec.values),
+                        key=lambda t: (-t[0], -t[1]))
+        values = tuple(p[0] for p in paired)
+        qs = tuple(p[1] for p in paired)
+        zero = values[-1] <= tolerances.zero_tol(max(1.0, spec.values[0]), scale=self.scale)
+        return GammaSequence(values=values, q_values=qs, mean=mean, min_is_zero=zero)
+
+    @cached_property
+    def qe(self) -> float:
+        """Signless Laplacian energy: the sum of the deviations."""
+        return math.fsum(self.gamma.values)
 
 
-def l_spectrum(g: Graph) -> Spectrum:
-    return _spectrum(g, "laplacian")
+def graph_facts(g: Graph | GraphFacts) -> GraphFacts:
+    """The facts of g, built fresh unless g already is a GraphFacts."""
+    return g if isinstance(g, GraphFacts) else GraphFacts(g)
 
 
-def q_spectrum(g: Graph) -> Spectrum:
-    return _spectrum(g, "signless_laplacian")
+def a_spectrum(g: Graph | GraphFacts) -> Spectrum:
+    return graph_facts(g).adjacency
 
 
-def zero_multiplicity(spec: Spectrum) -> int:
-    tol = tolerances.zero_tol(spec.radius)
+def l_spectrum(g: Graph | GraphFacts) -> Spectrum:
+    return graph_facts(g).laplacian
+
+
+def q_spectrum(g: Graph | GraphFacts) -> Spectrum:
+    return graph_facts(g).signless_laplacian
+
+
+def zero_multiplicity(spec: Spectrum, *, scale: float | None = None) -> int:
+    tol = tolerances.zero_tol(spec.radius, scale=scale)
     return sum(1 for v in spec.values if abs(v) <= tol)
 
 
@@ -202,19 +273,17 @@ class LemmaCheck:
     note: str
 
 
-def check_spectral_lemmas(g: Graph) -> tuple[LemmaCheck, ...]:
+def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
     """Structural facts about the signless Laplacian spectrum, each reported
     with its numeric slack. A failure signals a solver defect, not a property
     of the graph."""
-    stats = degree_stats(g)
-    info = structure(g)
-    spec = q_spectrum(g)
+    f = graph_facts(g)
+    stats, info, spec, sc = f.stats, f.info, f.signless_laplacian, f.scale
     q = spec.values
     n, m = stats.n, stats.m
     avg = 2 * m / n
     q1, qn = q[0], q[-1]
-    sc = tolerances.scale()
-    eq_tol = tolerances.grouping_tol(q1)
+    eq_tol = tolerances.grouping_tol(q1, scale=sc)
     checks = []
 
     s1 = math.fsum(q)
@@ -234,7 +303,7 @@ def check_spectral_lemmas(g: Graph) -> tuple[LemmaCheck, ...]:
         equality=None, condition=None, condition_met=None, consistent=None,
         note="squared eigenvalue sum equals 2m plus the first Zagreb index"))
 
-    zmult = zero_multiplicity(spec)
+    zmult = zero_multiplicity(spec, scale=sc)
     bcount = info.bipartite_component_count
     checks.append(LemmaCheck(
         check_id="zero_multiplicity_bipartite", applicable=True,
@@ -256,7 +325,7 @@ def check_spectral_lemmas(g: Graph) -> tuple[LemmaCheck, ...]:
     # components are smaller than the average suggests
     if info.is_connected and m >= 1:
         eq = abs(qn - (avg - 1)) <= eq_tol
-        comp = g.m == n * (n - 1) // 2
+        comp = m == n * (n - 1) // 2
         checks.append(LemmaCheck(
             check_id="min_vs_average", applicable=True,
             holds=qn <= avg - 1 + eq_tol,
@@ -301,11 +370,12 @@ def product_spectrum_check(g: Graph, h: Graph, kind: str) -> ProductSpectrumChec
     from .graph_core import cartesian_product
     if kind not in _MATRIX_BUILDERS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    sg = _spectrum(g, kind).values
-    sh = _spectrum(h, kind).values
+    sc = tolerances.scale()
+    sg = getattr(GraphFacts(g, sc), kind).values
+    sh = getattr(GraphFacts(h, sc), kind).values
     expected = sorted((x + y for x in sg for y in sh), reverse=True)
-    actual = _spectrum(cartesian_product(g, h), kind).values
+    actual = getattr(GraphFacts(cartesian_product(g, h), sc), kind).values
     radius = max(abs(actual[0]), abs(actual[-1]))
     diff = max(abs(a - b) for a, b in zip(actual, expected))
-    return ProductSpectrumCheck(matrix=kind, ok=diff <= tolerances.match_tol(radius),
+    return ProductSpectrumCheck(matrix=kind, ok=diff <= tolerances.match_tol(radius, scale=sc),
                                 max_abs_diff=diff)

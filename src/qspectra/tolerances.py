@@ -2,8 +2,11 @@
 
 Every comparison tolerance scales with the QSPECTRA_TOL environment variable
 (default 1.0) so a whole run can be made looser or stricter without touching
-call sites. The eigensolver's internal termination threshold is a fixed design
-constant and is not scaled.
+call sites. The variable is read once per graph's facts (see
+``spectral.GraphFacts``) and once per verify or table call, and that snapshot
+is passed down as the ``scale`` keyword of the helpers below; called without
+it, a helper reads the variable itself. The eigensolver's internal
+termination threshold is a fixed design constant and is not scaled.
 """
 
 import os
@@ -17,7 +20,7 @@ CLOSED_FORM_ABS = 1e-9     # closed-form family spectra, absolute
 
 
 def scale() -> float:
-    """Global tolerance multiplier from QSPECTRA_TOL (read per call)."""
+    """Global tolerance multiplier from QSPECTRA_TOL (read on each call)."""
     raw = os.environ.get("QSPECTRA_TOL", "1")
     try:
         value = float(raw)
@@ -28,17 +31,21 @@ def scale() -> float:
     return value
 
 
-def grouping_tol(radius: float) -> float:
-    return GROUPING_REL * max(1.0, abs(radius)) * scale()
+def _scaled(rel: float, size: float, snapshot: float | None) -> float:
+    return rel * max(1.0, abs(size)) * (scale() if snapshot is None else snapshot)
 
 
-def zero_tol(radius: float) -> float:
-    return ZERO_REL * max(1.0, abs(radius)) * scale()
+def grouping_tol(radius: float, *, scale: float | None = None) -> float:
+    return _scaled(GROUPING_REL, radius, scale)
 
 
-def match_tol(radius: float) -> float:
-    return MATCH_REL * max(1.0, abs(radius)) * scale()
+def zero_tol(radius: float, *, scale: float | None = None) -> float:
+    return _scaled(ZERO_REL, radius, scale)
 
 
-def tight_tol(qe: float) -> float:
-    return TIGHT_REL * max(1.0, abs(qe)) * scale()
+def match_tol(radius: float, *, scale: float | None = None) -> float:
+    return _scaled(MATCH_REL, radius, scale)
+
+
+def tight_tol(qe: float, *, scale: float | None = None) -> float:
+    return _scaled(TIGHT_REL, qe, scale)

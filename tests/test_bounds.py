@@ -392,9 +392,9 @@ def test_strict_bounds_never_claim_equality_verdict():
 
 
 def test_strict_bound_reports_near_tight_within_tolerance(monkeypatch):
-    # the tolerance multiplier is read per call, so inflating it makes any
-    # applicable strict bound count as within tolerance of equality; a graph
-    # no other test touches keeps the inflated run out of shared caches
+    # the tolerance multiplier is read when the graph's facts are built, so
+    # inflating it makes any applicable strict bound count as within
+    # tolerance of equality
     g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
     monkeypatch.setenv("QSPECTRA_TOL", "1e9")
     r = evaluate_bound(g, "U-COR6")

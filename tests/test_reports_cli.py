@@ -248,7 +248,7 @@ def test_cli_verify(capsys):
 def test_cli_table_mismatch_exits_three():
     # shrinking the global tolerance multiplier below the solver's real
     # deviation from the printed reference forces the mismatch exit path;
-    # a subprocess keeps the shrunken tolerance out of this process's caches
+    # the subprocess reads the shrunken tolerance from its own environment
     env = dict(os.environ, QSPECTRA_TOL="1e-12")
     proc = subprocess.run(
         [sys.executable, "-m", "qspectra.cli", "table1"],
