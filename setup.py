@@ -28,19 +28,18 @@ class OptionalBuildExt(build_ext):
 
 
 def extensions():
+    # -ffp-contract=off keeps the compiled kernel bit-identical to the
+    # pure-Python one (no FMA fusion); do not add -ffast-math.
+    flags = ["-O3", "-ffp-contract=off"]
     try:
         from Cython.Build import cythonize
     except ImportError:
-        print("warning: Cython not available; pure-Python fallback will be used",
-              file=sys.stderr)
-        return []
-    ext = Extension(
-        "qspectra._jacobi_cy",
-        ["src/qspectra/_jacobi_cy.pyx"],
-        # -ffp-contract=off keeps the compiled kernel bit-identical to the
-        # pure-Python one (no FMA fusion); do not add -ffast-math.
-        extra_compile_args=["-O3", "-ffp-contract=off"],
-    )
+        print("warning: Cython not available; building the kernel from the "
+              "committed _jacobi_cy.c", file=sys.stderr)
+        return [Extension("qspectra._jacobi_cy", ["src/qspectra/_jacobi_cy.c"],
+                          extra_compile_args=flags)]
+    ext = Extension("qspectra._jacobi_cy", ["src/qspectra/_jacobi_cy.pyx"],
+                    extra_compile_args=flags)
     return cythonize([ext], compiler_directives={"language_level": "3"})
 
 

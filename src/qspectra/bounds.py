@@ -335,7 +335,7 @@ def _l_thm2(f: GraphFacts) -> BoundResult:
     value = t / g1
     return _finish("L-THM2", "lower", False, value, f,
                    "balanced complete bipartite graph",
-                   is_balanced_complete_bipartite(f.graph), {"gamma_max": g1})
+                   is_balanced_complete_bipartite(f.graph, info=f.info), {"gamma_max": g1})
 
 
 def _l_cor2(f: GraphFacts) -> BoundResult:
@@ -351,7 +351,7 @@ def _l_cor2(f: GraphFacts) -> BoundResult:
              / (2 * dmax - 2 * m / n))
     return _finish("L-COR2", "lower", False, value, f,
                    "balanced complete bipartite graph",
-                   is_balanced_complete_bipartite(f.graph), {})
+                   is_balanced_complete_bipartite(f.graph, info=f.info), {})
 
 
 def _l_cor3(f: GraphFacts) -> BoundResult:
@@ -362,7 +362,7 @@ def _l_cor3(f: GraphFacts) -> BoundResult:
     if f.gamma.min_is_zero:
         value = float(n)
         condition = "balanced complete bipartite graph"
-        met = is_balanced_complete_bipartite(f.graph)
+        met = is_balanced_complete_bipartite(f.graph, info=f.info)
         details: dict[str, Any] = {"branch": "zero-deviation"}
     else:
         gn = f.gamma.values[-1]

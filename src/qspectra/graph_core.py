@@ -332,12 +332,14 @@ def is_perfect_matching(g: Graph) -> bool:
     return g.n >= 2 and all(d == 1 for d in g.degrees)
 
 
-def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
+def complete_bipartite_parts(g: Graph, *, info: StructureInfo | None = None
+                             ) -> tuple[int, int] | None:
     """Part sizes (a, b) with a <= b if g is a complete bipartite graph with
-    nonempty parts, else None."""
+    nonempty parts, else None. ``info`` is g's structure, if already known."""
     if g.m == 0:
         return None
-    info = structure(g)
+    if info is None:
+        info = structure(g)
     if not info.is_connected or not info.is_bipartite:
         return None
     # connected bipartite: recover the 2-coloring, then check every cross pair
@@ -356,8 +358,8 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     return (a, b) if a <= b else (b, a)
 
 
-def is_balanced_complete_bipartite(g: Graph) -> bool:
-    parts = complete_bipartite_parts(g)
+def is_balanced_complete_bipartite(g: Graph, *, info: StructureInfo | None = None) -> bool:
+    parts = complete_bipartite_parts(g, info=info)
     return parts is not None and parts[0] == parts[1]
 
 

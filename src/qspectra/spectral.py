@@ -21,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -81,25 +82,33 @@ class EigenSolveReport:
     termination_threshold: float
 
 
+class _BuiltMatrix(np.ndarray):
+    """A matrix this module built from a graph: square, finite, exactly
+    symmetric, C-contiguous float64, and owned by the solve it is passed to,
+    which skips the input checks and diagonalizes it in place."""
+
+
 def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
     """Eigenvalues of a dense real symmetric matrix, sorted descending.
 
     Validates shape, finiteness, and symmetry (within 1e-12 relative) before
     solving; the input is not modified.
     """
-    a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square and 2-D, got shape {a.shape}")
-    n = a.shape[0]
-    if n < 1:
-        raise ValueError("matrix must have at least one row")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-12 * max(1.0, scale):
-        raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
-    work = np.array(a, dtype=np.float64, order="C", copy=True)
+    if type(mat) is _BuiltMatrix:    # valid by construction, solved in place
+        work = mat.view(np.ndarray)
+    else:
+        a = np.asarray(mat, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square and 2-D, got shape {a.shape}")
+        if a.shape[0] < 1:
+            raise ValueError("matrix must have at least one row")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        scale = float(np.max(np.abs(a)))
+        asym = float(np.max(np.abs(a - a.T)))
+        if asym > 1e-12 * max(1.0, scale):
+            raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
+        work = np.array(a, dtype=np.float64, order="C", copy=True)
     fro = float(np.sqrt(np.sum(work * work)))
     sweeps, converged, off_fro, max_off = _KERNEL.jacobi_sweeps(work)
     values = np.sort(np.diagonal(work))[::-1].copy()
@@ -119,23 +128,22 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
+    u, v = ends.reshape(-1, 2).T
+    a[u, v] = 1.0
+    a[v, u] = 1.0
     return a
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     a = -adjacency_matrix(g)
-    for i, d in enumerate(g.degrees):
-        a[i, i] = float(d)
+    np.fill_diagonal(a, g.degrees)
     return a
 
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     a = adjacency_matrix(g)
-    for i, d in enumerate(g.degrees):
-        a[i, i] = float(d)
+    np.fill_diagonal(a, g.degrees)
     return a
 
 
@@ -201,7 +209,8 @@ class GraphFacts:
         return structure(self.graph)
 
     def _solve(self, kind: str) -> Spectrum:
-        values, report = symmetric_eigenvalues(_MATRIX_BUILDERS[kind](self.graph))
+        built = _MATRIX_BUILDERS[kind](self.graph).view(_BuiltMatrix)
+        values, report = symmetric_eigenvalues(built)
         vt = tuple(float(v) for v in values)
         return Spectrum(matrix=kind, values=vt, groups=_group(vt, self.scale), solve=report)
 

@@ -5,7 +5,7 @@ call that computed it.
 
 import pytest
 
-from qspectra import spectral, tolerances
+from qspectra import graph_core, spectral, tolerances
 from qspectra.bounds import all_bounds
 from qspectra.cli import main
 from qspectra.graph_core import cycle, prism
@@ -62,3 +62,19 @@ def test_verify_solves_once_and_reads_the_scale_at_most_once_per_graph(counts):
     assert verify_exhaustive(4).ok
     assert counts["solves"] == 64
     assert counts["scale_reads"] <= 64
+
+
+def test_verify_computes_each_graphs_structure_once(monkeypatch):
+    calls = []
+    structure = graph_core.structure
+
+    def counted_structure(g):
+        calls.append(g)
+        return structure(g)
+
+    # GraphFacts.info looks the function up in spectral, the bipartite test in graph_core
+    monkeypatch.setattr(graph_core, "structure", counted_structure)
+    monkeypatch.setattr(spectral, "structure", counted_structure)
+    summary = verify_exhaustive(5)
+    assert summary.ok
+    assert len(calls) == summary.graphs_checked == 1024

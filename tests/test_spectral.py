@@ -2,12 +2,18 @@
 eigenvalue grouping, structural lemma checks, and product-spectrum identities.
 """
 
+import importlib.util
 import math
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qspectra import spectral
 from qspectra.graph_core import (
     Graph,
     complete,
@@ -296,24 +302,63 @@ def test_product_spectrum_unknown_kind():
 # -- backend equivalence ------------------------------------------------------
 
 
-def test_compiled_and_python_kernels_bit_identical():
-    cy = pytest.importorskip("qspectra._jacobi_cy")
-    from qspectra import _jacobi_py as py
+@pytest.fixture(scope="module")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel: the built extension if it imports, else the
+    committed _jacobi_cy.c compiled here with setup.py's flags."""
+    try:
+        from qspectra import _jacobi_cy
+        return _jacobi_cy
+    except ImportError:
+        pass
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler to build the committed _jacobi_cy.c")
+    source = Path(spectral.__file__).with_name("_jacobi_cy.c")
+    out = tmp_path_factory.mktemp("kernel") / ("_jacobi_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        [cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off",
+         "-I" + sysconfig.get_paths()["include"], str(source), "-o", str(out)],
+        capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    spec = importlib.util.spec_from_file_location("_jacobi_cy", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def _kernel_cases():
     rng = random.Random(424242)
     nprng = np.random.default_rng(424242)
-    for trial in range(50):
-        if trial % 2 == 0:
-            g = random_graph(rng.randrange(1, 12), rng.choice([0.2, 0.5, 0.8]), rng)
-            mat = signless_laplacian_matrix(g)
-        else:
-            n = int(nprng.integers(2, 12))
+    builders = (adjacency_matrix, laplacian_matrix, signless_laplacian_matrix)
+    for trial in range(90):
+        n = rng.randrange(1, 41)
+        build = builders[trial % 3]
+        if trial % 5 == 0:      # edgeless: every rotation is skipped
+            yield build(Graph(n, ()))
+        elif trial % 5 == 1:    # disconnected: zero blocks exercise the skip mid-sweep
+            half = rng.randrange(1, 21)
+            yield build(disjoint_union(random_graph(half, 0.6, rng), random_graph(half, 0.3, rng)))
+        elif trial % 5 == 2:
             raw = nprng.normal(size=(n, n))
-            mat = np.ascontiguousarray((raw + raw.T) / 2.0)
+            yield np.ascontiguousarray((raw + raw.T) / 2.0)
+        else:
+            yield build(random_graph(n, rng.choice([0.1, 0.3, 0.6, 0.9]), rng))
+    # the first rotation has theta = 4 / (2 * 1e-160) = 2e160, whose square
+    # overflows: the asymptotic tangent branch
+    yield np.array([[0.0, 1e-160, 1.0], [1e-160, 4.0, 0.0], [1.0, 0.0, 2.0]])
+    # symmetric only within the 1e-12 that symmetric_eigenvalues accepts; row 0
+    # gets no rotation, so column 0 keeps its stray entry in both kernels
+    yield np.array([[1.0, 0.0, 0.0], [1e-14, 2.0, 1.0], [0.0, 1.0, 3.0]])
+
+
+def test_compiled_and_python_kernels_bit_identical(compiled_kernel):
+    from qspectra import _jacobi_py
+
+    for mat in _kernel_cases():
         wc = mat.copy(order="C")
         wp = mat.copy(order="C")
-        rc = cy.jacobi_sweeps(wc)
-        rp = py.jacobi_sweeps(wp)
-        assert rc[0] == rp[0]                       # sweep counts
-        assert bool(rc[1]) == bool(rp[1])           # converged flags
+        rc = compiled_kernel.jacobi_sweeps(wc)
+        rp = _jacobi_py.jacobi_sweeps(wp)
+        assert repr(rp) == repr(rc), mat.shape      # the whole returned tuple
         assert wc.tobytes() == wp.tobytes()         # every float64 bit
