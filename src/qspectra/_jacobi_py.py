@@ -19,7 +19,9 @@ Restructured, to make fewer numpy calls per rotation:
 - Column q is copied from row q after each rotation, but column p only once,
   at the end of the p-block, and only if some rotation in the block ran.
   Within the block the stale column-p entries are read only at pivot
-  positions, and every rotation overwrites its pivot entries.
+  positions, and every rotation overwrites its pivot entries. A block with
+  no rotation leaves column p as the compiled kernel does, which matters
+  for input that is symmetric only to rounding.
 - The pivot entries of row q are set before column q is copied from it, so
   the copy also carries them to (p, q) and (q, q).
 """
@@ -105,9 +107,9 @@ def jacobi_sweeps(a):
         off_sq = _offdiag_sq(a.tolist(), n)
     converged = off_sq <= threshold_sq
     max_off = 0.0
-    rows = a.tolist()
+    entries = a.tolist()
     for p in range(n - 1):
-        row = rows[p]
+        row = entries[p]
         for q in range(p + 1, n):
             v = abs(row[q])
             if v > max_off:

@@ -315,7 +315,8 @@ def compiled_kernel(tmp_path_factory):
     if cc is None:
         pytest.skip("no C compiler to build the committed _jacobi_cy.c")
     source = Path(spectral.__file__).with_name("_jacobi_cy.c")
-    out = tmp_path_factory.mktemp("kernel") / ("_jacobi_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    out = tmp_path_factory.mktemp("kernel") / f"_jacobi_cy{suffix}"
     build = subprocess.run(
         [cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off",
          "-I" + sysconfig.get_paths()["include"], str(source), "-o", str(out)],
