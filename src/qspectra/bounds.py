@@ -6,10 +6,11 @@ them true (verified exhaustively on small orders and on large random batches);
 a graph outside a bound's hypotheses gets an inapplicable result with a reason
 rather than a bogus number.
 
-Bound identifiers are a fixed external interface. Direction is 'lower' or
-'upper'; a strict entry never attains equality, so its diagnosis reports
-'near-tight-strict' when the gap is within tolerance instead of claiming
-equality.
+Bound identifiers are a fixed external interface. The catalog table at the end
+of this module states each bound's id, direction and strictness once; its row
+order is BOUND_IDS. Direction is 'lower' or 'upper'; a strict entry never
+attains equality, so its diagnosis reports 'near-tight-strict' when the gap is
+within tolerance instead of claiming equality.
 
 Used throughout: n vertices, m edges, M1 is the sum of squared degrees, the
 mean eigenvalue is 2m/n, deviations gamma_i = |q_i - 2m/n| are sorted
@@ -42,12 +43,6 @@ __all__ = [
     "all_bounds",
     "gan5_two_case_value",
 ]
-
-BOUND_IDS = (
-    "L-GAN1", "L-GAN2", "L-GAN3", "L-GAN4", "L-GAN5",
-    "L-THM1", "L-COR4", "L-COR5", "L-THM2", "L-COR2", "L-COR3",
-    "U-ABR1", "U-ABR2", "U-LI", "U-GAN", "U-THM3", "U-COR6", "U-COR7",
-)
 
 PAIR_ENUMERATION_LIMIT = 20   # enumerate all valid vertex pairs only below this order
 
@@ -84,35 +79,11 @@ class BoundResult:
     diagnosis: EqualityDiagnosis | None
     details: dict[str, Any]
 
-
-def _skip(bound_id: str, direction: str, strict: bool, reason: str) -> BoundResult:
-    return BoundResult(bound_id=bound_id, direction=direction, strict=strict,
-                       applicable=False, reason=reason, value=None, gap=None,
-                       diagnosis=None, details={})
-
-
-def _finish(bound_id: str, direction: str, strict: bool, value: float, f: GraphFacts,
-            condition: str | None, condition_met: bool | None,
-            details: dict[str, Any]) -> BoundResult:
-    gap = (f.qe - value) if direction == "lower" else (value - f.qe)
-    tight = abs(gap) <= tolerances.tight_tol(f.qe, scale=f.scale)
-    if strict:
-        verdict = "near-tight-strict" if tight else "consistent"
-    elif condition is None:
-        verdict = "tight-no-stated-family" if tight else "consistent"
-    elif tight and condition_met:
-        verdict = "consistent"
-    elif tight:
-        verdict = "tight-no-stated-family"
-    elif condition_met:
-        verdict = "stated-family-not-tight"
-    else:
-        verdict = "consistent"
-    diag = EqualityDiagnosis(tight=tight, condition=condition,
-                             condition_met=condition_met, verdict=verdict)
-    return BoundResult(bound_id=bound_id, direction=direction, strict=strict,
-                       applicable=True, reason=None, value=value, gap=gap,
-                       diagnosis=diag, details=details)
+    @property
+    def violated(self) -> bool:
+        """Applicable, and on the wrong side of QE by more than the
+        tightness tolerance."""
+        return self.applicable and self.gap < 0 and not self.diagnosis.tight
 
 
 # -- degree-pair selection shared by the two pair-based estimates ----------------
@@ -141,7 +112,8 @@ def _bottom_pair_value(f: GraphFacts, vn: int, vn1: int) -> float:
 
 
 def _pair_candidates(degrees: tuple[int, ...], want_max: bool):
-    """All (anchor, partner) pairs the tie-breaking could legitimately pick."""
+    """All (anchor, partner) pairs the tie-breaking could legitimately pick,
+    the deterministic pair first."""
     extreme = max(degrees) if want_max else min(degrees)
     for v1 in (i for i, d in enumerate(degrees) if d == extreme):
         rest = [(d, i) for i, d in enumerate(degrees) if i != v1]
@@ -150,19 +122,10 @@ def _pair_candidates(degrees: tuple[int, ...], want_max: bool):
             yield v1, v2
 
 
-def _deterministic_pair(degrees: tuple[int, ...], want_max: bool) -> tuple[int, int]:
-    extreme = max(degrees) if want_max else min(degrees)
-    v1 = degrees.index(extreme)
-    rest = [(d, i) for i, d in enumerate(degrees) if i != v1]
-    d2 = max(d for d, _ in rest) if want_max else min(d for d, _ in rest)
-    v2 = min(i for d, i in rest if d == d2)
-    return v1, v2
-
-
 def _pair_details(f: GraphFacts, want_max: bool,
                   value_fn) -> tuple[float, dict[str, Any]]:
     degrees = f.graph.degrees
-    v1, v2 = _deterministic_pair(degrees, want_max)
+    v1, v2 = next(_pair_candidates(degrees, want_max))
     value = value_fn(f, v1, v2)
     details: dict[str, Any] = {
         "anchor_vertex": v1,
@@ -186,7 +149,7 @@ def gan5_two_case_value(g: Graph | GraphFacts) -> float:
     f = graph_facts(g)
     if f.graph.m < 1 or f.graph.n < 2:
         raise ValueError("two-case estimate needs at least one edge and two vertices")
-    vn, vn1 = _deterministic_pair(f.graph.degrees, want_max=False)
+    vn, vn1 = next(_pair_candidates(f.graph.degrees, want_max=False))
     return _bottom_pair_value(f, vn, vn1)
 
 
@@ -200,6 +163,10 @@ def _is_crown_like(f: GraphFacts) -> bool:
             and f.graph.n == 2 * f.stats.max_degree + 2)
 
 
+_THM3_CONDITION = ("complete graph, perfect matching, or regular graph with "
+                   "constant common-neighbour count")
+
+
 def _thm3_family(f: GraphFacts) -> bool:
     g = f.graph
     if is_complete(g) or is_perfect_matching(g):
@@ -210,54 +177,51 @@ def _thm3_family(f: GraphFacts) -> bool:
             and len({k for _, k in common_neighbour_counts(g)}) == 1)
 
 
+# -- hypotheses several bounds share: (test on the facts, reason when it fails) ---
+
+_EDGE = (lambda f: f.stats.m >= 1, "requires at least one edge")
+_EDGE_TWO_VERTICES = (lambda f: f.stats.m >= 1 and f.stats.n >= 2,
+                      "requires at least one edge and two vertices")
+_CONNECTED_EDGE = (lambda f: f.info.is_connected and f.stats.m >= 1,
+                   "requires a connected graph with at least one edge")
+
+# An evaluator runs only once its shared hypothesis holds. It returns the reason
+# a hypothesis of its own failed, or (value, equality condition, condition met,
+# details).
+_Outcome = str | tuple[float, str | None, bool | None, dict[str, Any]]
+
+
 # -- lower bounds -----------------------------------------------------------------
 #
 # Each evaluator unpacks the facts it reads into the paper's notation.
 
-def _l_gan1(f: GraphFacts) -> BoundResult:
+def _l_gan1(f: GraphFacts) -> _Outcome:
     n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    if m < 1:
-        return _skip("L-GAN1", "lower", False, "requires at least one edge")
-    value = 2 * (m1 / m - 2 * m / n)
-    return _finish("L-GAN1", "lower", False, value, f,
-                   "star", is_star(f.graph), {})
+    return 2 * (m1 / m - 2 * m / n), "star", is_star(f.graph), {}
 
 
-def _l_gan2(f: GraphFacts) -> BoundResult:
+def _l_gan2(f: GraphFacts) -> _Outcome:
     n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
-    if m < 1:
-        return _skip("L-GAN2", "lower", False, "requires at least one edge")
-    value = 2 * dmax + 2 - 4 * m / n
-    return _finish("L-GAN2", "lower", False, value, f,
-                   "star", is_star(f.graph), {})
+    return 2 * dmax + 2 - 4 * m / n, "star", is_star(f.graph), {}
 
 
-def _l_gan3(f: GraphFacts) -> BoundResult:
+def _l_gan3(f: GraphFacts) -> _Outcome:
     s = f.stats
     n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
-    if m < 1:
-        return _skip("L-GAN3", "lower", False, "requires at least one edge")
     value = (dmax + dmin
              + math.sqrt((dmax - dmin) ** 2 + 4 * dmax) - 4 * m / n)
-    return _finish("L-GAN3", "lower", False, value, f,
-                   "star", is_star(f.graph), {})
+    return value, "star", is_star(f.graph), {}
 
 
-def _l_gan4(f: GraphFacts) -> BoundResult:
-    if f.stats.m < 1 or f.stats.n < 2:
-        return _skip("L-GAN4", "lower", False,
-                     "requires at least one edge and two vertices")
+def _l_gan4(f: GraphFacts) -> _Outcome:
     value, details = _pair_details(f, want_max=True, value_fn=_top_pair_value)
-    return _finish("L-GAN4", "lower", False, value, f, None, None, details)
+    return value, None, None, details
 
 
-def _l_gan5(f: GraphFacts) -> BoundResult:
+def _l_gan5(f: GraphFacts) -> _Outcome:
+    # connected only: on a disconnected graph deleting the extreme pair can
+    # touch several components at once
     n, m, dmin = f.stats.n, f.stats.m, f.stats.min_degree
-    # false for disconnected graphs, where deleting the extreme pair can touch
-    # several components at once
-    if not f.info.is_connected or m < 1:
-        return _skip("L-GAN5", "lower", False,
-                     "requires a connected graph with at least one edge")
     if f.info.is_bipartite:
         value = 8 * m / n - 2 * dmin
         details: dict[str, Any] = {"branch": "bipartite"}
@@ -265,22 +229,17 @@ def _l_gan5(f: GraphFacts) -> BoundResult:
         value, details = _pair_details(f, want_max=False,
                                        value_fn=_bottom_pair_value)
         details["branch"] = "two-case"
-    return _finish("L-GAN5", "lower", False, value, f, None, None, details)
+    return value, None, None, details
 
 
-def _l_thm1(f: GraphFacts) -> BoundResult:
+def _l_thm1(f: GraphFacts) -> _Outcome:
     n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    if m < 1 or n < 2:
-        return _skip("L-THM1", "lower", False,
-                     "requires at least one edge and two vertices")
     if f.gamma.min_is_zero:
-        return _skip("L-THM1", "lower", False,
-                     "requires every eigenvalue to deviate from the mean")
+        return "requires every eigenvalue to deviate from the mean"
     g1, gn = f.gamma.values[0], f.gamma.values[-1]
     t = 2 * m + m1 - 4 * m * m / n
     value = (2 * math.sqrt(t * n) * math.sqrt(g1 * gn) / (g1 + gn))
-    return _finish("L-THM1", "lower", False, value, f, None, None,
-                   {"gamma_max": g1, "gamma_min": gn})
+    return value, None, None, {"gamma_max": g1, "gamma_min": gn}
 
 
 def _deviation_threshold_scale(n: int, m: int) -> float:
@@ -289,165 +248,122 @@ def _deviation_threshold_scale(n: int, m: int) -> float:
     return math.sqrt(c_int)
 
 
-def _l_cor4(f: GraphFacts) -> BoundResult:
+def _l_cor4(f: GraphFacts) -> _Outcome:
     s = f.stats
     n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
-    if not f.info.is_connected or m < 1:
-        return _skip("L-COR4", "lower", False,
-                     "requires a connected graph with at least one edge")
     threshold = _deviation_threshold_scale(n, m) / (2 * n)
     if f.gamma.values[-1] < threshold:
-        return _skip("L-COR4", "lower", False,
-                     "requires the minimum deviation to reach sqrt(c)/(2n)")
+        return "requires the minimum deviation to reach sqrt(c)/(2n)"
     value = (2 * math.sqrt(2) / 3) * math.sqrt(
         (2 * m + 0.5 * (dmax - dmin) ** 2) * n)
-    return _finish("L-COR4", "lower", False, value, f,
-                   "complete graph on three vertices",
-                   n == 3 and m == 3, {"threshold": threshold})
+    return (value, "complete graph on three vertices", n == 3 and m == 3,
+            {"threshold": threshold})
 
 
-def _l_cor5(f: GraphFacts) -> BoundResult:
+def _l_cor5(f: GraphFacts) -> _Outcome:
     s = f.stats
     n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
-    if not f.info.is_connected or m < 1:
-        return _skip("L-COR5", "lower", True,
-                     "requires a connected graph with at least one edge")
     threshold = _deviation_threshold_scale(n, m) / n ** 3
     if f.gamma.values[-1] < threshold:
-        return _skip("L-COR5", "lower", True,
-                     "requires the minimum deviation to reach sqrt(c)/n^3")
+        return "requires the minimum deviation to reach sqrt(c)/n^3"
     value = (2 * n * math.sqrt((2 * m + 0.5 * (dmax - dmin) ** 2) * n)
              / (1 + n * n))
-    return _finish("L-COR5", "lower", True, value, f, None, None,
-                   {"threshold": threshold})
+    return value, None, None, {"threshold": threshold}
 
 
-def _l_thm2(f: GraphFacts) -> BoundResult:
+def _l_thm2(f: GraphFacts) -> _Outcome:
     n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    if not f.info.is_connected or m < 1:
-        return _skip("L-THM2", "lower", False,
-                     "requires a connected graph with at least one edge")
     if not f.gamma.min_is_zero:
-        return _skip("L-THM2", "lower", False,
-                     "requires some eigenvalue to sit at the mean")
+        return "requires some eigenvalue to sit at the mean"
     g1 = f.gamma.values[0]
     t = 2 * m + m1 - 4 * m * m / n
-    value = t / g1
-    return _finish("L-THM2", "lower", False, value, f,
-                   "balanced complete bipartite graph",
-                   is_balanced_complete_bipartite(f.graph, info=f.info), {"gamma_max": g1})
+    return (t / g1, "balanced complete bipartite graph",
+            is_balanced_complete_bipartite(f.graph, info=f.info), {"gamma_max": g1})
 
 
-def _l_cor2(f: GraphFacts) -> BoundResult:
+def _l_cor2(f: GraphFacts) -> _Outcome:
     s = f.stats
     n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
-    if not f.info.is_connected or m < 1:
-        return _skip("L-COR2", "lower", False,
-                     "requires a connected graph with at least one edge")
     if not f.gamma.min_is_zero:
-        return _skip("L-COR2", "lower", False,
-                     "requires some eigenvalue to sit at the mean")
+        return "requires some eigenvalue to sit at the mean"
     value = ((2 * m + 0.5 * (dmax - dmin) ** 2)
              / (2 * dmax - 2 * m / n))
-    return _finish("L-COR2", "lower", False, value, f,
-                   "balanced complete bipartite graph",
-                   is_balanced_complete_bipartite(f.graph, info=f.info), {})
+    return (value, "balanced complete bipartite graph",
+            is_balanced_complete_bipartite(f.graph, info=f.info), {})
 
 
-def _l_cor3(f: GraphFacts) -> BoundResult:
+def _l_cor3(f: GraphFacts) -> _Outcome:
     n, m, r = f.stats.n, f.stats.m, f.stats.max_degree
     if not f.info.is_connected or m < 1 or not f.info.is_regular:
-        return _skip("L-COR3", "lower", False,
-                     "requires a connected regular graph with at least one edge")
+        return "requires a connected regular graph with at least one edge"
     if f.gamma.min_is_zero:
-        value = float(n)
-        condition = "balanced complete bipartite graph"
-        met = is_balanced_complete_bipartite(f.graph, info=f.info)
-        details: dict[str, Any] = {"branch": "zero-deviation"}
-    else:
-        gn = f.gamma.values[-1]
-        value = 2 * n * r * math.sqrt(gn) / (r + gn)
-        condition = "complete graph or crown graph"
-        met = is_complete(f.graph) or _is_crown_like(f)
-        details = {"branch": "positive-deviation", "gamma_min": gn}
-    return _finish("L-COR3", "lower", False, value, f, condition, met, details)
+        return (float(n), "balanced complete bipartite graph",
+                is_balanced_complete_bipartite(f.graph, info=f.info),
+                {"branch": "zero-deviation"})
+    gn = f.gamma.values[-1]
+    return (2 * n * r * math.sqrt(gn) / (r + gn), "complete graph or crown graph",
+            is_complete(f.graph) or _is_crown_like(f),
+            {"branch": "positive-deviation", "gamma_min": gn})
 
 
 # -- upper bounds -----------------------------------------------------------------
 
-def _u_abr1(f: GraphFacts) -> BoundResult:
+def _u_abr1(f: GraphFacts) -> _Outcome:
     n, m = f.stats.n, f.stats.m
-    value = 4 * m * (1 - 1 / n)
-    return _finish("U-ABR1", "upper", False, value, f,
-                   "edgeless, or a single edge plus isolated vertices",
-                   m == 0 or is_single_edge_with_isolates(f.graph), {})
+    return (4 * m * (1 - 1 / n), "edgeless, or a single edge plus isolated vertices",
+            m == 0 or is_single_edge_with_isolates(f.graph), {})
 
 
-def _u_abr2(f: GraphFacts) -> BoundResult:
+def _u_abr2(f: GraphFacts) -> _Outcome:
     n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
     # disconnected graphs (any union of single edges has M1 = 2m) and the
     # two-vertex graph break this estimate
     if not f.info.is_connected or n < 3:
-        return _skip("U-ABR2", "upper", False,
-                     "requires a connected graph on at least three vertices")
+        return "requires a connected graph on at least three vertices"
     rad = m / 2 - (2 * m / n - 1)
     spread = m1 - 2 * m
     if rad < 0 or spread < 0:
-        return _skip("U-ABR2", "upper", False, "radicand is negative")
-    value = (1 + math.sqrt(rad)) * math.sqrt(2 * spread)
-    return _finish("U-ABR2", "upper", False, value, f, None, None, {})
+        return "radicand is negative"
+    return (1 + math.sqrt(rad)) * math.sqrt(2 * spread), None, None, {}
 
 
-def _u_li(f: GraphFacts) -> BoundResult:
+def _u_li(f: GraphFacts) -> _Outcome:
     n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
-    if m < 1 or n < 2:
-        return _skip("U-LI", "upper", False,
-                     "requires at least one edge and two vertices")
     rad = (n - 2) * (2 * m * m / (n - 1)
                      + (8 * m * dmax - 4 * m * m) / n
                      + m * n - 4)
     if rad < 0:
-        return _skip("U-LI", "upper", False, "radicand is negative")
+        return "radicand is negative"
     value = 2 * m / (n - 1) + n - 2 + math.sqrt(rad)
-    return _finish("U-LI", "upper", False, value, f,
-                   "single edge", n == 2 and m == 1, {})
+    return value, "single edge", n == 2 and m == 1, {}
 
 
-def _u_gan(f: GraphFacts) -> BoundResult:
+def _u_gan(f: GraphFacts) -> _Outcome:
     n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
     if not f.info.is_connected:
-        return _skip("U-GAN", "upper", False, "requires a connected graph")
-    value = 2 * (2 * m + 1 - dmax - 2 * m / n)
-    return _finish("U-GAN", "upper", False, value, f, None, None, {})
+        return "requires a connected graph"
+    return 2 * (2 * m + 1 - dmax - 2 * m / n), None, None, {}
 
 
-def _u_thm3(f: GraphFacts) -> BoundResult:
+def _u_thm3(f: GraphFacts) -> _Outcome:
     n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    if m < 1:
-        return _skip("U-THM3", "upper", False, "requires at least one edge")
     t = 2 * m + m1 - 4 * m * m / n
     # integer case test: n (2m + M1) <= 8 m^2
     mean_dominant = n * (2 * m + m1) <= 8 * m * m
     if mean_dominant:
         value = (2 * m / n
                  + math.sqrt((n - 1) * (t - (2 * m / n) ** 2)))
-        return _finish(
-            "U-THM3", "upper", False, value, f,
-            "complete graph, perfect matching, or regular graph with constant "
-            "common-neighbour count", _thm3_family(f),
-            {"branch": "mean-at-least-rms", "strict_branch": False})
+        return (value, _THM3_CONDITION, _thm3_family(f),
+                {"branch": "mean-at-least-rms", "strict_branch": False})
     value = math.sqrt(t / n) + math.sqrt((n - 1) * t * (1 - 1 / n))
-    res = _finish("U-THM3", "upper", True, value, f, None, None,
-                  {"branch": "mean-below-rms", "strict_branch": True})
-    return res
+    return value, None, None, {"branch": "mean-below-rms", "strict_branch": True}
 
 
-def _u_cor6(f: GraphFacts) -> BoundResult:
+def _u_cor6(f: GraphFacts) -> _Outcome:
     s = f.stats
     n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
     if not f.info.is_connected or f.info.is_regular:
-        return _skip("U-COR6", "upper", True,
-                     "requires a connected irregular graph")
+        return "requires a connected irregular graph"
     dd = (dmax - dmin) ** 2
     # integer case test: (n dd + 4m)^2 <= 16 m^2 (1 + dd)
     inside = (n * dd + 4 * m) ** 2 <= 16 * m * m * (1 + dd)
@@ -461,43 +377,90 @@ def _u_cor6(f: GraphFacts) -> BoundResult:
                  + math.sqrt((n - 1) * (2 * m + (n - 1) * dd / 4
                                         - 2 * m / n)))
         branch = "above-degree-spread-threshold"
-    return _finish("U-COR6", "upper", True, value, f, None, None,
-                   {"branch": branch})
+    return value, None, None, {"branch": branch}
 
 
-def _u_cor7(f: GraphFacts) -> BoundResult:
+def _u_cor7(f: GraphFacts) -> _Outcome:
     n, m = f.stats.n, f.stats.m
     if not f.info.is_regular or m < 1:
-        return _skip("U-COR7", "upper", False,
-                     "requires a regular graph with at least one edge")
+        return "requires a regular graph with at least one edge"
     value = (2 * m / n
              + math.sqrt((n - 1) * (2 * m - (2 * m / n) ** 2)))
-    return _finish("U-COR7", "upper", False, value, f,
-                   "complete graph, perfect matching, or regular graph with "
-                   "constant common-neighbour count", _thm3_family(f), {})
+    return value, _THM3_CONDITION, _thm3_family(f), {}
 
 
-_EVALUATORS = {
-    "L-GAN1": _l_gan1, "L-GAN2": _l_gan2, "L-GAN3": _l_gan3,
-    "L-GAN4": _l_gan4, "L-GAN5": _l_gan5,
-    "L-THM1": _l_thm1, "L-COR4": _l_cor4, "L-COR5": _l_cor5,
-    "L-THM2": _l_thm2, "L-COR2": _l_cor2, "L-COR3": _l_cor3,
-    "U-ABR1": _u_abr1, "U-ABR2": _u_abr2, "U-LI": _u_li, "U-GAN": _u_gan,
-    "U-THM3": _u_thm3, "U-COR6": _u_cor6, "U-COR7": _u_cor7,
-}
+# -- the catalog --------------------------------------------------------------------
+#
+# One row per bound, in output order: id, direction, strict (never attains
+# equality; U-THM3 reports it per branch as details["strict_branch"]), the
+# shared hypothesis or None, and the evaluator.
 
-assert tuple(_EVALUATORS) == BOUND_IDS
+_CATALOG = (
+    ("L-GAN1", "lower", False, _EDGE, _l_gan1),
+    ("L-GAN2", "lower", False, _EDGE, _l_gan2),
+    ("L-GAN3", "lower", False, _EDGE, _l_gan3),
+    ("L-GAN4", "lower", False, _EDGE_TWO_VERTICES, _l_gan4),
+    ("L-GAN5", "lower", False, _CONNECTED_EDGE, _l_gan5),
+    ("L-THM1", "lower", False, _EDGE_TWO_VERTICES, _l_thm1),
+    ("L-COR4", "lower", False, _CONNECTED_EDGE, _l_cor4),
+    ("L-COR5", "lower", True, _CONNECTED_EDGE, _l_cor5),
+    ("L-THM2", "lower", False, _CONNECTED_EDGE, _l_thm2),
+    ("L-COR2", "lower", False, _CONNECTED_EDGE, _l_cor2),
+    ("L-COR3", "lower", False, None, _l_cor3),
+    ("U-ABR1", "upper", False, None, _u_abr1),
+    ("U-ABR2", "upper", False, None, _u_abr2),
+    ("U-LI", "upper", False, _EDGE_TWO_VERTICES, _u_li),
+    ("U-GAN", "upper", False, None, _u_gan),
+    ("U-THM3", "upper", False, _EDGE, _u_thm3),
+    ("U-COR6", "upper", True, None, _u_cor6),
+    ("U-COR7", "upper", False, None, _u_cor7),
+)
+
+BOUND_IDS = tuple(row[0] for row in _CATALOG)
+
+
+def _result(row: tuple, f: GraphFacts) -> BoundResult:
+    """One catalog row evaluated on f: the shared hypothesis, then the
+    evaluator, then the gap and the equality diagnosis."""
+    bound_id, direction, strict, hypothesis, evaluate = row
+    if hypothesis is not None and not hypothesis[0](f):
+        outcome = hypothesis[1]
+    else:
+        outcome = evaluate(f)
+    if isinstance(outcome, str):
+        return BoundResult(bound_id=bound_id, direction=direction, strict=strict,
+                           applicable=False, reason=outcome, value=None, gap=None,
+                           diagnosis=None, details={})
+    value, condition, condition_met, details = outcome
+    strict = details.get("strict_branch", strict)
+    gap = (f.qe - value) if direction == "lower" else (value - f.qe)
+    tight = abs(gap) <= tolerances.tight_tol(f.qe, scale=f.scale)
+    if strict:
+        verdict = "near-tight-strict" if tight else "consistent"
+    elif condition is None:
+        verdict = "tight-no-stated-family" if tight else "consistent"
+    elif tight and condition_met:
+        verdict = "consistent"
+    elif tight:
+        verdict = "tight-no-stated-family"
+    elif condition_met:
+        verdict = "stated-family-not-tight"
+    else:
+        verdict = "consistent"
+    diag = EqualityDiagnosis(tight=tight, condition=condition,
+                             condition_met=condition_met, verdict=verdict)
+    return BoundResult(bound_id=bound_id, direction=direction, strict=strict,
+                       applicable=True, reason=None, value=value, gap=gap,
+                       diagnosis=diag, details=details)
 
 
 def evaluate_bound(g: Graph | GraphFacts, bound_id: str) -> BoundResult:
-    try:
-        fn = _EVALUATORS[bound_id]
-    except KeyError:
+    if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; "
-                         f"known ids: {', '.join(BOUND_IDS)}") from None
-    return fn(graph_facts(g))
+                         f"known ids: {', '.join(BOUND_IDS)}")
+    return _result(_CATALOG[BOUND_IDS.index(bound_id)], graph_facts(g))
 
 
 def all_bounds(g: Graph | GraphFacts) -> tuple[BoundResult, ...]:
     f = graph_facts(g)
-    return tuple(fn(f) for fn in _EVALUATORS.values())
+    return tuple(_result(row, f) for row in _CATALOG)

@@ -38,7 +38,6 @@ __all__ = [
     "is_star",
     "is_perfect_matching",
     "is_balanced_complete_bipartite",
-    "complete_bipartite_parts",
     "is_single_edge_with_isolates",
     "common_neighbour_counts",
     "parse_graph6",
@@ -50,15 +49,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Graph:
     """Immutable simple graph with precomputed degrees and adjacency sets."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...] = field(init=False, repr=False)
-    adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         deg = [0] * self.n
@@ -70,7 +68,6 @@ class Graph:
             adj[v].add(u)
         object.__setattr__(self, "degrees", tuple(deg))
         object.__setattr__(self, "adjacency", tuple(frozenset(s) for s in adj))
-        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
 
     @property
     def m(self) -> int:
@@ -78,14 +75,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -332,35 +321,13 @@ def is_perfect_matching(g: Graph) -> bool:
     return g.n >= 2 and all(d == 1 for d in g.degrees)
 
 
-def complete_bipartite_parts(g: Graph, *, info: StructureInfo | None = None
-                             ) -> tuple[int, int] | None:
-    """Part sizes (a, b) with a <= b if g is a complete bipartite graph with
-    nonempty parts, else None. ``info`` is g's structure, if already known."""
-    if g.m == 0:
-        return None
+def is_balanced_complete_bipartite(g: Graph, *, info: StructureInfo | None = None) -> bool:
+    """K_{a,a} with a >= 1: exactly the connected bipartite graphs that are
+    regular of degree n/2. ``info`` is g's structure, if already known."""
     if info is None:
         info = structure(g)
-    if not info.is_connected or not info.is_bipartite:
-        return None
-    # connected bipartite: recover the 2-coloring, then check every cross pair
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                stack.append(w)
-    a = sum(1 for c in color.values() if c == 0)
-    b = g.n - a
-    if g.m != a * b:
-        return None
-    return (a, b) if a <= b else (b, a)
-
-
-def is_balanced_complete_bipartite(g: Graph, *, info: StructureInfo | None = None) -> bool:
-    parts = complete_bipartite_parts(g, info=info)
-    return parts is not None and parts[0] == parts[1]
+    return (info.is_connected and info.is_bipartite and info.is_regular
+            and 2 * info.regularity_degree == g.n)
 
 
 def is_single_edge_with_isolates(g: Graph) -> bool:

@@ -218,10 +218,11 @@ def _check_one(f: GraphFacts) -> tuple[list[tuple[str, str, float]], list[tuple[
     g = f.graph
     violations: list[tuple[str, str, float]] = []
     failures: list[tuple[str, str]] = []
-    tol = tolerances.tight_tol(f.qe, scale=f.scale)
     for res in all_bounds(f):
-        if res.applicable and res.gap < -tol:
+        if res.violated:
             violations.append((emit_graph6(g), res.bound_id, res.gap))
+    if not f.signless_laplacian.solve.converged:
+        failures.append((emit_graph6(g), "solver:not_converged"))
     for chk in check_spectral_lemmas(f):
         if chk.applicable and chk.holds is False:
             failures.append((emit_graph6(g), chk.check_id))
@@ -254,10 +255,11 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
     """Check every invariant the library claims, over all labeled graphs on
     exactly max_n vertices (or a seeded uniform sample of them).
 
-    Per graph: every applicable bound must respect its direction within the
-    tightness tolerance, every spectral check must hold with its equality
-    condition consistent, and connected graphs must witness the two-distinct-
-    eigenvalue characterization of completeness.
+    Per graph: the signless Laplacian solve must converge, every applicable
+    bound must respect its direction within the tightness tolerance, every
+    spectral check must hold with its equality condition consistent, and
+    connected graphs must witness the two-distinct-eigenvalue characterization
+    of completeness.
     """
     if not isinstance(max_n, int) or not (1 <= max_n <= 7):
         raise ValueError("vertex count must be an integer between 1 and 7")

@@ -4,8 +4,8 @@ signless Laplacian), and the per-graph facts every report reads.
 The solver is a cyclic Jacobi iteration with a fixed rotation order,
 terminating when the off-diagonal Frobenius norm drops below 1e-12 times the
 input's Frobenius norm, capped at 50 sweeps (non-convergence is flagged, not
-raised). A compiled kernel is preferred; the pure-Python twin is selected when
-the extension is unavailable or QSPECTRA_BACKEND=python is set.
+raised). The compiled kernel is used when its extension imports, the
+pure-Python twin otherwise.
 
 ``GraphFacts`` holds what the bounds and lemmas read about one graph: degree
 statistics, structure, the three spectra, the deviation sequence and QE, each
@@ -18,7 +18,6 @@ and passes them along.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -50,25 +49,12 @@ __all__ = [
 ]
 
 
-def _select_backend():
-    choice = os.environ.get("QSPECTRA_BACKEND", "auto")
-    if choice not in ("auto", "compiled", "python"):
-        raise ValueError(f"QSPECTRA_BACKEND must be auto, compiled, or python; got {choice!r}")
-    if choice == "python":
-        from . import _jacobi_py
-        return _jacobi_py, "python"
-    try:
-        from . import _jacobi_cy
-        return _jacobi_cy, "compiled"
-    except ImportError:
-        if choice == "compiled":
-            raise RuntimeError(
-                "QSPECTRA_BACKEND=compiled but the extension is not built") from None
-        from . import _jacobi_py
-        return _jacobi_py, "python"
-
-
-_KERNEL, BACKEND = _select_backend()
+try:
+    from . import _jacobi_cy as _KERNEL
+    BACKEND = "compiled"
+except ImportError:
+    from . import _jacobi_py as _KERNEL
+    BACKEND = "python"
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from qspectra import spectral
 from qspectra.cli import main
 from qspectra.graph_core import cycle, emit_graph6, prism, star
 from qspectra.reports import (
@@ -122,6 +123,23 @@ def test_verify_workers_match_sequential():
     assert par.graphs_checked == seq.graphs_checked
     assert par.violations == seq.violations
     assert par.lemma_failures == seq.lemma_failures
+
+
+def test_verify_fails_on_an_unconverged_solve(monkeypatch):
+    kernel = spectral._KERNEL
+
+    class Unconverged:
+        @staticmethod
+        def jacobi_sweeps(a):
+            sweeps, _, off_fro, max_off = kernel.jacobi_sweeps(a)
+            return sweeps, False, off_fro, max_off
+
+    monkeypatch.setattr(spectral, "_KERNEL", Unconverged)
+    summary = verify_exhaustive(3)
+    assert not summary.ok
+    flagged = [g6 for g6, check in summary.lemma_failures
+               if check == "solver:not_converged"]
+    assert len(flagged) == len(set(flagged)) == summary.graphs_checked == 8
 
 
 def test_verify_input_validation():
