@@ -1,9 +1,5 @@
-"""Build hooks for the optional compiled eigensolver kernel.
-
-The package is fully functional without the extension (a pure-Python kernel is
-selected at import time), so a failed compile downgrades to a warning instead
-of aborting the install.
-"""
+"""Builds the optional C eigensolver kernel, downgrading a failed compile to a
+warning because the pure-Python twin serves without it."""
 
 import sys
 
@@ -27,20 +23,9 @@ class OptionalBuildExt(build_ext):
                   "pure-Python fallback will be used", file=sys.stderr)
 
 
-def extensions():
-    # -ffp-contract=off keeps the compiled kernel bit-identical to the
-    # pure-Python one (no FMA fusion); do not add -ffast-math.
-    flags = ["-O3", "-ffp-contract=off"]
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython not available; building the kernel from the "
-              "committed _jacobi_cy.c", file=sys.stderr)
-        return [Extension("qspectra._jacobi_cy", ["src/qspectra/_jacobi_cy.c"],
-                          extra_compile_args=flags)]
-    ext = Extension("qspectra._jacobi_cy", ["src/qspectra/_jacobi_cy.pyx"],
-                    extra_compile_args=flags)
-    return cythonize([ext], compiler_directives={"language_level": "3"})
+# -ffp-contract=off keeps the compiled kernel bit-identical to the pure-Python
+# one (no FMA fusion); do not add -ffast-math.
+KERNEL = Extension("qspectra._jacobi_cy", ["src/qspectra/_jacobi_cy.c"],
+                   extra_compile_args=["-O3", "-ffp-contract=off"])
 
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[KERNEL], cmdclass={"build_ext": OptionalBuildExt})

@@ -1,4 +1,4 @@
-"""Pure-Python cyclic Jacobi kernel, the twin of the compiled ``_jacobi_cy``.
+"""Pure-Python cyclic Jacobi kernel, the twin of the C kernel ``_jacobi_cy.c``.
 
 Twin contract: given the same C-contiguous float64 matrix, both kernels leave
 the same float64 bits in it and return the same (sweeps, converged,

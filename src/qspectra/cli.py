@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
-0 success, 1 usage error, 2 input parse error, 3 verification violations or
-table mismatch. Text output prints values to four decimals (banker's
-rounding); --json emits the canonical sorted-key rendering instead.
+0 success, 1 usage error, 2 input parse error, 3 verification violations,
+table mismatch, or an eigensolve that did not converge. Text output prints
+values to four decimals (banker's rounding); --json emits the canonical
+sorted-key rendering instead.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _status(ok: bool, unconverged: tuple[str, ...]) -> int:
+    """Exit status of a command that has printed its results: 3 when a check
+    failed or an eigensolve it read did not converge, 0 otherwise. The
+    unconverged solves are named on one stderr line."""
+    if unconverged:
+        print(f"qspectra: eigensolve did not converge: {', '.join(unconverged)}",
+              file=sys.stderr)
+    return EXIT_OK if ok and not unconverged else EXIT_VIOLATIONS
+
+
 def _print_grid(headers: list[str], rows: list[list[str]]) -> None:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -104,11 +115,11 @@ def _print_grid(headers: list[str], rows: list[list[str]]) -> None:
 # -- subcommands ----------------------------------------------------------------------
 
 def analyze_command(args) -> int:
-    g = _graph_from_args(args)
-    report = analyze_report(g)
+    f = GraphFacts(_graph_from_args(args))
+    report = analyze_report(f)
     if args.json:
         sys.stdout.write(render_json(report))
-        return EXIT_OK
+        return _status(True, f.unconverged())
     gr, st, sp = report["graph"], report["structure"], report["spectra"]
     print(f"graph: n={gr['n']} m={gr['m']} graph6={gr['graph6']}")
     ds = report["degree_stats"]
@@ -154,7 +165,7 @@ def analyze_command(args) -> int:
     else:
         print(f"srg: no ({srg['reason']})")
     _print_bounds_grid(report["bounds"])
-    return EXIT_OK
+    return _status(True, f.unconverged())
 
 
 def _print_bounds_grid(bound_dicts) -> None:
@@ -207,13 +218,13 @@ def bounds_command(args) -> int:
     else:
         print(f"QE = {_fmt(qe)} (n={g.n}, m={g.m}, graph6={emit_graph6(g)})")
         _print_bounds_grid([asdict(r) for r in results])
-    return EXIT_VIOLATIONS if any(r.violated for r in results) else EXIT_OK
+    return _status(not any(r.violated for r in results), f.unconverged())
 
 
 def _table_command(report: TableReport, as_json: bool) -> int:
     if as_json:
         sys.stdout.write(render_json(table_report_dict(report)))
-        return EXIT_OK if report.ok else EXIT_VIOLATIONS
+        return _status(report.ok, report.unconverged)
     print(report.title)
     headers = ["row"] + [f"{c}" for c in report.column_names]
     rows = []
@@ -222,7 +233,7 @@ def _table_command(report: TableReport, as_json: bool) -> int:
     _print_grid(headers, rows)
     print(f"max deviation from reference: {report.max_deviation:.2e} "
           f"(tolerance {report.tolerance:.0e}) -> {'ok' if report.ok else 'MISMATCH'}")
-    return EXIT_OK if report.ok else EXIT_VIOLATIONS
+    return _status(report.ok, report.unconverged)
 
 
 def table1_command(args) -> int:

@@ -55,8 +55,9 @@ class TableReport:
     rows: tuple[TableRow, ...]
     tolerance: float
     max_deviation: float
-    ok: bool
+    ok: bool                       # within tolerance, and every solve converged
     wall_time: float
+    unconverged: tuple[str, ...]   # GraphFacts.unconverged() over the rows
 
 
 def _load_expected(name: str) -> tuple[tuple[str, ...], dict[int, dict[str, float]]]:
@@ -83,16 +84,21 @@ def _table_report(title: str, data_file: str, compute_row) -> TableReport:
     tol = tolerances.TABLE_ABS * scale
     rows = []
     worst = 0.0
+    unconverged: list[str] = []
     for cycle_n in sorted(expected_rows):
-        computed = compute_row(cycle_n, GraphFacts(prism(cycle_n), scale))
+        f = GraphFacts(prism(cycle_n), scale)
+        computed = compute_row(cycle_n, f)
+        unconverged.extend(f.unconverged())
         expected = expected_rows[cycle_n]
         deviation = {k: abs(computed[k] - expected[k]) for k in names}
         worst = max(worst, max(deviation.values()))
         rows.append(TableRow(label=f"prism({cycle_n})", exact_qe=computed["exact"],
                              columns=computed, expected=expected, deviation=deviation))
     return TableReport(title=title, column_names=names, rows=tuple(rows),
-                       tolerance=tol, max_deviation=worst, ok=worst <= tol,
-                       wall_time=time.perf_counter() - t0)
+                       tolerance=tol, max_deviation=worst,
+                       ok=worst <= tol and not unconverged,
+                       wall_time=time.perf_counter() - t0,
+                       unconverged=tuple(unconverged))
 
 
 def reproduce_table1() -> TableReport:

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from . import tolerances
-from .graph_core import DegreeStats, Graph, StructureInfo, degree_stats, structure
+from .graph_core import DegreeStats, Graph, StructureInfo, degree_stats, emit_graph6, structure
 
 __all__ = [
     "BACKEND",
@@ -227,6 +227,14 @@ class GraphFacts:
     def qe(self) -> float:
         """Signless Laplacian energy: the sum of the deviations."""
         return math.fsum(self.gamma.values)
+
+    def unconverged(self) -> tuple[str, ...]:
+        """Names ('<kind> of <graph6>') of the matrices solved so far whose
+        solve did not converge."""
+        # a cached_property keeps its value in __dict__ once computed
+        solved = (self.__dict__.get(kind) for kind in _MATRIX_BUILDERS)
+        return tuple(f"{spec.matrix} of {emit_graph6(self.graph)}"
+                     for spec in solved if spec is not None and not spec.solve.converged)
 
 
 def graph_facts(g: Graph | GraphFacts) -> GraphFacts:

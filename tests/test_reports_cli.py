@@ -125,7 +125,9 @@ def test_verify_workers_match_sequential():
     assert par.lemma_failures == seq.lemma_failures
 
 
-def test_verify_fails_on_an_unconverged_solve(monkeypatch):
+@pytest.fixture
+def unconverged_kernel(monkeypatch):
+    """The active kernel, reporting every solve as not converged."""
     kernel = spectral._KERNEL
 
     class Unconverged:
@@ -135,6 +137,9 @@ def test_verify_fails_on_an_unconverged_solve(monkeypatch):
             return sweeps, False, off_fro, max_off
 
     monkeypatch.setattr(spectral, "_KERNEL", Unconverged)
+
+
+def test_verify_fails_on_an_unconverged_solve(unconverged_kernel):
     summary = verify_exhaustive(3)
     assert not summary.ok
     flagged = [g6 for g6, check in summary.lemma_failures
@@ -273,6 +278,23 @@ def test_cli_table_mismatch_exits_three():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 3
     assert "MISMATCH" in proc.stdout
+
+
+def test_cli_exits_three_on_an_unconverged_solve(unconverged_kernel, capsys):
+    g6 = emit_graph6(star(4))
+    cases = (
+        (["analyze", "--graph6", g6],
+         [f"{kind} of {g6}" for kind in ("adjacency", "laplacian", "signless_laplacian")]),
+        (["bounds", "--graph6", g6], [f"signless_laplacian of {g6}"]),
+        (["table1"], [f"signless_laplacian of {emit_graph6(prism(n))}" for n in range(3, 11)]),
+    )
+    for argv, named in cases:
+        for fmt in ([], ["--json"]):
+            assert main(argv + fmt) == 3, argv + fmt
+            out, err = capsys.readouterr()
+            assert out
+            assert err.splitlines() == [
+                "qspectra: eigensolve did not converge: " + ", ".join(named)]
 
 
 def test_cli_module_entry_point():

@@ -304,8 +304,8 @@ def test_product_spectrum_unknown_kind():
 
 @pytest.fixture(scope="module")
 def compiled_kernel(tmp_path_factory):
-    """The compiled kernel: the built extension if it imports, else the
-    committed _jacobi_cy.c compiled here with setup.py's flags."""
+    """The compiled kernel: the built extension if it imports, else
+    _jacobi_cy.c compiled here with setup.py's flags."""
     try:
         from qspectra import _jacobi_cy
         return _jacobi_cy
@@ -313,7 +313,7 @@ def compiled_kernel(tmp_path_factory):
         pass
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
-        pytest.skip("no C compiler to build the committed _jacobi_cy.c")
+        pytest.skip("no C compiler to build _jacobi_cy.c")
     source = Path(spectral.__file__).with_name("_jacobi_cy.c")
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     out = tmp_path_factory.mktemp("kernel") / f"_jacobi_cy{suffix}"
@@ -345,6 +345,10 @@ def _kernel_cases():
             yield np.ascontiguousarray((raw + raw.T) / 2.0)
         else:
             yield build(random_graph(n, rng.choice([0.1, 0.3, 0.6, 0.9]), rng))
+    for n in (7, 23):
+        for scale in (1e-5, 1e5):
+            raw = nprng.normal(size=(n, n))
+            yield np.ascontiguousarray((raw + raw.T) / 2.0 * scale)
     # the first rotation has theta = 4 / (2 * 1e-160) = 2e160, whose square
     # overflows: the asymptotic tangent branch
     yield np.array([[0.0, 1e-160, 1.0], [1e-160, 4.0, 0.0], [1.0, 0.0, 2.0]])
@@ -363,3 +367,15 @@ def test_compiled_and_python_kernels_bit_identical(compiled_kernel):
         rp = _jacobi_py.jacobi_sweeps(wp)
         assert repr(rp) == repr(rc), mat.shape      # the whole returned tuple
         assert wc.tobytes() == wp.tobytes()         # every float64 bit
+
+
+def test_compiled_kernel_rejects_buffers_it_cannot_solve(compiled_kernel):
+    sym = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
+    readonly = sym.copy()
+    readonly.flags.writeable = False
+    for bad in (np.ascontiguousarray(sym[:2]), sym.astype(np.float32),
+                np.asfortranarray(sym), readonly):
+        before = bad.copy(order="K")
+        with pytest.raises(ValueError):
+            compiled_kernel.jacobi_sweeps(bad)
+        assert bad.tobytes(order="A") == before.tobytes(order="A"), bad.flags
