@@ -2,7 +2,7 @@
 
 Solves signless Laplacian matrices of seeded random graphs at several sizes
 with both kernels, reports per-solve times and the speedup, and confirms the
-two kernels agree bit for bit on every diagonal.
+two kernels agree bit for bit on every diagonal. Exits 1 when they do not.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -63,6 +63,7 @@ def main() -> int:
     header = f"{'n':>5} {'python (ms)':>14} {'compiled (ms)':>14} {'speedup':>9} {'identical':>10}"
     print(header)
     print("-" * len(header))
+    mismatch = False
     for n in sizes:
         py_time, py_out = bench_kernel(_jacobi_py, suite[n])
         if _jacobi_cy is None:
@@ -70,9 +71,10 @@ def main() -> int:
             continue
         cy_time, cy_out = bench_kernel(_jacobi_cy, suite[n])
         same = all(np.array_equal(a, b) for a, b in zip(py_out, cy_out))
+        mismatch |= not same
         print(f"{n:>5} {py_time * 1e3:>14.3f} {cy_time * 1e3:>14.3f} "
               f"{py_time / cy_time:>8.1f}x {'yes' if same else 'NO':>10}")
-    return 0
+    return 1 if mismatch else 0
 
 
 if __name__ == "__main__":

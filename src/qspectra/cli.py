@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
-0 success, 1 usage error, 2 input parse error, 3 verification violations,
-table mismatch, or an eigensolve that did not converge. Text output prints
-values to four decimals (banker's rounding); --json emits the canonical
-sorted-key rendering instead.
+0 success, 1 usage error, 2 input parse error, 3 verification violations
+(a violated bound, or for analyze and verify a failed spectral check), table
+mismatch, or an eigensolve that did not converge. Text output prints values
+to four decimals (banker's rounding); --json emits the canonical sorted-key
+rendering instead.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import asdict
 from .bounds import all_bounds
 from .graph_core import Graph, build_family, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .reports import (
-    TableReport,
     analyze_report,
+    check_graph,
     render_json,
     reproduce_table1,
     reproduce_table2,
@@ -25,7 +26,7 @@ from .reports import (
     verify_exhaustive,
     verify_report,
 )
-from .spectral import BACKEND, GraphFacts
+from .spectral import BACKEND, GraphFacts, check_spectral_lemmas
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,9 +118,11 @@ def _print_grid(headers: list[str], rows: list[list[str]]) -> None:
 def analyze_command(args) -> int:
     f = GraphFacts(_graph_from_args(args))
     report = analyze_report(f)
+    violations, failures = check_graph(f)
+    ok = not violations and not failures
     if args.json:
         sys.stdout.write(render_json(report))
-        return _status(True, f.unconverged())
+        return _status(ok, f.unconverged())
     gr, st, sp = report["graph"], report["structure"], report["spectra"]
     print(f"graph: n={gr['n']} m={gr['m']} graph6={gr['graph6']}")
     ds = report["degree_stats"]
@@ -146,8 +149,7 @@ def analyze_command(args) -> int:
     print(f"energies: E={_fmt(en['adjacency_energy'])} "
           f"LE={_fmt(en['laplacian_energy'])} "
           f"QE={_fmt(en['signless_laplacian_energy'])}")
-    bad = [c for c in report["lemma_checks"]
-           if (c["applicable"] and c["holds"] is False) or c["consistent"] is False]
+    bad = [c for c in check_spectral_lemmas(f) if c.failure]
     print(f"lemma checks: {len(report['lemma_checks'])} run, "
           f"{'all hold' if not bad else f'{len(bad)} FAILED'}")
     pat = report["q_pattern"]
@@ -165,7 +167,7 @@ def analyze_command(args) -> int:
     else:
         print(f"srg: no ({srg['reason']})")
     _print_bounds_grid(report["bounds"])
-    return _status(True, f.unconverged())
+    return _status(ok, f.unconverged())
 
 
 def _print_bounds_grid(bound_dicts) -> None:
@@ -221,8 +223,9 @@ def bounds_command(args) -> int:
     return _status(not any(r.violated for r in results), f.unconverged())
 
 
-def _table_command(report: TableReport, as_json: bool) -> int:
-    if as_json:
+def table_command(args) -> int:
+    report = args.reproduce()
+    if args.json:
         sys.stdout.write(render_json(table_report_dict(report)))
         return _status(report.ok, report.unconverged)
     print(report.title)
@@ -234,14 +237,6 @@ def _table_command(report: TableReport, as_json: bool) -> int:
     print(f"max deviation from reference: {report.max_deviation:.2e} "
           f"(tolerance {report.tolerance:.0e}) -> {'ok' if report.ok else 'MISMATCH'}")
     return _status(report.ok, report.unconverged)
-
-
-def table1_command(args) -> int:
-    return _table_command(reproduce_table1(), args.json)
-
-
-def table2_command(args) -> int:
-    return _table_command(reproduce_table2(), args.json)
 
 
 def verify_command(args) -> int:
@@ -291,13 +286,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
     p.set_defaults(func=bounds_command)
 
-    p = sub.add_parser("table1", help="reproduce the lower-bound reference table")
-    p.add_argument("--json", action="store_true", help="emit canonical JSON")
-    p.set_defaults(func=table1_command)
-
-    p = sub.add_parser("table2", help="reproduce the upper-bound reference table")
-    p.add_argument("--json", action="store_true", help="emit canonical JSON")
-    p.set_defaults(func=table2_command)
+    for name, side, reproduce in (("table1", "lower", reproduce_table1),
+                                  ("table2", "upper", reproduce_table2)):
+        p = sub.add_parser(name, help=f"reproduce the {side}-bound reference table")
+        p.add_argument("--json", action="store_true", help="emit canonical JSON")
+        p.set_defaults(func=table_command, reproduce=reproduce)
 
     p = sub.add_parser("verify", help="exhaustively verify bounds and lemmas")
     p.add_argument("max_n", type=int,

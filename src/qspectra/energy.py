@@ -11,7 +11,7 @@ from . import tolerances
 from .graph_core import Graph
 from .spectral import GammaSequence, GraphFacts, graph_facts
 
-__all__ = ["GammaSequence", "EnergyReport", "gamma_sequence", "energies"]
+__all__ = ["EnergyReport", "gamma_sequence", "energies"]
 
 
 def gamma_sequence(g: Graph | GraphFacts) -> GammaSequence:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import tolerances
-from .graph_core import Graph, common_neighbour_counts
+from .graph_core import Graph, common_neighbour_counts, is_complete
 from .spectral import GraphFacts, graph_facts
 
 __all__ = [
@@ -142,7 +142,7 @@ def detect_srg(g: Graph | GraphFacts) -> SrgResult:
     n, m, r = f.graph.n, f.graph.m, info.regularity_degree
     if m == 0:
         return _not_srg("edgeless graphs are excluded by convention")
-    if m == n * (n - 1) // 2:
+    if is_complete(f.graph):
         return _not_srg("complete graphs are excluded by convention")
     a = c = None
     for adjacent, k in common_neighbour_counts(f.graph):
@@ -238,11 +238,11 @@ def cubic_bounds(g: Graph | GraphFacts) -> CubicBounds:
     n = f.graph.n
     gamma = f.gamma.values[-1]
     zero = f.gamma.min_is_zero
-    # the boundary gamma = 1 takes the saturating branch, with a little slack
-    # so closed-form families landing exactly on 1 are not misrouted
+    # the boundary gamma = 1 takes the saturating branch, with the closed-form
+    # slack so families whose deviation is exactly 1 are not misrouted
     if zero:
         lower, branch = float(n), "zero-deviation"
-    elif gamma >= 1.0 - 1e-9:
+    elif gamma >= 1.0 - tolerances.CLOSED_FORM_ABS:
         lower, branch = 1.5 * n, "deviation-at-least-one"
     else:
         lower, branch = 6.0 * n * math.sqrt(gamma) / (3.0 + gamma), "deviation-below-one"

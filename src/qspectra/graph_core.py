@@ -34,16 +34,11 @@ __all__ = [
     "FAMILY_KINDS",
     "degree_stats",
     "structure",
-    "is_complete",
-    "is_star",
-    "is_perfect_matching",
-    "is_balanced_complete_bipartite",
-    "is_single_edge_with_isolates",
-    "common_neighbour_counts",
     "parse_graph6",
     "emit_graph6",
     "parse_edgelist",
     "emit_edgelist",
+    "graph_from_mask",
     "iter_labeled_graphs",
     "random_graph",
 ]
@@ -184,32 +179,32 @@ def _require_size(kind: str, value: int) -> None:
         raise ValueError(f"{kind}: size parameters must be integers >= 1, got {value!r}")
 
 
-FAMILY_KINDS = ("complete", "complete_bipartite", "star", "cycle", "path",
-                "matching", "crown", "prism", "copies")
+# kind -> (builder, parameter count); the copies kind nests another family instead
+_FAMILY_BUILDERS = {
+    "complete": (complete, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "star": (star, 1),
+    "cycle": (cycle, 1),
+    "path": (path, 1),
+    "matching": (matching, 1),
+    "crown": (crown, 1),
+    "prism": (prism, 1),
+}
+FAMILY_KINDS = (*_FAMILY_BUILDERS, "copies")
 
 
 def build_family(kind: str, params: Sequence[int]) -> Graph:
     """Dispatch a family by name. 'copies k <kind> <params...>' nests."""
     params = list(params)
-    if kind == "copies":
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
+    if kind not in _FAMILY_BUILDERS:    # copies
         if len(params) < 2:
             raise ValueError("copies needs a count and an inner family")
         count = _as_int(params[0])
         inner = build_family(str(params[1]), params[2:])
         return disjoint_copies(count, inner)
-    builders = {
-        "complete": (complete, 1),
-        "complete_bipartite": (complete_bipartite, 2),
-        "star": (star, 1),
-        "cycle": (cycle, 1),
-        "path": (path, 1),
-        "matching": (matching, 1),
-        "crown": (crown, 1),
-        "prism": (prism, 1),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
-    fn, arity = builders[kind]
+    fn, arity = _FAMILY_BUILDERS[kind]
     if len(params) != arity:
         raise ValueError(f"family {kind} takes {arity} parameter(s), got {len(params)}")
     return fn(*(_as_int(p) for p in params))

@@ -62,22 +62,28 @@ class TableReport:
 
 def _load_expected(name: str) -> tuple[tuple[str, ...], dict[int, dict[str, float]]]:
     text = resources.files("qspectra.data").joinpath(name).read_text(encoding="ascii")
-    header: list[str] | None = None
-    rows: dict[int, dict[str, float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if header is None:
-            header = parts
-            continue
-        rows[int(parts[0])] = {h: float(v) for h, v in zip(header[1:], parts[1:])}
-    assert header is not None
-    return tuple(header[1:]), rows
+    lines = (line.strip() for line in text.splitlines())
+    header, *body = [line.split(",") for line in lines if line and not line.startswith("#")]
+    names = tuple(header[1:])
+    return names, {int(row[0]): dict(zip(names, map(float, row[1:]))) for row in body}
 
 
-def _table_report(title: str, data_file: str, compute_row) -> TableReport:
+def _column_value(name: str, cycle_n: int, f: GraphFacts) -> float:
+    """The computed value of one reference-table column on prism(cycle_n)."""
+    if name == "exact":
+        return f.qe
+    if name == "prism_lower":
+        return prism_bounds(cycle_n).lower
+    if name == "prism_upper":
+        return prism_bounds(cycle_n).upper
+    if name == "L-GAN5":
+        # the reference table tabulates the two-case form on every row, even
+        # the bipartite ones where the catalog entry switches branch
+        return gan5_two_case_value(f)
+    return evaluate_bound(f, name).value
+
+
+def _table_report(title: str, data_file: str) -> TableReport:
     t0 = time.perf_counter()
     names, expected_rows = _load_expected(data_file)
     scale = tolerances.scale()
@@ -87,7 +93,7 @@ def _table_report(title: str, data_file: str, compute_row) -> TableReport:
     unconverged: list[str] = []
     for cycle_n in sorted(expected_rows):
         f = GraphFacts(prism(cycle_n), scale)
-        computed = compute_row(cycle_n, f)
+        computed = {name: _column_value(name, cycle_n, f) for name in names}
         unconverged.extend(f.unconverged())
         expected = expected_rows[cycle_n]
         deviation = {k: abs(computed[k] - expected[k]) for k in names}
@@ -104,30 +110,13 @@ def _table_report(title: str, data_file: str, compute_row) -> TableReport:
 def reproduce_table1() -> TableReport:
     """Lower-bound table on circular ladders: the five general estimates next
     to the exact energy and the family closed form."""
-    def compute_row(cycle_n: int, f: GraphFacts) -> dict[str, float]:
-        row = {"exact": f.qe}
-        for bid in ("L-GAN1", "L-GAN2", "L-GAN3", "L-GAN4"):
-            row[bid] = evaluate_bound(f, bid).value
-        # the reference table tabulates the two-case form on every row, even
-        # the bipartite ones where the catalog entry switches branch
-        row["L-GAN5"] = gan5_two_case_value(f)
-        row["prism_lower"] = prism_bounds(cycle_n).lower
-        return row
-    return _table_report("lower bounds on circular ladders",
-                         "table_lower_expected.csv", compute_row)
+    return _table_report("lower bounds on circular ladders", "table_lower_expected.csv")
 
 
 def reproduce_table2() -> TableReport:
     """Upper-bound table on circular ladders: the four general estimates next
     to the exact energy and the family closed form."""
-    def compute_row(cycle_n: int, f: GraphFacts) -> dict[str, float]:
-        row = {"exact": f.qe}
-        for bid in ("U-ABR1", "U-ABR2", "U-LI", "U-GAN"):
-            row[bid] = evaluate_bound(f, bid).value
-        row["prism_upper"] = prism_bounds(cycle_n).upper
-        return row
-    return _table_report("upper bounds on circular ladders",
-                         "table_upper_expected.csv", compute_row)
+    return _table_report("upper bounds on circular ladders", "table_upper_expected.csv")
 
 
 # -- whole-graph analysis -------------------------------------------------------------
@@ -220,40 +209,36 @@ class VerifySummary:
         return not self.violations and not self.lemma_failures
 
 
-def _check_one(f: GraphFacts) -> tuple[list[tuple[str, str, float]], list[tuple[str, str]]]:
+def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
+    """The verdict on one graph: its violated bounds as (bound_id, gap) pairs,
+    and the ids of its failed checks. Empty lists mean every applicable bound
+    holds, every spectral check holds, and every solve read so far
+    converged."""
     g = f.graph
-    violations: list[tuple[str, str, float]] = []
-    failures: list[tuple[str, str]] = []
-    for res in all_bounds(f):
-        if res.violated:
-            violations.append((emit_graph6(g), res.bound_id, res.gap))
-    if not f.signless_laplacian.solve.converged:
-        failures.append((emit_graph6(g), "solver:not_converged"))
-    for chk in check_spectral_lemmas(f):
-        if chk.applicable and chk.holds is False:
-            failures.append((emit_graph6(g), chk.check_id))
-        elif chk.consistent is False:
-            failures.append((emit_graph6(g), chk.check_id + ":equality"))
+    violations = [(res.bound_id, res.gap) for res in all_bounds(f) if res.violated]
+    failures = [chk.failure for chk in check_spectral_lemmas(f) if chk.failure]
+    if f.unconverged():
+        failures.append("solver:not_converged")
     if f.info.is_connected and g.n >= 2:
         # a connected graph has exactly two distinct grouped eigenvalues
         # exactly when it is complete
         two = len(f.signless_laplacian.groups) == 2
         if two != is_complete(g):
-            failures.append((emit_graph6(g), "two_distinct_q_complete"))
+            failures.append("two_distinct_q_complete")
     return violations, failures
 
 
-def _verify_masks(args: tuple[int, Any, float]) -> tuple[int, list, list]:
+def _verify_masks(args: tuple[int, Any, float]) -> tuple[list, list]:
     n, masks, scale = args
-    count = 0
-    violations: list[tuple[str, str, float]] = []
-    failures: list[tuple[str, str]] = []
+    violations, failures = [], []
     for mask in masks:
-        v, f = _check_one(GraphFacts(graph_from_mask(n, mask), scale))
-        violations.extend(v)
-        failures.extend(f)
-        count += 1
-    return count, violations, failures
+        f = GraphFacts(graph_from_mask(n, mask), scale)
+        v, fails = check_graph(f)
+        if v or fails:
+            g6 = emit_graph6(f.graph)
+            violations.extend((g6, bid, gap) for bid, gap in v)
+            failures.extend((g6, cid) for cid in fails)
+    return violations, failures
 
 
 def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
@@ -283,7 +268,7 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
         masks = sorted(rng.sample(range(total), min(sample, total)))
 
     if workers == 1:
-        count, violations, failures = _verify_masks((max_n, masks, scale))
+        parts = [_verify_masks((max_n, masks, scale))]
     else:
         import multiprocessing
 
@@ -291,19 +276,12 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
         chunk = max(1, len(mask_list) // (workers * 4))
         jobs = [(max_n, mask_list[i:i + chunk], scale)
                 for i in range(0, len(mask_list), chunk)]
-        count = 0
-        violations, failures = [], []
         with multiprocessing.Pool(workers) as pool:
-            for c, v, f in pool.imap_unordered(_verify_masks, jobs):
-                count += c
-                violations.extend(v)
-                failures.extend(f)
+            parts = list(pool.imap_unordered(_verify_masks, jobs))
 
-    violations.sort()
-    failures.sort()
-    return VerifySummary(max_n=max_n, graphs_checked=count,
-                         violations=tuple(violations),
-                         lemma_failures=tuple(failures),
+    return VerifySummary(max_n=max_n, graphs_checked=len(masks),
+                         violations=tuple(sorted(v for vs, _ in parts for v in vs)),
+                         lemma_failures=tuple(sorted(f for _, fs in parts for f in fs)),
                          wall_time=time.perf_counter() - t0)
 
 

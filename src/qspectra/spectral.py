@@ -25,7 +25,8 @@ from itertools import chain
 import numpy as np
 
 from . import tolerances
-from .graph_core import DegreeStats, Graph, StructureInfo, degree_stats, emit_graph6, structure
+from .graph_core import (DegreeStats, Graph, StructureInfo, degree_stats, emit_graph6,
+                         is_complete, structure)
 
 __all__ = [
     "BACKEND",
@@ -33,7 +34,6 @@ __all__ = [
     "Spectrum",
     "GammaSequence",
     "GraphFacts",
-    "graph_facts",
     "LemmaCheck",
     "ProductSpectrumCheck",
     "symmetric_eigenvalues",
@@ -269,11 +269,22 @@ class LemmaCheck:
     lhs: float | None
     rhs: float | None
     slack: float | None
-    equality: bool | None
-    condition: str | None      # stated equality condition, when one exists
-    condition_met: bool | None
-    consistent: bool | None    # equality flag matches the stated condition
     note: str
+    equality: bool | None = None
+    condition: str | None = None      # stated equality condition, when one exists
+    condition_met: bool | None = None
+    consistent: bool | None = None    # equality flag matches the stated condition
+
+    @property
+    def failure(self) -> str | None:
+        """The failure this check reports: its id when it applies and does
+        not hold, its id plus ':equality' when the equality flag contradicts
+        the stated condition, None when it passes."""
+        if self.applicable and self.holds is False:
+            return self.check_id
+        if self.consistent is False:
+            return self.check_id + ":equality"
+        return None
 
 
 def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
@@ -292,18 +303,16 @@ def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
     s1 = math.fsum(q)
     checks.append(LemmaCheck(
         check_id="q_sum", applicable=True,
-        holds=abs(s1 - 2 * m) <= 1e-8 * max(1, n) * sc,
+        holds=abs(s1 - 2 * m) <= tolerances.TRACE_SUM_REL * max(1, n) * sc,
         lhs=s1, rhs=float(2 * m), slack=abs(s1 - 2 * m),
-        equality=None, condition=None, condition_met=None, consistent=None,
         note="eigenvalue sum equals twice the edge count"))
 
     s2 = math.fsum(v * v for v in q)
     target = 2 * m + stats.zagreb_m1
     checks.append(LemmaCheck(
         check_id="q_square_sum", applicable=True,
-        holds=abs(s2 - target) <= 1e-7 * max(1, n) * sc,
+        holds=abs(s2 - target) <= tolerances.TRACE_SQUARE_REL * max(1, n) * sc,
         lhs=s2, rhs=float(target), slack=abs(s2 - target),
-        equality=None, condition=None, condition_met=None, consistent=None,
         note="squared eigenvalue sum equals 2m plus the first Zagreb index"))
 
     zmult = zero_multiplicity(spec, scale=sc)
@@ -312,7 +321,6 @@ def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
         check_id="zero_multiplicity_bipartite", applicable=True,
         holds=zmult == bcount,
         lhs=float(zmult), rhs=float(bcount), slack=float(abs(zmult - bcount)),
-        equality=None, condition=None, condition_met=None, consistent=None,
         note="multiplicity of the eigenvalue 0 equals the number of bipartite components"))
 
     eq = abs(q1 - 2 * avg) <= eq_tol
@@ -328,7 +336,7 @@ def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
     # components are smaller than the average suggests
     if info.is_connected and m >= 1:
         eq = abs(qn - (avg - 1)) <= eq_tol
-        comp = m == n * (n - 1) // 2
+        comp = is_complete(f.graph)
         checks.append(LemmaCheck(
             check_id="min_vs_average", applicable=True,
             holds=qn <= avg - 1 + eq_tol,
@@ -339,8 +347,7 @@ def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
     else:
         checks.append(LemmaCheck(
             check_id="min_vs_average", applicable=False,
-            holds=None, lhs=None, rhs=None, slack=None,
-            equality=None, condition="complete", condition_met=None, consistent=None,
+            holds=None, lhs=None, rhs=None, slack=None, condition="complete",
             note="requires a connected graph with at least one edge"))
 
     lo, hi = 2.0 * stats.min_degree, 2.0 * stats.max_degree

@@ -297,6 +297,20 @@ def test_cli_exits_three_on_an_unconverged_solve(unconverged_kernel, capsys):
                 "qspectra: eigensolve did not converge: " + ", ".join(named)]
 
 
+def test_cli_analyze_exits_three_when_a_check_fails(monkeypatch, capsys):
+    # a vanishing tolerance multiplier turns rounding error into failures:
+    # the crown violates two bounds it attains, and the star fails three
+    # spectral checks while its bound catalog still holds. analyze judges a
+    # graph as verify does; bounds judges only the catalog
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    assert main(["analyze", "--family", "crown", "3"]) == 3
+    assert "FAILED" in capsys.readouterr().out
+    assert main(["analyze", "--family", "star", "5", "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["graph"]["n"] == 5 and not err
+    assert main(["bounds", "--family", "star", "5"]) == 0
+
+
 def test_cli_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qspectra.cli", "family", "cycle", "5"],
