@@ -1,8 +1,10 @@
 """Benchmark the compiled Jacobi kernel against its pure-Python twin.
 
 Solves signless Laplacian matrices of seeded random graphs at several sizes
-with both kernels, reports per-solve times and the speedup, and confirms the
-two kernels agree bit for bit on every diagonal. Exits 1 when they do not.
+with every kernel that imports, one matrix at a time (ms per solve) and each
+size's matrices as one stack (us per matrix). Confirms bit for bit, on every
+matrix and returned tuple, that the two kernels agree and that each kernel's
+stack entry agrees with its one-matrix entry. Exits 1 when any result differs.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -19,10 +21,12 @@ from qspectra import _jacobi_py
 from qspectra.graph_core import random_graph
 from qspectra.spectral import signless_laplacian_matrix
 
+KERNELS = {"python": _jacobi_py}
 try:
     from qspectra import _jacobi_cy
+    KERNELS["compiled"] = _jacobi_cy
 except ImportError:
-    _jacobi_cy = None
+    pass
 
 
 def make_matrices(sizes: list[int], count: int, seed: int) -> dict[int, list[np.ndarray]]:
@@ -37,14 +41,26 @@ def make_matrices(sizes: list[int], count: int, seed: int) -> dict[int, list[np.
     return out
 
 
-def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
+    """Seconds per solve, one matrix per call, and each matrix's (result
+    repr, solved bytes)."""
     results = []
     t0 = time.perf_counter()
     for m in mats:
         work = np.array(m, dtype=np.float64, order="C", copy=True)
-        kernel.jacobi_sweeps(work)
-        results.append(work)
-    return (time.perf_counter() - t0) / len(mats), results
+        results.append((kernel.jacobi_sweeps(work), work))
+    elapsed = time.perf_counter() - t0
+    return elapsed / len(mats), [(repr(r), w.tobytes()) for r, w in results]
+
+
+def bench_stack(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
+    """Seconds per matrix, all matrices in one stack call, and each matrix's
+    (result repr, solved bytes)."""
+    t0 = time.perf_counter()
+    stack = np.stack(mats)
+    results = kernel.jacobi_stack(stack)
+    elapsed = time.perf_counter() - t0
+    return elapsed / len(mats), [(repr(r), w.tobytes()) for r, w in zip(results, stack)]
 
 
 def main() -> int:
@@ -58,22 +74,34 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     suite = make_matrices(sizes, args.count, args.seed)
 
-    if _jacobi_cy is None:
+    if "compiled" not in KERNELS:
         print("compiled kernel not available; timing the pure-Python kernel only")
-    header = f"{'n':>5} {'python (ms)':>14} {'compiled (ms)':>14} {'speedup':>9} {'identical':>10}"
+    header = f"{'n':>5}"
+    for name in KERNELS:
+        header += f" {name + ' (ms)':>14}"
+    if len(KERNELS) == 2:
+        header += f" {'speedup':>9}"
+    for name in KERNELS:
+        header += f" {name + ' stack (us)':>20}"
+    header += f" {'identical':>10}"
     print(header)
     print("-" * len(header))
     mismatch = False
     for n in sizes:
-        py_time, py_out = bench_kernel(_jacobi_py, suite[n])
-        if _jacobi_cy is None:
-            print(f"{n:>5} {py_time * 1e3:>14.3f} {'-':>14} {'-':>9} {'-':>10}")
-            continue
-        cy_time, cy_out = bench_kernel(_jacobi_cy, suite[n])
-        same = all(np.array_equal(a, b) for a, b in zip(py_out, cy_out))
+        # the reference is the pure-Python kernel, one matrix per call
+        single = {name: bench_kernel(kernel, suite[n]) for name, kernel in KERNELS.items()}
+        stacked = {name: bench_stack(kernel, suite[n]) for name, kernel in KERNELS.items()}
+        reference = single["python"][1]
+        same = all(out == reference for _, out in (*single.values(), *stacked.values()))
         mismatch |= not same
-        print(f"{n:>5} {py_time * 1e3:>14.3f} {cy_time * 1e3:>14.3f} "
-              f"{py_time / cy_time:>8.1f}x {'yes' if same else 'NO':>10}")
+        line = f"{n:>5}"
+        for seconds, _ in single.values():
+            line += f" {seconds * 1e3:>14.3f}"
+        if len(KERNELS) == 2:
+            line += f" {single['python'][0] / single['compiled'][0]:>8.1f}x"
+        for seconds, _ in stacked.values():
+            line += f" {seconds * 1e6:>20.1f}"
+        print(f"{line} {'yes' if same else 'NO':>10}")
     return 1 if mismatch else 0
 
 

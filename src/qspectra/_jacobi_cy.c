@@ -1,8 +1,9 @@
 /* Compiled cyclic Jacobi kernel.
  *
- * Twin of _jacobi_py.jacobi_sweeps: identical rotation order, expression
- * shapes, and convergence test, compiled with -ffp-contract=off so both
- * kernels produce bit-identical diagonals.
+ * Twin of _jacobi_py.jacobi_sweeps and _jacobi_py.jacobi_stack: identical
+ * rotation order, expression shapes, and convergence test, compiled with
+ * -ffp-contract=off so both kernels produce bit-identical diagonals. Both
+ * entry points run the one solve() below, jacobi_stack once per matrix.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -26,35 +27,24 @@ offdiag_sq(const double *a, Py_ssize_t n)
     return s;
 }
 
-PyDoc_STRVAR(jacobi_sweeps_doc,
-"jacobi_sweeps(a)\n--\n\n"
-"Diagonalize a symmetric C-contiguous float64 matrix in place.\n\n"
-"Returns (sweeps, converged, off_frobenius, max_offdiag).");
+typedef struct {
+    Py_ssize_t sweeps;
+    int converged;
+    double off_frobenius, max_offdiag;
+} SolveResult;
 
-static PyObject *
-jacobi_sweeps(PyObject *Py_UNUSED(module), PyObject *arg)
+/* Diagonalize one row-major n x n matrix in place. Touches no Python
+ * object, so it runs with the GIL released. */
+static void
+solve(double *a, Py_ssize_t n, SolveResult *r)
 {
-    Py_buffer view;
-    if (PyObject_GetBuffer(arg, &view,
-                           PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
-        return NULL;
-    if (view.ndim != 2 || view.shape[0] != view.shape[1]
-            || strcmp(view.format, "d") != 0) {
-        PyBuffer_Release(&view);
-        PyErr_SetString(PyExc_ValueError,
-                        "expected a square 2-D float64 buffer");
-        return NULL;
-    }
-    Py_ssize_t n = view.shape[0];
-    if (n < 2) {
-        PyBuffer_Release(&view);
-        return Py_BuildValue("(nOdd)", (Py_ssize_t)0, Py_True, 0.0, 0.0);
-    }
-    double *a = view.buf;
     double fro_sq = 0.0, off_sq, threshold_sq, max_off;
     Py_ssize_t sweeps = 0;
 
-    Py_BEGIN_ALLOW_THREADS
+    if (n < 2) {
+        *r = (SolveResult){0, 1, 0.0, 0.0};
+        return;
+    }
     for (Py_ssize_t i = 0; i < n; i++) {
         for (Py_ssize_t j = 0; j < n; j++) {
             double v = a[i * n + j];
@@ -111,16 +101,97 @@ jacobi_sweeps(PyObject *Py_UNUSED(module), PyObject *arg)
                 max_off = v;
         }
     }
-    Py_END_ALLOW_THREADS
+    r->sweeps = sweeps;
+    r->converged = off_sq <= threshold_sq;
+    r->off_frobenius = sqrt(off_sq);
+    r->max_offdiag = max_off;
+}
 
+static PyObject *
+result_tuple(const SolveResult *r)
+{
+    return Py_BuildValue("(nOdd)", r->sweeps, r->converged ? Py_True : Py_False,
+                         r->off_frobenius, r->max_offdiag);
+}
+
+/* The C-contiguous, writable float64 buffer of arg, with ndim dimensions of
+ * which the last two are equal; 0 on success, -1 with an exception set
+ * otherwise. */
+static int
+get_square_buffer(PyObject *arg, Py_buffer *view, int ndim, const char *error)
+{
+    if (PyObject_GetBuffer(arg, view,
+                           PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (view->ndim != ndim || view->shape[ndim - 2] != view->shape[ndim - 1]
+            || strcmp(view->format, "d") != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError, error);
+        return -1;
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(jacobi_sweeps_doc,
+"jacobi_sweeps(a)\n--\n\n"
+"Diagonalize a symmetric C-contiguous float64 matrix in place.\n\n"
+"Returns (sweeps, converged, off_frobenius, max_offdiag).");
+
+static PyObject *
+jacobi_sweeps(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    Py_buffer view;
+    SolveResult r;
+    if (get_square_buffer(arg, &view, 2, "expected a square 2-D float64 buffer") < 0)
+        return NULL;
+    Py_BEGIN_ALLOW_THREADS
+    solve(view.buf, view.shape[0], &r);
+    Py_END_ALLOW_THREADS
     PyBuffer_Release(&view);
-    return Py_BuildValue("(nOdd)", sweeps,
-                         off_sq <= threshold_sq ? Py_True : Py_False,
-                         sqrt(off_sq), max_off);
+    return result_tuple(&r);
+}
+
+PyDoc_STRVAR(jacobi_stack_doc,
+"jacobi_stack(a)\n--\n\n"
+"Diagonalize a C-contiguous float64 stack of symmetric matrices, shape\n"
+"(B, n, n), in place.\n\n"
+"Returns a list of B (sweeps, converged, off_frobenius, max_offdiag) tuples;\n"
+"entry i is what jacobi_sweeps(a[i]) returns.");
+
+static PyObject *
+jacobi_stack(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    Py_buffer view;
+    if (get_square_buffer(arg, &view, 3,
+                          "expected a 3-D float64 buffer of square matrices") < 0)
+        return NULL;
+    Py_ssize_t count = view.shape[0], n = view.shape[1];
+    SolveResult *res = PyMem_New(SolveResult, count);
+    if (res == NULL) {
+        PyBuffer_Release(&view);
+        return PyErr_NoMemory();
+    }
+    double *a = view.buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (Py_ssize_t b = 0; b < count; b++)
+        solve(a + b * n * n, n, &res[b]);
+    Py_END_ALLOW_THREADS
+    PyBuffer_Release(&view);
+    PyObject *out = PyList_New(count);
+    for (Py_ssize_t b = 0; out != NULL && b < count; b++) {
+        PyObject *item = result_tuple(&res[b]);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, b, item);
+    }
+    PyMem_Free(res);
+    return out;
 }
 
 static PyMethodDef methods[] = {
     {"jacobi_sweeps", jacobi_sweeps, METH_O, jacobi_sweeps_doc},
+    {"jacobi_stack", jacobi_stack, METH_O, jacobi_stack_doc},
     {NULL, NULL, 0, NULL},
 };
 

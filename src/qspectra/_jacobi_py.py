@@ -2,7 +2,10 @@
 
 Twin contract: given the same C-contiguous float64 matrix, both kernels leave
 the same float64 bits in it and return the same (sweeps, converged,
-off_frobenius, max_offdiag) tuple.
+off_frobenius, max_offdiag) tuple. The contract extends to ``jacobi_stack``,
+which both kernels also provide: given the same (B, n, n) stack, both leave in
+each matrix, and return for it, bit for bit what ``jacobi_sweeps`` leaves in
+and returns for that matrix alone.
 
 Identical to the compiled kernel: the rotation order, the ``apq == 0.0`` skip,
 the theta, t, c and s expressions, the pivot formulas, and the convergence
@@ -24,6 +27,17 @@ Restructured, to make fewer numpy calls per rotation:
   for input that is symmetric only to rounding.
 - The pivot entries of row q are set before column q is copied from it, so
   the copy also carries them to (p, q) and (q, q).
+
+``jacobi_stack`` runs the B matrices in lockstep over the same cyclic (p, q)
+order, with theta, t, c and s as numpy vectors of the same expressions. Each
+rotation gathers the matrices whose (p, q) entry is nonzero, rotates rows and
+columns p and q of those alone, as the compiled loop does, and scatters them
+back, so a skipped matrix keeps every bit, the sign of its zeros included. A
+matrix leaves the batch when it converges or reaches MAX_SWEEPS. The
+Frobenius and off-diagonal sums are taken per matrix by ``np.add.accumulate``,
+which adds left to right in the compiled loop order. The stack entry pays
+numpy's per-call cost once per rotation for all B matrices, so it wins on many
+small matrices and loses to ``jacobi_sweeps`` on a few large ones.
 """
 
 import math
@@ -115,3 +129,81 @@ def jacobi_sweeps(a):
             if v > max_off:
                 max_off = v
     return sweeps, converged, math.sqrt(off_sq), max_off
+
+
+def _sums_in_loop_order(terms):
+    """Row sums of a 2-D array of non-negative terms, each added left to
+    right as the compiled loops add them from 0.0 (numpy's sum pairs its
+    terms differently)."""
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def jacobi_stack(a):
+    """Diagonalize a C-contiguous float64 stack of symmetric matrices, shape
+    (B, n, n), in place.
+
+    Returns a list of B (sweeps, converged, off_frobenius, max_offdiag)
+    tuples. Entry i, and what is left in a[i], are bit for bit what
+    ``jacobi_sweeps(a[i])`` returns and leaves.
+    """
+    count, n = a.shape[0], a.shape[-1]
+    if n < 2:
+        return [(0, True, 0.0, 0.0)] * count
+    upper = np.triu_indices(n, 1)
+    flat = a.reshape(count, n * n)
+    threshold_sq = (TERMINATION_REL * TERMINATION_REL) * _sums_in_loop_order(flat * flat)
+
+    def offdiag_sq(mats):
+        v = mats[:, upper[0], upper[1]]
+        return _sums_in_loop_order(2.0 * (v * v))
+
+    off_sq = offdiag_sq(a)
+    sweeps = np.zeros(count, dtype=np.intp)
+    active = np.flatnonzero(off_sq > threshold_sq)
+    # theta * theta overflows on the asymptotic branch, whose t is then reset
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while active.size:
+            work = a[active]
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    rotating = np.flatnonzero(work[:, p, q])    # the apq == 0.0 skip
+                    if rotating.size == 0:
+                        continue
+                    whole = rotating.size == len(work)
+                    sub = work if whole else work[rotating]
+                    # views: every read below comes before the first write
+                    x, y = sub[:, p], sub[:, q]
+                    app, aqq, apq = x[:, p], y[:, q], x[:, q]
+                    theta = (aqq - app) / (2.0 * apq)
+                    t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                    np.negative(t, out=t, where=theta < 0.0)
+                    wide = ~(np.abs(theta) < 1.0e150)
+                    if wide.any():
+                        # asymptotic tangent
+                        t[wide] = 0.5 / theta[wide]
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    cc, ss = c[:, None], s[:, None]
+                    new_x = cc * x - ss * y
+                    new_y = ss * x + cc * y
+                    # pivot block set directly, as in jacobi_sweeps
+                    new_x[:, p] = app - t * apq
+                    new_x[:, q] = 0.0
+                    new_y[:, p] = 0.0
+                    new_y[:, q] = aqq + t * apq
+                    sub[:, p] = new_x
+                    sub[:, q] = new_y
+                    sub[:, :, p] = new_x
+                    sub[:, :, q] = new_y
+                    if not whole:
+                        work[rotating] = sub
+            a[active] = work
+            sweeps[active] += 1
+            off_sq[active] = offdiag_sq(work)
+            active = active[(off_sq[active] > threshold_sq[active])
+                            & (sweeps[active] < MAX_SWEEPS)]
+    converged = off_sq <= threshold_sq
+    v = np.abs(a[:, upper[0], upper[1]])
+    max_off = np.fmax.reduce(v, axis=1, initial=0.0)     # NaN never exceeds
+    return list(zip(sweeps.tolist(), converged.tolist(),
+                    np.sqrt(off_sq).tolist(), max_off.tolist()))

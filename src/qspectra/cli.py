@@ -2,10 +2,10 @@
 
 Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
 0 success, 1 usage error, 2 input parse error, 3 verification violations
-(a violated bound, or for analyze and verify a failed spectral check), table
-mismatch, or an eigensolve that did not converge. Text output prints values
-to four decimals (banker's rounding); --json emits the canonical sorted-key
-rendering instead.
+(a violated bound, or for analyze and verify a failed spectral check; analyze
+names them on stderr), table mismatch, or an eigensolve that did not
+converge. Text output prints values to four decimals (banker's rounding);
+--json emits the canonical sorted-key rendering instead.
 """
 
 from __future__ import annotations
@@ -118,11 +118,20 @@ def _print_grid(headers: list[str], rows: list[list[str]]) -> None:
 def analyze_command(args) -> int:
     f = GraphFacts(_graph_from_args(args))
     report = analyze_report(f)
-    violations, failures = check_graph(f)
-    ok = not violations and not failures
     if args.json:
         sys.stdout.write(render_json(report))
-        return _status(ok, f.unconverged())
+    else:
+        _print_analysis(report, f)
+    violations, failures = check_graph(f)
+    # the unconverged line of _status names solver:not_converged itself
+    named = [bid for bid, _ in violations]
+    named += [cid for cid in failures if cid != "solver:not_converged"]
+    if named:
+        print(f"qspectra: verification failed: {', '.join(named)}", file=sys.stderr)
+    return _status(not violations and not failures, f.unconverged())
+
+
+def _print_analysis(report, f: GraphFacts) -> None:
     gr, st, sp = report["graph"], report["structure"], report["spectra"]
     print(f"graph: n={gr['n']} m={gr['m']} graph6={gr['graph6']}")
     ds = report["degree_stats"]
@@ -167,7 +176,6 @@ def analyze_command(args) -> int:
     else:
         print(f"srg: no ({srg['reason']})")
     _print_bounds_grid(report["bounds"])
-    return _status(ok, f.unconverged())
 
 
 def _print_bounds_grid(bound_dicts) -> None:

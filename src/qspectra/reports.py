@@ -21,7 +21,7 @@ from .bounds import all_bounds, evaluate_bound, gan5_two_case_value
 from .energy import energies
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, is_complete, prism
-from .spectral import GraphFacts, check_spectral_lemmas, graph_facts
+from .spectral import GraphFacts, check_spectral_lemmas, graph_facts, solve_signless_laplacians
 
 __all__ = [
     "TableRow",
@@ -228,16 +228,27 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
     return violations, failures
 
 
+# Graphs whose signless Laplacians verify solves in one stack-kernel call, and
+# whose facts it holds at once. On the perfbench verify-small workload (Python
+# kernel, 2-vCPU Xeon), 1024 ran about as fast as 256 but raised peak RSS from
+# 36.5 to 44.7 MB, past that benchmark's 10% bound; 256 read 38.1 MB.
+_VERIFY_BATCH = 256
+
+
 def _verify_masks(args: tuple[int, Any, float]) -> tuple[list, list]:
     n, masks, scale = args
     violations, failures = [], []
-    for mask in masks:
-        f = GraphFacts(graph_from_mask(n, mask), scale)
-        v, fails = check_graph(f)
-        if v or fails:
-            g6 = emit_graph6(f.graph)
-            violations.extend((g6, bid, gap) for bid, gap in v)
-            failures.extend((g6, cid) for cid in fails)
+    for start in range(0, len(masks), _VERIFY_BATCH):
+        batch = [GraphFacts(graph_from_mask(n, mask), scale)
+                 for mask in masks[start:start + _VERIFY_BATCH]]
+        solve_signless_laplacians(batch)
+        for i, f in enumerate(batch):
+            batch[i] = None     # each graph's facts are freed once checked
+            v, fails = check_graph(f)
+            if v or fails:
+                g6 = emit_graph6(f.graph)
+                violations.extend((g6, bid, gap) for bid, gap in v)
+                failures.extend((g6, cid) for cid in fails)
     return violations, failures
 
 
@@ -276,7 +287,7 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
         chunk = max(1, len(mask_list) // (workers * 4))
         jobs = [(max_n, mask_list[i:i + chunk], scale)
                 for i in range(0, len(mask_list), chunk)]
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             parts = list(pool.imap_unordered(_verify_masks, jobs))
 
     return VerifySummary(max_n=max_n, graphs_checked=len(masks),

@@ -5,7 +5,12 @@ The solver is a cyclic Jacobi iteration with a fixed rotation order,
 terminating when the off-diagonal Frobenius norm drops below 1e-12 times the
 input's Frobenius norm, capped at 50 sweeps (non-convergence is flagged, not
 raised). The compiled kernel is used when its extension imports, the
-pure-Python twin otherwise.
+pure-Python twin otherwise. Each kernel has two entry points with one twin
+contract: ``jacobi_sweeps`` solves one matrix, and ``jacobi_stack`` solves a
+(B, n, n) stack, leaving in each matrix and returning for it bit for bit what
+``jacobi_sweeps`` would. Single-graph reads use the first. The second wins
+only on many small matrices at once: ``solve_signless_laplacians`` uses it for
+verify's batches of graphs on one vertex count.
 
 ``GraphFacts`` holds what the bounds and lemmas read about one graph: degree
 statistics, structure, the three spectra, the deviation sequence and QE, each
@@ -37,6 +42,7 @@ __all__ = [
     "LemmaCheck",
     "ProductSpectrumCheck",
     "symmetric_eigenvalues",
+    "solve_signless_laplacians",
     "adjacency_matrix",
     "laplacian_matrix",
     "signless_laplacian_matrix",
@@ -96,7 +102,15 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
             raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
         work = np.array(a, dtype=np.float64, order="C", copy=True)
     fro = float(np.sqrt(np.sum(work * work)))
-    sweeps, converged, off_fro, max_off = _KERNEL.jacobi_sweeps(work)
+    return _solved(work, _KERNEL.jacobi_sweeps(work), fro)
+
+
+def _solved(work: np.ndarray, result: tuple, fro: float) -> tuple[np.ndarray, EigenSolveReport]:
+    """The descending eigenvalues and the report of one matrix that a kernel
+    has diagonalized in place. result is the kernel's (sweeps, converged,
+    off_frobenius, max_offdiag) tuple, and fro the Frobenius norm of the
+    matrix before the solve."""
+    sweeps, converged, off_fro, max_off = result
     values = np.sort(np.diagonal(work))[::-1].copy()
     report = EigenSolveReport(
         backend=BACKEND,
@@ -194,11 +208,13 @@ class GraphFacts:
     def info(self) -> StructureInfo:
         return structure(self.graph)
 
+    def _spectrum(self, kind: str, values: np.ndarray, report: EigenSolveReport) -> Spectrum:
+        vt = tuple(values.tolist())
+        return Spectrum(matrix=kind, values=vt, groups=_group(vt, self.scale), solve=report)
+
     def _solve(self, kind: str) -> Spectrum:
         built = _MATRIX_BUILDERS[kind](self.graph).view(_BuiltMatrix)
-        values, report = symmetric_eigenvalues(built)
-        vt = tuple(float(v) for v in values)
-        return Spectrum(matrix=kind, values=vt, groups=_group(vt, self.scale), solve=report)
+        return self._spectrum(kind, *symmetric_eigenvalues(built))
 
     @cached_property
     def adjacency(self) -> Spectrum:
@@ -235,6 +251,21 @@ class GraphFacts:
         solved = (self.__dict__.get(kind) for kind in _MATRIX_BUILDERS)
         return tuple(f"{spec.matrix} of {emit_graph6(self.graph)}"
                      for spec in solved if spec is not None and not spec.solve.converged)
+
+
+def solve_signless_laplacians(facts: list[GraphFacts]) -> None:
+    """Solve the signless Laplacians of graphs on one vertex count in one call
+    to the stack kernel, and cache each spectrum where ``f.signless_laplacian``
+    reads it. Each is bit for bit the spectrum that the read would solve."""
+    stack = np.stack([signless_laplacian_matrix(f.graph) for f in facts])
+    flat = stack.reshape(len(facts), -1)
+    # a row sum pairs its terms as np.sum(work * work) does on one matrix
+    fros = np.sqrt(np.sum(flat * flat, axis=1)).tolist()
+    results = _KERNEL.jacobi_stack(stack)
+    for f, work, result, fro in zip(facts, stack, results, fros):
+        # a cached_property keeps its value in __dict__, where this sets it
+        f.__dict__["signless_laplacian"] = f._spectrum(
+            "signless_laplacian", *_solved(work, result, fro))
 
 
 def graph_facts(g: Graph | GraphFacts) -> GraphFacts:

@@ -26,18 +26,27 @@ def test_tolerance_change_does_not_outlive_the_call(monkeypatch):
 
 @pytest.fixture
 def counts(monkeypatch):
+    """Matrices solved by the kernel, by either entry point, and tolerance
+    scale reads."""
     seen = {"solves": 0, "scale_reads": 0}
-    solve, scale = spectral.symmetric_eigenvalues, tolerances.scale
+    kernel, scale = spectral._KERNEL, tolerances.scale
 
-    def counted_solve(mat):
-        seen["solves"] += 1
-        return solve(mat)
+    class CountedKernel:
+        @staticmethod
+        def jacobi_sweeps(a):
+            seen["solves"] += 1
+            return kernel.jacobi_sweeps(a)
+
+        @staticmethod
+        def jacobi_stack(a):
+            seen["solves"] += len(a)
+            return kernel.jacobi_stack(a)
 
     def counted_scale():
         seen["scale_reads"] += 1
         return scale()
 
-    monkeypatch.setattr(spectral, "symmetric_eigenvalues", counted_solve)
+    monkeypatch.setattr(spectral, "_KERNEL", CountedKernel)
     monkeypatch.setattr(tolerances, "scale", counted_scale)
     return seen
 

@@ -136,6 +136,11 @@ def unconverged_kernel(monkeypatch):
             sweeps, _, off_fro, max_off = kernel.jacobi_sweeps(a)
             return sweeps, False, off_fro, max_off
 
+        @staticmethod
+        def jacobi_stack(a):
+            return [(sweeps, False, off_fro, max_off)
+                    for sweeps, _, off_fro, max_off in kernel.jacobi_stack(a)]
+
     monkeypatch.setattr(spectral, "_KERNEL", Unconverged)
 
 
@@ -145,6 +150,32 @@ def test_verify_fails_on_an_unconverged_solve(unconverged_kernel):
     flagged = [g6 for g6, check in summary.lemma_failures
                if check == "solver:not_converged"]
     assert len(flagged) == len(set(flagged)) == summary.graphs_checked == 8
+
+
+def test_verify_pool_is_no_larger_than_its_job_count(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and runs every job in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    summary = verify_exhaustive(3, workers=16)   # 8 graphs, one job each
+    assert sizes == [8]
+    assert verify_report(summary) == verify_report(verify_exhaustive(3))
 
 
 def test_verify_input_validation():
@@ -307,8 +338,27 @@ def test_cli_analyze_exits_three_when_a_check_fails(monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().out
     assert main(["analyze", "--family", "star", "5", "--json"]) == 3
     out, err = capsys.readouterr()
-    assert json.loads(out)["graph"]["n"] == 5 and not err
+    assert json.loads(out)["graph"]["n"] == 5
+    assert err == "qspectra: verification failed: q_sum, q_square_sum, zero_multiplicity_bipartite\n"
     assert main(["bounds", "--family", "star", "5"]) == 0
+
+
+def test_cli_analyze_names_every_failure_on_stderr(monkeypatch, capsys):
+    # the complete graph fails a check with no field in the report and no line
+    # in the text, so only stderr can name it; bound ids come first
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    cases = (
+        (["analyze", "--family", "complete", "5"],
+         "min_vs_average:equality, two_distinct_q_complete"),
+        (["analyze", "--family", "crown", "3", "--json"],
+         "L-THM1, L-COR3, q_square_sum, zero_multiplicity_bipartite, "
+         "radius_vs_average, radius_degree_window"),
+    )
+    for argv, named in cases:
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out
+        assert err.splitlines() == ["qspectra: verification failed: " + named]
 
 
 def test_cli_module_entry_point():

@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sysconfig
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from qspectra.graph_core import (
     crown,
     cycle,
     disjoint_union,
+    graph_from_mask,
     matching,
     path,
     prism,
@@ -30,6 +32,7 @@ from qspectra.graph_core import (
 )
 from qspectra.spectral import (
     BACKEND,
+    GraphFacts,
     a_spectrum,
     adjacency_matrix,
     check_spectral_lemmas,
@@ -38,6 +41,7 @@ from qspectra.spectral import (
     product_spectrum_check,
     q_spectrum,
     signless_laplacian_matrix,
+    solve_signless_laplacians,
     symmetric_eigenvalues,
     zero_multiplicity,
 )
@@ -369,13 +373,62 @@ def test_compiled_and_python_kernels_bit_identical(compiled_kernel):
         assert wc.tobytes() == wp.tobytes()         # every float64 bit
 
 
+def _kernel_stacks():
+    """_kernel_cases() grouped by order into stacks, each followed by its
+    matrices scaled by 1e3 so sweep counts differ within a stack, plus an
+    empty stack and stacks of 1 x 1 and 2 x 2 matrices."""
+    by_order = defaultdict(list)
+    for mat in _kernel_cases():
+        by_order[mat.shape[0]].append(mat)
+    for n, mats in sorted(by_order.items()):
+        yield np.stack(mats + [m * 1e3 for m in mats])
+    yield np.empty((0, 4, 4))
+    yield np.array([[[3.0]], [[0.0]], [[-1.5]]])
+    yield np.array([[[1.0, 2.0], [2.0, -1.0]], [[5.0, 0.0], [0.0, 1.0]],
+                    [[0.0, 1e-160], [1e-160, 4.0]]])
+
+
+def test_compiled_and_python_stack_kernels_bit_identical(compiled_kernel):
+    from qspectra import _jacobi_py
+
+    for stack in _kernel_stacks():
+        single = [m.copy(order="C") for m in stack]
+        expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
+        for kernel in (compiled_kernel, _jacobi_py):
+            work = stack.copy(order="C")
+            results = kernel.jacobi_stack(work)
+            assert len(results) == len(stack)
+            for i, (result, w) in enumerate(zip(results, single)):
+                assert repr(result) == expected[i], (kernel.__name__, stack.shape, i)
+                assert work[i].tobytes() == w.tobytes(), (kernel.__name__, stack.shape, i)
+
+
+def test_stack_solved_spectra_equal_the_lazily_solved_ones():
+    rng = random.Random(7)
+    cases = [(5, range(1024)), (7, sorted(rng.sample(range(1 << 21), 200)))]
+    for n, masks in cases:
+        batch = [GraphFacts(graph_from_mask(n, mask), 1.0) for mask in masks]
+        solve_signless_laplacians(batch)
+        for f in batch:
+            lazy = GraphFacts(f.graph, 1.0).signless_laplacian
+            assert repr(f.signless_laplacian) == repr(lazy), (n, f.graph)
+
+
 def test_compiled_kernel_rejects_buffers_it_cannot_solve(compiled_kernel):
     sym = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
     readonly = sym.copy()
     readonly.flags.writeable = False
-    for bad in (np.ascontiguousarray(sym[:2]), sym.astype(np.float32),
-                np.asfortranarray(sym), readonly):
+    stack = np.stack([sym, 2.0 * sym])
+    readonly_stack = stack.copy()
+    readonly_stack.flags.writeable = False
+    cases = [(compiled_kernel.jacobi_sweeps, bad)
+             for bad in (np.ascontiguousarray(sym[:2]), sym.astype(np.float32),
+                         np.asfortranarray(sym), readonly)]
+    cases += [(compiled_kernel.jacobi_stack, bad)
+              for bad in (sym.copy(), np.zeros((2, 3, 4)), stack.astype(np.float32),
+                          np.asfortranarray(stack), readonly_stack)]
+    for solve, bad in cases:
         before = bad.copy(order="K")
         with pytest.raises(ValueError):
-            compiled_kernel.jacobi_sweeps(bad)
+            solve(bad)
         assert bad.tobytes(order="A") == before.tobytes(order="A"), bad.flags
