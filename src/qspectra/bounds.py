@@ -6,6 +6,11 @@ them true (verified exhaustively on small orders and on large random batches);
 a graph outside a bound's hypotheses gets an inapplicable result with a reason
 rather than a bogus number.
 
+Two entries walk the catalog. all_bounds gives the full report record of every
+bound, for analyze, the bounds command and the tables; violations gives only
+the (id, gap) pairs of the bounds a graph violates, builds no record, and is
+the one statement of the violation rule.
+
 Bound identifiers are a fixed external interface. The catalog table at the end
 of this module states each bound's id, direction and strictness once; its row
 order is BOUND_IDS. Direction is 'lower' or 'upper'; a strict entry never
@@ -41,6 +46,7 @@ __all__ = [
     "BoundResult",
     "evaluate_bound",
     "all_bounds",
+    "violations",
     "gan5_two_case_value",
 ]
 
@@ -79,12 +85,6 @@ class BoundResult:
     diagnosis: EqualityDiagnosis | None
     details: dict[str, Any]
 
-    @property
-    def violated(self) -> bool:
-        """Applicable, and on the wrong side of QE by more than the
-        tightness tolerance."""
-        return self.applicable and self.gap < 0 and not self.diagnosis.tight
-
 
 # -- degree-pair selection shared by the two pair-based estimates ----------------
 #
@@ -111,22 +111,25 @@ def _bottom_pair_value(f: GraphFacts, vn: int, vn1: int) -> float:
                         - math.sqrt((dmax - deg[vn]) ** 2 + 4))
 
 
-def _pair_candidates(degrees: tuple[int, ...], want_max: bool):
+def _pair_candidates(degrees: tuple[int, ...],
+                     want_max: bool) -> list[tuple[int, int]]:
     """All (anchor, partner) pairs the tie-breaking could legitimately pick,
-    the deterministic pair first."""
-    extreme = max(degrees) if want_max else min(degrees)
-    for v1 in (i for i, d in enumerate(degrees) if d == extreme):
-        rest = [(d, i) for i, d in enumerate(degrees) if i != v1]
-        d2 = max(d for d, _ in rest) if want_max else min(d for d, _ in rest)
-        for v2 in (i for d, i in rest if d == d2):
-            yield v1, v2
+    the deterministic pair first. The partner degree is the same for every
+    anchor: the extreme degree itself when several vertices share it."""
+    pick = max if want_max else min
+    extreme = pick(degrees)
+    anchors = [i for i, d in enumerate(degrees) if d == extreme]
+    d2 = extreme if len(anchors) > 1 else pick(
+        d for i, d in enumerate(degrees) if i != anchors[0])
+    partners = [i for i, d in enumerate(degrees) if d == d2]
+    return [(v1, v2) for v1 in anchors for v2 in partners if v2 != v1]
 
 
 def _pair_details(f: GraphFacts, want_max: bool,
                   value_fn) -> tuple[float, dict[str, Any]]:
     degrees = f.graph.degrees
-    v1, v2 = next(_pair_candidates(degrees, want_max))
-    value = value_fn(f, v1, v2)
+    pairs = _pair_candidates(degrees, want_max)
+    v1, v2 = pairs[0]
     details: dict[str, Any] = {
         "anchor_vertex": v1,
         "partner_vertex": v2,
@@ -134,12 +137,13 @@ def _pair_details(f: GraphFacts, want_max: bool,
         "partner_degree": degrees[v2],
         "pair_adjacent": v2 in f.graph.adjacency[v1],
     }
-    if f.graph.n <= PAIR_ENUMERATION_LIMIT:
-        vals = [value_fn(f, a, b) for a, b in _pair_candidates(degrees, want_max)]
-        details["pair_value_min"] = min(vals)
-        details["pair_value_max"] = max(vals)
-        details["pair_count"] = len(vals)
-    return value, details
+    if f.graph.n > PAIR_ENUMERATION_LIMIT:
+        return value_fn(f, v1, v2), details
+    vals = [value_fn(f, a, b) for a, b in pairs]
+    details["pair_value_min"] = min(vals)
+    details["pair_value_max"] = max(vals)
+    details["pair_count"] = len(vals)
+    return vals[0], details
 
 
 def gan5_two_case_value(g: Graph | GraphFacts) -> float:
@@ -149,7 +153,7 @@ def gan5_two_case_value(g: Graph | GraphFacts) -> float:
     f = graph_facts(g)
     if f.graph.m < 1 or f.graph.n < 2:
         raise ValueError("two-case estimate needs at least one edge and two vertices")
-    vn, vn1 = next(_pair_candidates(f.graph.degrees, want_max=False))
+    vn, vn1 = _pair_candidates(f.graph.degrees, want_max=False)[0]
     return _bottom_pair_value(f, vn, vn1)
 
 
@@ -419,22 +423,33 @@ _CATALOG = (
 BOUND_IDS = tuple(row[0] for row in _CATALOG)
 
 
-def _result(row: tuple, f: GraphFacts) -> BoundResult:
-    """One catalog row evaluated on f: the shared hypothesis, then the
-    evaluator, then the gap and the equality diagnosis."""
-    bound_id, direction, strict, hypothesis, evaluate = row
+def _outcome(row: tuple, f: GraphFacts) -> _Outcome:
+    """One catalog row's shared hypothesis, then its evaluator."""
+    hypothesis, evaluate = row[3], row[4]
     if hypothesis is not None and not hypothesis[0](f):
-        outcome = hypothesis[1]
-    else:
-        outcome = evaluate(f)
+        return hypothesis[1]
+    return evaluate(f)
+
+
+def _gap(direction: str, value: float, qe: float) -> float:
+    """How far a bound's value sits on its own side of QE; negative is the
+    wrong side."""
+    return (qe - value) if direction == "lower" else (value - qe)
+
+
+def _result(row: tuple, f: GraphFacts, tol: float) -> BoundResult:
+    """One catalog row evaluated on f, with its gap and its equality
+    diagnosis; tol is the tightness tolerance at f's QE."""
+    bound_id, direction, strict = row[:3]
+    outcome = _outcome(row, f)
     if isinstance(outcome, str):
         return BoundResult(bound_id=bound_id, direction=direction, strict=strict,
                            applicable=False, reason=outcome, value=None, gap=None,
                            diagnosis=None, details={})
     value, condition, condition_met, details = outcome
     strict = details.get("strict_branch", strict)
-    gap = (f.qe - value) if direction == "lower" else (value - f.qe)
-    tight = abs(gap) <= tolerances.tight_tol(f.qe, scale=f.scale)
+    gap = _gap(direction, value, f.qe)
+    tight = abs(gap) <= tol
     if strict:
         verdict = "near-tight-strict" if tight else "consistent"
     elif condition is None:
@@ -454,13 +469,36 @@ def _result(row: tuple, f: GraphFacts) -> BoundResult:
                        diagnosis=diag, details=details)
 
 
+def _tight_tol(f: GraphFacts) -> float:
+    return tolerances.tight_tol(f.qe, scale=f.scale)
+
+
 def evaluate_bound(g: Graph | GraphFacts, bound_id: str) -> BoundResult:
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; "
                          f"known ids: {', '.join(BOUND_IDS)}")
-    return _result(_CATALOG[BOUND_IDS.index(bound_id)], graph_facts(g))
+    f = graph_facts(g)
+    return _result(_CATALOG[BOUND_IDS.index(bound_id)], f, _tight_tol(f))
 
 
 def all_bounds(g: Graph | GraphFacts) -> tuple[BoundResult, ...]:
     f = graph_facts(g)
-    return tuple(_result(row, f) for row in _CATALOG)
+    tol = _tight_tol(f)
+    return tuple(_result(row, f, tol) for row in _CATALOG)
+
+
+def violations(g: Graph | GraphFacts) -> list[tuple[str, float]]:
+    """(bound_id, gap) for every applicable bound on the wrong side of QE by
+    more than the tightness tolerance, in catalog order. It evaluates the
+    same rows as all_bounds but builds no report record."""
+    f = graph_facts(g)
+    qe, tol = f.qe, _tight_tol(f)
+    found = []
+    for row in _CATALOG:
+        outcome = _outcome(row, f)
+        if isinstance(outcome, str):
+            continue
+        gap = _gap(row[1], outcome[0], qe)
+        if gap < 0 and not abs(gap) <= tol:
+            found.append((row[0], gap))
+    return found

@@ -3,7 +3,7 @@
 Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
 0 success, 1 usage error, 2 input parse error, 3 verification violations
 (a violated bound, or for analyze and verify a failed spectral check; analyze
-names them on stderr), table mismatch, or an eigensolve that did not
+and bounds name them on stderr), table mismatch, or an eigensolve that did not
 converge. Text output prints values to four decimals (banker's rounding);
 --json emits the canonical sorted-key rendering instead.
 """
@@ -14,7 +14,7 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .bounds import all_bounds
+from .bounds import all_bounds, violations
 from .graph_core import Graph, build_family, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
 from .reports import (
     analyze_report,
@@ -90,6 +90,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _name_failures(ids: list[str]) -> None:
+    """Name the failures behind exit 3 on one stderr line."""
+    if ids:
+        print(f"qspectra: verification failed: {', '.join(ids)}", file=sys.stderr)
+
+
 def _status(ok: bool, unconverged: tuple[str, ...]) -> int:
     """Exit status of a command that has printed its results: 3 when a check
     failed or an eigensolve it read did not converge, 0 otherwise. The
@@ -122,13 +128,11 @@ def analyze_command(args) -> int:
         sys.stdout.write(render_json(report))
     else:
         _print_analysis(report, f)
-    violations, failures = check_graph(f)
+    violated, failures = check_graph(f)
     # the unconverged line of _status names solver:not_converged itself
-    named = [bid for bid, _ in violations]
-    named += [cid for cid in failures if cid != "solver:not_converged"]
-    if named:
-        print(f"qspectra: verification failed: {', '.join(named)}", file=sys.stderr)
-    return _status(not violations and not failures, f.unconverged())
+    _name_failures([bid for bid, _ in violated]
+                   + [cid for cid in failures if cid != "solver:not_converged"])
+    return _status(not violated and not failures, f.unconverged())
 
 
 def _print_analysis(report, f: GraphFacts) -> None:
@@ -228,7 +232,9 @@ def bounds_command(args) -> int:
     else:
         print(f"QE = {_fmt(qe)} (n={g.n}, m={g.m}, graph6={emit_graph6(g)})")
         _print_bounds_grid([asdict(r) for r in results])
-    return _status(not any(r.violated for r in results), f.unconverged())
+    violated = violations(f)
+    _name_failures([bid for bid, _ in violated])
+    return _status(not violated, f.unconverged())
 
 
 def table_command(args) -> int:

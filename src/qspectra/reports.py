@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Any
 
 from . import tolerances
-from .bounds import all_bounds, evaluate_bound, gan5_two_case_value
+from .bounds import all_bounds, evaluate_bound, gan5_two_case_value, violations
 from .energy import energies
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, is_complete, prism
@@ -211,11 +211,11 @@ class VerifySummary:
 
 def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
     """The verdict on one graph: its violated bounds as (bound_id, gap) pairs,
-    and the ids of its failed checks. Empty lists mean every applicable bound
-    holds, every spectral check holds, and every solve read so far
-    converged."""
+    as bounds.violations gives them, and the ids of its failed checks. Empty
+    lists mean every applicable bound holds, every spectral check holds, and
+    every solve read so far converged."""
     g = f.graph
-    violations = [(res.bound_id, res.gap) for res in all_bounds(f) if res.violated]
+    violated = violations(f)
     failures = [chk.failure for chk in check_spectral_lemmas(f) if chk.failure]
     if f.unconverged():
         failures.append("solver:not_converged")
@@ -225,7 +225,7 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
         two = len(f.signless_laplacian.groups) == 2
         if two != is_complete(g):
             failures.append("two_distinct_q_complete")
-    return violations, failures
+    return violated, failures
 
 
 # Graphs whose signless Laplacians verify solves in one stack-kernel call, and

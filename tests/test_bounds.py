@@ -11,11 +11,14 @@ from qspectra import tolerances
 from qspectra.bounds import (
     BOUND_IDS,
     PAIR_ENUMERATION_LIMIT,
+    _pair_candidates,
     all_bounds,
     evaluate_bound,
     gan5_two_case_value,
+    violations,
 )
 from qspectra.energy import energies
+from qspectra.spectral import GraphFacts
 from qspectra.graph_core import (
     Graph,
     complete,
@@ -24,6 +27,7 @@ from qspectra.graph_core import (
     cycle,
     disjoint_union,
     graph_from_edges,
+    graph_from_mask,
     iter_labeled_graphs,
     matching,
     path,
@@ -87,6 +91,30 @@ def test_random_graphs_respect_every_applicable_bound():
         for r in all_bounds(g):
             if r.applicable:
                 assert_sandwich(g, r, qe)
+
+
+def verdict_corpus():
+    """Every graph with n <= 5, then seeded samples at n = 6 and n = 7."""
+    for n in range(1, 6):
+        yield from iter_labeled_graphs(n)
+    rng = random.Random(909)
+    for n in (6, 7):
+        for mask in rng.sample(range(1 << (n * (n - 1) // 2)), 300):
+            yield graph_from_mask(n, mask)
+
+
+def test_violations_are_the_violated_rows_of_all_bounds():
+    # the oracle restates the rule on the report records: applicable, on the
+    # wrong side of QE, and not within the tightness tolerance
+    seen = {1.0: 0, 1e-300: 0}
+    for g in verdict_corpus():
+        for scale in seen:
+            f = GraphFacts(g, scale)
+            expected = [(r.bound_id, r.gap) for r in all_bounds(f)
+                        if r.applicable and r.gap < 0 and not r.diagnosis.tight]
+            assert repr(violations(f)) == repr(expected), (g, scale)
+            seen[scale] += len(expected)
+    assert seen[1e-300] > 0
 
 
 def test_gap_sign_convention():
@@ -347,6 +375,35 @@ def test_pair_enumeration_respects_tie_breaking():
     assert r.details["anchor_vertex"] == 1
     assert r.details["partner_vertex"] == 2
     assert r.details["pair_adjacent"] is True
+
+
+def test_pair_estimate_is_the_deterministic_pairs_value():
+    # anchor 0 has degree 2; of its four partners, 1 and 2 are non-adjacent
+    # and 3 and 4 adjacent, which gives a smaller estimate
+    g = graph_from_edges(5, [(0, 3), (0, 4), (1, 2)])
+    r = evaluate_bound(g, "L-GAN4")
+    assert (r.details["anchor_vertex"], r.details["partner_vertex"]) == (0, 1)
+    assert r.details["pair_adjacent"] is False
+    assert r.details["pair_count"] == 4
+    assert r.details["pair_value_min"] < r.value == r.details["pair_value_max"]
+
+
+def reference_pair_candidates(degrees, want_max):
+    # the earlier generator form, kept as the oracle for the list form
+    extreme = max(degrees) if want_max else min(degrees)
+    for v1 in (i for i, d in enumerate(degrees) if d == extreme):
+        rest = [(d, i) for i, d in enumerate(degrees) if i != v1]
+        d2 = max(d for d, _ in rest) if want_max else min(d for d, _ in rest)
+        for v2 in (i for d, i in rest if d == d2):
+            yield v1, v2
+
+
+def test_pair_candidates_match_the_reference_on_every_small_graph():
+    for n in range(2, 7):
+        for g in iter_labeled_graphs(n):
+            for want_max in (True, False):
+                assert (_pair_candidates(g.degrees, want_max)
+                        == list(reference_pair_candidates(g.degrees, want_max))), g
 
 
 def test_gan5_bipartite_branch_and_two_case_form_differ():

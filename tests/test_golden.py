@@ -42,9 +42,21 @@ CASES = {
 }
 
 
+def expected_output(name: str) -> str:
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="ascii")
+    return expected.replace('"backend": "python"', f'"backend": "{BACKEND}"')
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_matches_golden(name, capsys):
-    expected = (GOLDEN / f"{name}.json").read_text(encoding="ascii")
-    expected = expected.replace('"backend": "python"', f'"backend": "{BACKEND}"')
     assert main(CASES[name]) == 0
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr().out == expected_output(name)
+
+
+def test_verify_json_with_violations_matches_golden(monkeypatch, capsys):
+    # a vanishing tolerance multiplier turns rounding error into 9 bound
+    # violations and 1457 failed checks, which pins the (graph6, bound, gap)
+    # list that every clean golden leaves empty
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    assert main(["verify", "5", "--json"]) == 3
+    assert capsys.readouterr().out == expected_output("verify5-tol1e-300")

@@ -361,6 +361,15 @@ def test_cli_analyze_names_every_failure_on_stderr(monkeypatch, capsys):
         assert err.splitlines() == ["qspectra: verification failed: " + named]
 
 
+def test_cli_bounds_names_the_violated_bounds_on_stderr(monkeypatch, capsys):
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    for fmt in ([], ["--json"]):
+        assert main(["bounds", "--family", "crown", "3", *fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out
+        assert err.splitlines() == ["qspectra: verification failed: L-THM1, L-COR3"]
+
+
 def test_cli_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qspectra.cli", "family", "cycle", "5"],
