@@ -29,15 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import tolerances
-from .graph_core import (
-    Graph,
-    common_neighbour_counts,
-    is_balanced_complete_bipartite,
-    is_complete,
-    is_perfect_matching,
-    is_single_edge_with_isolates,
-    is_star,
-)
+from .graph_core import Graph, is_complete, is_perfect_matching, is_star
 from .spectral import GraphFacts, graph_facts
 
 __all__ = [
@@ -167,6 +159,14 @@ def _is_crown_like(f: GraphFacts) -> bool:
             and f.graph.n == 2 * f.stats.max_degree + 2)
 
 
+def _is_balanced_complete_bipartite(f: GraphFacts) -> bool:
+    # K_{a,a} with a >= 1 is exactly a connected bipartite graph that is
+    # regular of degree n/2
+    info = f.info
+    return (info.is_connected and info.is_bipartite and info.is_regular
+            and 2 * info.regularity_degree == f.graph.n)
+
+
 _THM3_CONDITION = ("complete graph, perfect matching, or regular graph with "
                    "constant common-neighbour count")
 
@@ -178,7 +178,7 @@ def _thm3_family(f: GraphFacts) -> bool:
     # strongly-regular-style case: regular with every vertex pair sharing the
     # same number of common neighbours, adjacent or not
     return (f.info.is_regular and g.m >= 1
-            and len({k for _, k in common_neighbour_counts(g)}) == 1)
+            and len({k for _, k in f.common_neighbours}) == 1)
 
 
 # -- hypotheses several bounds share: (test on the facts, reason when it fails) ---
@@ -282,7 +282,7 @@ def _l_thm2(f: GraphFacts) -> _Outcome:
     g1 = f.gamma.values[0]
     t = 2 * m + m1 - 4 * m * m / n
     return (t / g1, "balanced complete bipartite graph",
-            is_balanced_complete_bipartite(f.graph, info=f.info), {"gamma_max": g1})
+            _is_balanced_complete_bipartite(f), {"gamma_max": g1})
 
 
 def _l_cor2(f: GraphFacts) -> _Outcome:
@@ -293,7 +293,7 @@ def _l_cor2(f: GraphFacts) -> _Outcome:
     value = ((2 * m + 0.5 * (dmax - dmin) ** 2)
              / (2 * dmax - 2 * m / n))
     return (value, "balanced complete bipartite graph",
-            is_balanced_complete_bipartite(f.graph, info=f.info), {})
+            _is_balanced_complete_bipartite(f), {})
 
 
 def _l_cor3(f: GraphFacts) -> _Outcome:
@@ -302,8 +302,7 @@ def _l_cor3(f: GraphFacts) -> _Outcome:
         return "requires a connected regular graph with at least one edge"
     if f.gamma.min_is_zero:
         return (float(n), "balanced complete bipartite graph",
-                is_balanced_complete_bipartite(f.graph, info=f.info),
-                {"branch": "zero-deviation"})
+                _is_balanced_complete_bipartite(f), {"branch": "zero-deviation"})
     gn = f.gamma.values[-1]
     return (2 * n * r * math.sqrt(gn) / (r + gn), "complete graph or crown graph",
             is_complete(f.graph) or _is_crown_like(f),
@@ -315,7 +314,7 @@ def _l_cor3(f: GraphFacts) -> _Outcome:
 def _u_abr1(f: GraphFacts) -> _Outcome:
     n, m = f.stats.n, f.stats.m
     return (4 * m * (1 - 1 / n), "edgeless, or a single edge plus isolated vertices",
-            m == 0 or is_single_edge_with_isolates(f.graph), {})
+            m <= 1, {})
 
 
 def _u_abr2(f: GraphFacts) -> _Outcome:
@@ -450,18 +449,13 @@ def _result(row: tuple, f: GraphFacts, tol: float) -> BoundResult:
     strict = details.get("strict_branch", strict)
     gap = _gap(direction, value, f.qe)
     tight = abs(gap) <= tol
+    # condition_met is None exactly when no family is stated
     if strict:
         verdict = "near-tight-strict" if tight else "consistent"
-    elif condition is None:
-        verdict = "tight-no-stated-family" if tight else "consistent"
-    elif tight and condition_met:
-        verdict = "consistent"
     elif tight:
-        verdict = "tight-no-stated-family"
-    elif condition_met:
-        verdict = "stated-family-not-tight"
+        verdict = "consistent" if condition_met else "tight-no-stated-family"
     else:
-        verdict = "consistent"
+        verdict = "stated-family-not-tight" if condition_met else "consistent"
     diag = EqualityDiagnosis(tight=tight, condition=condition,
                              condition_met=condition_met, verdict=verdict)
     return BoundResult(bound_id=bound_id, direction=direction, strict=strict,

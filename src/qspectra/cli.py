@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
-0 success, 1 usage error, 2 input parse error, 3 verification violations
+0 success, 1 usage error, 2 input parse error or a graph above the order cap
+(spectral.MAX_ORDER), 3 verification violations
 (a violated bound, or for analyze and verify a failed spectral check; analyze
 and bounds name them on stderr), table mismatch, or an eigensolve that did not
 converge. Text output prints values to four decimals (banker's rounding);
@@ -26,7 +27,7 @@ from .reports import (
     verify_exhaustive,
     verify_report,
 )
-from .spectral import BACKEND, GraphFacts, check_spectral_lemmas
+from .spectral import BACKEND, MAX_ORDER, GraphFacts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,7 +36,8 @@ EXIT_VIOLATIONS = 3
 
 
 class ParseInputError(ValueError):
-    """Malformed graph input (graph6 text, edge-list file)."""
+    """Graph input the program refuses: malformed graph6 text or edge-list
+    file, or a graph above the order cap."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +60,14 @@ def _add_graph_input(p: _Parser) -> None:
 
 
 def _graph_from_args(args) -> Graph:
+    g = _read_graph(args)
+    if g.n > MAX_ORDER:
+        raise ParseInputError(f"graph has {g.n} vertices; the dense solver "
+                              f"accepts at most {MAX_ORDER}")
+    return g
+
+
+def _read_graph(args) -> Graph:
     if args.graph6 is not None:
         try:
             return parse_graph6(args.graph6)
@@ -70,7 +80,7 @@ def _graph_from_args(args) -> Graph:
             else:
                 with open(args.edgelist, "r", encoding="utf-8") as fh:
                     text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseInputError(f"cannot read {args.edgelist}: {exc}") from exc
         try:
             return parse_edgelist(text)
@@ -162,7 +172,7 @@ def _print_analysis(report, f: GraphFacts) -> None:
     print(f"energies: E={_fmt(en['adjacency_energy'])} "
           f"LE={_fmt(en['laplacian_energy'])} "
           f"QE={_fmt(en['signless_laplacian_energy'])}")
-    bad = [c for c in check_spectral_lemmas(f) if c.failure]
+    bad = [c for c in f.lemmas if c.failure]
     print(f"lemma checks: {len(report['lemma_checks'])} run, "
           f"{'all hold' if not bad else f'{len(bad)} FAILED'}")
     pat = report["q_pattern"]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import tolerances
-from .graph_core import Graph, common_neighbour_counts, is_complete
+from .graph_core import Graph, is_complete
 from .spectral import GraphFacts, graph_facts
 
 __all__ = [
@@ -145,7 +145,7 @@ def detect_srg(g: Graph | GraphFacts) -> SrgResult:
     if is_complete(f.graph):
         return _not_srg("complete graphs are excluded by convention")
     a = c = None
-    for adjacent, k in common_neighbour_counts(f.graph):
+    for adjacent, k in f.common_neighbours:
         if adjacent:
             if a is None:
                 a = k

@@ -39,7 +39,6 @@ __all__ = [
     "parse_edgelist",
     "emit_edgelist",
     "graph_from_mask",
-    "iter_labeled_graphs",
     "random_graph",
 ]
 
@@ -316,19 +315,6 @@ def is_perfect_matching(g: Graph) -> bool:
     return g.n >= 2 and all(d == 1 for d in g.degrees)
 
 
-def is_balanced_complete_bipartite(g: Graph, *, info: StructureInfo | None = None) -> bool:
-    """K_{a,a} with a >= 1: exactly the connected bipartite graphs that are
-    regular of degree n/2. ``info`` is g's structure, if already known."""
-    if info is None:
-        info = structure(g)
-    return (info.is_connected and info.is_bipartite and info.is_regular
-            and 2 * info.regularity_degree == g.n)
-
-
-def is_single_edge_with_isolates(g: Graph) -> bool:
-    return g.m == 1
-
-
 def common_neighbour_counts(g: Graph) -> Iterator[tuple[bool, int]]:
     """(adjacent, number of shared neighbours) for every vertex pair u < v,
     in lexicographic pair order."""
@@ -366,10 +352,10 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     line = text.strip()
-    if not line:
-        raise ValueError("graph6: empty input")
     if line.startswith(">>graph6<<"):
         line = line[10:]
+    if not line:
+        raise ValueError("graph6: empty input")
     for ch in line:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"graph6: character {ch!r} out of range")
@@ -418,8 +404,9 @@ def emit_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """First significant line is the vertex count; each following line one
-    'u v' pair. '#' starts a comment; blank lines are skipped."""
+    """First significant line is the vertex count, at most the graph6 limit;
+    each following line one 'u v' pair. '#' starts a comment; blank lines are
+    skipped."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -432,8 +419,9 @@ def parse_edgelist(text: str) -> Graph:
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: expected vertex count, got {line!r}") from None
-            if n < 1:
-                raise ValueError(f"line {lineno}: vertex count must be >= 1, got {n}")
+            if not 1 <= n <= _G6_MAX_LONG:
+                raise ValueError(f"line {lineno}: vertex count must be between 1 "
+                                 f"and {_G6_MAX_LONG}, got {n}")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -455,12 +443,6 @@ def parse_edgelist(text: str) -> Graph:
 
 
 # -- enumeration and sampling --------------------------------------------------
-
-def iter_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on exactly n vertices, in edge-mask order."""
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield graph_from_mask(n, mask)
-
 
 def graph_from_mask(n: int, mask: int) -> Graph:
     """Bit i of mask selects the i-th pair of itertools.combinations(range(n), 2)."""

@@ -21,7 +21,7 @@ from .bounds import all_bounds, evaluate_bound, gan5_two_case_value, violations
 from .energy import energies
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, is_complete, prism
-from .spectral import GraphFacts, check_spectral_lemmas, graph_facts, solve_signless_laplacians
+from .spectral import GraphFacts, graph_facts, solve_signless_laplacians
 
 __all__ = [
     "TableRow",
@@ -180,7 +180,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
             "signless_laplacian_energy": en.signless_laplacian_energy,
             "qe_equals_adjacency_energy": en.qe_equals_adjacency_energy,
         },
-        "lemma_checks": [asdict(c) for c in check_spectral_lemmas(f)],
+        "lemma_checks": [asdict(c) for c in f.lemmas],
         "bounds": [asdict(b) for b in all_bounds(f)],
         "q_pattern": asdict(pattern),
         "srg": asdict(srg),
@@ -216,7 +216,7 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
     every solve read so far converged."""
     g = f.graph
     violated = violations(f)
-    failures = [chk.failure for chk in check_spectral_lemmas(f) if chk.failure]
+    failures = [chk.failure for chk in f.lemmas if chk.failure]
     if f.unconverged():
         failures.append("solver:not_converged")
     if f.info.is_connected and g.n >= 2:

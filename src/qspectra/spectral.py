@@ -13,11 +13,11 @@ only on many small matrices at once: ``solve_signless_laplacians`` uses it for
 verify's batches of graphs on one vertex count.
 
 ``GraphFacts`` holds what the bounds and lemmas read about one graph: degree
-statistics, structure, the three spectra, the deviation sequence and QE, each
-computed on first use, plus one tolerance-scale snapshot. The spectrum,
-energy, bound and classifier functions accept either a Graph or a GraphFacts;
-a caller that asks several questions about one graph builds the facts once
-and passes them along.
+statistics, structure, the three spectra, the deviation sequence and QE, the
+lemma checks and the common-neighbour counts, each computed on first use, plus
+one tolerance-scale snapshot. The spectrum, energy, bound and classifier
+functions accept either a Graph or a GraphFacts; a caller that asks several
+questions about one graph builds the facts once and passes them along.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from itertools import chain
 import numpy as np
 
 from . import tolerances
-from .graph_core import (DegreeStats, Graph, StructureInfo, degree_stats, emit_graph6,
-                         is_complete, structure)
+from .graph_core import (DegreeStats, Graph, StructureInfo, common_neighbour_counts,
+                         degree_stats, emit_graph6, is_complete, structure)
 
 __all__ = [
     "BACKEND",
+    "MAX_ORDER",
     "EigenSolveReport",
     "Spectrum",
     "GammaSequence",
@@ -62,6 +63,12 @@ except ImportError:
     from . import _jacobi_py as _KERNEL
     BACKEND = "python"
 
+# The largest vertex count the CLI accepts; graph input above it is refused
+# before any matrix is built. A solve holds an n x n float64 matrix and costs
+# O(n^3) per sweep: at the cap, 8 MiB and, scaled from n = 256 (0.65 s compiled,
+# 1.6 s Python, 2-vCPU Xeon), about one to two minutes per solve.
+MAX_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class EigenSolveReport:
@@ -71,13 +78,6 @@ class EigenSolveReport:
     off_frobenius: float       # off-diagonal Frobenius norm at termination
     max_offdiag: float
     error_bound: float         # eigenvalue perturbation bound (= off_frobenius)
-    termination_threshold: float
-
-
-class _BuiltMatrix(np.ndarray):
-    """A matrix this module built from a graph: square, finite, exactly
-    symmetric, C-contiguous float64, and owned by the solve it is passed to,
-    which skips the input checks and diagonalizes it in place."""
 
 
 def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
@@ -86,30 +86,25 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
     Validates shape, finiteness, and symmetry (within 1e-12 relative) before
     solving; the input is not modified.
     """
-    if type(mat) is _BuiltMatrix:    # valid by construction, solved in place
-        work = mat.view(np.ndarray)
-    else:
-        a = np.asarray(mat, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square and 2-D, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("matrix must have at least one row")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        scale = float(np.max(np.abs(a)))
-        asym = float(np.max(np.abs(a - a.T)))
-        if asym > 1e-12 * max(1.0, scale):
-            raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
-        work = np.array(a, dtype=np.float64, order="C", copy=True)
-    fro = float(np.sqrt(np.sum(work * work)))
-    return _solved(work, _KERNEL.jacobi_sweeps(work), fro)
+    a = np.asarray(mat, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square and 2-D, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix must have at least one row")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    scale = float(np.max(np.abs(a)))
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > 1e-12 * max(1.0, scale):
+        raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
+    work = np.array(a, dtype=np.float64, order="C", copy=True)
+    return _solved(work, _KERNEL.jacobi_sweeps(work))
 
 
-def _solved(work: np.ndarray, result: tuple, fro: float) -> tuple[np.ndarray, EigenSolveReport]:
+def _solved(work: np.ndarray, result: tuple) -> tuple[np.ndarray, EigenSolveReport]:
     """The descending eigenvalues and the report of one matrix that a kernel
     has diagonalized in place. result is the kernel's (sweeps, converged,
-    off_frobenius, max_offdiag) tuple, and fro the Frobenius norm of the
-    matrix before the solve."""
+    off_frobenius, max_offdiag) tuple."""
     sweeps, converged, off_fro, max_off = result
     values = np.sort(np.diagonal(work))[::-1].copy()
     report = EigenSolveReport(
@@ -119,7 +114,6 @@ def _solved(work: np.ndarray, result: tuple, fro: float) -> tuple[np.ndarray, Ei
         off_frobenius=float(off_fro),
         max_offdiag=float(max_off),
         error_bound=float(off_fro),
-        termination_threshold=1e-12 * fro,
     )
     return values, report
 
@@ -213,8 +207,7 @@ class GraphFacts:
         return Spectrum(matrix=kind, values=vt, groups=_group(vt, self.scale), solve=report)
 
     def _solve(self, kind: str) -> Spectrum:
-        built = _MATRIX_BUILDERS[kind](self.graph).view(_BuiltMatrix)
-        return self._spectrum(kind, *symmetric_eigenvalues(built))
+        return self._spectrum(kind, *symmetric_eigenvalues(_MATRIX_BUILDERS[kind](self.graph)))
 
     @cached_property
     def adjacency(self) -> Spectrum:
@@ -244,6 +237,15 @@ class GraphFacts:
         """Signless Laplacian energy: the sum of the deviations."""
         return math.fsum(self.gamma.values)
 
+    @cached_property
+    def lemmas(self) -> tuple[LemmaCheck, ...]:
+        return _lemma_checks(self)
+
+    @cached_property
+    def common_neighbours(self) -> tuple[tuple[bool, int], ...]:
+        """graph_core.common_neighbour_counts of the graph, as a tuple."""
+        return tuple(common_neighbour_counts(self.graph))
+
     def unconverged(self) -> tuple[str, ...]:
         """Names ('<kind> of <graph6>') of the matrices solved so far whose
         solve did not converge."""
@@ -258,14 +260,11 @@ def solve_signless_laplacians(facts: list[GraphFacts]) -> None:
     to the stack kernel, and cache each spectrum where ``f.signless_laplacian``
     reads it. Each is bit for bit the spectrum that the read would solve."""
     stack = np.stack([signless_laplacian_matrix(f.graph) for f in facts])
-    flat = stack.reshape(len(facts), -1)
-    # a row sum pairs its terms as np.sum(work * work) does on one matrix
-    fros = np.sqrt(np.sum(flat * flat, axis=1)).tolist()
     results = _KERNEL.jacobi_stack(stack)
-    for f, work, result, fro in zip(facts, stack, results, fros):
+    for f, work, result in zip(facts, stack, results):
         # a cached_property keeps its value in __dict__, where this sets it
         f.__dict__["signless_laplacian"] = f._spectrum(
-            "signless_laplacian", *_solved(work, result, fro))
+            "signless_laplacian", *_solved(work, result))
 
 
 def graph_facts(g: Graph | GraphFacts) -> GraphFacts:
@@ -322,7 +321,10 @@ def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
     """Structural facts about the signless Laplacian spectrum, each reported
     with its numeric slack. A failure signals a solver defect, not a property
     of the graph."""
-    f = graph_facts(g)
+    return graph_facts(g).lemmas
+
+
+def _lemma_checks(f: GraphFacts) -> tuple[LemmaCheck, ...]:
     stats, info, spec, sc = f.stats, f.info, f.signless_laplacian, f.scale
     q = spec.values
     n, m = stats.n, stats.m

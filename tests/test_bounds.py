@@ -11,6 +11,7 @@ from qspectra import tolerances
 from qspectra.bounds import (
     BOUND_IDS,
     PAIR_ENUMERATION_LIMIT,
+    _is_balanced_complete_bipartite,
     _pair_candidates,
     all_bounds,
     evaluate_bound,
@@ -28,13 +29,17 @@ from qspectra.graph_core import (
     disjoint_union,
     graph_from_edges,
     graph_from_mask,
-    iter_labeled_graphs,
     matching,
     path,
     prism,
     random_graph,
     star,
 )
+
+
+def labeled_graphs(n):
+    """Every labeled graph on exactly n vertices, in edge-mask order."""
+    return (graph_from_mask(n, mask) for mask in range(1 << (n * (n - 1) // 2)))
 
 
 def qe_of(g):
@@ -73,7 +78,7 @@ def test_unknown_bound_id():
 
 def test_every_small_graph_respects_every_applicable_bound():
     for n in range(1, 6):
-        for g in iter_labeled_graphs(n):
+        for g in labeled_graphs(n):
             qe = qe_of(g)
             for r in all_bounds(g):
                 if r.applicable:
@@ -96,7 +101,7 @@ def test_random_graphs_respect_every_applicable_bound():
 def verdict_corpus():
     """Every graph with n <= 5, then seeded samples at n = 6 and n = 7."""
     for n in range(1, 6):
-        yield from iter_labeled_graphs(n)
+        yield from labeled_graphs(n)
     rng = random.Random(909)
     for n in (6, 7):
         for mask in rng.sample(range(1 << (n * (n - 1) // 2)), 300):
@@ -254,6 +259,15 @@ def test_abr1_equality_cases():
     assert r.diagnosis.verdict == "consistent"
 
 
+def test_equality_family_predicates():
+    assert _is_balanced_complete_bipartite(GraphFacts(complete_bipartite(3, 3)))
+    assert not _is_balanced_complete_bipartite(GraphFacts(complete_bipartite(2, 3)))
+    assert not _is_balanced_complete_bipartite(GraphFacts(crown(3)))
+    # U-ABR1's family: edgeless, or a single edge plus isolated vertices
+    assert evaluate_bound(graph_from_edges(4, [(1, 3)]), "U-ABR1").diagnosis.condition_met
+    assert not evaluate_bound(matching(2), "U-ABR1").diagnosis.condition_met
+
+
 def test_li_equality_on_single_edge():
     r = evaluate_bound(matching(1), "U-LI")
     assert r.applicable
@@ -400,7 +414,7 @@ def reference_pair_candidates(degrees, want_max):
 
 def test_pair_candidates_match_the_reference_on_every_small_graph():
     for n in range(2, 7):
-        for g in iter_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for want_max in (True, False):
                 assert (_pair_candidates(g.degrees, want_max)
                         == list(reference_pair_candidates(g.degrees, want_max))), g
@@ -442,7 +456,7 @@ def test_strict_flags_fixed_per_bound():
 
 def test_strict_bounds_never_claim_equality_verdict():
     for n in range(1, 6):
-        for g in iter_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for r in all_bounds(g):
                 if r.applicable and r.strict:
                     assert r.diagnosis.verdict in ("consistent", "near-tight-strict")

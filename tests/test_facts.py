@@ -1,11 +1,12 @@
 """Per-graph facts: each spectrum is solved once per top-level call, the
+lemma checks and common-neighbour counts run once per graph at most, the
 tolerance scale is read once per graph at most, and no result outlives the
 call that computed it.
 """
 
 import pytest
 
-from qspectra import graph_core, spectral, tolerances
+from qspectra import bounds, families_verify, graph_core, spectral, tolerances
 from qspectra.bounds import all_bounds
 from qspectra.cli import main
 from qspectra.graph_core import cycle, prism
@@ -87,3 +88,30 @@ def test_verify_computes_each_graphs_structure_once(monkeypatch):
     summary = verify_exhaustive(5)
     assert summary.ok
     assert len(calls) == summary.graphs_checked == 1024
+
+
+@pytest.mark.parametrize("argv,lemma_runs,neighbour_counts", [
+    (["analyze", "--family", "prism", "12"], 1, 1),
+    (["bounds", "--family", "crown", "4"], 0, 1),
+])
+def test_cli_runs_the_lemma_checks_and_neighbour_counts_once(
+        monkeypatch, capsys, argv, lemma_runs, neighbour_counts):
+    seen = {"lemmas": 0, "neighbours": 0}
+    lemma_checks, counts = spectral._lemma_checks, spectral.common_neighbour_counts
+
+    def counted_lemmas(f):
+        seen["lemmas"] += 1
+        return lemma_checks(f)
+
+    def counted_neighbours(g):
+        seen["neighbours"] += 1
+        return counts(g)
+
+    monkeypatch.setattr(spectral, "_lemma_checks", counted_lemmas)
+    # counted in every module that holds the name, however it was imported
+    for module in (graph_core, spectral, bounds, families_verify):
+        if hasattr(module, "common_neighbour_counts"):
+            monkeypatch.setattr(module, "common_neighbour_counts", counted_neighbours)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (seen["lemmas"], seen["neighbours"]) == (lemma_runs, neighbour_counts)

@@ -219,6 +219,36 @@ def test_cli_parse_errors_exit_two(capsys, tmp_path):
     assert main(["analyze", "--edgelist", str(bad)]) == 2
 
 
+def test_cli_header_only_graph6_exits_two(capsys):
+    assert main(["analyze", "--graph6", ">>graph6<<"]) == 2
+    assert capsys.readouterr().err == "qspectra: parse error: graph6: empty input\n"
+
+
+def test_cli_edgelist_that_is_not_utf8_exits_two(capsys, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"2\n0 1 # \xe9\n")
+    assert main(["bounds", "--edgelist", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qspectra: parse error: cannot read {bad}: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_refuses_a_graph_above_the_order_cap(capsys, monkeypatch):
+    import io
+
+    def no_solve(mat):
+        raise AssertionError("a matrix was solved")
+
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", no_solve)
+    n = spectral.MAX_ORDER + 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n}\n"))
+    assert main(["bounds", "--edgelist", "-"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (f"qspectra: parse error: graph has {n} vertices; the dense "
+                            f"solver accepts at most {spectral.MAX_ORDER}\n")
+
+
 def test_cli_family_errors_exit_one(capsys):
     assert main(["family", "complete"]) == 1        # missing parameter
     assert main(["family", "heptagram", "7"]) == 1  # unknown kind
