@@ -296,15 +296,23 @@ def _l_cor2(f: GraphFacts) -> _Outcome:
             _is_balanced_complete_bipartite(f), {})
 
 
+def _cor3_value(n: int, r: int, gamma_min: float, min_is_zero: bool) -> float:
+    """L-COR3 on an r-regular graph of order n with smallest deviation gamma_min."""
+    if min_is_zero:
+        return float(n)
+    return 2 * n * r * math.sqrt(gamma_min) / (r + gamma_min)
+
+
 def _l_cor3(f: GraphFacts) -> _Outcome:
     n, m, r = f.stats.n, f.stats.m, f.stats.max_degree
     if not f.info.is_connected or m < 1 or not f.info.is_regular:
         return "requires a connected regular graph with at least one edge"
-    if f.gamma.min_is_zero:
-        return (float(n), "balanced complete bipartite graph",
+    zero, gn = f.gamma.min_is_zero, f.gamma.values[-1]
+    value = _cor3_value(n, r, gn, zero)
+    if zero:
+        return (value, "balanced complete bipartite graph",
                 _is_balanced_complete_bipartite(f), {"branch": "zero-deviation"})
-    gn = f.gamma.values[-1]
-    return (2 * n * r * math.sqrt(gn) / (r + gn), "complete graph or crown graph",
+    return (value, "complete graph or crown graph",
             is_complete(f.graph) or _is_crown_like(f),
             {"branch": "positive-deviation", "gamma_min": gn})
 
@@ -383,13 +391,16 @@ def _u_cor6(f: GraphFacts) -> _Outcome:
     return value, None, None, {"branch": branch}
 
 
+def _cor7_value(n: int, m: int) -> float:
+    """U-COR7 on a regular graph with n vertices and m edges."""
+    return 2 * m / n + math.sqrt((n - 1) * (2 * m - (2 * m / n) ** 2))
+
+
 def _u_cor7(f: GraphFacts) -> _Outcome:
     n, m = f.stats.n, f.stats.m
     if not f.info.is_regular or m < 1:
         return "requires a regular graph with at least one edge"
-    value = (2 * m / n
-             + math.sqrt((n - 1) * (2 * m - (2 * m / n) ** 2)))
-    return value, _THM3_CONDITION, _thm3_family(f), {}
+    return _cor7_value(n, m), _THM3_CONDITION, _thm3_family(f), {}
 
 
 # -- the catalog --------------------------------------------------------------------

@@ -59,20 +59,22 @@ def _add_graph_input(p: _Parser) -> None:
                        help="construct a named family, e.g. --family prism 5")
 
 
-def _graph_from_args(args) -> Graph:
-    g = _read_graph(args)
-    if g.n > MAX_ORDER:
-        raise ParseInputError(f"graph has {g.n} vertices; the dense solver "
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise ParseInputError(f"graph has {n} vertices; the dense solver "
                               f"accepts at most {MAX_ORDER}")
-    return g
 
 
-def _read_graph(args) -> Graph:
+def _graph_from_args(args) -> Graph:
+    """The input graph. A family or an edge list above the order cap is
+    refused before it is built."""
     if args.graph6 is not None:
         try:
-            return parse_graph6(args.graph6)
+            g = parse_graph6(args.graph6)
         except ValueError as exc:
             raise ParseInputError(str(exc)) from exc
+        _check_order(g.n)
+        return g
     if args.edgelist is not None:
         try:
             if args.edgelist == "-":
@@ -83,11 +85,12 @@ def _read_graph(args) -> Graph:
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseInputError(f"cannot read {args.edgelist}: {exc}") from exc
         try:
-            return parse_edgelist(text)
-        except ValueError as exc:
+            return parse_edgelist(text, check_order=_check_order)
+        except ValueError as exc:   # _check_order's ParseInputError too, same text
             raise ParseInputError(str(exc)) from exc
     kind, *params = args.family
-    return build_family(kind, params)   # ValueError here is a usage error
+    # a ValueError here is a usage error, and _check_order's a parse error
+    return build_family(kind, params, check_order=_check_order)
 
 
 def _fmt(value) -> str:

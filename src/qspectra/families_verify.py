@@ -3,8 +3,9 @@
 Covers three related facilities: recovering a disjoint union of equal-order
 complete graphs and crown graphs from its signless Laplacian spectrum alone,
 detecting strong regularity by brute-force common-neighbour counting, and the
-closed-form bounds available for circular-ladder (prism) and general cubic
-graphs.
+bounds for circular-ladder (prism) and general cubic graphs. Those bounds are
+the catalog's L-COR3 and U-COR7, evaluated at the closed-form minimum
+deviation; only prism_gamma_min follows the residue of n mod 6.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import tolerances
+from .bounds import _cor3_value, _cor7_value
 from .graph_core import Graph, is_complete
 from .spectral import GraphFacts, graph_facts
 
@@ -169,15 +171,11 @@ def detect_srg(g: Graph | GraphFacts) -> SrgResult:
 
 # -- circular-ladder (prism) closed forms ------------------------------------------
 
-def _check_prism_order(n: int) -> None:
-    if not isinstance(n, int) or n < 3:
-        raise ValueError("circular ladders need a cycle length of at least 3")
-
-
 def prism_gamma_min(n: int) -> float:
     """Smallest deviation of a circular-ladder eigenvalue from the mean 3,
     in closed form via the cosine spectrum of the underlying cycle."""
-    _check_prism_order(n)
+    if not isinstance(n, int) or n < 3:
+        raise ValueError("circular ladders need a cycle length of at least 3")
     if n % 3 == 0:
         return 0.0
     if n % 6 in (1, 2):
@@ -195,22 +193,12 @@ class PrismBounds:
 
 def prism_bounds(n: int) -> PrismBounds:
     """Closed-form lower and upper bounds on the signless Laplacian energy of
-    the circular ladder on 2n vertices. The lower branch follows the residue
-    of n: the flat vertex-count value 2n when 3 divides n (the zero-deviation
-    branch), otherwise a cosine expression driven by the extremal cycle
-    harmonic."""
-    _check_prism_order(n)
+    the circular ladder on 2n vertices: L-COR3 and U-COR7 on a cubic graph
+    with 2n vertices and 3n edges, at the closed-form minimum deviation."""
     gamma = prism_gamma_min(n)
-    if n % 3 == 0:
-        lower = 2.0 * n
-    elif n % 6 in (1, 2):
-        theta = 2.0 * math.pi * (n // 6) / n
-        lower = 6.0 * n * math.sqrt(gamma) / (1.0 + math.cos(theta))
-    else:
-        theta = 2.0 * math.pi * math.ceil(n / 6) / n
-        lower = 6.0 * n * math.sqrt(gamma) / (2.0 - math.cos(theta))
-    upper = 3.0 + math.sqrt(3.0 * (2 * n - 1) * (2 * n - 3))
-    return PrismBounds(n=n, gamma_min=gamma, lower=lower, upper=upper)
+    return PrismBounds(n=n, gamma_min=gamma,
+                       lower=_cor3_value(2 * n, 3, gamma, gamma == 0.0),
+                       upper=_cor7_value(2 * n, 3 * n))
 
 
 # -- general cubic graphs -----------------------------------------------------------
@@ -230,7 +218,8 @@ def cubic_bounds(g: Graph | GraphFacts) -> CubicBounds:
     smallest deviation gamma from the mean 3. The source statement claims
     strict inequalities, but the lower branch value 3n/2 is attained exactly
     (by the complete graph on four vertices), so no strictness is asserted
-    here; values are reported as-is.
+    here; values are reported as-is. Below deviation one the lower value is
+    L-COR3, and the upper value is U-COR7.
     """
     f = graph_facts(g)
     if f.stats.max_degree != 3 or f.stats.min_degree != 3:
@@ -240,12 +229,10 @@ def cubic_bounds(g: Graph | GraphFacts) -> CubicBounds:
     zero = f.gamma.min_is_zero
     # the boundary gamma = 1 takes the saturating branch, with the closed-form
     # slack so families whose deviation is exactly 1 are not misrouted
-    if zero:
-        lower, branch = float(n), "zero-deviation"
-    elif gamma >= 1.0 - tolerances.CLOSED_FORM_ABS:
+    if not zero and gamma >= 1.0 - tolerances.CLOSED_FORM_ABS:
         lower, branch = 1.5 * n, "deviation-at-least-one"
     else:
-        lower, branch = 6.0 * n * math.sqrt(gamma) / (3.0 + gamma), "deviation-below-one"
-    upper = 3.0 + math.sqrt(3.0 * (n - 1) * (n - 3))
+        lower = _cor3_value(n, 3, gamma, zero)
+        branch = "zero-deviation" if zero else "deviation-below-one"
     return CubicBounds(n=n, gamma_min=gamma, lower=lower, lower_branch=branch,
-                       upper=upper, qe=f.qe)
+                       upper=_cor7_value(n, f.graph.m), qe=f.qe)

@@ -2,8 +2,9 @@
 
 Vertices are 0..n-1. Edges are stored as a sorted tuple of (u, v) pairs with
 u < v, so two Graph objects compare equal exactly when they are the same
-labeled graph. All constructors validate; enumeration helpers build trusted
-edge tuples directly.
+labeled graph. All constructors validate; enumeration helpers, and
+parse_edgelist once it has checked each line, build trusted edge tuples
+directly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Graph",
@@ -113,8 +114,7 @@ def star(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _require_cycle_length(n)
     return Graph(n, tuple(sorted((i, (i + 1) % n) if i < (i + 1) % n
                                  else ((i + 1) % n, i) for i in range(n))))
 
@@ -173,40 +173,64 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * hn, tuple(sorted(edges)))
 
 
-def _require_size(kind: str, value: int) -> None:
+def _require_size(kind: str, value: int) -> int:
     if not isinstance(value, int) or value < 1:
         raise ValueError(f"{kind}: size parameters must be integers >= 1, got {value!r}")
+    return value
 
 
-# kind -> (builder, parameter count); the copies kind nests another family instead
+def _require_cycle_length(n: int) -> int:
+    if n < 3:
+        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    return n
+
+
+# kind -> (builder, parameter count, vertex count). The vertex count checks the
+# parameters as the builder does, with the same errors, and builds nothing. The
+# copies kind nests another family instead.
 _FAMILY_BUILDERS = {
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "star": (star, 1),
-    "cycle": (cycle, 1),
-    "path": (path, 1),
-    "matching": (matching, 1),
-    "crown": (crown, 1),
-    "prism": (prism, 1),
+    "complete": (complete, 1, lambda n: _require_size("complete", n)),
+    "complete_bipartite": (complete_bipartite, 2,
+                           lambda a, b: (_require_size("complete_bipartite", a)
+                                         + _require_size("complete_bipartite", b))),
+    "star": (star, 1, lambda n: _require_size("star", n)),
+    "cycle": (cycle, 1, _require_cycle_length),
+    "path": (path, 1, lambda n: _require_size("path", n)),
+    "matching": (matching, 1, lambda k: 2 * _require_size("matching", k)),
+    "crown": (crown, 1, lambda r: 2 * _require_size("crown", r) + 2),
+    "prism": (prism, 1, lambda n: 2 * _require_cycle_length(n)),
 }
 FAMILY_KINDS = (*_FAMILY_BUILDERS, "copies")
 
 
-def build_family(kind: str, params: Sequence[int]) -> Graph:
-    """Dispatch a family by name. 'copies k <kind> <params...>' nests."""
-    params = list(params)
+def build_family(kind: str, params: Sequence[int],
+                 check_order: Callable[[int], None] | None = None) -> Graph:
+    """Dispatch a family by name. 'copies k <kind> <params...>' nests. Every
+    parameter is checked first; then check_order, when given, sees the vertex
+    count before anything is built, and may raise to refuse it."""
+    order, build = _family_plan(kind, list(params))
+    if check_order is not None:
+        check_order(order)
+    return build()
+
+
+def _family_plan(kind: str, params: list) -> tuple[int, Callable[[], Graph]]:
+    """A family's vertex count, with every parameter checked, and a function
+    that builds it."""
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
     if kind not in _FAMILY_BUILDERS:    # copies
         if len(params) < 2:
             raise ValueError("copies needs a count and an inner family")
         count = _as_int(params[0])
-        inner = build_family(str(params[1]), params[2:])
-        return disjoint_copies(count, inner)
-    fn, arity = _FAMILY_BUILDERS[kind]
+        order, inner = _family_plan(str(params[1]), params[2:])
+        _require_size("disjoint_copies", count)
+        return count * order, lambda: disjoint_copies(count, inner())
+    fn, arity, order_of = _FAMILY_BUILDERS[kind]
     if len(params) != arity:
         raise ValueError(f"family {kind} takes {arity} parameter(s), got {len(params)}")
-    return fn(*(_as_int(p) for p in params))
+    values = [_as_int(p) for p in params]
+    return order_of(*values), lambda: fn(*values)
 
 
 def _as_int(value) -> int:
@@ -403,10 +427,12 @@ def emit_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edgelist(text: str) -> Graph:
+def parse_edgelist(text: str,
+                   check_order: Callable[[int], None] | None = None) -> Graph:
     """First significant line is the vertex count, at most the graph6 limit;
     each following line one 'u v' pair. '#' starts a comment; blank lines are
-    skipped."""
+    skipped. check_order, when given, sees the vertex count as soon as it is
+    read, and may raise to refuse it."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -422,6 +448,8 @@ def parse_edgelist(text: str) -> Graph:
             if not 1 <= n <= _G6_MAX_LONG:
                 raise ValueError(f"line {lineno}: vertex count must be between 1 "
                                  f"and {_G6_MAX_LONG}, got {n}")
+            if check_order is not None:
+                check_order(n)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -439,7 +467,7 @@ def parse_edgelist(text: str) -> Graph:
         edges.append((u, v) if u < v else (v, u))
     if n is None:
         raise ValueError("edge list: no vertex count found")
-    return graph_from_edges(n, edges)
+    return Graph(n, tuple(sorted(set(edges))))
 
 
 # -- enumeration and sampling --------------------------------------------------

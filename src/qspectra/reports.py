@@ -125,14 +125,7 @@ def _spectrum_dict(spec) -> dict[str, Any]:
     return {
         "values": list(spec.values),
         "groups": [[rep, mult] for rep, mult in spec.groups],
-        "solver": {
-            "backend": spec.solve.backend,
-            "sweeps": spec.solve.sweeps,
-            "converged": spec.solve.converged,
-            "off_frobenius": spec.solve.off_frobenius,
-            "max_offdiag": spec.solve.max_offdiag,
-            "error_bound": spec.solve.error_bound,
-        },
+        "solver": asdict(spec.solve),
     }
 
 
@@ -228,27 +221,28 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
     return violated, failures
 
 
-# Graphs whose signless Laplacians verify solves in one stack-kernel call, and
-# whose facts it holds at once. On the perfbench verify-small workload (Python
-# kernel, 2-vCPU Xeon), 1024 ran about as fast as 256 but raised peak RSS from
-# 36.5 to 44.7 MB, past that benchmark's 10% bound; 256 read 38.1 MB.
+# Graphs in one verify job: verify solves their signless Laplacians in one
+# stack-kernel call and holds their facts at once. On the perfbench
+# verify-small workload (Python kernel, 2-vCPU Xeon), 1024 ran about as fast
+# as 256 but raised peak RSS from 36.5 to 44.7 MB, past that benchmark's 10%
+# bound; 256 read 38.1 MB.
 _VERIFY_BATCH = 256
 
 
-def _verify_masks(args: tuple[int, Any, float]) -> tuple[list, list]:
+def _verify_batch(args: tuple[int, Any, float]) -> tuple[list, list]:
+    """One verify job: the (graph6, bound_id, gap) violations and the
+    (graph6, check_id) failures of one stack batch of masks."""
     n, masks, scale = args
+    batch = [GraphFacts(graph_from_mask(n, mask), scale) for mask in masks]
+    solve_signless_laplacians(batch)
     violations, failures = [], []
-    for start in range(0, len(masks), _VERIFY_BATCH):
-        batch = [GraphFacts(graph_from_mask(n, mask), scale)
-                 for mask in masks[start:start + _VERIFY_BATCH]]
-        solve_signless_laplacians(batch)
-        for i, f in enumerate(batch):
-            batch[i] = None     # each graph's facts are freed once checked
-            v, fails = check_graph(f)
-            if v or fails:
-                g6 = emit_graph6(f.graph)
-                violations.extend((g6, bid, gap) for bid, gap in v)
-                failures.extend((g6, cid) for cid in fails)
+    for i, f in enumerate(batch):
+        batch[i] = None     # each graph's facts are freed once checked
+        v, fails = check_graph(f)
+        if v or fails:
+            g6 = emit_graph6(f.graph)
+            violations.extend((g6, bid, gap) for bid, gap in v)
+            failures.extend((g6, cid) for cid in fails)
     return violations, failures
 
 
@@ -262,6 +256,9 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
     spectral check must hold with its equality condition consistent, and
     connected graphs must witness the two-distinct-eigenvalue characterization
     of completeness.
+
+    A job is one stack batch of masks. With several workers and several jobs,
+    the jobs run in a pool of min(workers, jobs) processes.
     """
     if not isinstance(max_n, int) or not (1 <= max_n <= 7):
         raise ValueError("vertex count must be an integer between 1 and 7")
@@ -278,17 +275,16 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
         rng = random.Random(seed)
         masks = sorted(rng.sample(range(total), min(sample, total)))
 
-    if workers == 1:
-        parts = [_verify_masks((max_n, masks, scale))]
+    jobs = [(max_n, masks[i:i + _VERIFY_BATCH], scale)
+            for i in range(0, len(masks), _VERIFY_BATCH)]
+    processes = min(workers, len(jobs))
+    if processes == 1:
+        parts = list(map(_verify_batch, jobs))
     else:
         import multiprocessing
 
-        mask_list = list(masks)
-        chunk = max(1, len(mask_list) // (workers * 4))
-        jobs = [(max_n, mask_list[i:i + chunk], scale)
-                for i in range(0, len(mask_list), chunk)]
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            parts = list(pool.imap_unordered(_verify_masks, jobs))
+        with multiprocessing.Pool(processes) as pool:
+            parts = list(pool.imap_unordered(_verify_batch, jobs))
 
     return VerifySummary(max_n=max_n, graphs_checked=len(masks),
                          violations=tuple(sorted(v for vs, _ in parts for v in vs)),
@@ -315,14 +311,5 @@ def table_report_dict(report: TableReport) -> dict[str, Any]:
         "tolerance": report.tolerance,
         "max_deviation": report.max_deviation,
         "ok": report.ok,
-        "rows": [
-            {
-                "label": r.label,
-                "exact_qe": r.exact_qe,
-                "columns": r.columns,
-                "expected": r.expected,
-                "deviation": r.deviation,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
     }

@@ -9,6 +9,7 @@ called without it, a helper reads the variable itself. The eigensolver's
 internal termination threshold is a fixed design constant and is not scaled.
 """
 
+import math
 import os
 
 GROUPING_REL = 1e-6        # eigenvalue grouping, times max(1, spectral radius)
@@ -22,14 +23,15 @@ CLOSED_FORM_ABS = 1e-9     # closed-form branch boundary slack, absolute, not sc
 
 
 def scale() -> float:
-    """Global tolerance multiplier from QSPECTRA_TOL (read on each call)."""
+    """Global tolerance multiplier from QSPECTRA_TOL (read on each call), a
+    positive finite number."""
     raw = os.environ.get("QSPECTRA_TOL", "1")
     try:
         value = float(raw)
     except ValueError:
         raise ValueError(f"QSPECTRA_TOL must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise ValueError(f"QSPECTRA_TOL must be positive, got {raw!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"QSPECTRA_TOL must be positive and finite, got {raw!r}")
     return value
 
 

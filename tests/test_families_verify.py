@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from qspectra.bounds import evaluate_bound
 from qspectra.energy import energies, gamma_sequence
 from qspectra.families_verify import (
     classify_q_pattern,
@@ -185,6 +186,35 @@ def test_prism_bounds_match_cubic_bounds():
         cb = cubic_bounds(prism(n))
         assert abs(pb.upper - cb.upper) <= 1e-12
         assert abs(pb.gamma_min - cb.gamma_min) <= 1e-9
+
+
+def test_prism_bounds_are_the_catalog_bounds_on_prisms():
+    for n in range(3, 41):
+        pb = prism_bounds(n)
+        g = prism(n)
+        assert pb.upper == evaluate_bound(g, "U-COR7").value, n
+        assert abs(pb.lower - evaluate_bound(g, "L-COR3").value) <= 1e-9, n
+
+
+def _residue_prism_bounds(n):
+    """The circular-ladder bounds restated by the residue of n mod 6, with
+    their own cosines: an independent oracle for prism_bounds."""
+    gamma = prism_gamma_min(n)
+    if n % 3 == 0:
+        lower = 2.0 * n
+    elif n % 6 in (1, 2):
+        theta = 2.0 * math.pi * (n // 6) / n
+        lower = 6.0 * n * math.sqrt(gamma) / (1.0 + math.cos(theta))
+    else:
+        theta = 2.0 * math.pi * math.ceil(n / 6) / n
+        lower = 6.0 * n * math.sqrt(gamma) / (2.0 - math.cos(theta))
+    return lower, 3.0 + math.sqrt(3.0 * (2 * n - 1) * (2 * n - 3))
+
+
+def test_prism_bounds_match_the_residue_formulas_bit_for_bit():
+    for n in range(3, 2001):
+        pb = prism_bounds(n)
+        assert (pb.lower, pb.upper) == _residue_prism_bounds(n), n
 
 
 def test_prism_rejects_bad_orders():

@@ -60,3 +60,11 @@ def test_verify_json_with_violations_matches_golden(monkeypatch, capsys):
     monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
     assert main(["verify", "5", "--json"]) == 3
     assert capsys.readouterr().out == expected_output("verify5-tol1e-300")
+
+
+def test_pooled_verify_json_with_violations_matches_golden(monkeypatch, capsys):
+    # the same run in 4 jobs on 2 processes: the violations and failed checks
+    # of every job must merge into the serial run's sorted lists
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    assert main(["verify", "5", "--workers", "2", "--json"]) == 3
+    assert capsys.readouterr().out == expected_output("verify5-tol1e-300")

@@ -207,6 +207,8 @@ def test_edgelist_round_trip_and_errors():
     assert parse_edgelist(emit_edgelist(g)) == g
     text = "# comment\n4\n0 1\n2 3\n"
     assert parse_edgelist(text) == matching(2)
+    # reversed and repeated pairs give one canonical edge each
+    assert parse_edgelist("4\n3 2\n1 0\n0 1\n2 3\n") == matching(2)
     with pytest.raises(ValueError, match="line 2"):
         parse_edgelist("3\n0 0\n")
     with pytest.raises(ValueError, match="line 3"):

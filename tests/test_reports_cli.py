@@ -118,11 +118,12 @@ def test_verify_sample_capped_at_population():
 
 
 def test_verify_workers_match_sequential():
-    seq = verify_exhaustive(4)
-    par = verify_exhaustive(4, workers=2)
-    assert par.graphs_checked == seq.graphs_checked
-    assert par.violations == seq.violations
-    assert par.lemma_failures == seq.lemma_failures
+    # 1024 graphs are 4 jobs, and a 600-graph sample is 3, so both runs pool
+    for kwargs in ({"max_n": 5}, {"max_n": 6, "sample": 600, "seed": 11}):
+        seq = verify_exhaustive(**kwargs)
+        par = verify_exhaustive(workers=2, **kwargs)
+        assert seq.graphs_checked >= 600
+        assert verify_report(par) == verify_report(seq)
 
 
 @pytest.fixture
@@ -173,9 +174,12 @@ def test_verify_pool_is_no_larger_than_its_job_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    summary = verify_exhaustive(3, workers=16)   # 8 graphs, one job each
-    assert sizes == [8]
+    summary = verify_exhaustive(3, workers=16)   # 8 graphs, one job
+    assert sizes == []
     assert verify_report(summary) == verify_report(verify_exhaustive(3))
+    summary = verify_exhaustive(5, workers=16)   # 1024 graphs, 4 jobs of 256
+    assert sizes == [4]
+    assert verify_report(summary) == verify_report(verify_exhaustive(5))
 
 
 def test_verify_input_validation():
@@ -247,6 +251,58 @@ def test_cli_refuses_a_graph_above_the_order_cap(capsys, monkeypatch):
     assert not captured.out
     assert captured.err == (f"qspectra: parse error: graph has {n} vertices; the dense "
                             f"solver accepts at most {spectral.MAX_ORDER}\n")
+
+
+@pytest.fixture
+def no_graph_is_built(monkeypatch):
+    """Fails the test if any Graph is constructed."""
+    from qspectra import graph_core
+
+    def fail(self):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(graph_core.Graph, "__post_init__", fail)
+
+
+@pytest.mark.parametrize("args, stdin, n", [
+    (["--family", "complete", "1025"], "", 1025),
+    (["--family", "copies", "2", "complete", "600"], "", 1200),
+    (["--edgelist", "-"], "258047\n", 258047),
+], ids=["complete", "copies", "edgelist"])
+def test_cli_refuses_an_oversize_input_before_building_it(args, stdin, n, capsys,
+                                                          monkeypatch, no_graph_is_built):
+    import io
+    import tracemalloc
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    tracemalloc.start()
+    try:
+        code = main(["bounds", *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20, peak    # no edge tuples were built either
+    assert capsys.readouterr() == ("", f"qspectra: parse error: graph has {n} vertices; "
+                                       f"the dense solver accepts at most {spectral.MAX_ORDER}\n")
+
+
+@pytest.mark.parametrize("family, message", [
+    (["copies", "0", "complete", "2000"],
+     "disjoint_copies: size parameters must be integers >= 1, got 0"),
+    (["copies", "2000", "cycle", "2"], "cycle needs at least 3 vertices, got 2"),
+], ids=["count", "inner"])
+def test_cli_bad_family_parameters_above_the_cap_exit_one(family, message, capsys,
+                                                         no_graph_is_built):
+    assert main(["analyze", "--family", *family]) == 1
+    assert capsys.readouterr() == ("", f"qspectra: error: {message}\n")
+
+
+def test_cli_refuses_a_tolerance_that_is_not_finite(capsys, monkeypatch):
+    monkeypatch.setenv("QSPECTRA_TOL", "inf")
+    assert main(["table1", "--json"]) == 1
+    assert capsys.readouterr() == (
+        "", "qspectra: error: QSPECTRA_TOL must be positive and finite, got 'inf'\n")
 
 
 def test_cli_family_errors_exit_one(capsys):
