@@ -1,15 +1,22 @@
 """Catalog of lower and upper bounds on the signless Laplacian energy.
 
-Each entry couples a closed-form estimate with an applicability predicate and
-an equality diagnosis. Estimates are only claimed under hypotheses that make
+Each entry couples a closed-form estimate with applicability hypotheses and an
+equality diagnosis. Estimates are only claimed under hypotheses that make
 them true (verified exhaustively on small orders and on large random batches);
 a graph outside a bound's hypotheses gets an inapplicable result with a reason
 rather than a bogus number.
 
-Two entries walk the catalog. all_bounds gives the full report record of every
-bound, for analyze, the bounds command and the tables; violations gives only
-the (id, gap) pairs of the bounds a graph violates, builds no record, and is
-the one statement of the violation rule.
+Each bound's hypotheses, with the reason each gives when it fails, and its
+value formula are stated once, on the arrays of a spectral.FactsBatch, one
+lane per graph. batch_violations judges a whole batch at once and is the one
+statement of the violation rule; verify calls it on its stack batches.
+all_bounds, evaluate_bound and violations evaluate a batch of one built from
+a GraphFacts. all_bounds gives the full report record of every bound, for
+analyze, the bounds command and the tables; violations gives only the
+(id, gap) pairs of the bounds a graph violates. Only the report extras are
+computed per graph: the stated equality condition and whether the graph meets
+it, the pair details of L-GAN4 and L-GAN5, and U-THM3's strictness on one
+branch.
 
 Bound identifiers are a fixed external interface. The catalog table at the end
 of this module states each bound's id, direction and strictness once; its row
@@ -20,6 +27,8 @@ within tolerance instead of claiming equality.
 Used throughout: n vertices, m edges, M1 is the sum of squared degrees, the
 mean eigenvalue is 2m/n, deviations gamma_i = |q_i - 2m/n| are sorted
 descending, and T = 2m + M1 - 4m^2/n is the sum of squared deviations.
+Formulas keep the operation order of the scalar expressions they state, so a
+batch of one and a lane of a larger batch give the same bits.
 """
 
 from __future__ import annotations
@@ -28,9 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from . import tolerances
 from .graph_core import Graph, is_complete, is_perfect_matching, is_star
-from .spectral import GraphFacts, graph_facts
+from .spectral import FactsBatch, GraphFacts, graph_facts
 
 __all__ = [
     "BOUND_IDS",
@@ -39,6 +50,7 @@ __all__ = [
     "evaluate_bound",
     "all_bounds",
     "violations",
+    "batch_violations",
     "gan5_two_case_value",
 ]
 
@@ -78,6 +90,27 @@ class BoundResult:
     details: dict[str, Any]
 
 
+# -- arithmetic that must round as the scalar expressions do ---------------------
+
+def _exact(a: np.ndarray) -> np.ndarray:
+    """An integer array as Python ints, so that the integer case tests stay
+    exact at any order, where int64 products would overflow."""
+    return np.asarray(a).astype(object)
+
+
+def _squared(x):
+    """x ** 2 of each float as Python rounds it. Python's float power calls
+    C's pow, which rounds some squares (322/30, for one) away from x * x;
+    numpy's array power is x * x."""
+    return np.array([v ** 2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _deviation_square_sum(b: FactsBatch) -> np.ndarray:
+    """T = 2m + M1 - 4m^2/n."""
+    m = b.m
+    return 2 * m + b.m1 - 4 * m * m / b.n
+
+
 # -- degree-pair selection shared by the two pair-based estimates ----------------
 #
 # Deterministic rule: anchor at the lowest-index extreme-degree vertex, pick the
@@ -85,22 +118,32 @@ class BoundResult:
 # on adjacency. Below PAIR_ENUMERATION_LIMIT vertices the details also carry the
 # spread of the estimate over every valid anchor/partner pair.
 
-def _top_pair_value(f: GraphFacts, v1: int, v2: int) -> float:
-    s, deg = f.stats, f.graph.degrees
-    n, m, m1, d2 = s.n, s.m, s.zagreb_m1, deg[v2]
-    if v2 in f.graph.adjacency[v1]:
-        return (2 * m1 / m + deg[v1] + d2
-                - math.sqrt((deg[v1] - d2) ** 2 + 4) - 8 * m / n)
-    return 2 * m1 / m + 2 * d2 - 8 * m / n
+def _top_pair_value(b: FactsBatch, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    n, m, m1 = b.n, b.m, b.m1
+    d1, d2 = b.degree_of(v1), b.degree_of(v2)
+    return np.where(b.adjacent(v1, v2),
+                    2 * m1 / m + d1 + d2 - np.sqrt((d1 - d2) ** 2 + 4) - 8 * m / n,
+                    2 * m1 / m + 2 * d2 - 8 * m / n)
 
 
-def _bottom_pair_value(f: GraphFacts, vn: int, vn1: int) -> float:
-    s, deg = f.stats, f.graph.degrees
-    n, m, dmax, dn1 = s.n, s.m, s.max_degree, deg[vn1]
-    if vn1 in f.graph.adjacency[vn]:
-        return 8 * m / n - 2 * deg[vn] - 2 * dn1
-    return 8 * m / n - (2 * dn1 + dmax + deg[vn]
-                        - math.sqrt((dmax - deg[vn]) ** 2 + 4))
+def _bottom_pair_value(b: FactsBatch, vn: np.ndarray, vn1: np.ndarray) -> np.ndarray:
+    n, m, dmax = b.n, b.m, b.max_degree
+    dn, dn1 = b.degree_of(vn), b.degree_of(vn1)
+    return np.where(b.adjacent(vn, vn1),
+                    8 * m / n - 2 * dn - 2 * dn1,
+                    8 * m / n - (2 * dn1 + dmax + dn - np.sqrt((dmax - dn) ** 2 + 4)))
+
+
+def _extreme_pair(b: FactsBatch, want_max: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The deterministic (anchor, partner) of every lane: the first
+    _pair_candidates pair."""
+    extreme, excluded = (b.max_degree, -1) if want_max else (b.min_degree, b.n)
+    anchor = np.argmax(b.degrees == extreme[:, None], axis=1)
+    rest = b.degrees.copy()
+    rest[b.lanes, anchor] = excluded
+    # the extreme itself when several vertices share it
+    partner_degree = rest.max(axis=1) if want_max else rest.min(axis=1)
+    return anchor, np.argmax(rest == partner_degree[:, None], axis=1)
 
 
 def _pair_candidates(degrees: tuple[int, ...],
@@ -117,8 +160,8 @@ def _pair_candidates(degrees: tuple[int, ...],
     return [(v1, v2) for v1 in anchors for v2 in partners if v2 != v1]
 
 
-def _pair_details(f: GraphFacts, want_max: bool,
-                  value_fn) -> tuple[float, dict[str, Any]]:
+def _pair_details(f: GraphFacts, b: FactsBatch, want_max: bool,
+                  value_fn) -> dict[str, Any]:
     degrees = f.graph.degrees
     pairs = _pair_candidates(degrees, want_max)
     v1, v2 = pairs[0]
@@ -130,12 +173,13 @@ def _pair_details(f: GraphFacts, want_max: bool,
         "pair_adjacent": v2 in f.graph.adjacency[v1],
     }
     if f.graph.n > PAIR_ENUMERATION_LIMIT:
-        return value_fn(f, v1, v2), details
-    vals = [value_fn(f, a, b) for a, b in pairs]
+        return details
+    # every candidate pair at once, against the facts of lane 0
+    vals = value_fn(b, *(np.array(side) for side in zip(*pairs))).tolist()
     details["pair_value_min"] = min(vals)
     details["pair_value_max"] = max(vals)
     details["pair_count"] = len(vals)
-    return vals[0], details
+    return details
 
 
 def gan5_two_case_value(g: Graph | GraphFacts) -> float:
@@ -145,8 +189,8 @@ def gan5_two_case_value(g: Graph | GraphFacts) -> float:
     f = graph_facts(g)
     if f.graph.m < 1 or f.graph.n < 2:
         raise ValueError("two-case estimate needs at least one edge and two vertices")
-    vn, vn1 = _pair_candidates(f.graph.degrees, want_max=False)[0]
-    return _bottom_pair_value(f, vn, vn1)
+    b = FactsBatch.of(f)
+    return _bottom_pair_value(b, *_extreme_pair(b, want_max=False)).tolist()[0]
 
 
 # -- equality-family predicates ---------------------------------------------------
@@ -181,282 +225,347 @@ def _thm3_family(f: GraphFacts) -> bool:
             and len({k for _, k in f.common_neighbours}) == 1)
 
 
-# -- hypotheses several bounds share: (test on the facts, reason when it fails) ---
+# -- hypotheses several bounds share: (test on a batch, reason when it fails) -----
 
-_EDGE = (lambda f: f.stats.m >= 1, "requires at least one edge")
-_EDGE_TWO_VERTICES = (lambda f: f.stats.m >= 1 and f.stats.n >= 2,
+_EDGE = (lambda b: b.m >= 1, "requires at least one edge")
+_EDGE_TWO_VERTICES = (lambda b: (b.m >= 1) & (b.n >= 2),
                       "requires at least one edge and two vertices")
-_CONNECTED_EDGE = (lambda f: f.info.is_connected and f.stats.m >= 1,
+_CONNECTED_EDGE = (lambda b: b.connected & (b.m >= 1),
                    "requires a connected graph with at least one edge")
 
-# An evaluator runs only once its shared hypothesis holds. It returns the reason
-# a hypothesis of its own failed, or (value, equality condition, condition met,
-# details).
-_Outcome = str | tuple[float, str | None, bool | None, dict[str, Any]]
+# A rule gives, for every lane of a batch, its own hypotheses as (holds,
+# reason) pairs, its value, and the named arrays its report reads. A lane
+# whose hypotheses fail may hold any value, NaN and inf included; it never
+# reaches a verdict or a record.
+_Rule = tuple[list[tuple[np.ndarray, str]], np.ndarray, dict[str, np.ndarray]]
+
+# A report takes the facts of one graph, its batch of one, and lane 0 of the
+# rule's named arrays as Python scalars, and gives the stated equality
+# condition, whether the graph meets it (None exactly when none is stated),
+# and the details.
+_Report = tuple[str | None, bool | None, dict[str, Any]]
+
+
+def _no_condition(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    return None, None, named
+
+
+def _star(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    return "star", is_star(f.graph), named
+
+
+def _balanced_complete_bipartite(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    return ("balanced complete bipartite graph", _is_balanced_complete_bipartite(f),
+            named)
+
+
+def _thm3_condition(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    return _THM3_CONDITION, _thm3_family(f), named
 
 
 # -- lower bounds -----------------------------------------------------------------
 #
-# Each evaluator unpacks the facts it reads into the paper's notation.
+# Each rule unpacks the facts it reads into the paper's notation.
 
-def _l_gan1(f: GraphFacts) -> _Outcome:
-    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    return 2 * (m1 / m - 2 * m / n), "star", is_star(f.graph), {}
-
-
-def _l_gan2(f: GraphFacts) -> _Outcome:
-    n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
-    return 2 * dmax + 2 - 4 * m / n, "star", is_star(f.graph), {}
+def _l_gan1(b: FactsBatch) -> _Rule:
+    n, m, m1 = b.n, b.m, b.m1
+    return [], 2 * (m1 / m - 2 * m / n), {}
 
 
-def _l_gan3(f: GraphFacts) -> _Outcome:
-    s = f.stats
-    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+def _l_gan2(b: FactsBatch) -> _Rule:
+    n, m, dmax = b.n, b.m, b.max_degree
+    return [], 2 * dmax + 2 - 4 * m / n, {}
+
+
+def _l_gan3(b: FactsBatch) -> _Rule:
+    n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
     value = (dmax + dmin
-             + math.sqrt((dmax - dmin) ** 2 + 4 * dmax) - 4 * m / n)
-    return value, "star", is_star(f.graph), {}
+             + np.sqrt((dmax - dmin) ** 2 + 4 * dmax) - 4 * m / n)
+    return [], value, {}
 
 
-def _l_gan4(f: GraphFacts) -> _Outcome:
-    value, details = _pair_details(f, want_max=True, value_fn=_top_pair_value)
-    return value, None, None, details
+def _l_gan4(b: FactsBatch) -> _Rule:
+    return [], _top_pair_value(b, *_extreme_pair(b, want_max=True)), {}
 
 
-def _l_gan5(f: GraphFacts) -> _Outcome:
+def _l_gan4_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    return None, None, _pair_details(f, b, True, _top_pair_value)
+
+
+def _l_gan5(b: FactsBatch) -> _Rule:
     # connected only: on a disconnected graph deleting the extreme pair can
     # touch several components at once
-    n, m, dmin = f.stats.n, f.stats.m, f.stats.min_degree
-    if f.info.is_bipartite:
-        value = 8 * m / n - 2 * dmin
-        details: dict[str, Any] = {"branch": "bipartite"}
-    else:
-        value, details = _pair_details(f, want_max=False,
-                                       value_fn=_bottom_pair_value)
-        details["branch"] = "two-case"
-    return value, None, None, details
+    n, m, dmin = b.n, b.m, b.min_degree
+    # connected, so bipartite exactly when its one component is
+    bipartite = b.bipartite_components == 1
+    value = np.where(bipartite, 8 * m / n - 2 * dmin,
+                     _bottom_pair_value(b, *_extreme_pair(b, want_max=False)))
+    return [], value, {"bipartite": bipartite}
 
 
-def _l_thm1(f: GraphFacts) -> _Outcome:
-    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    if f.gamma.min_is_zero:
-        return "requires every eigenvalue to deviate from the mean"
-    g1, gn = f.gamma.values[0], f.gamma.values[-1]
-    t = 2 * m + m1 - 4 * m * m / n
-    value = (2 * math.sqrt(t * n) * math.sqrt(g1 * gn) / (g1 + gn))
-    return value, None, None, {"gamma_max": g1, "gamma_min": gn}
+def _l_gan5_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    if named["bipartite"]:
+        return None, None, {"branch": "bipartite"}
+    details = _pair_details(f, b, False, _bottom_pair_value)
+    details["branch"] = "two-case"
+    return None, None, details
 
 
-def _deviation_threshold_scale(n: int, m: int) -> float:
+def _l_thm1(b: FactsBatch) -> _Rule:
+    n = b.n
+    g1, gn = b.gamma_max, b.gamma_min
+    t = _deviation_square_sum(b)
+    value = (2 * np.sqrt(t * n) * np.sqrt(g1 * gn) / (g1 + gn))
+    return ([(~b.min_is_zero, "requires every eigenvalue to deviate from the mean")],
+            value, {"gamma_max": g1, "gamma_min": gn})
+
+
+def _deviation_threshold_scale(n: int, m: np.ndarray) -> np.ndarray:
     # sqrt(m (n^3 - n^2 - 2mn + 4m)), computed in exact integers first
+    m = _exact(m)
     c_int = m * (n ** 3 - n ** 2 - 2 * m * n + 4 * m)
-    return math.sqrt(c_int)
+    return np.sqrt(c_int.astype(np.float64))
 
 
-def _l_cor4(f: GraphFacts) -> _Outcome:
-    s = f.stats
-    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+def _l_cor4(b: FactsBatch) -> _Rule:
+    n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
     threshold = _deviation_threshold_scale(n, m) / (2 * n)
-    if f.gamma.values[-1] < threshold:
-        return "requires the minimum deviation to reach sqrt(c)/(2n)"
-    value = (2 * math.sqrt(2) / 3) * math.sqrt(
+    value = (2 * math.sqrt(2) / 3) * np.sqrt(
         (2 * m + 0.5 * (dmax - dmin) ** 2) * n)
-    return (value, "complete graph on three vertices", n == 3 and m == 3,
-            {"threshold": threshold})
+    return ([(~(b.gamma_min < threshold),
+              "requires the minimum deviation to reach sqrt(c)/(2n)")],
+            value, {"threshold": threshold})
 
 
-def _l_cor5(f: GraphFacts) -> _Outcome:
-    s = f.stats
-    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
+def _l_cor4_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    n, m = f.stats.n, f.stats.m
+    return "complete graph on three vertices", n == 3 and m == 3, named
+
+
+def _l_cor5(b: FactsBatch) -> _Rule:
+    n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
     threshold = _deviation_threshold_scale(n, m) / n ** 3
-    if f.gamma.values[-1] < threshold:
-        return "requires the minimum deviation to reach sqrt(c)/n^3"
-    value = (2 * n * math.sqrt((2 * m + 0.5 * (dmax - dmin) ** 2) * n)
+    value = (2 * n * np.sqrt((2 * m + 0.5 * (dmax - dmin) ** 2) * n)
              / (1 + n * n))
-    return value, None, None, {"threshold": threshold}
+    return ([(~(b.gamma_min < threshold),
+              "requires the minimum deviation to reach sqrt(c)/n^3")],
+            value, {"threshold": threshold})
 
 
-def _l_thm2(f: GraphFacts) -> _Outcome:
-    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    if not f.gamma.min_is_zero:
-        return "requires some eigenvalue to sit at the mean"
-    g1 = f.gamma.values[0]
-    t = 2 * m + m1 - 4 * m * m / n
-    return (t / g1, "balanced complete bipartite graph",
-            _is_balanced_complete_bipartite(f), {"gamma_max": g1})
+def _l_thm2(b: FactsBatch) -> _Rule:
+    g1 = b.gamma_max
+    return ([(b.min_is_zero, "requires some eigenvalue to sit at the mean")],
+            _deviation_square_sum(b) / g1, {"gamma_max": g1})
 
 
-def _l_cor2(f: GraphFacts) -> _Outcome:
-    s = f.stats
-    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
-    if not f.gamma.min_is_zero:
-        return "requires some eigenvalue to sit at the mean"
+def _l_cor2(b: FactsBatch) -> _Rule:
+    n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
     value = ((2 * m + 0.5 * (dmax - dmin) ** 2)
              / (2 * dmax - 2 * m / n))
-    return (value, "balanced complete bipartite graph",
-            _is_balanced_complete_bipartite(f), {})
+    return [(b.min_is_zero, "requires some eigenvalue to sit at the mean")], value, {}
 
 
-def _cor3_value(n: int, r: int, gamma_min: float, min_is_zero: bool) -> float:
-    """L-COR3 on an r-regular graph of order n with smallest deviation gamma_min."""
-    if min_is_zero:
-        return float(n)
-    return 2 * n * r * math.sqrt(gamma_min) / (r + gamma_min)
+def _cor3_value(n: int, r, gamma_min, min_is_zero):
+    """L-COR3 on r-regular graphs of order n with smallest deviation
+    gamma_min; scalars or arrays."""
+    return np.where(min_is_zero, float(n),
+                    2 * n * r * np.sqrt(gamma_min) / (r + gamma_min))
 
 
-def _l_cor3(f: GraphFacts) -> _Outcome:
-    n, m, r = f.stats.n, f.stats.m, f.stats.max_degree
-    if not f.info.is_connected or m < 1 or not f.info.is_regular:
-        return "requires a connected regular graph with at least one edge"
-    zero, gn = f.gamma.min_is_zero, f.gamma.values[-1]
-    value = _cor3_value(n, r, gn, zero)
-    if zero:
-        return (value, "balanced complete bipartite graph",
-                _is_balanced_complete_bipartite(f), {"branch": "zero-deviation"})
-    return (value, "complete graph or crown graph",
+def _l_cor3(b: FactsBatch) -> _Rule:
+    zero, gn = b.min_is_zero, b.gamma_min
+    return ([(b.connected & (b.m >= 1) & b.regular,
+              "requires a connected regular graph with at least one edge")],
+            _cor3_value(b.n, b.max_degree, gn, zero), {"zero": zero, "gamma_min": gn})
+
+
+def _l_cor3_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    if named["zero"]:
+        return _balanced_complete_bipartite(f, b, {"branch": "zero-deviation"})
+    return ("complete graph or crown graph",
             is_complete(f.graph) or _is_crown_like(f),
-            {"branch": "positive-deviation", "gamma_min": gn})
+            {"branch": "positive-deviation", "gamma_min": named["gamma_min"]})
 
 
 # -- upper bounds -----------------------------------------------------------------
 
-def _u_abr1(f: GraphFacts) -> _Outcome:
-    n, m = f.stats.n, f.stats.m
-    return (4 * m * (1 - 1 / n), "edgeless, or a single edge plus isolated vertices",
-            m <= 1, {})
+def _u_abr1(b: FactsBatch) -> _Rule:
+    n, m = b.n, b.m
+    return [], 4 * m * (1 - 1 / n), {}
 
 
-def _u_abr2(f: GraphFacts) -> _Outcome:
-    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    # disconnected graphs (any union of single edges has M1 = 2m) and the
-    # two-vertex graph break this estimate
-    if not f.info.is_connected or n < 3:
-        return "requires a connected graph on at least three vertices"
+def _u_abr1_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    return "edgeless, or a single edge plus isolated vertices", f.stats.m <= 1, named
+
+
+def _u_abr2(b: FactsBatch) -> _Rule:
+    n, m, m1 = b.n, b.m, b.m1
     rad = m / 2 - (2 * m / n - 1)
     spread = m1 - 2 * m
-    if rad < 0 or spread < 0:
-        return "radicand is negative"
-    return (1 + math.sqrt(rad)) * math.sqrt(2 * spread), None, None, {}
+    # disconnected graphs (any union of single edges has M1 = 2m) and the
+    # two-vertex graph break this estimate
+    return ([(b.connected & (n >= 3), "requires a connected graph on at least three vertices"),
+             (~((rad < 0) | (spread < 0)), "radicand is negative")],
+            (1 + np.sqrt(rad)) * np.sqrt(2 * spread), {})
 
 
-def _u_li(f: GraphFacts) -> _Outcome:
-    n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
+def _u_li(b: FactsBatch) -> _Rule:
+    n, m, dmax = b.n, b.m, b.max_degree
     rad = (n - 2) * (2 * m * m / (n - 1)
                      + (8 * m * dmax - 4 * m * m) / n
                      + m * n - 4)
-    if rad < 0:
-        return "radicand is negative"
-    value = 2 * m / (n - 1) + n - 2 + math.sqrt(rad)
-    return value, "single edge", n == 2 and m == 1, {}
+    value = 2 * m / (n - 1) + n - 2 + np.sqrt(rad)
+    return [(~(rad < 0), "radicand is negative")], value, {}
 
 
-def _u_gan(f: GraphFacts) -> _Outcome:
-    n, m, dmax = f.stats.n, f.stats.m, f.stats.max_degree
-    if not f.info.is_connected:
-        return "requires a connected graph"
-    return 2 * (2 * m + 1 - dmax - 2 * m / n), None, None, {}
+def _u_li_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    n, m = f.stats.n, f.stats.m
+    return "single edge", n == 2 and m == 1, named
 
 
-def _u_thm3(f: GraphFacts) -> _Outcome:
-    n, m, m1 = f.stats.n, f.stats.m, f.stats.zagreb_m1
-    t = 2 * m + m1 - 4 * m * m / n
+def _u_gan(b: FactsBatch) -> _Rule:
+    n, m, dmax = b.n, b.m, b.max_degree
+    return ([(b.connected, "requires a connected graph")],
+            2 * (2 * m + 1 - dmax - 2 * m / n), {})
+
+
+def _u_thm3(b: FactsBatch) -> _Rule:
+    n, m, m1 = b.n, b.m, b.m1
+    t = _deviation_square_sum(b)
     # integer case test: n (2m + M1) <= 8 m^2
-    mean_dominant = n * (2 * m + m1) <= 8 * m * m
-    if mean_dominant:
-        value = (2 * m / n
-                 + math.sqrt((n - 1) * (t - (2 * m / n) ** 2)))
-        return (value, _THM3_CONDITION, _thm3_family(f),
-                {"branch": "mean-at-least-rms", "strict_branch": False})
-    value = math.sqrt(t / n) + math.sqrt((n - 1) * t * (1 - 1 / n))
-    return value, None, None, {"branch": "mean-below-rms", "strict_branch": True}
+    em = _exact(m)
+    mean_dominant = (n * (2 * em + _exact(m1)) <= 8 * em * em).astype(bool)
+    value = np.where(mean_dominant,
+                     2 * m / n + np.sqrt((n - 1) * (t - _squared(2 * m / n))),
+                     np.sqrt(t / n) + np.sqrt((n - 1) * t * (1 - 1 / n)))
+    return [], value, {"mean_dominant": mean_dominant}
 
 
-def _u_cor6(f: GraphFacts) -> _Outcome:
-    s = f.stats
-    n, m, dmax, dmin = s.n, s.m, s.max_degree, s.min_degree
-    if not f.info.is_connected or f.info.is_regular:
-        return "requires a connected irregular graph"
+def _u_thm3_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    if named["mean_dominant"]:
+        return _thm3_condition(f, b, {"branch": "mean-at-least-rms",
+                                      "strict_branch": False})
+    return None, None, {"branch": "mean-below-rms", "strict_branch": True}
+
+
+def _u_cor6(b: FactsBatch) -> _Rule:
+    n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
     dd = (dmax - dmin) ** 2
     # integer case test: (n dd + 4m)^2 <= 16 m^2 (1 + dd)
-    inside = (n * dd + 4 * m) ** 2 <= 16 * m * m * (1 + dd)
-    if inside:
-        value = (2 * m / n
-                 + math.sqrt((n - 1) * (2 * m + n * dd / 4
-                                        - (2 * m / n) ** 2)))
-        branch = "below-degree-spread-threshold"
-    else:
-        value = (math.sqrt(2 * m / n + dd / 4)
-                 + math.sqrt((n - 1) * (2 * m + (n - 1) * dd / 4
-                                        - 2 * m / n)))
-        branch = "above-degree-spread-threshold"
-    return value, None, None, {"branch": branch}
+    em, edd = _exact(m), _exact(dd)
+    inside = ((n * edd + 4 * em) ** 2 <= 16 * em * em * (1 + edd)).astype(bool)
+    value = np.where(inside,
+                     2 * m / n
+                     + np.sqrt((n - 1) * (2 * m + n * dd / 4 - _squared(2 * m / n))),
+                     np.sqrt(2 * m / n + dd / 4)
+                     + np.sqrt((n - 1) * (2 * m + (n - 1) * dd / 4 - 2 * m / n)))
+    return ([(b.connected & ~b.regular, "requires a connected irregular graph")],
+            value, {"inside": inside})
 
 
-def _cor7_value(n: int, m: int) -> float:
-    """U-COR7 on a regular graph with n vertices and m edges."""
-    return 2 * m / n + math.sqrt((n - 1) * (2 * m - (2 * m / n) ** 2))
+def _u_cor6_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+    return None, None, {"branch": ("below-degree-spread-threshold" if named["inside"]
+                                   else "above-degree-spread-threshold")}
 
 
-def _u_cor7(f: GraphFacts) -> _Outcome:
-    n, m = f.stats.n, f.stats.m
-    if not f.info.is_regular or m < 1:
-        return "requires a regular graph with at least one edge"
-    return _cor7_value(n, m), _THM3_CONDITION, _thm3_family(f), {}
+def _cor7_value(n: int, m):
+    """U-COR7 on regular graphs with n vertices and m edges; scalars or
+    arrays."""
+    return 2 * m / n + np.sqrt((n - 1) * (2 * m - _squared(2 * m / n)))
+
+
+def _u_cor7(b: FactsBatch) -> _Rule:
+    return ([(b.regular & (b.m >= 1), "requires a regular graph with at least one edge")],
+            _cor7_value(b.n, b.m), {})
 
 
 # -- the catalog --------------------------------------------------------------------
 #
 # One row per bound, in output order: id, direction, strict (never attains
 # equality; U-THM3 reports it per branch as details["strict_branch"]), the
-# shared hypothesis or None, and the evaluator.
+# shared hypothesis or None, the rule, and the report.
 
 _CATALOG = (
-    ("L-GAN1", "lower", False, _EDGE, _l_gan1),
-    ("L-GAN2", "lower", False, _EDGE, _l_gan2),
-    ("L-GAN3", "lower", False, _EDGE, _l_gan3),
-    ("L-GAN4", "lower", False, _EDGE_TWO_VERTICES, _l_gan4),
-    ("L-GAN5", "lower", False, _CONNECTED_EDGE, _l_gan5),
-    ("L-THM1", "lower", False, _EDGE_TWO_VERTICES, _l_thm1),
-    ("L-COR4", "lower", False, _CONNECTED_EDGE, _l_cor4),
-    ("L-COR5", "lower", True, _CONNECTED_EDGE, _l_cor5),
-    ("L-THM2", "lower", False, _CONNECTED_EDGE, _l_thm2),
-    ("L-COR2", "lower", False, _CONNECTED_EDGE, _l_cor2),
-    ("L-COR3", "lower", False, None, _l_cor3),
-    ("U-ABR1", "upper", False, None, _u_abr1),
-    ("U-ABR2", "upper", False, None, _u_abr2),
-    ("U-LI", "upper", False, _EDGE_TWO_VERTICES, _u_li),
-    ("U-GAN", "upper", False, None, _u_gan),
-    ("U-THM3", "upper", False, _EDGE, _u_thm3),
-    ("U-COR6", "upper", True, None, _u_cor6),
-    ("U-COR7", "upper", False, None, _u_cor7),
+    ("L-GAN1", "lower", False, _EDGE, _l_gan1, _star),
+    ("L-GAN2", "lower", False, _EDGE, _l_gan2, _star),
+    ("L-GAN3", "lower", False, _EDGE, _l_gan3, _star),
+    ("L-GAN4", "lower", False, _EDGE_TWO_VERTICES, _l_gan4, _l_gan4_report),
+    ("L-GAN5", "lower", False, _CONNECTED_EDGE, _l_gan5, _l_gan5_report),
+    ("L-THM1", "lower", False, _EDGE_TWO_VERTICES, _l_thm1, _no_condition),
+    ("L-COR4", "lower", False, _CONNECTED_EDGE, _l_cor4, _l_cor4_report),
+    ("L-COR5", "lower", True, _CONNECTED_EDGE, _l_cor5, _no_condition),
+    ("L-THM2", "lower", False, _CONNECTED_EDGE, _l_thm2, _balanced_complete_bipartite),
+    ("L-COR2", "lower", False, _CONNECTED_EDGE, _l_cor2, _balanced_complete_bipartite),
+    ("L-COR3", "lower", False, None, _l_cor3, _l_cor3_report),
+    ("U-ABR1", "upper", False, None, _u_abr1, _u_abr1_report),
+    ("U-ABR2", "upper", False, None, _u_abr2, _no_condition),
+    ("U-LI", "upper", False, _EDGE_TWO_VERTICES, _u_li, _u_li_report),
+    ("U-GAN", "upper", False, None, _u_gan, _no_condition),
+    ("U-THM3", "upper", False, _EDGE, _u_thm3, _u_thm3_report),
+    ("U-COR6", "upper", True, None, _u_cor6, _u_cor6_report),
+    ("U-COR7", "upper", False, None, _u_cor7, _thm3_condition),
 )
 
 BOUND_IDS = tuple(row[0] for row in _CATALOG)
 
 
-def _outcome(row: tuple, f: GraphFacts) -> _Outcome:
-    """One catalog row's shared hypothesis, then its evaluator."""
-    hypothesis, evaluate = row[3], row[4]
-    if hypothesis is not None and not hypothesis[0](f):
-        return hypothesis[1]
-    return evaluate(f)
+def _evaluate(rows: tuple, b: FactsBatch) -> list[_Rule]:
+    """Each catalog row of rows on every lane: its hypotheses, the shared one
+    first, its value and its named arrays."""
+    evaluated = []
+    with np.errstate(all="ignore"):
+        for _, _, _, shared, rule, _ in rows:
+            hypotheses, value, named = rule(b)
+            if shared is not None:
+                hypotheses = [(shared[0](b), shared[1]), *hypotheses]
+            evaluated.append((hypotheses, value, named))
+    return evaluated
 
 
-def _gap(direction: str, value: float, qe: float) -> float:
+def _gap(direction: str, value, qe):
     """How far a bound's value sits on its own side of QE; negative is the
     wrong side."""
     return (qe - value) if direction == "lower" else (value - qe)
 
 
-def _result(row: tuple, f: GraphFacts, tol: float) -> BoundResult:
-    """One catalog row evaluated on f, with its gap and its equality
-    diagnosis; tol is the tightness tolerance at f's QE."""
+def batch_violations(b: FactsBatch) -> list[tuple[int, str, float]]:
+    """(lane, bound_id, gap) for every applicable bound on the wrong side of
+    its lane's QE by more than the tightness tolerance, in catalog order,
+    lanes ascending within a bound. It builds no report record."""
+    evaluated = _evaluate(_CATALOG, b)
+    with np.errstate(all="ignore"):
+        gaps = np.array([_gap(row[1], value, b.qe)
+                         for row, (_, value, _) in zip(_CATALOG, evaluated)])
+        wrong = (gaps < 0) & ~(np.abs(gaps) <= tolerances.tight_tol(b.qe, scale=b.scale))
+    for row_wrong, (hypotheses, _, _) in zip(wrong, evaluated):
+        for holds, _ in hypotheses:
+            row_wrong &= holds
+    rows, lanes = np.nonzero(wrong)
+    return [(lane, BOUND_IDS[row], gap) for row, lane, gap
+            in zip(rows.tolist(), lanes.tolist(), gaps[rows, lanes].tolist())]
+
+
+def _results(rows: tuple, f: GraphFacts) -> tuple[BoundResult, ...]:
+    """The report records of catalog rows on f."""
+    b, tol = FactsBatch.of(f), tolerances.tight_tol(f.qe, scale=f.scale)
+    return tuple(_result(row, evaluated, f, b, tol)
+                 for row, evaluated in zip(rows, _evaluate(rows, b)))
+
+
+def _result(row: tuple, evaluated: _Rule, f: GraphFacts, b: FactsBatch,
+            tol: float) -> BoundResult:
+    """One catalog row evaluated on f's batch of one b, with its gap and its
+    equality diagnosis; tol is the tightness tolerance at f's QE."""
     bound_id, direction, strict = row[:3]
-    outcome = _outcome(row, f)
-    if isinstance(outcome, str):
+    hypotheses, value, named = evaluated
+    reason = next((text for holds, text in hypotheses if not holds[0]), None)
+    if reason is not None:
         return BoundResult(bound_id=bound_id, direction=direction, strict=strict,
-                           applicable=False, reason=outcome, value=None, gap=None,
+                           applicable=False, reason=reason, value=None, gap=None,
                            diagnosis=None, details={})
-    value, condition, condition_met, details = outcome
+    value = value.tolist()[0]
+    condition, condition_met, details = row[5](
+        f, b, {key: a.tolist()[0] for key, a in named.items()})
     strict = details.get("strict_branch", strict)
     gap = _gap(direction, value, f.qe)
     tight = abs(gap) <= tol
@@ -474,36 +583,19 @@ def _result(row: tuple, f: GraphFacts, tol: float) -> BoundResult:
                        diagnosis=diag, details=details)
 
 
-def _tight_tol(f: GraphFacts) -> float:
-    return tolerances.tight_tol(f.qe, scale=f.scale)
-
-
 def evaluate_bound(g: Graph | GraphFacts, bound_id: str) -> BoundResult:
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; "
                          f"known ids: {', '.join(BOUND_IDS)}")
-    f = graph_facts(g)
-    return _result(_CATALOG[BOUND_IDS.index(bound_id)], f, _tight_tol(f))
+    return _results((_CATALOG[BOUND_IDS.index(bound_id)],), graph_facts(g))[0]
 
 
 def all_bounds(g: Graph | GraphFacts) -> tuple[BoundResult, ...]:
-    f = graph_facts(g)
-    tol = _tight_tol(f)
-    return tuple(_result(row, f, tol) for row in _CATALOG)
+    return _results(_CATALOG, graph_facts(g))
 
 
 def violations(g: Graph | GraphFacts) -> list[tuple[str, float]]:
     """(bound_id, gap) for every applicable bound on the wrong side of QE by
-    more than the tightness tolerance, in catalog order. It evaluates the
-    same rows as all_bounds but builds no report record."""
-    f = graph_facts(g)
-    qe, tol = f.qe, _tight_tol(f)
-    found = []
-    for row in _CATALOG:
-        outcome = _outcome(row, f)
-        if isinstance(outcome, str):
-            continue
-        gap = _gap(row[1], outcome[0], qe)
-        if gap < 0 and not abs(gap) <= tol:
-            found.append((row[0], gap))
-    return found
+    more than the tightness tolerance, in catalog order: batch_violations on
+    the graph's batch of one."""
+    return [(bid, gap) for _, bid, gap in batch_violations(FactsBatch.of(graph_facts(g)))]

@@ -197,8 +197,8 @@ def prism_bounds(n: int) -> PrismBounds:
     with 2n vertices and 3n edges, at the closed-form minimum deviation."""
     gamma = prism_gamma_min(n)
     return PrismBounds(n=n, gamma_min=gamma,
-                       lower=_cor3_value(2 * n, 3, gamma, gamma == 0.0),
-                       upper=_cor7_value(2 * n, 3 * n))
+                       lower=float(_cor3_value(2 * n, 3, gamma, gamma == 0.0)),
+                       upper=float(_cor7_value(2 * n, 3 * n)))
 
 
 # -- general cubic graphs -----------------------------------------------------------
@@ -232,7 +232,7 @@ def cubic_bounds(g: Graph | GraphFacts) -> CubicBounds:
     if not zero and gamma >= 1.0 - tolerances.CLOSED_FORM_ABS:
         lower, branch = 1.5 * n, "deviation-at-least-one"
     else:
-        lower = _cor3_value(n, 3, gamma, zero)
+        lower = float(_cor3_value(n, 3, gamma, zero))
         branch = "zero-deviation" if zero else "deviation-below-one"
     return CubicBounds(n=n, gamma_min=gamma, lower=lower, lower_branch=branch,
-                       upper=_cor7_value(n, f.graph.m), qe=f.qe)
+                       upper=float(_cor7_value(n, f.graph.m)), qe=f.qe)

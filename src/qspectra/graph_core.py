@@ -39,6 +39,7 @@ __all__ = [
     "emit_graph6",
     "parse_edgelist",
     "emit_edgelist",
+    "mask_pairs",
     "graph_from_mask",
     "random_graph",
 ]
@@ -472,11 +473,16 @@ def parse_edgelist(text: str,
 
 # -- enumeration and sampling --------------------------------------------------
 
+def mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The edge order of a mask on n vertices: bit i selects the i-th pair of
+    itertools.combinations(range(n), 2)."""
+    return tuple(itertools.combinations(range(n), 2))
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
-    """Bit i of mask selects the i-th pair of itertools.combinations(range(n), 2)."""
-    pairs = tuple(itertools.combinations(range(n), 2))
-    edges = tuple(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1)
-    return Graph(n, edges)
+    """The labeled graph whose edges are the mask_pairs(n) its bits select."""
+    pairs = mask_pairs(n)
+    return Graph(n, tuple(pairs[i] for i in range(len(pairs)) if (mask >> i) & 1))
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

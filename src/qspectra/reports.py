@@ -16,12 +16,14 @@ from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import Any
 
+import numpy as np
+
 from . import tolerances
-from .bounds import all_bounds, evaluate_bound, gan5_two_case_value, violations
+from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
 from .energy import energies
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
-from .graph_core import Graph, emit_graph6, graph_from_mask, is_complete, prism
-from .spectral import GraphFacts, graph_facts, solve_signless_laplacians
+from .graph_core import Graph, emit_graph6, graph_from_mask, prism
+from .spectral import FactsBatch, GraphFacts, batch_lemma_failures, graph_facts
 
 __all__ = [
     "TableRow",
@@ -202,27 +204,34 @@ class VerifySummary:
         return not self.violations and not self.lemma_failures
 
 
+def batch_verdict(b: FactsBatch) -> tuple[list[tuple[int, str, float]],
+                                          list[tuple[int, str]]]:
+    """The verdict on every graph of a batch: (lane, bound_id, gap) for each
+    violated bound, as bounds.batch_violations gives them, and (lane,
+    check_id) for each failed check, rule by rule. A lane with neither has
+    every applicable bound and every spectral check holding, and every solve
+    read for it converged."""
+    failures = batch_lemma_failures(b)
+    failures.extend((lane, "solver:not_converged")
+                    for lane in np.flatnonzero(~b.converged).tolist())
+    # a connected graph has exactly two distinct grouped eigenvalues exactly
+    # when it is complete
+    wrong = b.connected & (b.n >= 2) & ((b.groups == 2) != b.complete)
+    failures.extend((lane, "two_distinct_q_complete") for lane in np.flatnonzero(wrong).tolist())
+    return batch_violations(b), failures
+
+
 def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
-    """The verdict on one graph: its violated bounds as (bound_id, gap) pairs,
-    as bounds.violations gives them, and the ids of its failed checks. Empty
-    lists mean every applicable bound holds, every spectral check holds, and
-    every solve read so far converged."""
-    g = f.graph
-    violated = violations(f)
-    failures = [chk.failure for chk in f.lemmas if chk.failure]
-    if f.unconverged():
-        failures.append("solver:not_converged")
-    if f.info.is_connected and g.n >= 2:
-        # a connected graph has exactly two distinct grouped eigenvalues
-        # exactly when it is complete
-        two = len(f.signless_laplacian.groups) == 2
-        if two != is_complete(g):
-            failures.append("two_distinct_q_complete")
-    return violated, failures
+    """The verdict on one graph, batch_verdict on its batch of one: its
+    violated bounds as (bound_id, gap) pairs, as bounds.violations gives
+    them, and the ids of its failed checks. Empty lists mean every applicable
+    bound holds, every spectral check holds, and every solve read so far
+    converged."""
+    violated, failures = batch_verdict(FactsBatch.of(f))
+    return [(bid, gap) for _, bid, gap in violated], [cid for _, cid in failures]
 
 
-# Graphs in one verify job: verify solves their signless Laplacians in one
-# stack-kernel call and holds their facts at once. On the perfbench
+# Graphs in one verify job, judged as one FactsBatch. On the perfbench
 # verify-small workload (Python kernel, 2-vCPU Xeon), 1024 ran about as fast
 # as 256 but raised peak RSS from 36.5 to 44.7 MB, past that benchmark's 10%
 # bound; 256 read 38.1 MB.
@@ -231,19 +240,19 @@ _VERIFY_BATCH = 256
 
 def _verify_batch(args: tuple[int, Any, float]) -> tuple[list, list]:
     """One verify job: the (graph6, bound_id, gap) violations and the
-    (graph6, check_id) failures of one stack batch of masks."""
+    (graph6, check_id) failures of one stack batch of masks. A Graph is
+    built only for a failing graph, to name it."""
     n, masks, scale = args
-    batch = [GraphFacts(graph_from_mask(n, mask), scale) for mask in masks]
-    solve_signless_laplacians(batch)
-    violations, failures = [], []
-    for i, f in enumerate(batch):
-        batch[i] = None     # each graph's facts are freed once checked
-        v, fails = check_graph(f)
-        if v or fails:
-            g6 = emit_graph6(f.graph)
-            violations.extend((g6, bid, gap) for bid, gap in v)
-            failures.extend((g6, cid) for cid in fails)
-    return violations, failures
+    violated, failed = batch_verdict(FactsBatch.from_masks(n, masks, scale))
+    names: dict[int, str] = {}
+
+    def name(lane: int) -> str:
+        if lane not in names:
+            names[lane] = emit_graph6(graph_from_mask(n, masks[lane]))
+        return names[lane]
+
+    return ([(name(lane), bid, gap) for lane, bid, gap in violated],
+            [(name(lane), cid) for lane, cid in failed])
 
 
 def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,

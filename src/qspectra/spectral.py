@@ -9,15 +9,23 @@ pure-Python twin otherwise. Each kernel has two entry points with one twin
 contract: ``jacobi_sweeps`` solves one matrix, and ``jacobi_stack`` solves a
 (B, n, n) stack, leaving in each matrix and returning for it bit for bit what
 ``jacobi_sweeps`` would. Single-graph reads use the first. The second wins
-only on many small matrices at once: ``solve_signless_laplacians`` uses it for
+only on many small matrices at once: ``FactsBatch.from_masks`` uses it for
 verify's batches of graphs on one vertex count.
 
-``GraphFacts`` holds what the bounds and lemmas read about one graph: degree
+``GraphFacts`` holds what the reports read about one graph: degree
 statistics, structure, the three spectra, the deviation sequence and QE, the
 lemma checks and the common-neighbour counts, each computed on first use, plus
 one tolerance-scale snapshot. The spectrum, energy, bound and classifier
 functions accept either a Graph or a GraphFacts; a caller that asks several
 questions about one graph builds the facts once and passes them along.
+
+``FactsBatch`` holds what the bound catalog and the lemma rules read, as
+arrays with one lane per graph, for B graphs of one order. ``from_masks``
+builds it straight from edge masks, solving every signless Laplacian in one
+``jacobi_stack`` call, and builds no Graph; ``FactsBatch.of`` is a batch of
+one read off a GraphFacts. Each lemma rule is stated once, on a batch:
+``batch_lemma_failures`` judges every lane, and the ``LemmaCheck`` records of
+``GraphFacts.lemmas`` render a batch of one.
 """
 
 from __future__ import annotations
@@ -26,12 +34,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import tolerances
 from .graph_core import (DegreeStats, Graph, StructureInfo, common_neighbour_counts,
-                         degree_stats, emit_graph6, is_complete, structure)
+                         degree_stats, emit_graph6, mask_pairs, structure)
 
 __all__ = [
     "BACKEND",
@@ -40,10 +49,10 @@ __all__ = [
     "Spectrum",
     "GammaSequence",
     "GraphFacts",
+    "FactsBatch",
     "LemmaCheck",
     "ProductSpectrumCheck",
     "symmetric_eigenvalues",
-    "solve_signless_laplacians",
     "adjacency_matrix",
     "laplacian_matrix",
     "signless_laplacian_matrix",
@@ -52,6 +61,7 @@ __all__ = [
     "q_spectrum",
     "zero_multiplicity",
     "check_spectral_lemmas",
+    "batch_lemma_failures",
     "product_spectrum_check",
 ]
 
@@ -255,18 +265,6 @@ class GraphFacts:
                      for spec in solved if spec is not None and not spec.solve.converged)
 
 
-def solve_signless_laplacians(facts: list[GraphFacts]) -> None:
-    """Solve the signless Laplacians of graphs on one vertex count in one call
-    to the stack kernel, and cache each spectrum where ``f.signless_laplacian``
-    reads it. Each is bit for bit the spectrum that the read would solve."""
-    stack = np.stack([signless_laplacian_matrix(f.graph) for f in facts])
-    results = _KERNEL.jacobi_stack(stack)
-    for f, work, result in zip(facts, stack, results):
-        # a cached_property keeps its value in __dict__, where this sets it
-        f.__dict__["signless_laplacian"] = f._spectrum(
-            "signless_laplacian", *_solved(work, result))
-
-
 def graph_facts(g: Graph | GraphFacts) -> GraphFacts:
     """The facts of g, built fresh unless g already is a GraphFacts."""
     return g if isinstance(g, GraphFacts) else GraphFacts(g)
@@ -284,9 +282,163 @@ def q_spectrum(g: Graph | GraphFacts) -> Spectrum:
     return graph_facts(g).signless_laplacian
 
 
+# -- a batch of graphs on one order, as arrays --------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class FactsBatch:
+    """The facts of B graphs on n vertices each, one array lane per graph,
+    each equal to what GraphFacts gives for that graph. Integer facts are
+    int64 arrays. ``converged`` is False for a graph when a solve read for it
+    did not converge."""
+    n: int
+    scale: float                     # the tolerance multiplier of every lane
+    adjacency: np.ndarray            # (B, n, n) bool
+    degrees: np.ndarray              # (B, n)
+    connected: np.ndarray
+    bipartite_components: np.ndarray
+    eigenvalues: np.ndarray          # (B, n) signless Laplacian, descending
+    groups: np.ndarray               # number of grouped eigenvalues
+    gamma_max: np.ndarray            # largest deviation |q_i - 2m/n|
+    gamma_min: np.ndarray            # smallest deviation
+    min_is_zero: np.ndarray
+    qe: np.ndarray
+    converged: np.ndarray
+
+    @classmethod
+    def from_masks(cls, n: int, masks, scale: float) -> FactsBatch:
+        """The facts of graph_from_mask(n, mask) for each mask, built from the
+        bits. The signless Laplacians are solved in one jacobi_stack call,
+        each matrix bit for bit signless_laplacian_matrix's."""
+        pairs = np.array(mask_pairs(n), dtype=np.intp).reshape(-1, 2).T
+        bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(pairs.shape[1])) & 1
+        adjacency = np.zeros((len(bits), n, n), dtype=bool)
+        adjacency[:, pairs[0], pairs[1]] = bits
+        adjacency[:, pairs[1], pairs[0]] = bits
+        degrees = adjacency.sum(axis=2)
+        q = adjacency.astype(np.float64)
+        q[:, np.arange(n), np.arange(n)] = degrees
+        results = _KERNEL.jacobi_stack(q)
+        values = np.sort(np.diagonal(q, axis1=1, axis2=2), axis=1)[:, ::-1].copy()
+        connected, bipartite = _components(adjacency)
+        return cls(n=n, scale=scale, adjacency=adjacency, degrees=degrees,
+                   connected=connected, bipartite_components=bipartite,
+                   eigenvalues=values,
+                   **_deviation_facts(values, degrees.sum(axis=1) // 2, n, scale),
+                   converged=np.array([r[1] for r in results], dtype=bool))
+
+    @classmethod
+    def of(cls, f: GraphFacts) -> FactsBatch:
+        """A batch of one: the facts f holds, solving its signless Laplacian
+        if f has not. converged covers every matrix of f solved so far."""
+        g, info, spec, gamma = f.graph, f.info, f.signless_laplacian, f.gamma
+        return cls(n=g.n, scale=f.scale, adjacency=adjacency_matrix(g)[None] > 0,
+                   degrees=np.array([g.degrees]),
+                   connected=np.array([info.is_connected]),
+                   bipartite_components=np.array([info.bipartite_component_count]),
+                   eigenvalues=np.array([spec.values]),
+                   groups=np.array([len(spec.groups)]),
+                   gamma_max=np.array([gamma.values[0]]),
+                   gamma_min=np.array([gamma.values[-1]]),
+                   min_is_zero=np.array([gamma.min_is_zero]),
+                   qe=np.array([f.qe]),
+                   converged=np.array([not f.unconverged()]))
+
+    @cached_property
+    def lanes(self) -> np.ndarray:
+        return np.arange(len(self.degrees))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return self.degrees.sum(axis=1) // 2
+
+    @cached_property
+    def m1(self) -> np.ndarray:
+        """The first Zagreb index, the sum of squared degrees."""
+        return (self.degrees * self.degrees).sum(axis=1)
+
+    @cached_property
+    def max_degree(self) -> np.ndarray:
+        return self.degrees.max(axis=1)
+
+    @cached_property
+    def min_degree(self) -> np.ndarray:
+        return self.degrees.min(axis=1)
+
+    @property
+    def regular(self) -> np.ndarray:
+        return self.max_degree == self.min_degree
+
+    @property
+    def complete(self) -> np.ndarray:
+        return self.m == self.n * (self.n - 1) // 2
+
+    def degree_of(self, v: np.ndarray) -> np.ndarray:
+        """The degree of vertex v[i] in lane i (a batch of one: in lane 0)."""
+        return self.degrees[self.lanes, v]
+
+    def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.adjacency[self.lanes, u, v]
+
+
+def _components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per graph of a (B, n, n) adjacency stack: whether it is connected, and
+    its number of bipartite components. Both come from reachability in the
+    bipartite double cover, where a vertex reaches its own copy exactly when
+    its component has an odd cycle."""
+    count, n = adjacency.shape[:2]
+    # entries are 0 or 1 before each product, so its sums are small integers,
+    # exact in float32, whose products ran about four times as fast as
+    # float64's at n = 7, B = 256
+    reach = np.zeros((count, 2 * n, 2 * n), dtype=np.float32)
+    reach[:, :n, n:] = adjacency
+    reach[:, n:, :n] = adjacency
+    reach[:, np.arange(2 * n), np.arange(2 * n)] = 1.0
+    # after k squarings reach holds every walk of length at most 2^k
+    for _ in range((2 * n - 2).bit_length()):
+        reach = (np.matmul(reach, reach) > 0).astype(np.float32)
+    joined = (reach[:, :n, :n] + reach[:, :n, n:]) > 0
+    vertices = np.arange(n)
+    # a vertex is the least of its component when no lesser vertex reaches it
+    least = np.argmax(joined, axis=1) == vertices
+    odd = reach[:, vertices, n + vertices] > 0
+    return least.sum(axis=1) == 1, (least & ~odd).sum(axis=1)
+
+
+def _radius(values: np.ndarray) -> np.ndarray:
+    """Spectrum.radius of each row of descending eigenvalues."""
+    first, last = np.abs(values[:, 0]), np.abs(values[:, -1])
+    return np.where(last > first, last, first)
+
+
+def _deviation_facts(values: np.ndarray, m: np.ndarray, n: int, scale: float) -> dict:
+    """The group count, extreme deviations, min_is_zero and QE of each row of
+    descending signless Laplacian eigenvalues, each bit for bit as
+    GraphFacts gives it. QE is an exactly rounded sum per row."""
+    steps = values[:, :-1] - values[:, 1:]
+    split = steps > tolerances.grouping_tol(_radius(values), scale=scale)[:, None]
+    deviations = np.abs(values - (2 * m / n)[:, None])
+    q1 = values[:, 0]
+    gamma_min = deviations.min(axis=1)
+    return {
+        "groups": 1 + split.sum(axis=1),
+        "gamma_max": deviations.max(axis=1),
+        "gamma_min": gamma_min,
+        # zero_tol(max(1.0, q1))
+        "min_is_zero": gamma_min <= tolerances.zero_tol(np.where(q1 > 1.0, q1, 1.0),
+                                                        scale=scale),
+        "qe": np.array([math.fsum(row) for row in deviations.tolist()]),
+    }
+
+
+def _zero_counts(values: np.ndarray, scale: float | None) -> np.ndarray:
+    """How many eigenvalues of each row vanish within the zero tolerance at
+    the row's spectral radius."""
+    tol = tolerances.zero_tol(_radius(values), scale=scale)
+    return (np.abs(values) <= tol[:, None]).sum(axis=1)
+
+
 def zero_multiplicity(spec: Spectrum, *, scale: float | None = None) -> int:
-    tol = tolerances.zero_tol(spec.radius, scale=scale)
-    return sum(1 for v in spec.values if abs(v) <= tol)
+    return int(_zero_counts(np.array([spec.values]), scale)[0])
 
 
 # -- lemma checks ---------------------------------------------------------------
@@ -305,17 +457,6 @@ class LemmaCheck:
     condition_met: bool | None = None
     consistent: bool | None = None    # equality flag matches the stated condition
 
-    @property
-    def failure(self) -> str | None:
-        """The failure this check reports: its id when it applies and does
-        not hold, its id plus ':equality' when the equality flag contradicts
-        the stated condition, None when it passes."""
-        if self.applicable and self.holds is False:
-            return self.check_id
-        if self.consistent is False:
-            return self.check_id + ":equality"
-        return None
-
 
 def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
     """Structural facts about the signless Laplacian spectrum, each reported
@@ -324,76 +465,149 @@ def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
     return graph_facts(g).lemmas
 
 
-def _lemma_checks(f: GraphFacts) -> tuple[LemmaCheck, ...]:
-    stats, info, spec, sc = f.stats, f.info, f.signless_laplacian, f.scale
-    q = spec.values
-    n, m = stats.n, stats.m
-    avg = 2 * m / n
-    q1, qn = q[0], q[-1]
-    eq_tol = tolerances.grouping_tol(q1, scale=sc)
-    checks = []
+class _Judged(NamedTuple):
+    """A lemma rule judged on every lane of a batch. A rule with a stated
+    equality condition also gives its numerical equality flag, whether the
+    condition is met, whether the two agree, and where they are compared."""
+    applicable: np.ndarray
+    holds: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    equality: np.ndarray | None = None
+    condition_met: np.ndarray | None = None
+    consistent: np.ndarray | None = None
+    compared: np.ndarray | None = None
 
-    s1 = math.fsum(q)
-    checks.append(LemmaCheck(
-        check_id="q_sum", applicable=True,
-        holds=abs(s1 - 2 * m) <= tolerances.TRACE_SUM_REL * max(1, n) * sc,
-        lhs=s1, rhs=float(2 * m), slack=abs(s1 - 2 * m),
-        note="eigenvalue sum equals twice the edge count"))
 
-    s2 = math.fsum(v * v for v in q)
-    target = 2 * m + stats.zagreb_m1
-    checks.append(LemmaCheck(
-        check_id="q_square_sum", applicable=True,
-        holds=abs(s2 - target) <= tolerances.TRACE_SQUARE_REL * max(1, n) * sc,
-        lhs=s2, rhs=float(target), slack=abs(s2 - target),
-        note="squared eigenvalue sum equals 2m plus the first Zagreb index"))
+def _row_fsums(a: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in a.tolist()])
 
-    zmult = zero_multiplicity(spec, scale=sc)
-    bcount = info.bipartite_component_count
-    checks.append(LemmaCheck(
-        check_id="zero_multiplicity_bipartite", applicable=True,
-        holds=zmult == bcount,
-        lhs=float(zmult), rhs=float(bcount), slack=float(abs(zmult - bcount)),
-        note="multiplicity of the eigenvalue 0 equals the number of bipartite components"))
 
-    eq = abs(q1 - 2 * avg) <= eq_tol
-    checks.append(LemmaCheck(
-        check_id="radius_vs_average", applicable=True,
-        holds=q1 >= 2 * avg - eq_tol,
-        lhs=q1, rhs=2 * avg, slack=q1 - 2 * avg,
-        equality=eq, condition="regular", condition_met=info.is_regular,
-        consistent=eq == info.is_regular,
-        note="spectral radius is at least twice the average degree"))
+def _everywhere(b: FactsBatch) -> np.ndarray:
+    return np.ones(len(b.lanes), dtype=bool)
 
+
+def _q_sum(b: FactsBatch) -> _Judged:
+    s1, target = _row_fsums(b.eigenvalues), 2 * b.m
+    slack = np.abs(s1 - target)
+    return _Judged(_everywhere(b), slack <= tolerances.TRACE_SUM_REL * max(1, b.n) * b.scale,
+                   s1, target.astype(np.float64), slack)
+
+
+def _q_square_sum(b: FactsBatch) -> _Judged:
+    q = b.eigenvalues
+    s2, target = _row_fsums(q * q), 2 * b.m + b.m1
+    slack = np.abs(s2 - target)
+    return _Judged(_everywhere(b),
+                   slack <= tolerances.TRACE_SQUARE_REL * max(1, b.n) * b.scale,
+                   s2, target.astype(np.float64), slack)
+
+
+def _zero_multiplicity_bipartite(b: FactsBatch) -> _Judged:
+    zmult, bcount = _zero_counts(b.eigenvalues, b.scale), b.bipartite_components
+    return _Judged(_everywhere(b), zmult == bcount, zmult.astype(np.float64),
+                   bcount.astype(np.float64), np.abs(zmult - bcount).astype(np.float64))
+
+
+def _radius_terms(b: FactsBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spectral radius q1, the average degree, and the equality
+    tolerance at q1."""
+    q1 = b.eigenvalues[:, 0]
+    return q1, 2 * b.m / b.n, tolerances.grouping_tol(q1, scale=b.scale)
+
+
+def _radius_vs_average(b: FactsBatch) -> _Judged:
+    q1, avg, eq_tol = _radius_terms(b)
+    eq = np.abs(q1 - 2 * avg) <= eq_tol
+    return _Judged(_everywhere(b), q1 >= 2 * avg - eq_tol, q1, 2 * avg, q1 - 2 * avg,
+                   eq, b.regular, eq == b.regular, _everywhere(b))
+
+
+def _min_vs_average(b: FactsBatch) -> _Judged:
     # valid for connected graphs with an edge; false in general when
     # components are smaller than the average suggests
-    if info.is_connected and m >= 1:
-        eq = abs(qn - (avg - 1)) <= eq_tol
-        comp = is_complete(f.graph)
-        checks.append(LemmaCheck(
-            check_id="min_vs_average", applicable=True,
-            holds=qn <= avg - 1 + eq_tol,
-            lhs=qn, rhs=avg - 1, slack=(avg - 1) - qn,
-            equality=eq, condition="complete", condition_met=comp,
-            consistent=eq == comp,
-            note="least eigenvalue is at most the average degree minus one (connected)"))
-    else:
-        checks.append(LemmaCheck(
-            check_id="min_vs_average", applicable=False,
-            holds=None, lhs=None, rhs=None, slack=None, condition="complete",
-            note="requires a connected graph with at least one edge"))
+    qn = b.eigenvalues[:, -1]
+    _, avg, eq_tol = _radius_terms(b)
+    applicable = b.connected & (b.m >= 1)
+    eq = np.abs(qn - (avg - 1)) <= eq_tol
+    return _Judged(applicable, qn <= avg - 1 + eq_tol, qn, avg - 1, (avg - 1) - qn,
+                   eq, b.complete, eq == b.complete, applicable)
 
-    lo, hi = 2.0 * stats.min_degree, 2.0 * stats.max_degree
-    eq = abs(q1 - lo) <= eq_tol or abs(q1 - hi) <= eq_tol
-    consistent = (eq == info.is_regular) if info.is_connected else None
-    checks.append(LemmaCheck(
-        check_id="radius_degree_window", applicable=True,
-        holds=(lo - eq_tol <= q1 <= hi + eq_tol),
-        lhs=q1, rhs=hi, slack=min(q1 - lo, hi - q1),
-        equality=eq, condition="regular (connected)", condition_met=info.is_regular,
-        consistent=consistent,
-        note="spectral radius lies between twice the min and twice the max degree"))
 
+def _radius_degree_window(b: FactsBatch) -> _Judged:
+    q1, _, eq_tol = _radius_terms(b)
+    lo, hi = 2.0 * b.min_degree, 2.0 * b.max_degree
+    eq = (np.abs(q1 - lo) <= eq_tol) | (np.abs(q1 - hi) <= eq_tol)
+    below, above = q1 - lo, hi - q1
+    return _Judged(_everywhere(b), (lo - eq_tol <= q1) & (q1 <= hi + eq_tol), q1, hi,
+                   np.where(above < below, above, below),     # min(below, above)
+                   eq, b.regular, eq == b.regular, b.connected)
+
+
+class _Lemma(NamedTuple):
+    check_id: str
+    note: str
+    condition: str | None      # stated equality condition
+    rule: Callable[[FactsBatch], _Judged]
+    requires: str | None = None    # the note where the rule does not apply
+
+
+# in report order
+_LEMMAS = (
+    _Lemma("q_sum", "eigenvalue sum equals twice the edge count", None, _q_sum),
+    _Lemma("q_square_sum", "squared eigenvalue sum equals 2m plus the first Zagreb index",
+           None, _q_square_sum),
+    _Lemma("zero_multiplicity_bipartite",
+           "multiplicity of the eigenvalue 0 equals the number of bipartite components",
+           None, _zero_multiplicity_bipartite),
+    _Lemma("radius_vs_average", "spectral radius is at least twice the average degree",
+           "regular", _radius_vs_average),
+    _Lemma("min_vs_average",
+           "least eigenvalue is at most the average degree minus one (connected)",
+           "complete", _min_vs_average,
+           requires="requires a connected graph with at least one edge"),
+    _Lemma("radius_degree_window",
+           "spectral radius lies between twice the min and twice the max degree",
+           "regular (connected)", _radius_degree_window),
+)
+
+
+def batch_lemma_failures(b: FactsBatch) -> list[tuple[int, str]]:
+    """(lane, failure) for every lemma failure in the batch, in rule order,
+    lanes ascending within a rule. A rule fails with its check id where it
+    applies and does not hold, and otherwise with its id plus ':equality'
+    where the equality flag contradicts the stated condition."""
+    failures, masks = [], []
+    for lemma in _LEMMAS:
+        judged = lemma.rule(b)
+        broken = judged.applicable & ~judged.holds
+        failures.append(lemma.check_id)
+        masks.append(broken)
+        if judged.consistent is not None:
+            failures.append(lemma.check_id + ":equality")
+            masks.append(~broken & judged.compared & ~judged.consistent)
+    rules, lanes = np.nonzero(masks)
+    return [(lane, failures[rule]) for rule, lane in zip(rules.tolist(), lanes.tolist())]
+
+
+def _lemma_checks(f: GraphFacts) -> tuple[LemmaCheck, ...]:
+    b = FactsBatch.of(f)
+    checks = []
+    for lemma in _LEMMAS:
+        # lane 0 as Python scalars
+        judged = _Judged(*(None if a is None else a.tolist()[0] for a in lemma.rule(b)))
+        if not judged.applicable:
+            checks.append(LemmaCheck(check_id=lemma.check_id, applicable=False, holds=None,
+                                     lhs=None, rhs=None, slack=None, note=lemma.requires,
+                                     condition=lemma.condition))
+            continue
+        checks.append(LemmaCheck(
+            check_id=lemma.check_id, applicable=True, holds=judged.holds,
+            lhs=judged.lhs, rhs=judged.rhs, slack=judged.slack, note=lemma.note,
+            equality=judged.equality, condition=lemma.condition,
+            condition_met=judged.condition_met,
+            consistent=judged.consistent if judged.compared else None))
     return tuple(checks)
 
 

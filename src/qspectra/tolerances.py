@@ -5,12 +5,15 @@ environment variable (default 1.0) so a whole run can be made looser or
 stricter without touching call sites. The variable is read once per graph's
 facts (see ``spectral.GraphFacts``) and once per verify or table call, and
 that snapshot is passed down as the ``scale`` keyword of the helpers below;
-called without it, a helper reads the variable itself. The eigensolver's
+called without it, a helper reads the variable itself. The helpers take a
+float or an array of sizes, and return the same shape. The eigensolver's
 internal termination threshold is a fixed design constant and is not scaled.
 """
 
 import math
 import os
+
+import numpy as np
 
 GROUPING_REL = 1e-6        # eigenvalue grouping, times max(1, spectral radius)
 ZERO_REL = 1e-7            # zero detection, times max(1, spectral radius)
@@ -35,21 +38,23 @@ def scale() -> float:
     return value
 
 
-def _scaled(rel: float, size: float, snapshot: float | None) -> float:
-    return rel * max(1.0, abs(size)) * (scale() if snapshot is None else snapshot)
+def _scaled(rel: float, size, snapshot: float | None):
+    # fmax is max(1.0, abs(size)) bit for bit, NaN included
+    tol = rel * np.fmax(1.0, np.abs(size)) * (scale() if snapshot is None else snapshot)
+    return tol if isinstance(size, np.ndarray) else float(tol)
 
 
-def grouping_tol(radius: float, *, scale: float | None = None) -> float:
+def grouping_tol(radius, *, scale: float | None = None):
     return _scaled(GROUPING_REL, radius, scale)
 
 
-def zero_tol(radius: float, *, scale: float | None = None) -> float:
+def zero_tol(radius, *, scale: float | None = None):
     return _scaled(ZERO_REL, radius, scale)
 
 
-def match_tol(radius: float, *, scale: float | None = None) -> float:
+def match_tol(radius, *, scale: float | None = None):
     return _scaled(MATCH_REL, radius, scale)
 
 
-def tight_tol(qe: float, *, scale: float | None = None) -> float:
+def tight_tol(qe, *, scale: float | None = None):
     return _scaled(TIGHT_REL, qe, scale)

@@ -11,6 +11,7 @@ from qspectra import tolerances
 from qspectra.bounds import (
     BOUND_IDS,
     PAIR_ENUMERATION_LIMIT,
+    _extreme_pair,
     _is_balanced_complete_bipartite,
     _pair_candidates,
     all_bounds,
@@ -19,7 +20,7 @@ from qspectra.bounds import (
     violations,
 )
 from qspectra.energy import energies
-from qspectra.spectral import GraphFacts
+from qspectra.spectral import FactsBatch, GraphFacts
 from qspectra.graph_core import (
     Graph,
     complete,
@@ -414,10 +415,15 @@ def reference_pair_candidates(degrees, want_max):
 
 def test_pair_candidates_match_the_reference_on_every_small_graph():
     for n in range(2, 7):
-        for g in labeled_graphs(n):
+        batch = FactsBatch.from_masks(n, range(1 << (n * (n - 1) // 2)), 1.0)
+        pairs = {want_max: list(zip(*(side.tolist() for side in _extreme_pair(batch, want_max))))
+                 for want_max in (True, False)}
+        for lane, g in enumerate(labeled_graphs(n)):
             for want_max in (True, False):
-                assert (_pair_candidates(g.degrees, want_max)
-                        == list(reference_pair_candidates(g.degrees, want_max))), g
+                candidates = _pair_candidates(g.degrees, want_max)
+                assert candidates == list(reference_pair_candidates(g.degrees, want_max)), g
+                # the batch rule picks the deterministic pair of every lane
+                assert pairs[want_max][lane] == candidates[0], g
 
 
 def test_gan5_bipartite_branch_and_two_case_form_differ():

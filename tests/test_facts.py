@@ -74,20 +74,31 @@ def test_verify_solves_once_and_reads_the_scale_at_most_once_per_graph(counts):
     assert counts["scale_reads"] <= 64
 
 
-def test_verify_computes_each_graphs_structure_once(monkeypatch):
-    calls = []
-    structure = graph_core.structure
+def test_verify_builds_a_graph_only_for_a_failing_graph(monkeypatch):
+    calls = {"structure": 0, "graphs": 0}
+    structure, post_init = graph_core.structure, graph_core.Graph.__post_init__
 
     def counted_structure(g):
-        calls.append(g)
+        calls["structure"] += 1
         return structure(g)
 
-    # GraphFacts.info looks the function up in spectral, the bipartite test in graph_core
+    def counted_post_init(self):
+        calls["graphs"] += 1
+        post_init(self)
+
+    # GraphFacts.info looks the function up in spectral
     monkeypatch.setattr(graph_core, "structure", counted_structure)
     monkeypatch.setattr(spectral, "structure", counted_structure)
+    monkeypatch.setattr(graph_core.Graph, "__post_init__", counted_post_init)
     summary = verify_exhaustive(5)
-    assert summary.ok
-    assert len(calls) == summary.graphs_checked == 1024
+    assert summary.ok and summary.graphs_checked == 1024
+    assert calls == {"structure": 0, "graphs": 0}
+    # a vanishing tolerance makes graphs fail; each is built once, to name it
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    summary = verify_exhaustive(5)
+    failing = {v[0] for v in summary.violations} | {f[0] for f in summary.lemma_failures}
+    assert len(failing) > 100
+    assert calls == {"structure": 0, "graphs": len(failing)}
 
 
 @pytest.mark.parametrize("argv,lemma_runs,neighbour_counts", [

@@ -62,6 +62,15 @@ def test_verify_json_with_violations_matches_golden(monkeypatch, capsys):
     assert capsys.readouterr().out == expected_output("verify5-tol1e-300")
 
 
+def test_sampled_order7_verify_json_with_violations_matches_golden(monkeypatch, capsys):
+    # an order-7 sample pins 3 violations and 3428 failed checks with their
+    # gaps, at the order where verify spends most of its time
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    argv = ["verify", "7", "--sample", "3000", "--seed", "2", "--workers", "2", "--json"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == expected_output("verify7-sample3000-seed2-tol1e-300")
+
+
 def test_pooled_verify_json_with_violations_matches_golden(monkeypatch, capsys):
     # the same run in 4 jobs on 2 processes: the violations and failed checks
     # of every job must merge into the serial run's sorted lists

@@ -287,6 +287,18 @@ def test_cli_refuses_an_oversize_input_before_building_it(args, stdin, n, capsys
                                        f"the dense solver accepts at most {spectral.MAX_ORDER}\n")
 
 
+@pytest.mark.parametrize("spec, n", [
+    (["complete", "1025"], 1025),
+    (["copies", "2", "complete", "600"], 1200),
+], ids=["complete", "copies"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_cli_family_refuses_an_order_above_the_cap_before_building_it(
+        spec, n, fmt, capsys, no_graph_is_built):
+    assert main(["family", *spec, *fmt]) == 2
+    assert capsys.readouterr() == ("", f"qspectra: parse error: graph has {n} vertices; "
+                                       f"the dense solver accepts at most {spectral.MAX_ORDER}\n")
+
+
 @pytest.mark.parametrize("family, message", [
     (["copies", "0", "complete", "2000"],
      "disjoint_copies: size parameters must be integers >= 1, got 0"),

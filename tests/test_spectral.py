@@ -32,6 +32,7 @@ from qspectra.graph_core import (
 )
 from qspectra.spectral import (
     BACKEND,
+    FactsBatch,
     GraphFacts,
     a_spectrum,
     adjacency_matrix,
@@ -41,7 +42,6 @@ from qspectra.spectral import (
     product_spectrum_check,
     q_spectrum,
     signless_laplacian_matrix,
-    solve_signless_laplacians,
     symmetric_eigenvalues,
     zero_multiplicity,
 )
@@ -408,11 +408,12 @@ def test_stack_solved_spectra_equal_the_lazily_solved_ones():
     rng = random.Random(7)
     cases = [(5, range(1024)), (7, sorted(rng.sample(range(1 << 21), 200)))]
     for n, masks in cases:
-        batch = [GraphFacts(graph_from_mask(n, mask), 1.0) for mask in masks]
-        solve_signless_laplacians(batch)
-        for f in batch:
-            lazy = GraphFacts(f.graph, 1.0).signless_laplacian
-            assert repr(f.signless_laplacian) == repr(lazy), (n, f.graph)
+        batch = FactsBatch.from_masks(n, masks, 1.0)
+        for values, converged, mask in zip(batch.eigenvalues.tolist(),
+                                           batch.converged.tolist(), masks):
+            lazy = GraphFacts(graph_from_mask(n, mask), 1.0).signless_laplacian
+            assert repr(tuple(values)) == repr(lazy.values), (n, mask)
+            assert converged is lazy.solve.converged, (n, mask)
 
 
 def test_compiled_kernel_rejects_buffers_it_cannot_solve(compiled_kernel):
