@@ -29,15 +29,37 @@ Restructured, to make fewer numpy calls per rotation:
   the copy also carries them to (p, q) and (q, q).
 
 ``jacobi_stack`` runs the B matrices in lockstep over the same cyclic (p, q)
-order, with theta, t, c and s as numpy vectors of the same expressions. Each
-rotation gathers the matrices whose (p, q) entry is nonzero, rotates rows and
-columns p and q of those alone, as the compiled loop does, and scatters them
-back, so a skipped matrix keeps every bit, the sign of its zeros included. A
-matrix leaves the batch when it converges or reaches MAX_SWEEPS. The
-Frobenius and off-diagonal sums are taken per matrix by ``np.add.accumulate``,
-which adds left to right in the compiled loop order. The stack entry pays
-numpy's per-call cost once per rotation for all B matrices, so it wins on many
-small matrices and loses to ``jacobi_sweeps`` on a few large ones.
+order. Once per sweep it copies the matrices still iterating into an
+(n, n, B) work array, lanes last, so that every numpy call of a rotation
+covers all B lanes at once:
+
+- theta, t, c and s are vectors of the same expressions. The sign flip is
+  ``copysign(t, theta + 0.0)``: adding 0.0 turns a -0.0 theta into +0.0 and
+  leaves every other theta as it is, so t is negated exactly where
+  ``theta < 0.0``. The asymptotic branch, which a NaN theta also takes, is a
+  ``where=`` divide.
+- Rows p and q are rotated as in ``jacobi_sweeps``, through the strided pair
+  view and a (2, 2, 1, B) coefficient array, into a buffer whose pivot block
+  is then set. The buffer is written back as rows p and q and, through the
+  same pair view on the column axis, as columns p and q. Column p is written
+  at every rotation of the lane rather than once per p-block: within the
+  block only its pivot entries are read, and each rotation overwrites those,
+  so the last write leaves what the block-end copy leaves.
+- A lane whose (p, q) entry is zero skips the rotation, as the compiled loop
+  does. When every lane rotates, both writes are plain assignments. When
+  some lane skips, both are ``np.copyto`` with ``where=`` the rotating
+  lanes, so a skipped lane keeps every bit, the sign of its zeros included.
+  A rotation by c = 1 and s = 0 would not: -0.0 - (-0.0) is +0.0. The
+  skipped lanes divide by their zero (p, q) entry, and what they compute is
+  never written.
+
+Every write therefore copies bits that the compiled loop's own operations,
+in its own order, produce for that lane. A matrix leaves the batch when it
+converges or reaches MAX_SWEEPS. The Frobenius and off-diagonal sums are
+taken per matrix by ``np.add.accumulate``, which adds in the compiled loop
+order. The stack entry pays numpy's per-call cost once per rotation for all B
+matrices, so it wins on many small matrices and loses to ``jacobi_sweeps`` on
+a few large ones.
 """
 
 import math
@@ -132,10 +154,10 @@ def jacobi_sweeps(a):
 
 
 def _sums_in_loop_order(terms):
-    """Row sums of a 2-D array of non-negative terms, each added left to
-    right as the compiled loops add them from 0.0 (numpy's sum pairs its
+    """Column sums of a 2-D array of non-negative terms, each added top to
+    bottom as the compiled loops add them from 0.0 (numpy's sum pairs its
     terms differently)."""
-    return np.add.accumulate(terms, axis=1)[:, -1]
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def jacobi_stack(a):
@@ -150,56 +172,65 @@ def jacobi_stack(a):
     if n < 2:
         return [(0, True, 0.0, 0.0)] * count
     upper = np.triu_indices(n, 1)
-    flat = a.reshape(count, n * n)
+    flat = a.reshape(count, n * n).T
     threshold_sq = (TERMINATION_REL * TERMINATION_REL) * _sums_in_loop_order(flat * flat)
 
-    def offdiag_sq(mats):
-        v = mats[:, upper[0], upper[1]]
+    def offdiag_sq(w):
+        v = w[upper]
         return _sums_in_loop_order(2.0 * (v * v))
 
-    off_sq = offdiag_sq(a)
+    off_sq = offdiag_sq(a.transpose(1, 2, 0))
     sweeps = np.zeros(count, dtype=np.intp)
     active = np.flatnonzero(off_sq > threshold_sq)
-    # theta * theta overflows on the asymptotic branch, whose t is then reset
+    # theta * theta overflows on the asymptotic branch, whose t is then reset;
+    # the lanes that skip divide by their zero apq, and their values are unused
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while active.size:
-            work = a[active]
+            lanes = active.size
+            w = np.ascontiguousarray(a[active].transpose(1, 2, 0))     # (n, n, lanes)
+            coef = np.empty((2, 2, 1, lanes))
+            rotation = coef[:, :, 0]             # [[c, -s], [s, c]] per lane
+            terms = np.empty((2, 2, n, lanes))   # rotation * (row p, row q)
+            left, right = terms[:, 0], terms[:, 1]
+            rows = np.empty((2, n, lanes))       # the new rows p and q
+            cols = rows.transpose(1, 0, 2)       # ... as columns p and q
             for p in range(n - 1):
+                x = w[p]
                 for q in range(p + 1, n):
-                    rotating = np.flatnonzero(work[:, p, q])    # the apq == 0.0 skip
-                    if rotating.size == 0:
+                    apq = x[q]
+                    rotating = np.count_nonzero(apq)     # the apq == 0.0 skip
+                    if rotating == 0:
                         continue
-                    whole = rotating.size == len(work)
-                    sub = work if whole else work[rotating]
-                    # views: every read below comes before the first write
-                    x, y = sub[:, p], sub[:, q]
-                    app, aqq, apq = x[:, p], y[:, q], x[:, q]
+                    # a skipped lane keeps every bit, the sign of its zeros
+                    # included: c = 1, s = 0 would turn -0.0 - -0.0 into +0.0
+                    where = True if rotating == lanes else apq != 0.0
+                    y = w[q]
+                    app, aqq = x[p], y[q]
                     theta = (aqq - app) / (2.0 * apq)
-                    t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                    np.negative(t, out=t, where=theta < 0.0)
-                    wide = ~(np.abs(theta) < 1.0e150)
-                    if wide.any():
-                        # asymptotic tangent
-                        t[wide] = 0.5 / theta[wide]
+                    size = np.abs(theta)
+                    # negative where theta < 0.0; theta + 0.0 is +0.0 for -0.0
+                    t = np.copysign(1.0 / (size + np.sqrt(theta * theta + 1.0)), theta + 0.0)
+                    # asymptotic tangent where |theta| >= 1e150 or theta is NaN
+                    np.divide(0.5, theta, out=t, where=~(size < 1.0e150))
                     c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    cc, ss = c[:, None], s[:, None]
-                    new_x = cc * x - ss * y
-                    new_y = ss * x + cc * y
+                    s = np.multiply(t, c, out=rotation[1, 0])
+                    rotation[0, 0] = c
+                    rotation[1, 1] = c
+                    np.negative(s, out=rotation[0, 1])
+                    step = t * apq
+                    pair = w[p:q + 1:q - p]
+                    np.multiply(coef, pair, out=terms)
+                    np.add(left, right, out=rows)
                     # pivot block set directly, as in jacobi_sweeps
-                    new_x[:, p] = app - t * apq
-                    new_x[:, q] = 0.0
-                    new_y[:, p] = 0.0
-                    new_y[:, q] = aqq + t * apq
-                    sub[:, p] = new_x
-                    sub[:, q] = new_y
-                    sub[:, :, p] = new_x
-                    sub[:, :, q] = new_y
-                    if not whole:
-                        work[rotating] = sub
-            a[active] = work
+                    rows[0, p] = app - step
+                    rows[0, q] = 0.0
+                    rows[1, p] = 0.0
+                    rows[1, q] = aqq + step
+                    np.copyto(pair, rows, where=where)
+                    np.copyto(w[:, p:q + 1:q - p], cols, where=where)
+            a[active] = w.transpose(2, 0, 1)
             sweeps[active] += 1
-            off_sq[active] = offdiag_sq(work)
+            off_sq[active] = offdiag_sq(w)
             active = active[(off_sq[active] > threshold_sq[active])
                             & (sweeps[active] < MAX_SWEEPS)]
     converged = off_sq <= threshold_sq

@@ -232,10 +232,11 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
 
 
 # Graphs in one verify job, judged as one FactsBatch. On the perfbench
-# verify-small workload (Python kernel, 2-vCPU Xeon), 1024 ran about as fast
-# as 256 but raised peak RSS from 36.5 to 44.7 MB, past that benchmark's 10%
-# bound; 256 read 38.1 MB.
-_VERIFY_BATCH = 256
+# verify-small workload (Python kernel, shared 2-vCPU Xeon, 6 alternating
+# pairs), 1024 read a median of 53,100 graphs/s and 40.0 MB peak RSS, and 256
+# read 35,000 graphs/s and 38.0 MB: each rotation's numpy calls in the stack
+# kernel serve 4x the lanes.
+_VERIFY_BATCH = 1024
 
 
 def _verify_batch(args: tuple[int, Any, float]) -> tuple[list, list]:

@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from qspectra import bounds, graph_core, spectral
+from qspectra import bounds, graph_core, reports, spectral
 from qspectra.graph_core import (
     complete, degree_stats, graph_from_mask, is_complete, mask_pairs, structure)
 from qspectra.reports import batch_verdict, check_graph
@@ -39,12 +39,29 @@ def lanes_of(verdict, count):
     return per_lane
 
 
+@pytest.fixture(scope="module")
+def solves():
+    """symmetric_eigenvalues results by matrix bytes, kept across both
+    tolerances: the solve does not read the scale."""
+    return {}
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-300])
-def test_batch_verdict_equals_the_per_graph_verdict(scale):
+def test_batch_verdict_equals_the_per_graph_verdict(scale, solves, monkeypatch):
+    solve = spectral.symmetric_eigenvalues
+
+    def solve_once(mat):
+        key = np.asarray(mat).tobytes()
+        if key not in solves:
+            solves[key] = solve(mat)
+        return solves[key]
+
+    # each reference graph's one-matrix solve runs once, for both tolerances
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", solve_once)
     failing = 0
     for n, masks in mask_cases():
-        for start in range(0, len(masks), 256):
-            chunk = masks[start:start + 256]
+        for start in range(0, len(masks), reports._VERIFY_BATCH):
+            chunk = masks[start:start + reports._VERIFY_BATCH]
             batch = lanes_of(batch_verdict(FactsBatch.from_masks(n, chunk, scale)), len(chunk))
             for mask, (violated, failed) in zip(chunk, batch):
                 v, f = check_graph(GraphFacts(graph_from_mask(n, mask), scale))

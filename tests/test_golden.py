@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from qspectra import reports
 from qspectra.cli import main
 from qspectra.spectral import BACKEND
 
@@ -71,9 +72,11 @@ def test_sampled_order7_verify_json_with_violations_matches_golden(monkeypatch, 
     assert capsys.readouterr().out == expected_output("verify7-sample3000-seed2-tol1e-300")
 
 
-def test_pooled_verify_json_with_violations_matches_golden(monkeypatch, capsys):
-    # the same run in 4 jobs on 2 processes: the violations and failed checks
-    # of every job must merge into the serial run's sorted lists
+def test_pooled_verify_json_with_violations_matches_golden(monkeypatch, capsys, pool_sizes):
+    # the same run in 4 jobs of 256 on 2 processes: the violations and failed
+    # checks of every job must merge into the serial run's sorted lists
+    monkeypatch.setattr(reports, "_VERIFY_BATCH", 256)
     monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
     assert main(["verify", "5", "--workers", "2", "--json"]) == 3
     assert capsys.readouterr().out == expected_output("verify5-tol1e-300")
+    assert pool_sizes == [2]

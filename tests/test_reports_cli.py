@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qspectra import spectral
+from qspectra import reports, spectral
 from qspectra.cli import main
 from qspectra.graph_core import cycle, emit_graph6, prism, star
 from qspectra.reports import (
@@ -117,13 +117,16 @@ def test_verify_sample_capped_at_population():
     assert verify_exhaustive(3, sample=100, seed=1).graphs_checked == 8
 
 
-def test_verify_workers_match_sequential():
-    # 1024 graphs are 4 jobs, and a 600-graph sample is 3, so both runs pool
+def test_verify_workers_match_sequential(monkeypatch, pool_sizes):
+    # in jobs of 256, 1024 graphs are 4 jobs, and a 600-graph sample is 3, so
+    # both runs pool
+    monkeypatch.setattr(reports, "_VERIFY_BATCH", 256)
     for kwargs in ({"max_n": 5}, {"max_n": 6, "sample": 600, "seed": 11}):
         seq = verify_exhaustive(**kwargs)
         par = verify_exhaustive(workers=2, **kwargs)
         assert seq.graphs_checked >= 600
         assert verify_report(par) == verify_report(seq)
+    assert pool_sizes == [2, 2]
 
 
 @pytest.fixture
@@ -174,6 +177,7 @@ def test_verify_pool_is_no_larger_than_its_job_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(reports, "_VERIFY_BATCH", 256)
     summary = verify_exhaustive(3, workers=16)   # 8 graphs, one job
     assert sizes == []
     assert verify_report(summary) == verify_report(verify_exhaustive(3))

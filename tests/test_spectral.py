@@ -404,6 +404,30 @@ def test_compiled_and_python_stack_kernels_bit_identical(compiled_kernel):
                 assert work[i].tobytes() == w.tobytes(), (kernel.__name__, stack.shape, i)
 
 
+def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
+    from qspectra import _jacobi_py
+
+    # at (0, 1) lane 0 rotates while lane 1 skips: its (0, 1) entry is -0.0,
+    # and its rows 0 and 1 hold -0.0 and -1.0, which a rotation by c = 1,
+    # s = 0 would not keep, since -0.0 - (-0.0) is +0.0. Lane 2's theta at
+    # (0, 1) is 0.0 / -2.0 = -0.0, whose tangent is +1.
+    stack = np.array([
+        [[2.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.25, 0.5],
+         [0.5, 0.25, 4.0, 1.0], [0.25, 0.5, 1.0, 5.0]],
+        [[2.0, -0.0, 0.5, -0.0], [-0.0, 3.0, -0.0, -1.0],
+         [0.5, -0.0, 4.0, -0.0], [-0.0, -1.0, -0.0, 5.0]],
+        [[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
+         [0.0, 0.0, 2.0, 0.5], [0.0, 0.0, 0.5, 2.0]],
+    ])
+    single = [m.copy(order="C") for m in stack]
+    expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
+    assert np.signbit(single[1][single[1] == 0.0]).any()    # a -0.0 is left to keep
+    for kernel in (compiled_kernel, _jacobi_py):
+        work = stack.copy(order="C")
+        assert [repr(r) for r in kernel.jacobi_stack(work)] == expected, kernel.__name__
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in single], kernel.__name__
+
+
 def test_stack_solved_spectra_equal_the_lazily_solved_ones():
     rng = random.Random(7)
     cases = [(5, range(1024)), (7, sorted(rng.sample(range(1 << 21), 200)))]
