@@ -2,11 +2,17 @@
 
 Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
 0 success, 1 usage error, 2 input parse error or a graph above the order cap
-(spectral.MAX_ORDER), 3 verification violations
+(qspectra.MAX_ORDER, defined in graph_core), 3 verification violations
 (a violated bound, or for analyze and verify a failed spectral check; analyze
 and bounds name them on stderr), table mismatch, or an eigensolve that did not
 converge. Text output prints values to four decimals (banker's rounding);
 --json emits the canonical sorted-key rendering instead.
+
+Import rule: at top level this module imports only graph_core, which needs no
+numpy. Each command imports the library modules it runs once its input has
+been parsed and checked against the order cap (bounds: bounds and spectral;
+analyze, verify, table1 and table2: reports). So ``family``, refused input,
+usage errors and ``--help`` never load numpy.
 """
 
 from __future__ import annotations
@@ -15,19 +21,8 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .bounds import all_bounds, violations
-from .graph_core import Graph, build_family, emit_edgelist, emit_graph6, parse_edgelist, parse_graph6
-from .reports import (
-    analyze_report,
-    check_graph,
-    render_json,
-    reproduce_table1,
-    reproduce_table2,
-    table_report_dict,
-    verify_exhaustive,
-    verify_report,
-)
-from .spectral import BACKEND, MAX_ORDER, GraphFacts
+from .graph_core import (MAX_ORDER, Graph, build_family, emit_edgelist, emit_graph6,
+                         parse_edgelist, parse_graph6, render_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,7 +130,10 @@ def _print_grid(headers: list[str], rows: list[list[str]]) -> None:
 # -- subcommands ----------------------------------------------------------------------
 
 def analyze_command(args) -> int:
-    f = GraphFacts(_graph_from_args(args))
+    g = _graph_from_args(args)
+    from .reports import analyze_report, check_graph
+    from .spectral import GraphFacts
+    f = GraphFacts(g)
     report = analyze_report(f)
     violated, failures = check_graph(f)
     if args.json:
@@ -233,6 +231,8 @@ def family_command(args) -> int:
 
 def bounds_command(args) -> int:
     g = _graph_from_args(args)
+    from .bounds import all_bounds, violations
+    from .spectral import GraphFacts
     f = GraphFacts(g)
     results = all_bounds(f)
     qe = f.qe
@@ -252,9 +252,10 @@ def bounds_command(args) -> int:
 
 
 def table_command(args) -> int:
-    report = args.reproduce()
+    from . import reports
+    report = getattr(reports, f"reproduce_{args.command}")()
     if args.json:
-        sys.stdout.write(render_json(table_report_dict(report)))
+        sys.stdout.write(render_json(reports.table_report_dict(report)))
         return _status(report.ok, report.unconverged)
     print(report.title)
     headers = ["row"] + [f"{c}" for c in report.column_names]
@@ -268,6 +269,11 @@ def table_command(args) -> int:
 
 
 def verify_command(args) -> int:
+    # a sample is drawn from an explicit seed, so that its output is reproducible
+    if (args.sample is None) != (args.seed is None):
+        raise ValueError("--sample and --seed must be given together")
+    from .reports import verify_exhaustive, verify_report
+    from .spectral import BACKEND
     summary = verify_exhaustive(args.max_n, workers=args.workers,
                                 sample=args.sample, seed=args.seed)
     if args.json:
@@ -314,11 +320,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
     p.set_defaults(func=bounds_command)
 
-    for name, side, reproduce in (("table1", "lower", reproduce_table1),
-                                  ("table2", "upper", reproduce_table2)):
+    for name, side in (("table1", "lower"), ("table2", "upper")):
         p = sub.add_parser(name, help=f"reproduce the {side}-bound reference table")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.set_defaults(func=table_command, reproduce=reproduce)
+        p.set_defaults(func=table_command)
 
     p = sub.add_parser("verify", help="exhaustively verify bounds and lemmas")
     p.add_argument("max_n", type=int,
@@ -327,9 +332,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (default 1)")
     p.add_argument("--sample", type=int, default=None,
-                   help="check a uniform sample of this size instead of all")
+                   help="check a uniform sample of this size instead of all "
+                        "(needs --seed)")
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for --sample")
+                   help="seed for --sample (needs --sample)")
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
     p.set_defaults(func=verify_command)
     return parser

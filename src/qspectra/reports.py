@@ -9,7 +9,6 @@ kept out of the JSON rendering.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -22,7 +21,8 @@ from . import tolerances
 from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
 from .energy import energies
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
-from .graph_core import Graph, emit_graph6, graph_from_mask, prism
+# render_json lives in graph_core; reports.render_json is kept as an alias
+from .graph_core import Graph, emit_graph6, graph_from_mask, prism, render_json
 from .spectral import FactsBatch, GraphFacts, batch_lemma_failures, graph_facts
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "verify_exhaustive",
     "verify_report",
     "table_report_dict",
-    "render_json",
 ]
 
 
@@ -180,13 +179,6 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
         "q_pattern": asdict(pattern),
         "srg": asdict(srg),
     }
-
-
-def render_json(payload: Any) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, trailing
-    newline. Byte-stable for equal payloads."""
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
 
 
 # -- exhaustive verification -----------------------------------------------------------

@@ -39,12 +39,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tolerances
-from .graph_core import (DegreeStats, Graph, StructureInfo, common_neighbour_counts,
-                         degree_stats, emit_graph6, mask_pairs, structure)
+# MAX_ORDER lives in numpy-free graph_core; spectral.MAX_ORDER is kept as an alias
+from .graph_core import (MAX_ORDER, DegreeStats, Graph, StructureInfo,
+                         common_neighbour_counts, degree_stats, emit_graph6, mask_pairs,
+                         structure)
 
 __all__ = [
     "BACKEND",
-    "MAX_ORDER",
     "EigenSolveReport",
     "Spectrum",
     "GammaSequence",
@@ -72,12 +73,6 @@ try:
 except ImportError:
     from . import _jacobi_py as _KERNEL
     BACKEND = "python"
-
-# The largest vertex count the CLI accepts; graph input above it is refused
-# before any matrix is built. A solve holds an n x n float64 matrix and costs
-# O(n^3) per sweep: at the cap, 8 MiB and, scaled from n = 256 (0.65 s compiled,
-# 1.6 s Python, 2-vCPU Xeon), about one to two minutes per solve.
-MAX_ORDER = 1024
 
 
 @dataclass(frozen=True)

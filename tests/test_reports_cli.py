@@ -401,6 +401,15 @@ def test_cli_verify(capsys):
     assert main(["verify", "3", "--sample", "4", "--seed", "7"]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--sample", "50"], ["--seed", "3"]],
+                         ids=["sample-without-seed", "seed-without-sample"])
+def test_cli_verify_sample_and_seed_go_together(flags, capsys):
+    # an unseeded sample would print different JSON on every run
+    assert main(["verify", "6", *flags, "--json"]) == 1
+    assert capsys.readouterr() == (
+        "", "qspectra: error: --sample and --seed must be given together\n")
+
+
 def test_cli_table_mismatch_exits_three():
     # shrinking the global tolerance multiplier below the solver's real
     # deviation from the printed reference forces the mismatch exit path;
