@@ -2,9 +2,12 @@
 
 Solves signless Laplacian matrices of seeded random graphs at several sizes
 with every kernel that imports, one matrix at a time (ms per solve) and each
-size's matrices as one stack (us per matrix). Confirms bit for bit, on every
-matrix and returned tuple, that the two kernels agree and that each kernel's
-stack entry agrees with its one-matrix entry. Exits 1 when any result differs.
+size's matrices as one stack (us per matrix). A second table solves the
+adjacency, Laplacian and signless Laplacian matrices of each of those graphs,
+as analyze does: three one-matrix calls against one stack of three (ms per
+graph). Confirms bit for bit, on every matrix and returned tuple, that the
+two kernels agree and that each kernel's stack entry agrees with its
+one-matrix entry. Exits 1 when any result differs.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -19,7 +22,7 @@ import numpy as np
 
 from qspectra import _jacobi_py
 from qspectra.graph_core import random_graph
-from qspectra.spectral import signless_laplacian_matrix
+from qspectra.spectral import adjacency_matrix, laplacian_matrix, signless_laplacian_matrix
 
 KERNELS = {"python": _jacobi_py}
 try:
@@ -29,16 +32,10 @@ except ImportError:
     pass
 
 
-def make_matrices(sizes: list[int], count: int, seed: int) -> dict[int, list[np.ndarray]]:
+def make_graphs(sizes: list[int], count: int, seed: int) -> dict[int, list]:
     rng = random.Random(seed)
-    out: dict[int, list[np.ndarray]] = {}
-    for n in sizes:
-        mats = []
-        for _ in range(count):
-            g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
-            mats.append(signless_laplacian_matrix(g))
-        out[n] = mats
-    return out
+    return {n: [random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng) for _ in range(count)]
+            for n in sizes}
 
 
 def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
@@ -63,6 +60,25 @@ def bench_stack(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
     return elapsed / len(mats), [(repr(r), w.tobytes()) for r, w in zip(results, stack)]
 
 
+def bench_triples(kernel, graphs: list, stacked: bool) -> tuple[float, list]:
+    """Seconds per graph to solve its A, L and Q, as three one-matrix calls or
+    one stack of three, and each matrix's (result repr, solved bytes)."""
+    triples = [[build(g) for build in (adjacency_matrix, laplacian_matrix,
+                                       signless_laplacian_matrix)] for g in graphs]
+    solved = []
+    t0 = time.perf_counter()
+    for mats in triples:
+        if stacked:
+            work = np.stack(mats)
+            solved.extend(zip(kernel.jacobi_stack(work), work))
+        else:
+            for m in mats:
+                work = np.array(m, dtype=np.float64, order="C", copy=True)
+                solved.append((kernel.jacobi_sweeps(work), work))
+    elapsed = time.perf_counter() - t0
+    return elapsed / len(graphs), [(repr(r), w.tobytes()) for r, w in solved]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="8,16,32,64",
@@ -72,7 +88,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20240601)
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    suite = make_matrices(sizes, args.count, args.seed)
+    graphs = make_graphs(sizes, args.count, args.seed)
+    suite = {n: [signless_laplacian_matrix(g) for g in gs] for n, gs in graphs.items()}
 
     if "compiled" not in KERNELS:
         print("compiled kernel not available; timing the pure-Python kernel only")
@@ -101,6 +118,25 @@ def main() -> int:
             line += f" {single['python'][0] / single['compiled'][0]:>8.1f}x"
         for seconds, _ in stacked.values():
             line += f" {seconds * 1e6:>20.1f}"
+        print(f"{line} {'yes' if same else 'NO':>10}")
+
+    print()
+    print("A, L and Q of one graph: three one-matrix calls against one stack of three")
+    header = f"{'n':>5}"
+    for name in KERNELS:
+        header += f" {name + ' 3 calls (ms)':>22} {name + ' stack (ms)':>20} {'speedup':>8}"
+    header += f" {'identical':>10}"
+    print(header)
+    print("-" * len(header))
+    for n in sizes:
+        line, outputs = f"{n:>5}", []
+        for name, kernel in KERNELS.items():
+            calls, stack = (bench_triples(kernel, graphs[n], stacked) for stacked in (False, True))
+            line += (f" {calls[0] * 1e3:>22.3f} {stack[0] * 1e3:>20.3f}"
+                     f" {calls[0] / stack[0]:>7.2f}x")
+            outputs += [calls[1], stack[1]]
+        same = all(out == outputs[0] for out in outputs)
+        mismatch |= not same
         print(f"{line} {'yes' if same else 'NO':>10}")
     return 1 if mismatch else 0
 

@@ -29,8 +29,13 @@ Restructured, to make fewer numpy calls per rotation:
   the copy also carries them to (p, q) and (q, q).
 
 ``jacobi_stack`` runs the B matrices in lockstep over the same cyclic (p, q)
-order. Once per sweep it copies the matrices still iterating into an
-(n, n, B) work array, lanes last, so that every numpy call of a rotation
+order. Once per sweep it copies the matrices still iterating into a work
+array and runs one of two loops on it. Both pay numpy's per-call cost once
+per rotation for all lanes, so a stack of one is slower than
+``jacobi_sweeps``.
+
+Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, the
+work array is (n, n, B), lanes last, so that every numpy call of a rotation
 covers all B lanes at once:
 
 - theta, t, c and s are vectors of the same expressions. The sign flip is
@@ -45,21 +50,41 @@ covers all B lanes at once:
   at every rotation of the lane rather than once per p-block: within the
   block only its pivot entries are read, and each rotation overwrites those,
   so the last write leaves what the block-end copy leaves.
-- A lane whose (p, q) entry is zero skips the rotation, as the compiled loop
-  does. When every lane rotates, both writes are plain assignments. When
-  some lane skips, both are ``np.copyto`` with ``where=`` the rotating
-  lanes, so a skipped lane keeps every bit, the sign of its zeros included.
-  A rotation by c = 1 and s = 0 would not: -0.0 - (-0.0) is +0.0. The
-  skipped lanes divide by their zero (p, q) entry, and what they compute is
-  never written.
 
-Every write therefore copies bits that the compiled loop's own operations,
-in its own order, produce for that lane. A matrix leaves the batch when it
-converges or reaches MAX_SWEEPS. The Frobenius and off-diagonal sums are
-taken per matrix by ``np.add.accumulate``, which adds in the compiled loop
-order. The stack entry pays numpy's per-call cost once per rotation for all B
-matrices, so it wins on many small matrices and loses to ``jacobi_sweeps`` on
-a few large ones.
+At most LANES_FIRST_MAX lanes, as in analyze's A, L and Q of one graph, the
+work array is (B, n, n), lanes first. With lanes last, every numpy loop of
+a rotation is only B elements long, and about 12 vector calls go to theta,
+t, c and s. With lanes first, the loops are n long, and each lane's theta,
+t, c and s are Python floats of the ``jacobi_sweeps`` expressions:
+
+- One multiply by a (B, 2, 2, 1) coefficient array and one add rotate rows
+  p and q of every lane in place, as in ``jacobi_sweeps``. Between the two,
+  the products that the add sums into entry (q, p) are set to 0.0, so the
+  add leaves +0.0 there, and the copy of column q from row q carries it to
+  (p, q).
+- The diagonal is read into Python lists at the start of each p-block. The
+  pivots app and aqq are read from, and their new values written to, those
+  lists, which go back into the diagonal at the end of the block. Within
+  the block the array's stale (p, p) entry goes only into entries that are
+  rewritten, and its stale (q, q) entries are not read.
+- Column p is copied from row p once per p-block, for the lanes that
+  rotated in it, as in ``jacobi_sweeps``.
+
+Timed with both loops on random-graph Q matrices (one CPU, best of 3), the
+lanes-first loop took 2.1 ms against 2.2 ms at n = 7 and 16 lanes, 13.4
+against 16.8 ms at n = 16 and 16 lanes, and 21.3 against 15.5 ms at n = 16
+and 32 lanes.
+
+In both loops a lane whose (p, q) entry is zero skips the rotation, as the
+compiled loop does. When every lane rotates, the writes are plain. When some
+lane skips, they take ``where=`` the rotating lanes, so a skipped lane keeps
+every bit, the sign of its zeros included. A rotation by c = 1 and s = 0
+would not: -0.0 - (-0.0) is +0.0. What a skipped lane computes is never
+written. Every write therefore copies bits that the compiled loop's own
+operations, in its own order, produce for that lane. A matrix leaves the
+batch when it converges or reaches MAX_SWEEPS. The Frobenius and
+off-diagonal sums are taken per matrix by ``np.add.accumulate``, which adds
+in the compiled loop order.
 """
 
 import math
@@ -160,6 +185,113 @@ def _sums_in_loop_order(terms):
     return np.add.accumulate(terms, axis=0)[-1]
 
 
+LANES_FIRST_MAX = 16     # lanes up to which jacobi_stack runs _lanes_first
+
+
+def _lanes_last(w):
+    """One sweep of every matrix of an (n, n, lanes) work array, each numpy
+    call covering all lanes."""
+    n, lanes = w.shape[0], w.shape[-1]
+    coef = np.empty((2, 2, 1, lanes))
+    rotation = coef[:, :, 0]             # [[c, -s], [s, c]] per lane
+    terms = np.empty((2, 2, n, lanes))   # rotation * (row p, row q)
+    left, right = terms[:, 0], terms[:, 1]
+    rows = np.empty((2, n, lanes))       # the new rows p and q
+    cols = rows.transpose(1, 0, 2)       # ... as columns p and q
+    for p in range(n - 1):
+        x = w[p]
+        for q in range(p + 1, n):
+            apq = x[q]
+            rotating = np.count_nonzero(apq)     # the apq == 0.0 skip
+            if rotating == 0:
+                continue
+            # a skipped lane keeps every bit, the sign of its zeros
+            # included: c = 1, s = 0 would turn -0.0 - -0.0 into +0.0
+            where = True if rotating == lanes else apq != 0.0
+            y = w[q]
+            app, aqq = x[p], y[q]
+            theta = (aqq - app) / (2.0 * apq)
+            size = np.abs(theta)
+            # negative where theta < 0.0; theta + 0.0 is +0.0 for -0.0
+            t = np.copysign(1.0 / (size + np.sqrt(theta * theta + 1.0)), theta + 0.0)
+            # asymptotic tangent where |theta| >= 1e150 or theta is NaN
+            np.divide(0.5, theta, out=t, where=~(size < 1.0e150))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = np.multiply(t, c, out=rotation[1, 0])
+            rotation[0, 0] = c
+            rotation[1, 1] = c
+            np.negative(s, out=rotation[0, 1])
+            step = t * apq
+            pair = w[p:q + 1:q - p]
+            np.multiply(coef, pair, out=terms)
+            np.add(left, right, out=rows)
+            # pivot block set directly, as in jacobi_sweeps
+            rows[0, p] = app - step
+            rows[0, q] = 0.0
+            rows[1, p] = 0.0
+            rows[1, q] = aqq + step
+            np.copyto(pair, rows, where=where)
+            np.copyto(w[:, p:q + 1:q - p], cols, where=where)
+
+
+def _lanes_first(w):
+    """One sweep of every matrix of a (lanes, n, n) work array, each lane's
+    rotation and pivot entries computed in Python floats."""
+    lanes, n = w.shape[0], w.shape[-1]
+    coef = np.empty((lanes, 2, 2, 1))
+    values = coef.reshape(-1)                # c, -s, s, c per lane
+    terms = np.empty((lanes, 2, 2, n))       # rotation * (row p, row q) per lane
+    left, right = terms[:, None, :, 0], terms[:, None, :, 1]
+    diagonal = w.reshape(lanes, n * n)[:, ::n + 1]
+    rows, cols = list(w.transpose(1, 0, 2)), list(w.transpose(2, 0, 1))
+    pairs = w[:, None]
+    sqrt, multiply, add = math.sqrt, np.multiply, np.add
+    for p in range(n - 1):
+        x = rows[p]
+        zero = terms[:, 1, :, p]             # 0.0 + 0.0 is the new (q, p) entry
+        pivots = diagonal.tolist()
+        moved = False                        # lanes that rotated in this block
+        for q in range(p + 1, n):
+            apqs = x[:, q].tolist()
+            rotation, skipped = [], 0
+            for apq, diag in zip(apqs, pivots):
+                if apq == 0.0:
+                    rotation += (1.0, 0.0, 0.0, 1.0)     # computed, never written
+                    skipped += 1
+                    continue
+                app, aqq = diag[p], diag[q]
+                theta = (aqq - app) / (2.0 * apq)
+                if -1.0e150 < theta < 1.0e150:
+                    t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                else:
+                    t = 0.5 / theta
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c
+                rotation += (c, -s, s, c)
+                step = t * apq
+                diag[p] = app - step
+                diag[q] = aqq + step
+            if skipped == lanes:
+                continue
+            values[:] = rotation
+            pair = pairs[:, :, p:q + 1:q - p]
+            multiply(coef, pair, terms)
+            zero.fill(0.0)
+            if skipped:
+                where = np.array(apqs)[:, None] != 0.0
+                np.add(left, right, out=pair, where=where[:, None, None])
+                np.copyto(cols[q], rows[q], where=where)
+                moved = moved | where
+            else:
+                add(left, right, pair)
+                cols[q][...] = rows[q]
+                moved = True
+        diagonal[...] = pivots
+        np.copyto(cols[p], x, where=moved)
+
+
 def jacobi_stack(a):
     """Diagonalize a C-contiguous float64 stack of symmetric matrices, shape
     (B, n, n), in place.
@@ -186,49 +318,15 @@ def jacobi_stack(a):
     # the lanes that skip divide by their zero apq, and their values are unused
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while active.size:
-            lanes = active.size
-            w = np.ascontiguousarray(a[active].transpose(1, 2, 0))     # (n, n, lanes)
-            coef = np.empty((2, 2, 1, lanes))
-            rotation = coef[:, :, 0]             # [[c, -s], [s, c]] per lane
-            terms = np.empty((2, 2, n, lanes))   # rotation * (row p, row q)
-            left, right = terms[:, 0], terms[:, 1]
-            rows = np.empty((2, n, lanes))       # the new rows p and q
-            cols = rows.transpose(1, 0, 2)       # ... as columns p and q
-            for p in range(n - 1):
-                x = w[p]
-                for q in range(p + 1, n):
-                    apq = x[q]
-                    rotating = np.count_nonzero(apq)     # the apq == 0.0 skip
-                    if rotating == 0:
-                        continue
-                    # a skipped lane keeps every bit, the sign of its zeros
-                    # included: c = 1, s = 0 would turn -0.0 - -0.0 into +0.0
-                    where = True if rotating == lanes else apq != 0.0
-                    y = w[q]
-                    app, aqq = x[p], y[q]
-                    theta = (aqq - app) / (2.0 * apq)
-                    size = np.abs(theta)
-                    # negative where theta < 0.0; theta + 0.0 is +0.0 for -0.0
-                    t = np.copysign(1.0 / (size + np.sqrt(theta * theta + 1.0)), theta + 0.0)
-                    # asymptotic tangent where |theta| >= 1e150 or theta is NaN
-                    np.divide(0.5, theta, out=t, where=~(size < 1.0e150))
-                    c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = np.multiply(t, c, out=rotation[1, 0])
-                    rotation[0, 0] = c
-                    rotation[1, 1] = c
-                    np.negative(s, out=rotation[0, 1])
-                    step = t * apq
-                    pair = w[p:q + 1:q - p]
-                    np.multiply(coef, pair, out=terms)
-                    np.add(left, right, out=rows)
-                    # pivot block set directly, as in jacobi_sweeps
-                    rows[0, p] = app - step
-                    rows[0, q] = 0.0
-                    rows[1, p] = 0.0
-                    rows[1, q] = aqq + step
-                    np.copyto(pair, rows, where=where)
-                    np.copyto(w[:, p:q + 1:q - p], cols, where=where)
-            a[active] = w.transpose(2, 0, 1)
+            if active.size > LANES_FIRST_MAX:
+                w = np.ascontiguousarray(a[active].transpose(1, 2, 0))     # (n, n, lanes)
+                _lanes_last(w)
+                a[active] = w.transpose(2, 0, 1)
+            else:
+                w = a[active]                                             # (lanes, n, n)
+                _lanes_first(w)
+                a[active] = w
+                w = w.transpose(1, 2, 0)                                  # as offdiag_sq reads it
             sweeps[active] += 1
             off_sq[active] = offdiag_sq(w)
             active = active[(off_sq[active] > threshold_sq[active])

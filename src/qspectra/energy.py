@@ -30,6 +30,7 @@ class EnergyReport:
 
 def energies(g: Graph | GraphFacts) -> EnergyReport:
     f = graph_facts(g)
+    f.solve_all()
     mean = 2 * f.graph.m / f.graph.n
     e = math.fsum(abs(v) for v in f.adjacency.values)
     le = math.fsum(abs(v - mean) for v in f.laplacian.values)

@@ -133,6 +133,7 @@ def _spectrum_dict(spec) -> dict[str, Any]:
 def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
     """Everything the library knows about one graph, as a JSON-safe dict."""
     f = graph_facts(g)
+    f.solve_all()
     g, stats, info, gam = f.graph, f.stats, f.info, f.gamma
     en = energies(f)
     pattern = classify_q_pattern(f)

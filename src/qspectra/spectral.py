@@ -8,9 +8,13 @@ raised). The compiled kernel is used when its extension imports, the
 pure-Python twin otherwise. Each kernel has two entry points with one twin
 contract: ``jacobi_sweeps`` solves one matrix, and ``jacobi_stack`` solves a
 (B, n, n) stack, leaving in each matrix and returning for it bit for bit what
-``jacobi_sweeps`` would. Single-graph reads use the first. The second wins
-only on many small matrices at once: ``FactsBatch.from_masks`` uses it for
-verify's batches of graphs on one vertex count.
+``jacobi_sweeps`` would. A lazy spectrum read solves its one matrix with the
+first. The second solves several matrices at once: ``GraphFacts.solve_all``
+stacks the A, L and Q of one graph for ``analyze_report`` and ``energies``,
+and ``FactsBatch.from_masks`` stacks verify's batches of graphs on one vertex
+count. On the Python kernel a stack of one ran at about 0.7 times the speed
+of ``jacobi_sweeps``, and a stack of three faster than three calls of it
+from n = 6 up (1.3 to 1.4 times from n = 10).
 
 ``GraphFacts`` holds what the reports read about one graph: degree
 statistics, structure, the three spectra, the deviation sequence and QE, the
@@ -52,7 +56,6 @@ __all__ = [
     "GraphFacts",
     "FactsBatch",
     "LemmaCheck",
-    "ProductSpectrumCheck",
     "symmetric_eigenvalues",
     "adjacency_matrix",
     "laplacian_matrix",
@@ -63,7 +66,6 @@ __all__ = [
     "zero_multiplicity",
     "check_spectral_lemmas",
     "batch_lemma_failures",
-    "product_spectrum_check",
 ]
 
 
@@ -91,6 +93,13 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
     Validates shape, finiteness, and symmetry (within 1e-12 relative) before
     solving; the input is not modified.
     """
+    work = np.array(_checked(mat), order="C", copy=True)
+    return _solved(work, _KERNEL.jacobi_sweeps(work))
+
+
+def _checked(mat) -> np.ndarray:
+    """mat as a float64 array, once it is known to be square, non-empty,
+    finite and symmetric within 1e-12 relative."""
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square and 2-D, got shape {a.shape}")
@@ -102,8 +111,7 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-12 * max(1.0, scale):
         raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
-    work = np.array(a, dtype=np.float64, order="C", copy=True)
-    return _solved(work, _KERNEL.jacobi_sweeps(work))
+    return a
 
 
 def _solved(work: np.ndarray, result: tuple) -> tuple[np.ndarray, EigenSolveReport]:
@@ -213,6 +221,17 @@ class GraphFacts:
 
     def _solve(self, kind: str) -> Spectrum:
         return self._spectrum(kind, *symmetric_eigenvalues(_MATRIX_BUILDERS[kind](self.graph)))
+
+    def solve_all(self) -> None:
+        """Solve the A, L and Q matrices not solved yet in one jacobi_stack
+        call, for a caller that reads all three."""
+        todo = [kind for kind in _MATRIX_BUILDERS if kind not in self.__dict__]
+        if not todo:
+            return
+        stack = np.stack([_checked(_MATRIX_BUILDERS[kind](self.graph)) for kind in todo])
+        for kind, work, result in zip(todo, stack, _KERNEL.jacobi_stack(stack)):
+            # where the cached_property of the kind keeps its value
+            self.__dict__[kind] = self._spectrum(kind, *_solved(work, result))
 
     @cached_property
     def adjacency(self) -> Spectrum:
@@ -604,30 +623,3 @@ def _lemma_checks(f: GraphFacts) -> tuple[LemmaCheck, ...]:
             condition_met=judged.condition_met,
             consistent=judged.consistent if judged.compared else None))
     return tuple(checks)
-
-
-# -- Cartesian product spectrum check -------------------------------------------
-
-@dataclass(frozen=True)
-class ProductSpectrumCheck:
-    matrix: str
-    ok: bool
-    max_abs_diff: float
-
-
-def product_spectrum_check(g: Graph, h: Graph, kind: str) -> ProductSpectrumCheck:
-    """The spectrum of a Cartesian product is the multiset of pairwise sums of
-    the factors' spectra, for all three matrix kinds (the degree matrix of the
-    product is the Kronecker sum of the factors' degree matrices)."""
-    from .graph_core import cartesian_product
-    if kind not in _MATRIX_BUILDERS:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    sc = tolerances.scale()
-    sg = getattr(GraphFacts(g, sc), kind).values
-    sh = getattr(GraphFacts(h, sc), kind).values
-    expected = sorted((x + y for x in sg for y in sh), reverse=True)
-    actual = getattr(GraphFacts(cartesian_product(g, h), sc), kind).values
-    radius = max(abs(actual[0]), abs(actual[-1]))
-    diff = max(abs(a - b) for a, b in zip(actual, expected))
-    return ProductSpectrumCheck(matrix=kind, ok=diff <= tolerances.match_tol(radius, scale=sc),
-                                max_abs_diff=diff)

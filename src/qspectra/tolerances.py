@@ -17,7 +17,6 @@ import numpy as np
 
 GROUPING_REL = 1e-6        # eigenvalue grouping, times max(1, spectral radius)
 ZERO_REL = 1e-7            # zero detection, times max(1, spectral radius)
-MATCH_REL = 1e-7           # spectrum multiset comparison, times max(1, radius)
 TIGHT_REL = 1e-6           # bound tightness, times max(1, QE)
 TRACE_SUM_REL = 1e-8       # eigenvalue sum against 2m, times max(1, n)
 TRACE_SQUARE_REL = 1e-7    # squared eigenvalue sum against 2m + M1, times max(1, n)
@@ -50,10 +49,6 @@ def grouping_tol(radius, *, scale: float | None = None):
 
 def zero_tol(radius, *, scale: float | None = None):
     return _scaled(ZERO_REL, radius, scale)
-
-
-def match_tol(radius, *, scale: float | None = None):
-    return _scaled(MATCH_REL, radius, scale)
 
 
 def tight_tol(qe, *, scale: float | None = None):

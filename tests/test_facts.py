@@ -9,6 +9,7 @@ import pytest
 from qspectra import bounds, families_verify, graph_core, spectral, tolerances
 from qspectra.bounds import all_bounds
 from qspectra.cli import main
+from qspectra.energy import energies
 from qspectra.graph_core import cycle, prism
 from qspectra.reports import analyze_report, reproduce_table1, verify_exhaustive
 from qspectra.spectral import q_spectrum
@@ -27,20 +28,22 @@ def test_tolerance_change_does_not_outlive_the_call(monkeypatch):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Matrices solved by the kernel, by either entry point, and tolerance
-    scale reads."""
-    seen = {"solves": 0, "scale_reads": 0}
+    """Matrices solved by the kernel, by either entry point, the entry point
+    of each call ('sweeps', or the stack's size), and tolerance scale reads."""
+    seen = {"solves": 0, "calls": [], "scale_reads": 0}
     kernel, scale = spectral._KERNEL, tolerances.scale
 
     class CountedKernel:
         @staticmethod
         def jacobi_sweeps(a):
             seen["solves"] += 1
+            seen["calls"].append("sweeps")
             return kernel.jacobi_sweeps(a)
 
         @staticmethod
         def jacobi_stack(a):
             seen["solves"] += len(a)
+            seen["calls"].append(len(a))
             return kernel.jacobi_stack(a)
 
     def counted_scale():
@@ -66,6 +69,21 @@ def test_cli_bounds_solves_only_the_signless_laplacian(counts, capsys):
 def test_each_spectrum_is_solved_once_per_call(counts, call, solves):
     call()
     assert counts["solves"] == solves
+
+
+def test_analyze_solves_a_l_and_q_in_one_stack(counts):
+    analyze_report(cycle(5))
+    assert counts["calls"] == [3]
+    all_bounds(prism(5))
+    assert counts["calls"] == [3, "sweeps"]
+
+
+def test_joint_solve_solves_only_the_kinds_not_solved_yet(counts):
+    f = spectral.GraphFacts(prism(4))
+    f.signless_laplacian
+    energies(f)                  # A and L, in one stack
+    analyze_report(f)            # nothing left to solve
+    assert counts["calls"] == ["sweeps", 2]
 
 
 def test_verify_solves_once_and_reads_the_scale_at_most_once_per_graph(counts):

@@ -244,17 +244,23 @@ def test_cli_edgelist_that_is_not_utf8_exits_two(capsys, tmp_path):
 def test_cli_refuses_a_graph_above_the_order_cap(capsys, monkeypatch):
     import io
 
-    def no_solve(mat):
-        raise AssertionError("a matrix was solved")
+    class NoSolve:
+        """A kernel that fails the test on any solve, by either entry point."""
+        @staticmethod
+        def jacobi_sweeps(a):
+            raise AssertionError("a matrix was solved")
 
-    monkeypatch.setattr(spectral, "symmetric_eigenvalues", no_solve)
+        jacobi_stack = jacobi_sweeps
+
+    monkeypatch.setattr(spectral, "_KERNEL", NoSolve)
     n = spectral.MAX_ORDER + 1
-    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n}\n"))
-    assert main(["bounds", "--edgelist", "-"]) == 2
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err == (f"qspectra: parse error: graph has {n} vertices; the dense "
-                            f"solver accepts at most {spectral.MAX_ORDER}\n")
+    for command in ("bounds", "analyze"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n}\n"))
+        assert main([command, "--edgelist", "-"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (f"qspectra: parse error: graph has {n} vertices; the dense "
+                                f"solver accepts at most {spectral.MAX_ORDER}\n")
 
 
 @pytest.fixture
