@@ -30,13 +30,16 @@ Restructured, to make fewer numpy calls per rotation:
 
 ``jacobi_stack`` runs the B matrices in lockstep over the same cyclic (p, q)
 order. Once per sweep it copies the matrices still iterating into a work
-array and runs one of two loops on it. Both pay numpy's per-call cost once
-per rotation for all lanes, so a stack of one is slower than
-``jacobi_sweeps``.
+array, runs one of two loops on it, and copies them back. Both loops pay
+numpy's per-call cost once per rotation for all lanes, so a stack of one is
+slower than ``jacobi_sweeps``.
 
 Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, the
 work array is (n, n, B), lanes last, so that every numpy call of a rotation
-covers all B lanes at once:
+covers all B lanes at once. It is gathered and scattered as (n * n, B) rows,
+one column per matrix; while every matrix still iterates, the work array
+of the last sweep (first, one transposed copy of the stack) holds them all,
+and no gather runs. In the loop:
 
 - theta, t, c and s are vectors of the same expressions. The sign flip is
   ``copysign(t, theta + 0.0)``: adding 0.0 turns a -0.0 theta into +0.0 and
@@ -82,9 +85,16 @@ every bit, the sign of its zeros included. A rotation by c = 1 and s = 0
 would not: -0.0 - (-0.0) is +0.0. What a skipped lane computes is never
 written. Every write therefore copies bits that the compiled loop's own
 operations, in its own order, produce for that lane. A matrix leaves the
-batch when it converges or reaches MAX_SWEEPS. The Frobenius and
-off-diagonal sums are taken per matrix by ``np.add.accumulate``, which adds
-in the compiled loop order.
+batch when it converges or reaches MAX_SWEEPS.
+
+The Frobenius and off-diagonal sums of ``jacobi_stack`` add each matrix's
+squares from row 0 of a (terms, lanes) array down, in the compiled loop
+order: by one ``np.add.accumulate`` call below ROW_ADDS_MIN (256) lanes, as
+in analyze's stacks of three with up to 2,016 terms, and by one in-place add
+per row from there on, as in verify's batches of 1024, where that ran 4 to 5
+times as fast (the two forms were even near 200 lanes). Starting from row 0
+rather than 0.0 gives the same bits, because a square is +0.0 or more, or
+NaN.
 """
 
 import math
@@ -178,11 +188,18 @@ def jacobi_sweeps(a):
     return sweeps, converged, math.sqrt(off_sq), max_off
 
 
+ROW_ADDS_MIN = 256       # columns from which _sums_in_loop_order adds row by row
+
+
 def _sums_in_loop_order(terms):
-    """Column sums of a 2-D array of non-negative terms, each added top to
-    bottom as the compiled loops add them from 0.0 (numpy's sum pairs its
-    terms differently)."""
-    return np.add.accumulate(terms, axis=0)[-1]
+    """Column sums of a 2-D array of squares, each added top to bottom as the
+    compiled loops add them (numpy's sum pairs its terms differently)."""
+    if terms.shape[1] < ROW_ADDS_MIN:
+        return np.add.accumulate(terms, axis=0)[-1]
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
 
 
 LANES_FIRST_MAX = 16     # lanes up to which jacobi_stack runs _lanes_first
@@ -304,14 +321,16 @@ def jacobi_stack(a):
     if n < 2:
         return [(0, True, 0.0, 0.0)] * count
     upper = np.triu_indices(n, 1)
-    flat = a.reshape(count, n * n).T
-    threshold_sq = (TERMINATION_REL * TERMINATION_REL) * _sums_in_loop_order(flat * flat)
+    offdiag = upper[0] * n + upper[1]        # the entries above the diagonal, row-major
+    flat = a.reshape(count, n * n)           # one row per matrix
+    w = flat.T.copy()                        # (n * n, count), one column per matrix
+    threshold_sq = (TERMINATION_REL * TERMINATION_REL) * _sums_in_loop_order(w * w)
 
-    def offdiag_sq(w):
-        v = w[upper]
+    def offdiag_sq(rows):
+        v = rows[offdiag]
         return _sums_in_loop_order(2.0 * (v * v))
 
-    off_sq = offdiag_sq(a.transpose(1, 2, 0))
+    off_sq = offdiag_sq(w)
     sweeps = np.zeros(count, dtype=np.intp)
     active = np.flatnonzero(off_sq > threshold_sq)
     # theta * theta overflows on the asymptotic branch, whose t is then reset;
@@ -319,20 +338,22 @@ def jacobi_stack(a):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while active.size:
             if active.size > LANES_FIRST_MAX:
-                w = np.ascontiguousarray(a[active].transpose(1, 2, 0))     # (n, n, lanes)
-                _lanes_last(w)
-                a[active] = w.transpose(2, 0, 1)
+                # while every lane iterates, w already holds every matrix
+                if active.size < count:
+                    w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)
+                _lanes_last(w.reshape(n, n, -1))
+                flat[active] = w.T
             else:
                 w = a[active]                                             # (lanes, n, n)
                 _lanes_first(w)
                 a[active] = w
-                w = w.transpose(1, 2, 0)                                  # as offdiag_sq reads it
+                w = w.reshape(-1, n * n).T
             sweeps[active] += 1
             off_sq[active] = offdiag_sq(w)
             active = active[(off_sq[active] > threshold_sq[active])
                             & (sweeps[active] < MAX_SWEEPS)]
     converged = off_sq <= threshold_sq
-    v = np.abs(a[:, upper[0], upper[1]])
+    v = np.abs(flat[:, offdiag])
     max_off = np.fmax.reduce(v, axis=1, initial=0.0)     # NaN never exceeds
     return list(zip(sweeps.tolist(), converged.tolist(),
                     np.sqrt(off_sq).tolist(), max_off.tolist()))

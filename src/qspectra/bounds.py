@@ -10,13 +10,14 @@ Each bound's hypotheses, with the reason each gives when it fails, and its
 value formula are stated once, on the arrays of a spectral.FactsBatch, one
 lane per graph. batch_violations judges a whole batch at once and is the one
 statement of the violation rule; verify calls it on its stack batches.
-all_bounds, evaluate_bound and violations evaluate a batch of one built from
-a GraphFacts. all_bounds gives the full report record of every bound, for
-analyze, the bounds command and the tables; violations gives only the
-(id, gap) pairs of the bounds a graph violates. Only the report extras are
-computed per graph: the stated equality condition and whether the graph meets
-it, the pair details of L-GAN4 and L-GAN5, and U-THM3's strictness on one
-branch.
+all_bounds, evaluate_bound and violations evaluate the batch of one that a
+GraphFacts keeps, and a batch evaluates each catalog row once, so the records
+and the verdict of one graph share one walk of the catalog. all_bounds gives
+the full report record of every bound, for analyze, the bounds command and
+the tables; violations gives only the (id, gap) pairs of the bounds a graph
+violates. Only the report extras are computed per graph: the stated equality
+condition and whether the graph meets it, the pair details of L-GAN4 and
+L-GAN5, and U-THM3's strictness on one branch.
 
 Bound identifiers are a fixed external interface. The catalog table at the end
 of this module states each bound's id, direction and strictness once; its row
@@ -92,17 +93,28 @@ class BoundResult:
 
 # -- arithmetic that must round as the scalar expressions do ---------------------
 
-def _exact(a: np.ndarray) -> np.ndarray:
-    """An integer array as Python ints, so that the integer case tests stay
-    exact at any order, where int64 products would overflow."""
-    return np.asarray(a).astype(object)
+# Every product the integer case tests form at order n is below 4n^6: with
+# m <= n(n - 1)/2, M1 < n^3 and dd = (dmax - dmin)^2 <= (n - 1)^2, the largest
+# are (n dd + 4m)^2 <= (n^3 - n)^2 and 16 m^2 (1 + dd) < 4n^6. Up to this
+# order 4n^6 < 2^63, so int64 holds them exactly.
+INT64_ORDER_MAX = 1024
+
+
+def _exact(a: np.ndarray, n: int) -> np.ndarray:
+    """An integer array in a type whose products in the integer case tests
+    stay exact at order n: int64 up to INT64_ORDER_MAX, Python ints above."""
+    return np.asarray(a).astype(np.int64 if n <= INT64_ORDER_MAX else object)
 
 
 def _squared(x):
     """x ** 2 of each float as Python rounds it. Python's float power calls
     C's pow, which rounds some squares (322/30, for one) away from x * x;
-    numpy's array power is x * x."""
-    return np.array([v ** 2 for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+    numpy's array power is x * x. Each distinct value of a batch is squared
+    once."""
+    values, where = np.ravel(x), slice(None)
+    if values.size > 1:
+        values, where = np.unique(values, return_inverse=True)
+    return np.array([v ** 2 for v in values.tolist()])[where].reshape(np.shape(x))
 
 
 def _deviation_square_sum(b: FactsBatch) -> np.ndarray:
@@ -189,7 +201,7 @@ def gan5_two_case_value(g: Graph | GraphFacts) -> float:
     f = graph_facts(g)
     if f.graph.m < 1 or f.graph.n < 2:
         raise ValueError("two-case estimate needs at least one edge and two vertices")
-    b = FactsBatch.of(f)
+    b = f.batch
     return _bottom_pair_value(b, *_extreme_pair(b, want_max=False)).tolist()[0]
 
 
@@ -322,7 +334,7 @@ def _l_thm1(b: FactsBatch) -> _Rule:
 
 def _deviation_threshold_scale(n: int, m: np.ndarray) -> np.ndarray:
     # sqrt(m (n^3 - n^2 - 2mn + 4m)), computed in exact integers first
-    m = _exact(m)
+    m = _exact(m, n)
     c_int = m * (n ** 3 - n ** 2 - 2 * m * n + 4 * m)
     return np.sqrt(c_int.astype(np.float64))
 
@@ -433,8 +445,8 @@ def _u_thm3(b: FactsBatch) -> _Rule:
     n, m, m1 = b.n, b.m, b.m1
     t = _deviation_square_sum(b)
     # integer case test: n (2m + M1) <= 8 m^2
-    em = _exact(m)
-    mean_dominant = (n * (2 * em + _exact(m1)) <= 8 * em * em).astype(bool)
+    em = _exact(m, n)
+    mean_dominant = (n * (2 * em + _exact(m1, n)) <= 8 * em * em).astype(bool)
     value = np.where(mean_dominant,
                      2 * m / n + np.sqrt((n - 1) * (t - _squared(2 * m / n))),
                      np.sqrt(t / n) + np.sqrt((n - 1) * t * (1 - 1 / n)))
@@ -452,7 +464,7 @@ def _u_cor6(b: FactsBatch) -> _Rule:
     n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
     dd = (dmax - dmin) ** 2
     # integer case test: (n dd + 4m)^2 <= 16 m^2 (1 + dd)
-    em, edd = _exact(m), _exact(dd)
+    em, edd = _exact(m, n), _exact(dd, n)
     inside = ((n * edd + 4 * em) ** 2 <= 16 * em * em * (1 + edd)).astype(bool)
     value = np.where(inside,
                      2 * m / n
@@ -511,14 +523,16 @@ BOUND_IDS = tuple(row[0] for row in _CATALOG)
 
 def _evaluate(rows: tuple, b: FactsBatch) -> list[_Rule]:
     """Each catalog row of rows on every lane: its hypotheses, the shared one
-    first, its value and its named arrays."""
+    first, its value and its named arrays. A row is evaluated once per batch."""
     evaluated = []
     with np.errstate(all="ignore"):
-        for _, _, _, shared, rule, _ in rows:
-            hypotheses, value, named = rule(b)
-            if shared is not None:
-                hypotheses = [(shared[0](b), shared[1]), *hypotheses]
-            evaluated.append((hypotheses, value, named))
+        for bound_id, _, _, shared, rule, _ in rows:
+            if bound_id not in b.catalog:
+                hypotheses, value, named = rule(b)
+                if shared is not None:
+                    hypotheses = [(shared[0](b), shared[1]), *hypotheses]
+                b.catalog[bound_id] = (hypotheses, value, named)
+            evaluated.append(b.catalog[bound_id])
     return evaluated
 
 
@@ -547,7 +561,7 @@ def batch_violations(b: FactsBatch) -> list[tuple[int, str, float]]:
 
 def _results(rows: tuple, f: GraphFacts) -> tuple[BoundResult, ...]:
     """The report records of catalog rows on f."""
-    b, tol = FactsBatch.of(f), tolerances.tight_tol(f.qe, scale=f.scale)
+    b, tol = f.batch, tolerances.tight_tol(f.qe, scale=f.scale)
     return tuple(_result(row, evaluated, f, b, tol)
                  for row, evaluated in zip(rows, _evaluate(rows, b)))
 
@@ -598,4 +612,4 @@ def violations(g: Graph | GraphFacts) -> list[tuple[str, float]]:
     """(bound_id, gap) for every applicable bound on the wrong side of QE by
     more than the tightness tolerance, in catalog order: batch_violations on
     the graph's batch of one."""
-    return [(bid, gap) for _, bid, gap in batch_violations(FactsBatch.of(graph_facts(g)))]
+    return [(bid, gap) for _, bid, gap in batch_violations(graph_facts(g).batch)]

@@ -220,7 +220,7 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
     them, and the ids of its failed checks. Empty lists mean every applicable
     bound holds, every spectral check holds, and every solve read so far
     converged."""
-    violated, failures = batch_verdict(FactsBatch.of(f))
+    violated, failures = batch_verdict(f.batch)
     return [(bid, gap) for _, bid, gap in violated], [cid for _, cid in failures]
 
 

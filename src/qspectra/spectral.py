@@ -25,17 +25,21 @@ questions about one graph builds the facts once and passes them along.
 
 ``FactsBatch`` holds what the bound catalog and the lemma rules read, as
 arrays with one lane per graph, for B graphs of one order. ``from_masks``
-builds it straight from edge masks, solving every signless Laplacian in one
-``jacobi_stack`` call, and builds no Graph; ``FactsBatch.of`` is a batch of
-one read off a GraphFacts. Each lemma rule is stated once, on a batch:
-``batch_lemma_failures`` judges every lane, and the ``LemmaCheck`` records of
-``GraphFacts.lemmas`` render a batch of one.
+builds it straight from int64 edge masks, which hold the 55 vertex pairs of
+up to 11 vertices, solving every signless Laplacian in one ``jacobi_stack``
+call, and builds no Graph. Connectivity and the bipartite component count
+come from Warshall's transitive closure on int64 bitset rows of the
+bipartite double cover (``_components``). ``FactsBatch.of`` is a batch of one
+read off a GraphFacts, and ``GraphFacts.batch`` builds it once per graph.
+Each lemma rule is stated once, on a batch: ``batch_lemma_failures`` judges
+every lane, and the ``LemmaCheck`` records of ``GraphFacts.lemmas`` render a
+batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -261,6 +265,18 @@ class GraphFacts:
         """Signless Laplacian energy: the sum of the deviations."""
         return math.fsum(self.gamma.values)
 
+    @property
+    def batch(self) -> FactsBatch:
+        """This graph as a batch of one, built once; its converged follows
+        every solve made since, and the catalog rows evaluated on it stay."""
+        b, converged = self.__dict__.get("_batch"), not self.unconverged()
+        if b is None:
+            b = FactsBatch.of(self)
+        elif b.converged[0] != converged:
+            b = replace(b, converged=np.array([converged]))
+        self.__dict__["_batch"] = b
+        return b
+
     @cached_property
     def lemmas(self) -> tuple[LemmaCheck, ...]:
         return _lemma_checks(self)
@@ -317,6 +333,8 @@ class FactsBatch:
     min_is_zero: np.ndarray
     qe: np.ndarray
     converged: np.ndarray
+    # the catalog rows evaluated on this batch, by bound id (bounds._evaluate)
+    catalog: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_masks(cls, n: int, masks, scale: float) -> FactsBatch:
@@ -398,23 +416,24 @@ def _components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per graph of a (B, n, n) adjacency stack: whether it is connected, and
     its number of bipartite components. Both come from reachability in the
     bipartite double cover, where a vertex reaches its own copy exactly when
-    its component has an odd cycle."""
-    count, n = adjacency.shape[:2]
-    # entries are 0 or 1 before each product, so its sums are small integers,
-    # exact in float32, whose products ran about four times as fast as
-    # float64's at n = 7, B = 256
-    reach = np.zeros((count, 2 * n, 2 * n), dtype=np.float32)
-    reach[:, :n, n:] = adjacency
-    reach[:, n:, :n] = adjacency
-    reach[:, np.arange(2 * n), np.arange(2 * n)] = 1.0
-    # after k squarings reach holds every walk of length at most 2^k
-    for _ in range((2 * n - 2).bit_length()):
-        reach = (np.matmul(reach, reach) > 0).astype(np.float32)
-    joined = (reach[:, :n, :n] + reach[:, :n, n:]) > 0
-    vertices = np.arange(n)
-    # a vertex is the least of its component when no lesser vertex reaches it
-    least = np.argmax(joined, axis=1) == vertices
-    odd = reach[:, vertices, n + vertices] > 0
+    its component has an odd cycle. Reachability is Warshall's transitive
+    closure (J. ACM 9, 1962) on int64 bitset rows, one per vertex of the
+    cover, 2n bits each; the edge masks of from_masks are int64 too, which
+    caps n at 11."""
+    n = adjacency.shape[1]
+    bit = 1 << np.arange(n, dtype=np.int64)
+    neighbours = (adjacency * bit).sum(axis=2)
+    # bit v is copy 0 of vertex v, bit n + v copy 1; copy 0 of v is joined to
+    # copy 1 of each neighbour, and each copy reaches itself
+    reach = np.concatenate([(neighbours << n) | bit, neighbours | (bit << n)], axis=1)
+    for k in range(2 * n):
+        # every vertex that reaches k reaches what k reaches (-1 is all ones)
+        reach |= -((reach >> k) & 1) & reach[:, k:k + 1]
+    first = reach[:, :n]
+    component = (first | (first >> n)) & ((1 << n) - 1)      # either copy
+    # a vertex is the least of its component when it reaches no lesser vertex
+    least = (component & (bit - 1)) == 0
+    odd = ((first >> (n + np.arange(n))) & 1) == 1
     return least.sum(axis=1) == 1, (least & ~odd).sum(axis=1)
 
 
@@ -606,7 +625,7 @@ def batch_lemma_failures(b: FactsBatch) -> list[tuple[int, str]]:
 
 
 def _lemma_checks(f: GraphFacts) -> tuple[LemmaCheck, ...]:
-    b = FactsBatch.of(f)
+    b = f.batch
     checks = []
     for lemma in _LEMMAS:
         # lane 0 as Python scalars

@@ -72,8 +72,10 @@ def test_batch_verdict_equals_the_per_graph_verdict(scale, solves, monkeypatch):
 
 
 def test_batch_degree_and_structure_facts_equal_the_per_graph_ones():
-    for n in range(1, 7):
-        masks = range(1 << (n * (n - 1) // 2))
+    # every labeled graph with n <= 6, and the order-7 sample verify's tests use
+    cases = [(n, range(1 << (n * (n - 1) // 2))) for n in range(1, 7)]
+    cases += [case for case in mask_cases() if case[0] == 7]
+    for n, masks in cases:
         for start in range(0, len(masks), 4096):
             chunk = masks[start:start + 4096]
             b = FactsBatch.from_masks(n, chunk, 1.0)
@@ -125,27 +127,62 @@ def named(bound_id, b):
     return bounds._evaluate((row,), b)[0][2]
 
 
-def test_integer_case_tests_stay_exact_where_int64_overflows():
-    n = 3000
-    rng = random.Random(5)
+def extreme_degrees(n, seed):
+    """Degree sequences on n vertices whose case-test products are large: a
+    near-complete graph with one leaf, two hubs among leaves, and random
+    mixes of small, middling and full degrees. Each sum is even."""
+    rng = random.Random(seed)
     cases = [[n - 1] * (n - 1) + [1], [1] * (n - 2) + [n - 1, n - 1]]
     cases += [[rng.choice((1, 2, n // 2, n - 1)) for _ in range(n)] for _ in range(4)]
-    overflowing = 0
     for degrees in cases:
-        degrees[-1] += sum(degrees) % 2
-        m, m1 = sum(degrees) // 2, sum(d * d for d in degrees)
-        dd = (max(degrees) - min(degrees)) ** 2
-        b = facts_at(degrees)
-        assert named("U-THM3", b)["mean_dominant"].tolist() == [
-            n * (2 * m + m1) <= 8 * m * m]
+        degrees[-1] -= sum(degrees) % 2
+    return cases
+
+
+def integer_case_tests(degrees):
+    """The named integer case-test results of the catalog on a batch with
+    these degrees, as Python values."""
+    b = facts_at(degrees)
+    return [named(bound_id, b)[key].tolist() for bound_id, key in (
+        ("U-THM3", "mean_dominant"), ("U-COR6", "inside"),
+        ("L-COR4", "threshold"), ("L-COR5", "threshold"))]
+
+
+def exact_case_tests(n, degrees):
+    """The same results in Python ints, the reference."""
+    m, m1 = sum(degrees) // 2, sum(d * d for d in degrees)
+    dd = (max(degrees) - min(degrees)) ** 2
+    c = m * (n ** 3 - n ** 2 - 2 * m * n + 4 * m)
+    return [[n * (2 * m + m1) <= 8 * m * m],
+            [(n * dd + 4 * m) ** 2 <= 16 * m * m * (1 + dd)],
+            [math.sqrt(c) / (2 * n)], [math.sqrt(c) / n ** 3]]
+
+
+def test_integer_case_tests_stay_exact_where_int64_overflows():
+    n = 3000
+    overflowing = 0
+    for degrees in extreme_degrees(n, 5):
+        assert integer_case_tests(degrees) == exact_case_tests(n, degrees)
+        m, dd = sum(degrees) // 2, (max(degrees) - min(degrees)) ** 2
         overflowing += 16 * m * m * (1 + dd) > 2 ** 63
-        assert named("U-COR6", b)["inside"].tolist() == [
-            (n * dd + 4 * m) ** 2 <= 16 * m * m * (1 + dd)]
-        c = m * (n ** 3 - n ** 2 - 2 * m * n + 4 * m)
-        assert named("L-COR4", b)["threshold"].tolist() == [math.sqrt(c) / (2 * n)]
-        assert named("L-COR5", b)["threshold"].tolist() == [math.sqrt(c) / n ** 3]
     # the U-COR6 products overflow int64 on most of these graphs
     assert overflowing >= 4
+
+
+def test_int64_and_python_int_case_tests_agree_at_the_order_bound(monkeypatch):
+    n = bounds.INT64_ORDER_MAX
+    largest = 0
+    for degrees in extreme_degrees(n, 5):
+        assert bounds._exact(np.array(degrees), n).dtype == np.int64
+        in_int64 = integer_case_tests(degrees)
+        with monkeypatch.context() as patched:
+            patched.setattr(bounds, "INT64_ORDER_MAX", n - 1)
+            assert bounds._exact(np.array(degrees), n).dtype == object
+            assert integer_case_tests(degrees) == in_int64 == exact_case_tests(n, degrees)
+        m, dd = sum(degrees) // 2, (max(degrees) - min(degrees)) ** 2
+        largest = max(largest, 16 * m * m * (1 + dd))
+    # the products come close to 2^63, far past float64's exact integers
+    assert 2 ** 61 < largest < 2 ** 63
 
 
 def test_a_batch_of_one_reads_the_facts_it_is_given():

@@ -1,8 +1,11 @@
 """Per-graph facts: each spectrum is solved once per top-level call, the
 lemma checks and common-neighbour counts run once per graph at most, the
+batch of one is built and each catalog row evaluated once per graph, the
 tolerance scale is read once per graph at most, and no result outlives the
 call that computed it.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -11,7 +14,7 @@ from qspectra.bounds import all_bounds
 from qspectra.cli import main
 from qspectra.energy import energies
 from qspectra.graph_core import cycle, prism
-from qspectra.reports import analyze_report, reproduce_table1, verify_exhaustive
+from qspectra.reports import analyze_report, check_graph, reproduce_table1, verify_exhaustive
 from qspectra.spectral import q_spectrum
 
 
@@ -144,3 +147,65 @@ def test_cli_runs_the_lemma_checks_and_neighbour_counts_once(
     assert main(argv) == 0
     capsys.readouterr()
     assert (seen["lemmas"], seen["neighbours"]) == (lemma_runs, neighbour_counts)
+
+
+@pytest.fixture
+def catalog(monkeypatch):
+    """Batches of one built, and the ids of the catalog rows evaluated, in
+    order."""
+    seen = {"batches": 0, "rows": []}
+    of = spectral.FactsBatch.of
+
+    def counted_of(cls, f):
+        seen["batches"] += 1
+        return of(f)
+
+    def counted(bound_id, rule):
+        def run(b):
+            seen["rows"].append(bound_id)
+            return rule(b)
+        return run
+
+    monkeypatch.setattr(spectral.FactsBatch, "of", classmethod(counted_of))
+    monkeypatch.setattr(bounds, "_CATALOG", tuple(
+        (*row[:4], counted(row[0], row[4]), row[5]) for row in bounds._CATALOG))
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "prism", "5"],
+    ["analyze", "--family", "prism", "5", "--json"],
+    ["bounds", "--family", "crown", "4"],
+    ["bounds", "--family", "crown", "4", "--json"],
+])
+def test_cli_builds_one_batch_and_walks_the_catalog_once(catalog, capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert catalog["batches"] == 1
+    assert catalog["rows"] == list(bounds.BOUND_IDS)
+
+
+def test_a_table_builds_one_batch_per_row_and_evaluates_its_columns_once(catalog):
+    report = reproduce_table1()
+    rows = len(report.rows)
+    assert catalog["batches"] == rows
+    # its L-GAN5 column is the two-case form, read off the batch, not the row
+    columns = [name for name in report.column_names
+               if name in bounds.BOUND_IDS and name != "L-GAN5"]
+    assert Counter(catalog["rows"]) == {bound_id: rows for bound_id in columns}
+
+
+def test_a_kept_batch_sees_a_solve_made_after_it(catalog, monkeypatch):
+    f = spectral.GraphFacts(prism(4))
+    assert check_graph(f) == ([], [])          # Q solved, the batch kept
+    kernel = spectral._KERNEL
+
+    class Unconverged:
+        @staticmethod
+        def jacobi_stack(a):
+            return [(sweeps, False, off, top) for sweeps, _, off, top in kernel.jacobi_stack(a)]
+
+    monkeypatch.setattr(spectral, "_KERNEL", Unconverged)
+    f.solve_all()                               # A and L, neither converged
+    assert check_graph(f) == ([], ["solver:not_converged"])
+    assert catalog["batches"] == 1 and catalog["rows"] == list(bounds.BOUND_IDS)

@@ -403,16 +403,18 @@ def _kernel_stacks():
 
 def _assert_stack_twins(compiled_kernel, stack):
     """Both kernels' jacobi_stack, on the stack and on copies of it tiled past
-    _jacobi_py.LANES_FIRST_MAX lanes, leave in each lane and return for it bit
-    for bit what the Python jacobi_sweeps leaves in and returns for that
-    matrix alone. The Python kernel runs its lanes-first loop on the stack
-    (at most LANES_FIRST_MAX lanes here) and its lanes-last loop on the
-    tiled copies for as long as more lanes than that iterate."""
+    _jacobi_py.LANES_FIRST_MAX and past _jacobi_py.ROW_ADDS_MIN lanes, leave
+    in each lane and return for it bit for bit what the Python jacobi_sweeps
+    leaves in and returns for that matrix alone. The Python kernel runs its
+    lanes-first loop on the stack (at most LANES_FIRST_MAX lanes here) and
+    its lanes-last loop on the tiled copies for as long as more lanes than
+    that iterate, and adds its sums row by row on the widest copy."""
     assert len(stack) <= _jacobi_py.LANES_FIRST_MAX
     single = [m.copy(order="C") for m in stack]
     expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
-    tiles = _jacobi_py.LANES_FIRST_MAX // max(len(stack), 1) + 1
-    for tiled in (stack, np.concatenate([stack] * tiles)):
+    stacks = [stack] + [np.concatenate([stack] * (lanes // max(len(stack), 1) + 1))
+                        for lanes in (_jacobi_py.LANES_FIRST_MAX, _jacobi_py.ROW_ADDS_MIN)]
+    for tiled in stacks:
         for kernel in (compiled_kernel, _jacobi_py):
             work = tiled.copy(order="C")
             results = kernel.jacobi_stack(work)
@@ -421,6 +423,34 @@ def _assert_stack_twins(compiled_kernel, stack):
                 where = (kernel.__name__, tiled.shape, i)
                 assert repr(result) == expected[i % len(stack)], where
                 assert w.tobytes() == single[i % len(stack)].tobytes(), where
+
+
+@pytest.mark.parametrize("columns", [
+    3, _jacobi_py.ROW_ADDS_MIN - 1, _jacobi_py.ROW_ADDS_MIN, 1024])
+def test_both_sum_forms_add_in_the_compiled_loop_order(columns):
+    # squares of mixed size, with +0.0 (the square of -0.0), subnormal, inf
+    # and NaN terms; below ROW_ADDS_MIN columns the sum is np.add.accumulate,
+    # from there on one add per row
+    rng = np.random.default_rng(columns)
+    roots = rng.standard_normal((49, columns)) * 10.0 ** rng.uniform(-3, 3, (49, columns))
+    kind = rng.random(roots.shape)
+    roots[kind < 0.05] = -0.0
+    roots[(0.05 <= kind) & (kind < 0.1)] = 1e-160
+    roots[5, 0], roots[7, 1] = 1e160, np.nan
+    with np.errstate(over="ignore"):
+        terms = roots * roots
+    assert (terms == 0.0).any() and (terms == 1e-320).any()
+    forward, backward = [], []
+    for column in terms.T.tolist():
+        for order, sums in ((column, forward), (column[::-1], backward)):
+            total = 0.0
+            for v in order:
+                total += v
+            sums.append(total)
+    assert np.isinf(forward).any() and np.isnan(forward).any()
+    # the order of the adds shows in the bits of some finite sum
+    assert any(f != b for f, b in zip(forward, backward) if math.isfinite(f))
+    assert _jacobi_py._sums_in_loop_order(terms).tobytes() == np.array(forward).tobytes()
 
 
 def test_compiled_and_python_stack_kernels_bit_identical(compiled_kernel):
