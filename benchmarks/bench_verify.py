@@ -4,7 +4,11 @@ Builds seeded batches of 1024 edge masks on each order, as verify's jobs are,
 and prints the CPU milliseconds each stage takes over all batches of an
 order: ``FactsBatch.from_masks``; within it ``jacobi_stack`` and
 ``_components``, run again on the arrays it built; ``batch_violations``; and
-``batch_lemma_failures``. The re-run stages must give what the batch holds,
+``batch_lemma_failures``. The ``identity`` column says whether every Q stack
+of the order meets ``_jacobi_py.identity_skips``, under which the Python
+kernel's lanes-last loop rotates a skipped lane by the identity and writes
+every lane with plain copies; a stack that fails it still solves bit for bit,
+but with masked writes. The re-run stages must give what the batch holds,
 and every batch's verdict must equal what ``reports._verify_batch`` gives for
 its masks; exits 1 otherwise. The verdicts are empty at the default
 tolerance; under ``QSPECTRA_TOL=1e-300`` they are not.
@@ -21,6 +25,7 @@ import time
 import numpy as np
 
 from qspectra import reports, spectral, tolerances
+from qspectra._jacobi_py import identity_skips
 from qspectra.bounds import batch_violations
 from qspectra.graph_core import emit_graph6, graph_from_mask
 from qspectra.spectral import FactsBatch, batch_lemma_failures
@@ -46,11 +51,13 @@ def timed(seconds: dict, stage: str, fn, *args):
     return result
 
 
-def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> bool:
-    """Times each stage on one batch; True when every check holds."""
+def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> tuple[bool, bool]:
+    """Times each stage on one batch. Returns whether every check holds, and
+    whether its Q stack meets identity_skips."""
     b = timed(seconds, "from_masks", FactsBatch.from_masks, n, masks, scale)
     q = b.adjacency.astype(np.float64)
     q[:, np.arange(n), np.arange(n)] = b.degrees
+    identity = identity_skips(q)
     timed(seconds, "jacobi_stack", spectral._KERNEL.jacobi_stack, q)
     values = np.sort(np.diagonal(q, axis1=1, axis2=2), axis=1)[:, ::-1]
     connected, bipartite = timed(seconds, "_components", spectral._components, b.adjacency)
@@ -66,7 +73,7 @@ def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> bool:
     return (values.tobytes() == b.eigenvalues.tobytes()
             and (connected == b.connected).all() and (bipartite == b.bipartite_components).all()
             and violated == verdict[0] and failed == verdict[1][:len(failed)]
-            and named == reports._verify_batch((n, masks, scale)))
+            and named == reports._verify_batch((n, masks, scale))), identity
 
 
 def main() -> int:
@@ -79,17 +86,19 @@ def main() -> int:
     print(f"kernel: {spectral.BACKEND}; CPU ms over every batch of an order; "
           f"jacobi_stack and _components are parts of from_masks")
     header = f"{'n':>3} {'batches':>8} {'graphs':>7}" + "".join(f" {s:>21}" for s in STAGES)
-    print(header + f" {'checked':>8}")
-    print("-" * (len(header) + 9))
+    print(header + f" {'identity':>8} {'checked':>8}")
+    print("-" * (len(header) + 18))
     mismatch = False
     for n in (int(s) for s in args.orders.split(",")):
         seconds = dict.fromkeys(STAGES, 0.0)
         batches = sample_batches(n, 1 if args.smoke else BATCHES, args.seed)
-        same = all([run_batch(n, masks, scale, seconds) for masks in batches])
+        runs = [run_batch(n, masks, scale, seconds) for masks in batches]
+        same = all(same for same, _ in runs)
+        identity = all(identity for _, identity in runs)
         mismatch |= not same
         line = f"{n:>3} {len(batches):>8} {sum(map(len, batches)):>7}"
         line += "".join(f" {seconds[s] * 1e3:>21.1f}" for s in STAGES)
-        print(f"{line} {'yes' if same else 'NO':>8}")
+        print(f"{line} {'yes' if identity else 'no':>8} {'yes' if same else 'NO':>8}")
     return 1 if mismatch else 0
 
 

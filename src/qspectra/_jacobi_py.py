@@ -41,7 +41,9 @@ one column per matrix; while every matrix still iterates, the work array
 of the last sweep (first, one transposed copy of the stack) holds them all,
 and no gather runs. In the loop:
 
-- theta, t, c and s are vectors of the same expressions. The sign flip is
+- theta, t, c, s and the pivot step t * apq are vectors of the same
+  expressions, with the operands in the same order, each written into a
+  buffer allocated once per sweep. The sign flip is
   ``copysign(t, theta + 0.0)``: adding 0.0 turns a -0.0 theta into +0.0 and
   leaves every other theta as it is, so t is negated exactly where
   ``theta < 0.0``. The asymptotic branch, which a NaN theta also takes, is a
@@ -80,10 +82,35 @@ and 32 lanes.
 
 In both loops a lane whose (p, q) entry is zero skips the rotation, as the
 compiled loop does. When every lane rotates, the writes are plain. When some
-lane skips, they take ``where=`` the rotating lanes, so a skipped lane keeps
-every bit, the sign of its zeros included. A rotation by c = 1 and s = 0
-would not: -0.0 - (-0.0) is +0.0. What a skipped lane computes is never
-written. Every write therefore copies bits that the compiled loop's own
+lane skips, the lanes-first loop writes with ``where=`` the rotating lanes,
+so a skipped lane keeps every bit, the sign of its zeros included, and what
+it computes is never written. The lanes-last loop does the same unless
+``identity_skips`` holds for the stack: it is all finite, exactly symmetric
+(``a == a.transpose(0, 2, 1)``) and holds no -0.0, as every Q stack of
+verify is. ``jacobi_stack`` decides once per call, and only when the
+lanes-last loop will run. Under the rule a skipped lane rotates by the
+identity: its t is set to 0.0 after the asymptotic divide (its theta is
++-inf or NaN there), so c = 1, s = 0 and step = 0, and every write is plain,
+a masked copy costing 3 to 4 times a plain one. That keeps every bit:
+
+- No rotating lane ever writes -0.0. Since |t| <= 1, c = 1 / sqrt(t * t + 1)
+  is at least 1 / sqrt(2), so c * x rounds to zero only when x is zero, and
+  keeps its sign; a rounded sum is -0.0 only when both addends are. The
+  writes are c * x + (-s) * y, s * x + c * y, app - step, aqq + step and the
+  literal 0.0.
+- Symmetry is kept exactly: rows and columns p and q are written from one
+  buffer, and every lanes-last sweep runs before any lanes-first sweep.
+- Entries stay finite: an iterating lane has a finite Frobenius square, so
+  every entry is below about 1.3e154. A lane whose square overflows never
+  iterates, because its threshold is inf.
+- So a skipped lane keeps every bit. Its new rows are x + (+-0) = x and
+  (+-0) + y = y, and its columns equal its rows. Its pivots are app - (+0)
+  and aqq + (+0). Its (p, q) and (q, p) entries are already +0.0, so the
+  two 0.0 writes leave them as they are.
+
+Without the rule the identity would move bits: -0.0 - (-0.0) is +0.0, and a
+column written from its row loses an entry that is symmetric only to
+rounding. Either way, every write copies bits that the compiled loop's own
 operations, in its own order, produce for that lane. A matrix leaves the
 batch when it converges or reaches MAX_SWEEPS.
 
@@ -205,16 +232,29 @@ def _sums_in_loop_order(terms):
 LANES_FIRST_MAX = 16     # lanes up to which jacobi_stack runs _lanes_first
 
 
-def _lanes_last(w):
+def identity_skips(a):
+    """True when a lane of the (B, n, n) stack ``a`` that skips a rotation may
+    rotate by the identity instead and keep every bit: ``a`` is all finite,
+    exactly symmetric and holds no -0.0."""
+    return bool(np.isfinite(a).all() and (a == a.transpose(0, 2, 1)).all()
+                and not (np.signbit(a) & (a == 0.0)).any())
+
+
+def _lanes_last(w, plain):
     """One sweep of every matrix of an (n, n, lanes) work array, each numpy
-    call covering all lanes."""
+    call covering all lanes. With ``plain`` (``identity_skips`` held for the
+    stack), a lane that skips a rotation rotates by the identity and every
+    write is plain; otherwise the writes take ``where=`` the rotating lanes."""
     n, lanes = w.shape[0], w.shape[-1]
     coef = np.empty((2, 2, 1, lanes))
     rotation = coef[:, :, 0]             # [[c, -s], [s, c]] per lane
+    c, s = rotation[0, 0], rotation[1, 0]
     terms = np.empty((2, 2, n, lanes))   # rotation * (row p, row q)
     left, right = terms[:, 0], terms[:, 1]
     rows = np.empty((2, n, lanes))       # the new rows p and q
     cols = rows.transpose(1, 0, 2)       # ... as columns p and q
+    theta, size, t, step, scratch = np.empty((5, lanes))
+    big, skipped = np.empty((2, lanes), dtype=bool)
     for p in range(n - 1):
         x = w[p]
         for q in range(p + 1, n):
@@ -222,31 +262,42 @@ def _lanes_last(w):
             rotating = np.count_nonzero(apq)     # the apq == 0.0 skip
             if rotating == 0:
                 continue
-            # a skipped lane keeps every bit, the sign of its zeros
-            # included: c = 1, s = 0 would turn -0.0 - -0.0 into +0.0
-            where = True if rotating == lanes else apq != 0.0
             y = w[q]
             app, aqq = x[p], y[q]
-            theta = (aqq - app) / (2.0 * apq)
-            size = np.abs(theta)
-            # negative where theta < 0.0; theta + 0.0 is +0.0 for -0.0
-            t = np.copysign(1.0 / (size + np.sqrt(theta * theta + 1.0)), theta + 0.0)
+            # theta = (aqq - app) / (2.0 * apq)
+            np.divide(np.subtract(aqq, app, out=theta),
+                      np.multiply(2.0, apq, out=scratch), out=theta)
+            np.abs(theta, out=size)
+            # 1.0 / (size + sqrt(theta * theta + 1.0)), negative where
+            # theta < 0.0; theta + 0.0 is +0.0 for -0.0
+            np.sqrt(np.add(np.multiply(theta, theta, out=t), 1.0, out=t), out=t)
+            np.divide(1.0, np.add(size, t, out=t), out=t)
+            np.copysign(t, np.add(theta, 0.0, out=scratch), out=t)
             # asymptotic tangent where |theta| >= 1e150 or theta is NaN
-            np.divide(0.5, theta, out=t, where=~(size < 1.0e150))
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = np.multiply(t, c, out=rotation[1, 0])
-            rotation[0, 0] = c
+            np.logical_not(np.less(size, 1.0e150, out=big), out=big)
+            np.divide(0.5, theta, out=t, where=big)
+            where = True
+            if rotating < lanes:
+                # a skipped lane's theta is +-inf or NaN; t = 0.0 makes its
+                # rotation the identity, c = 1, s = 0 and step = 0
+                np.copyto(t, 0.0, where=np.equal(apq, 0.0, out=skipped))
+                if not plain:
+                    where = ~skipped
+            # c = 1.0 / sqrt(t * t + 1.0)
+            np.sqrt(np.add(np.multiply(t, t, out=c), 1.0, out=c), out=c)
+            np.divide(1.0, c, out=c)
+            np.multiply(t, c, out=s)
             rotation[1, 1] = c
             np.negative(s, out=rotation[0, 1])
-            step = t * apq
+            np.multiply(t, apq, out=step)
             pair = w[p:q + 1:q - p]
             np.multiply(coef, pair, out=terms)
             np.add(left, right, out=rows)
             # pivot block set directly, as in jacobi_sweeps
-            rows[0, p] = app - step
+            np.subtract(app, step, out=rows[0, p])
             rows[0, q] = 0.0
             rows[1, p] = 0.0
-            rows[1, q] = aqq + step
+            np.add(aqq, step, out=rows[1, q])
             np.copyto(pair, rows, where=where)
             np.copyto(w[:, p:q + 1:q - p], cols, where=where)
 
@@ -333,15 +384,16 @@ def jacobi_stack(a):
     off_sq = offdiag_sq(w)
     sweeps = np.zeros(count, dtype=np.intp)
     active = np.flatnonzero(off_sq > threshold_sq)
+    plain = active.size > LANES_FIRST_MAX and identity_skips(a)
     # theta * theta overflows on the asymptotic branch, whose t is then reset;
-    # the lanes that skip divide by their zero apq, and their values are unused
+    # the lanes that skip divide by their zero apq, and their t is then 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while active.size:
             if active.size > LANES_FIRST_MAX:
                 # while every lane iterates, w already holds every matrix
                 if active.size < count:
                     w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)
-                _lanes_last(w.reshape(n, n, -1))
+                _lanes_last(w.reshape(n, n, -1), plain)
                 flat[active] = w.T
             else:
                 w = a[active]                                             # (lanes, n, n)

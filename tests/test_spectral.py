@@ -461,8 +461,9 @@ def test_compiled_and_python_stack_kernels_bit_identical(compiled_kernel):
 def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
     # at (0, 1) lane 0 rotates while lane 1 skips: its (0, 1) entry is -0.0,
     # and its rows 0 and 1 hold -0.0 and -1.0, which a rotation by c = 1,
-    # s = 0 would not keep, since -0.0 - (-0.0) is +0.0. Lane 2's theta at
-    # (0, 1) is 0.0 / -2.0 = -0.0, whose tangent is +1.
+    # s = 0 would not keep, since -0.0 - (-0.0) is +0.0. So identity_skips
+    # refuses the stack, and its tiled copies take the masked writes. Lane
+    # 2's theta at (0, 1) is 0.0 / -2.0 = -0.0, whose tangent is +1.
     stack = np.array([
         [[2.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.25, 0.5],
          [0.5, 0.25, 4.0, 1.0], [0.25, 0.5, 1.0, 5.0]],
@@ -472,6 +473,7 @@ def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
          [0.0, 0.0, 2.0, 0.5], [0.0, 0.0, 0.5, 2.0]],
     ])
     assert np.signbit(stack[1][stack[1] == 0.0]).any()    # a -0.0 is left to keep
+    assert not _jacobi_py.identity_skips(stack)
     _assert_stack_twins(compiled_kernel, stack)
 
 
@@ -488,6 +490,83 @@ def test_a_lane_without_a_rotation_in_a_block_keeps_its_column(compiled_kernel):
     single = stack[0].copy()
     _jacobi_py.jacobi_sweeps(single)
     assert single[1, 0] != 0.0
+    _assert_stack_twins(compiled_kernel, stack)
+
+
+def _q_stack(n, masks):
+    return np.stack([signless_laplacian_matrix(graph_from_mask(n, mask)) for mask in masks])
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_mask_batches_rotate_skipped_lanes_by_the_identity(compiled_kernel, n):
+    # every lane iterates, and at the first rotation, (0, 1), the lanes
+    # without that edge skip while the others rotate: the skipped lanes
+    # rotate by the identity, and every write is plain
+    masks = sorted(random.Random(n).sample(range(1, 1 << (n * (n - 1) // 2)), 40))
+    stack = _q_stack(n, masks)
+    assert (stack[:, 0, 1] == 0.0).any() and (stack[:, 0, 1] != 0.0).any()
+    assert _jacobi_py.identity_skips(stack)
+    single = [m.copy() for m in stack]
+    expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
+    for kernel in (compiled_kernel, _jacobi_py):
+        work = stack.copy()
+        assert [repr(r) for r in kernel.jacobi_stack(work)] == expected, kernel.__name__
+        assert [w.tobytes() for w in work] == [w.tobytes() for w in single], kernel.__name__
+
+
+def test_identity_rule_holds_for_verify_stacks_and_graph_matrices(monkeypatch):
+    seen = []
+    kernel = spectral._KERNEL
+
+    class RecordingKernel:
+        jacobi_sweeps = staticmethod(kernel.jacobi_sweeps)
+
+        @staticmethod
+        def jacobi_stack(a):
+            seen.append(a.copy())
+            return kernel.jacobi_stack(a)
+
+    monkeypatch.setattr(spectral, "_KERNEL", RecordingKernel)
+    FactsBatch.from_masks(5, range(1024), 1.0)
+    FactsBatch.from_masks(7, sorted(random.Random(7).sample(range(1 << 21), 1024)), 1.0)
+    assert [len(a) for a in seen] == [1024, 1024]
+    assert all(_jacobi_py.identity_skips(a) for a in seen)
+    rng = random.Random(17)
+    graphs = [random_graph(n, p, rng) for n in (2, 7, 16) for p in (0.3, 0.9)]
+    for g in graphs + [complete(5), star(6), Graph(4, ())]:
+        a, lap, q = adjacency_matrix(g), laplacian_matrix(g), signless_laplacian_matrix(g)
+        assert _jacobi_py.identity_skips(np.stack([a, q]))
+        # L is -A off the diagonal, so a non-edge is -0.0 and a stack of L
+        # keeps the masked writes
+        non_edges = g.n * (g.n - 1) // 2 - g.m
+        assert _jacobi_py.identity_skips(np.stack([a, lap, q])) == (non_edges == 0), g
+
+
+def _skipping_q_stack():
+    """16 seeded order-6 Q matrices whose lanes are mixed at (0, 1), the last
+    of a graph on vertices 2..5 only, whose rows 0 and 1 skip every rotation."""
+    masks = sorted(random.Random(6).sample(range(1, 1 << 15), 15))
+    square = Graph(6, ((2, 3), (3, 4), (4, 5), (2, 5)))
+    stack = np.concatenate([_q_stack(6, masks), signless_laplacian_matrix(square)[None]])
+    assert (stack[:, 0, 1] == 0.0).any() and (stack[:, 0, 1] != 0.0).any()
+    assert _jacobi_py.identity_skips(stack)
+    return stack
+
+
+@pytest.mark.parametrize("defect", ["-0.0 pair", "1-ulp asymmetric pair", "inf", "nan"])
+def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
+    # the last lane skips (0, 1) while other lanes rotate; the identity
+    # rotation would leave +0.0 at its (0, 1) and (1, 0) entries. A lane
+    # with an inf or NaN entry never iterates
+    stack = _skipping_q_stack()
+    last = stack[-1]
+    if defect == "-0.0 pair":
+        last[0, 1] = last[1, 0] = -0.0
+    elif defect == "1-ulp asymmetric pair":
+        last[1, 0] = np.nextafter(last[0, 1], 1.0)
+    else:
+        last[3, 3] = float(defect)
+    assert not _jacobi_py.identity_skips(stack)
     _assert_stack_twins(compiled_kernel, stack)
 
 
