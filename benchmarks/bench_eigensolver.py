@@ -7,7 +7,10 @@ adjacency, Laplacian and signless Laplacian matrices of each of those graphs,
 as analyze does: three one-matrix calls against one stack of three (ms per
 graph). Confirms bit for bit, on every matrix and returned tuple, that the
 two kernels agree and that each kernel's stack entry agrees with its
-one-matrix entry. Exits 1 when any result differs.
+one-matrix entry. The stack check also covers a stack of at least 17 of
+the graphs' Laplacians per size (the ``L stack`` column): their non-edges
+hold -0.0, so the stack fails ``_jacobi_py.identity_skips``, and the Python
+kernel solves it lanes first throughout. Exits 1 when any result differs.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -36,6 +39,13 @@ def make_graphs(sizes: list[int], count: int, seed: int) -> dict[int, list]:
     rng = random.Random(seed)
     return {n: [random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng) for _ in range(count)]
             for n in sizes}
+
+
+def laplacian_stack(graphs: list) -> list[np.ndarray]:
+    """The Laplacians of the graphs, cycled to more lanes than the Python
+    stack kernel runs lanes first by count alone."""
+    count = max(len(graphs), _jacobi_py.LANES_FIRST_MAX + 1)
+    return [laplacian_matrix(graphs[i % len(graphs)]) for i in range(count)]
 
 
 def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
@@ -100,7 +110,7 @@ def main() -> int:
         header += f" {'speedup':>9}"
     for name in KERNELS:
         header += f" {name + ' stack (us)':>20}"
-    header += f" {'identical':>10}"
+    header += f" {'identical':>10} {'L stack':>8}"
     print(header)
     print("-" * len(header))
     mismatch = False
@@ -110,7 +120,11 @@ def main() -> int:
         stacked = {name: bench_stack(kernel, suite[n]) for name, kernel in KERNELS.items()}
         reference = single["python"][1]
         same = all(out == reference for _, out in (*single.values(), *stacked.values()))
-        mismatch |= not same
+        laplacians = laplacian_stack(graphs[n])
+        lap_reference = bench_kernel(_jacobi_py, laplacians)[1]
+        lap_same = all(bench_stack(kernel, laplacians)[1] == lap_reference
+                       for kernel in KERNELS.values())
+        mismatch |= not (same and lap_same)
         line = f"{n:>5}"
         for seconds, _ in single.values():
             line += f" {seconds * 1e3:>14.3f}"
@@ -118,7 +132,7 @@ def main() -> int:
             line += f" {single['python'][0] / single['compiled'][0]:>8.1f}x"
         for seconds, _ in stacked.values():
             line += f" {seconds * 1e6:>20.1f}"
-        print(f"{line} {'yes' if same else 'NO':>10}")
+        print(f"{line} {'yes' if same else 'NO':>10} {'yes' if lap_same else 'NO':>8}")
 
     print()
     print("A, L and Q of one graph: three one-matrix calls against one stack of three")

@@ -8,7 +8,7 @@ order: ``FactsBatch.from_masks``; within it ``jacobi_stack`` and
 of the order meets ``_jacobi_py.identity_skips``, under which the Python
 kernel's lanes-last loop rotates a skipped lane by the identity and writes
 every lane with plain copies; a stack that fails it still solves bit for bit,
-but with masked writes. The re-run stages must give what the batch holds,
+but lanes first throughout. The re-run stages must give what the batch holds,
 and every batch's verdict must equal what ``reports._verify_batch`` gives for
 its masks; exits 1 otherwise. The verdicts are empty at the default
 tolerance; under ``QSPECTRA_TOL=1e-300`` they are not.

@@ -22,7 +22,7 @@ import importlib.util
 __version__ = "0.1.0"
 
 # the modules whose __all__ lists, in this order, make up the public names
-_MODULES = ("graph_core", "spectral", "energy", "bounds", "families_verify", "reports")
+_MODULES = ("graph_core", "spectral", "bounds", "families_verify", "reports")
 
 
 def _module(name: str):

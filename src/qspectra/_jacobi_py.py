@@ -34,9 +34,10 @@ array, runs one of two loops on it, and copies them back. Both loops pay
 numpy's per-call cost once per rotation for all lanes, so a stack of one is
 slower than ``jacobi_sweeps``.
 
-Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, the
-work array is (n, n, B), lanes last, so that every numpy call of a rotation
-covers all B lanes at once. It is gathered and scattered as (n * n, B) rows,
+Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, and for
+a stack that meets ``identity_skips`` (below), the work array is (n, n, B),
+lanes last, so that every numpy call of a rotation covers all B lanes at
+once. It is gathered and scattered as (n * n, B) rows,
 one column per matrix; while every matrix still iterates, the work array
 of the last sweep (first, one transposed copy of the stack) holds them all,
 and no gather runs. In the loop:
@@ -56,8 +57,9 @@ and no gather runs. In the loop:
   block only its pivot entries are read, and each rotation overwrites those,
   so the last write leaves what the block-end copy leaves.
 
-At most LANES_FIRST_MAX lanes, as in analyze's A, L and Q of one graph, the
-work array is (B, n, n), lanes first. With lanes last, every numpy loop of
+At most LANES_FIRST_MAX lanes, as in analyze's A, L and Q of one graph, and
+for the whole solve of a stack that fails ``identity_skips``, the work array
+is (B, n, n), lanes first. With lanes last, every numpy loop of
 a rotation is only B elements long, and about 12 vector calls go to theta,
 t, c and s. With lanes first, the loops are n long, and each lane's theta,
 t, c and s are Python floats of the ``jacobi_sweeps`` expressions:
@@ -81,17 +83,18 @@ against 16.8 ms at n = 16 and 16 lanes, and 21.3 against 15.5 ms at n = 16
 and 32 lanes.
 
 In both loops a lane whose (p, q) entry is zero skips the rotation, as the
-compiled loop does. When every lane rotates, the writes are plain. When some
-lane skips, the lanes-first loop writes with ``where=`` the rotating lanes,
-so a skipped lane keeps every bit, the sign of its zeros included, and what
-it computes is never written. The lanes-last loop does the same unless
-``identity_skips`` holds for the stack: it is all finite, exactly symmetric
-(``a == a.transpose(0, 2, 1)``) and holds no -0.0, as every Q stack of
-verify is. ``jacobi_stack`` decides once per call, and only when the
-lanes-last loop will run. Under the rule a skipped lane rotates by the
-identity: its t is set to 0.0 after the asymptotic divide (its theta is
-+-inf or NaN there), so c = 1, s = 0 and step = 0, and every write is plain,
-a masked copy costing 3 to 4 times a plain one. That keeps every bit:
+compiled loop does, and keeps every bit, the sign of its zeros included.
+The lanes-first loop leaves it out of its writes with ``where=``, which is
+exact for any stack. The lanes-last loop has one write mode, plain: a
+skipped lane's t is set to 0.0 after the asymptotic divide (its theta is
++-inf or NaN there), so it rotates by the identity, c = 1, s = 0 and
+step = 0 (a masked copy costs 3 to 4 times a plain one). That keeps every
+bit only under ``identity_skips``: the stack is all finite, exactly
+symmetric (``a == a.transpose(0, 2, 1)``) and holds no -0.0, as every Q
+stack of verify is. ``jacobi_stack`` decides once per call, when more than
+LANES_FIRST_MAX lanes iterate at the start; a stack that fails the rule,
+such as one of Laplacians, whose non-edges hold -0.0, runs lanes first for
+the whole solve. Under the rule:
 
 - No rotating lane ever writes -0.0. Since |t| <= 1, c = 1 / sqrt(t * t + 1)
   is at least 1 / sqrt(2), so c * x rounds to zero only when x is zero, and
@@ -110,7 +113,7 @@ a masked copy costing 3 to 4 times a plain one. That keeps every bit:
 
 Without the rule the identity would move bits: -0.0 - (-0.0) is +0.0, and a
 column written from its row loses an entry that is symmetric only to
-rounding. Either way, every write copies bits that the compiled loop's own
+rounding. In both loops, every write copies bits that the compiled loop's own
 operations, in its own order, produce for that lane. A matrix leaves the
 batch when it converges or reaches MAX_SWEEPS.
 
@@ -240,11 +243,11 @@ def identity_skips(a):
                 and not (np.signbit(a) & (a == 0.0)).any())
 
 
-def _lanes_last(w, plain):
+def _lanes_last(w):
     """One sweep of every matrix of an (n, n, lanes) work array, each numpy
-    call covering all lanes. With ``plain`` (``identity_skips`` held for the
-    stack), a lane that skips a rotation rotates by the identity and every
-    write is plain; otherwise the writes take ``where=`` the rotating lanes."""
+    call covering all lanes, for a stack that meets ``identity_skips``: a
+    lane that skips a rotation rotates by the identity, and every write is
+    plain."""
     n, lanes = w.shape[0], w.shape[-1]
     coef = np.empty((2, 2, 1, lanes))
     rotation = coef[:, :, 0]             # [[c, -s], [s, c]] per lane
@@ -276,13 +279,10 @@ def _lanes_last(w, plain):
             # asymptotic tangent where |theta| >= 1e150 or theta is NaN
             np.logical_not(np.less(size, 1.0e150, out=big), out=big)
             np.divide(0.5, theta, out=t, where=big)
-            where = True
             if rotating < lanes:
                 # a skipped lane's theta is +-inf or NaN; t = 0.0 makes its
                 # rotation the identity, c = 1, s = 0 and step = 0
                 np.copyto(t, 0.0, where=np.equal(apq, 0.0, out=skipped))
-                if not plain:
-                    where = ~skipped
             # c = 1.0 / sqrt(t * t + 1.0)
             np.sqrt(np.add(np.multiply(t, t, out=c), 1.0, out=c), out=c)
             np.divide(1.0, c, out=c)
@@ -298,8 +298,8 @@ def _lanes_last(w, plain):
             rows[0, q] = 0.0
             rows[1, p] = 0.0
             np.add(aqq, step, out=rows[1, q])
-            np.copyto(pair, rows, where=where)
-            np.copyto(w[:, p:q + 1:q - p], cols, where=where)
+            pair[...] = rows
+            w[:, p:q + 1:q - p] = cols
 
 
 def _lanes_first(w):
@@ -384,16 +384,18 @@ def jacobi_stack(a):
     off_sq = offdiag_sq(w)
     sweeps = np.zeros(count, dtype=np.intp)
     active = np.flatnonzero(off_sq > threshold_sq)
-    plain = active.size > LANES_FIRST_MAX and identity_skips(a)
+    # a stack whose skipped lanes may not rotate by the identity runs lanes
+    # first throughout
+    lanes_last = active.size > LANES_FIRST_MAX and identity_skips(a)
     # theta * theta overflows on the asymptotic branch, whose t is then reset;
     # the lanes that skip divide by their zero apq, and their t is then 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while active.size:
-            if active.size > LANES_FIRST_MAX:
+            if lanes_last and active.size > LANES_FIRST_MAX:
                 # while every lane iterates, w already holds every matrix
                 if active.size < count:
                     w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)
-                _lanes_last(w.reshape(n, n, -1), plain)
+                _lanes_last(w.reshape(n, n, -1))
                 flat[active] = w.T
             else:
                 w = a[active]                                             # (lanes, n, n)

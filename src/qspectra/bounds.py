@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from . import tolerances
-from .graph_core import Graph, is_complete, is_perfect_matching, is_star
+from .graph_core import Graph
 from .spectral import FactsBatch, GraphFacts, graph_facts
 
 __all__ = [
@@ -205,35 +205,50 @@ def gan5_two_case_value(g: Graph | GraphFacts) -> float:
     return _bottom_pair_value(b, *_extreme_pair(b, want_max=False)).tolist()[0]
 
 
-# -- equality-family predicates ---------------------------------------------------
+# -- equality-family predicates, one flag per lane ----------------------------------
 
-def _is_crown_like(f: GraphFacts) -> bool:
+def _lane0(a: np.ndarray) -> bool:
+    """Lane 0 of a flag array, as a Python bool."""
+    return a.tolist()[0]
+
+
+def _is_star(b: FactsBatch) -> np.ndarray:
+    # one center adjacent to all others and no other edges; includes the
+    # single edge (n = 2) but not the single vertex
+    return (b.n >= 2) & (b.m == b.n - 1) & (b.max_degree == b.n - 1)
+
+
+def _is_perfect_matching(b: FactsBatch) -> np.ndarray:
+    return (b.n >= 2) & (b.min_degree == 1) & (b.max_degree == 1)
+
+
+def _connected_bipartite_regular(b: FactsBatch) -> np.ndarray:
+    # a connected graph is bipartite exactly when its one component is
+    return b.connected & (b.bipartite_components == 1) & b.regular
+
+
+def _is_crown_like(b: FactsBatch) -> np.ndarray:
     # connected bipartite r-regular on 2r+2 vertices is exactly the complement
     # of a perfect matching inside a balanced complete bipartite graph
-    info = f.info
-    return (info.is_connected and info.is_regular and info.is_bipartite
-            and f.graph.n == 2 * f.stats.max_degree + 2)
+    return _connected_bipartite_regular(b) & (b.n == 2 * b.max_degree + 2)
 
 
-def _is_balanced_complete_bipartite(f: GraphFacts) -> bool:
+def _is_balanced_complete_bipartite(b: FactsBatch) -> np.ndarray:
     # K_{a,a} with a >= 1 is exactly a connected bipartite graph that is
     # regular of degree n/2
-    info = f.info
-    return (info.is_connected and info.is_bipartite and info.is_regular
-            and 2 * info.regularity_degree == f.graph.n)
+    return _connected_bipartite_regular(b) & (2 * b.max_degree == b.n)
 
 
 _THM3_CONDITION = ("complete graph, perfect matching, or regular graph with "
                    "constant common-neighbour count")
 
 
-def _thm3_family(f: GraphFacts) -> bool:
-    g = f.graph
-    if is_complete(g) or is_perfect_matching(g):
+def _thm3_family(f: GraphFacts, b: FactsBatch) -> bool:
+    if _lane0(b.complete | _is_perfect_matching(b)):
         return True
     # strongly-regular-style case: regular with every vertex pair sharing the
     # same number of common neighbours, adjacent or not
-    return (f.info.is_regular and g.m >= 1
+    return (_lane0(b.regular & (b.m >= 1))
             and len({k for _, k in f.common_neighbours}) == 1)
 
 
@@ -263,16 +278,16 @@ def _no_condition(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
 
 
 def _star(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return "star", is_star(f.graph), named
+    return "star", _lane0(_is_star(b)), named
 
 
 def _balanced_complete_bipartite(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return ("balanced complete bipartite graph", _is_balanced_complete_bipartite(f),
-            named)
+    return ("balanced complete bipartite graph",
+            _lane0(_is_balanced_complete_bipartite(b)), named)
 
 
 def _thm3_condition(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return _THM3_CONDITION, _thm3_family(f), named
+    return _THM3_CONDITION, _thm3_family(f, b), named
 
 
 # -- lower bounds -----------------------------------------------------------------
@@ -325,7 +340,7 @@ def _l_gan5_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
 
 def _l_thm1(b: FactsBatch) -> _Rule:
     n = b.n
-    g1, gn = b.gamma_max, b.gamma_min
+    g1, gn = b.gamma[:, 0], b.gamma[:, -1]
     t = _deviation_square_sum(b)
     value = (2 * np.sqrt(t * n) * np.sqrt(g1 * gn) / (g1 + gn))
     return ([(~b.min_is_zero, "requires every eigenvalue to deviate from the mean")],
@@ -344,13 +359,13 @@ def _l_cor4(b: FactsBatch) -> _Rule:
     threshold = _deviation_threshold_scale(n, m) / (2 * n)
     value = (2 * math.sqrt(2) / 3) * np.sqrt(
         (2 * m + 0.5 * (dmax - dmin) ** 2) * n)
-    return ([(~(b.gamma_min < threshold),
+    return ([(~(b.gamma[:, -1] < threshold),
               "requires the minimum deviation to reach sqrt(c)/(2n)")],
             value, {"threshold": threshold})
 
 
 def _l_cor4_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    n, m = f.stats.n, f.stats.m
+    n, m = f.graph.n, f.graph.m
     return "complete graph on three vertices", n == 3 and m == 3, named
 
 
@@ -359,13 +374,13 @@ def _l_cor5(b: FactsBatch) -> _Rule:
     threshold = _deviation_threshold_scale(n, m) / n ** 3
     value = (2 * n * np.sqrt((2 * m + 0.5 * (dmax - dmin) ** 2) * n)
              / (1 + n * n))
-    return ([(~(b.gamma_min < threshold),
+    return ([(~(b.gamma[:, -1] < threshold),
               "requires the minimum deviation to reach sqrt(c)/n^3")],
             value, {"threshold": threshold})
 
 
 def _l_thm2(b: FactsBatch) -> _Rule:
-    g1 = b.gamma_max
+    g1 = b.gamma[:, 0]
     return ([(b.min_is_zero, "requires some eigenvalue to sit at the mean")],
             _deviation_square_sum(b) / g1, {"gamma_max": g1})
 
@@ -385,7 +400,7 @@ def _cor3_value(n: int, r, gamma_min, min_is_zero):
 
 
 def _l_cor3(b: FactsBatch) -> _Rule:
-    zero, gn = b.min_is_zero, b.gamma_min
+    zero, gn = b.min_is_zero, b.gamma[:, -1]
     return ([(b.connected & (b.m >= 1) & b.regular,
               "requires a connected regular graph with at least one edge")],
             _cor3_value(b.n, b.max_degree, gn, zero), {"zero": zero, "gamma_min": gn})
@@ -395,7 +410,7 @@ def _l_cor3_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
     if named["zero"]:
         return _balanced_complete_bipartite(f, b, {"branch": "zero-deviation"})
     return ("complete graph or crown graph",
-            is_complete(f.graph) or _is_crown_like(f),
+            _lane0(b.complete | _is_crown_like(b)),
             {"branch": "positive-deviation", "gamma_min": named["gamma_min"]})
 
 
@@ -407,7 +422,7 @@ def _u_abr1(b: FactsBatch) -> _Rule:
 
 
 def _u_abr1_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return "edgeless, or a single edge plus isolated vertices", f.stats.m <= 1, named
+    return "edgeless, or a single edge plus isolated vertices", f.graph.m <= 1, named
 
 
 def _u_abr2(b: FactsBatch) -> _Rule:
@@ -431,7 +446,7 @@ def _u_li(b: FactsBatch) -> _Rule:
 
 
 def _u_li_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    n, m = f.stats.n, f.stats.m
+    n, m = f.graph.n, f.graph.m
     return "single edge", n == 2 and m == 1, named
 
 

@@ -330,7 +330,8 @@ def _build_parser() -> _Parser:
                    help="vertex count (1..7); all labeled graphs on exactly "
                         "this many vertices")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1)")
+                   help="worker processes (default 1); at most one per job of "
+                        "1024 graphs and one per usable CPU")
     p.add_argument("--sample", type=int, default=None,
                    help="check a uniform sample of this size instead of all "
                         "(needs --seed)")

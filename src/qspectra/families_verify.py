@@ -222,7 +222,7 @@ def cubic_bounds(g: Graph | GraphFacts) -> CubicBounds:
     L-COR3, and the upper value is U-COR7.
     """
     f = graph_facts(g)
-    if f.stats.max_degree != 3 or f.stats.min_degree != 3:
+    if set(f.graph.degrees) != {3}:
         raise ValueError("cubic bounds require a 3-regular graph")
     n = f.graph.n
     gamma = f.gamma.values[-1]

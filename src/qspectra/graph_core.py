@@ -264,10 +264,6 @@ class DegreeStats:
     average_degree: Fraction  # 2m/n, exact
     zagreb_m1: int            # sum of squared degrees
 
-    @property
-    def average_degree_float(self) -> float:
-        return self.average_degree.numerator / self.average_degree.denominator
-
 
 def degree_stats(g: Graph) -> DegreeStats:
     deg = g.degrees
@@ -332,22 +328,10 @@ def structure(g: Graph) -> StructureInfo:
     )
 
 
-# -- structural predicates (used for equality-case diagnosis) ----------------
+# -- structural predicates (used by the classifiers and equality diagnosis) ---
 
 def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
-
-
-def is_star(g: Graph) -> bool:
-    """One center adjacent to all others, no other edges; includes the
-    single edge (n=2) but not the single vertex."""
-    if g.n < 2 or g.m != g.n - 1:
-        return False
-    return max(g.degrees) == g.n - 1
-
-
-def is_perfect_matching(g: Graph) -> bool:
-    return g.n >= 2 and all(d == 1 for d in g.degrees)
 
 
 def common_neighbour_counts(g: Graph) -> Iterator[tuple[bool, int]]:

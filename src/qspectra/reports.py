@@ -1,5 +1,5 @@
-"""Reference-table reproduction, whole-graph analysis reports, and the
-exhaustive verification harness.
+"""Graph energies, reference-table reproduction, whole-graph analysis
+reports, and the exhaustive verification harness.
 
 Reports are plain dictionaries of JSON-safe values so that serialized output
 is byte-stable: keys are sorted at dump time and no timestamps are embedded.
@@ -9,6 +9,8 @@ kept out of the JSON rendering.
 
 from __future__ import annotations
 
+import math
+import os
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -19,13 +21,14 @@ import numpy as np
 
 from . import tolerances
 from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
-from .energy import energies
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 # render_json lives in graph_core; reports.render_json is kept as an alias
 from .graph_core import Graph, emit_graph6, graph_from_mask, prism, render_json
 from .spectral import FactsBatch, GraphFacts, batch_lemma_failures, graph_facts
 
 __all__ = [
+    "EnergyReport",
+    "energies",
     "TableRow",
     "TableReport",
     "reproduce_table1",
@@ -36,6 +39,38 @@ __all__ = [
     "verify_report",
     "table_report_dict",
 ]
+
+
+# -- energies ------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EnergyReport:
+    adjacency_energy: float
+    laplacian_energy: float
+    signless_laplacian_energy: float
+    mean_degree: float
+    qe_equals_adjacency_energy: bool   # coincidence guaranteed for regular graphs
+    is_regular: bool
+
+
+def energies(g: Graph | GraphFacts) -> EnergyReport:
+    """The adjacency energy (sum of |eigenvalue|), the Laplacian energy (sum
+    of |mu_i - 2m/n|) and the signless Laplacian energy QE of one graph."""
+    f = graph_facts(g)
+    f.solve_all()
+    mean = 2 * f.graph.m / f.graph.n
+    e = math.fsum(abs(v) for v in f.adjacency.values)
+    le = math.fsum(abs(v - mean) for v in f.laplacian.values)
+    qe = f.qe
+    same = abs(qe - e) <= tolerances.tight_tol(qe, scale=f.scale)
+    return EnergyReport(
+        adjacency_energy=e,
+        laplacian_energy=le,
+        signless_laplacian_energy=qe,
+        mean_degree=mean,
+        qe_equals_adjacency_energy=same,
+        is_regular=f.info.is_regular,
+    )
 
 
 # -- reference tables ---------------------------------------------------------------
@@ -134,7 +169,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
     """Everything the library knows about one graph, as a JSON-safe dict."""
     f = graph_facts(g)
     f.solve_all()
-    g, stats, info, gam = f.graph, f.stats, f.info, f.gamma
+    g, b, info, gam = f.graph, f.batch, f.info, f.gamma
     en = energies(f)
     pattern = classify_q_pattern(f)
     srg = detect_srg(f)
@@ -146,10 +181,10 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
             "degrees": list(g.degrees),
         },
         "degree_stats": {
-            "max_degree": stats.max_degree,
-            "min_degree": stats.min_degree,
-            "average_degree": stats.average_degree_float,
-            "zagreb_m1": stats.zagreb_m1,
+            "max_degree": b.max_degree.tolist()[0],
+            "min_degree": b.min_degree.tolist()[0],
+            "average_degree": 2 * g.m / g.n,
+            "zagreb_m1": b.m1.tolist()[0],
         },
         "structure": {
             "is_connected": info.is_connected,
@@ -249,6 +284,13 @@ def _verify_batch(args: tuple[int, Any, float]) -> tuple[list, list]:
             [(name(lane), cid) for lane, cid in failed])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
                       seed: int | None = None) -> VerifySummary:
     """Check every invariant the library claims, over all labeled graphs on
@@ -261,7 +303,7 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
     of completeness.
 
     A job is one stack batch of masks. With several workers and several jobs,
-    the jobs run in a pool of min(workers, jobs) processes.
+    the jobs run in a pool of min(workers, jobs, usable CPUs) processes.
     """
     if not isinstance(max_n, int) or not (1 <= max_n <= 7):
         raise ValueError("vertex count must be an integer between 1 and 7")
@@ -280,7 +322,7 @@ def verify_exhaustive(max_n: int, workers: int = 1, sample: int | None = None,
 
     jobs = [(max_n, masks[i:i + _VERIFY_BATCH], scale)
             for i in range(0, len(masks), _VERIFY_BATCH)]
-    processes = min(workers, len(jobs))
+    processes = min(workers, len(jobs), _usable_cpus())
     if processes == 1:
         parts = list(map(_verify_batch, jobs))
     else:

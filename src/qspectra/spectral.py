@@ -16,24 +16,28 @@ count. On the Python kernel a stack of one ran at about 0.7 times the speed
 of ``jacobi_sweeps``, and a stack of three faster than three calls of it
 from n = 6 up (1.3 to 1.4 times from n = 10).
 
-``GraphFacts`` holds what the reports read about one graph: degree
-statistics, structure, the three spectra, the deviation sequence and QE, the
-lemma checks and the common-neighbour counts, each computed on first use, plus
-one tolerance-scale snapshot. The spectrum, energy, bound and classifier
-functions accept either a Graph or a GraphFacts; a caller that asks several
-questions about one graph builds the facts once and passes them along.
-
 ``FactsBatch`` holds what the bound catalog and the lemma rules read, as
-arrays with one lane per graph, for B graphs of one order. ``from_masks``
-builds it straight from int64 edge masks, which hold the 55 vertex pairs of
-up to 11 vertices, solving every signless Laplacian in one ``jacobi_stack``
-call, and builds no Graph. Connectivity and the bipartite component count
-come from Warshall's transitive closure on int64 bitset rows of the
-bipartite double cover (``_components``). ``FactsBatch.of`` is a batch of one
-read off a GraphFacts, and ``GraphFacts.batch`` builds it once per graph.
-Each lemma rule is stated once, on a batch: ``batch_lemma_failures`` judges
-every lane, and the ``LemmaCheck`` records of ``GraphFacts.lemmas`` render a
-batch of one.
+arrays with one lane per graph, for B graphs of one order. Its deviation
+facts (the deviations |q_i - 2m/n| sorted descending, QE as their exactly
+rounded sum, min_is_zero and the group count) come from ``_deviation_facts``,
+and ``_splits`` is the one grouping rule, ``Spectrum.groups``'s too.
+``from_masks`` builds a batch straight from int64 edge masks (up to 11
+vertices), solving every signless Laplacian in one ``jacobi_stack`` call,
+with connectivity and the bipartite component count from Warshall's
+closure on bitset rows of the bipartite double cover (``_components``).
+``FactsBatch.of`` builds a batch of one from a GraphFacts: its graph, its Q
+spectrum and the two counts of ``structure()``, which is far faster than
+the closure on one graph.
+
+``GraphFacts`` holds what the reports read about one graph: structure, the
+three spectra, the lemma checks and the common-neighbour counts, each
+computed on first use, plus one tolerance-scale snapshot. Its deviation
+sequence and QE are lane 0 of ``GraphFacts.batch``, its batch of one, built
+once. The spectrum, energy, bound and classifier functions accept either a
+Graph or a GraphFacts; a caller that asks several questions about one graph
+builds the facts once and passes them along. Each lemma rule is stated once,
+on a batch: ``batch_lemma_failures`` judges every lane, and the
+``LemmaCheck`` records of ``GraphFacts.lemmas`` render a batch of one.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ import numpy as np
 
 from . import tolerances
 # MAX_ORDER lives in numpy-free graph_core; spectral.MAX_ORDER is kept as an alias
-from .graph_core import (MAX_ORDER, DegreeStats, Graph, StructureInfo,
-                         common_neighbour_counts, degree_stats, emit_graph6, mask_pairs,
-                         structure)
+from .graph_core import (MAX_ORDER, Graph, StructureInfo, common_neighbour_counts,
+                         emit_graph6, mask_pairs, structure)
 
 __all__ = [
     "BACKEND",
@@ -67,7 +70,7 @@ __all__ = [
     "a_spectrum",
     "l_spectrum",
     "q_spectrum",
-    "zero_multiplicity",
+    "gamma_sequence",
     "check_spectral_lemmas",
     "batch_lemma_failures",
 ]
@@ -171,16 +174,11 @@ class Spectrum:
 
 
 def _group(values: tuple[float, ...], scale: float) -> tuple[tuple[float, int], ...]:
-    radius = max(abs(values[0]), abs(values[-1]))
-    tol = tolerances.grouping_tol(radius, scale=scale)
-    groups = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i - 1] - values[i] > tol:
-            members = values[start:i]
-            groups.append((math.fsum(members) / len(members), len(members)))
-            start = i
-    return tuple(groups)
+    """(mean, multiplicity) of each group of descending values, split where
+    _splits splits them."""
+    ends = [*(np.flatnonzero(_splits(np.array([values]), scale)[0]) + 1).tolist(), len(values)]
+    return tuple((math.fsum(values[start:end]) / (end - start), end - start)
+                 for start, end in zip([0, *ends], ends))
 
 
 _MATRIX_BUILDERS = {
@@ -193,10 +191,8 @@ _MATRIX_BUILDERS = {
 @dataclass(frozen=True)
 class GammaSequence:
     """Deviations |q_i - 2m/n| of the signless Laplacian eigenvalues from the
-    average degree, sorted descending; ties are broken toward the larger
-    eigenvalue so gamma_1 always comes from q_1."""
+    average degree, sorted descending."""
     values: tuple[float, ...]
-    q_values: tuple[float, ...]     # eigenvalue supplying each deviation
     mean: float                     # 2m/n
     min_is_zero: bool               # smallest deviation vanishes numerically
 
@@ -210,10 +206,6 @@ class GraphFacts:
     graph: Graph
     # a lambda, so the module attribute is looked up at construction time
     scale: float = field(default_factory=lambda: tolerances.scale())
-
-    @cached_property
-    def stats(self) -> DegreeStats:
-        return degree_stats(self.graph)
 
     @cached_property
     def info(self) -> StructureInfo:
@@ -251,19 +243,17 @@ class GraphFacts:
 
     @cached_property
     def gamma(self) -> GammaSequence:
-        mean = 2 * self.graph.m / self.graph.n
-        spec = self.signless_laplacian
-        paired = sorted(((abs(v - mean), v) for v in spec.values),
-                        key=lambda t: (-t[0], -t[1]))
-        values = tuple(p[0] for p in paired)
-        qs = tuple(p[1] for p in paired)
-        zero = values[-1] <= tolerances.zero_tol(max(1.0, spec.values[0]), scale=self.scale)
-        return GammaSequence(values=values, q_values=qs, mean=mean, min_is_zero=zero)
+        """Lane 0 of the batch of one."""
+        b = self.batch
+        return GammaSequence(values=tuple(b.gamma[0].tolist()),
+                             mean=2 * self.graph.m / self.graph.n,
+                             min_is_zero=b.min_is_zero.tolist()[0])
 
     @cached_property
     def qe(self) -> float:
-        """Signless Laplacian energy: the sum of the deviations."""
-        return math.fsum(self.gamma.values)
+        """Signless Laplacian energy: the sum of the deviations, lane 0 of the
+        batch of one."""
+        return self.batch.qe.tolist()[0]
 
     @property
     def batch(self) -> FactsBatch:
@@ -312,6 +302,10 @@ def q_spectrum(g: Graph | GraphFacts) -> Spectrum:
     return graph_facts(g).signless_laplacian
 
 
+def gamma_sequence(g: Graph | GraphFacts) -> GammaSequence:
+    return graph_facts(g).gamma
+
+
 # -- a batch of graphs on one order, as arrays --------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +322,7 @@ class FactsBatch:
     bipartite_components: np.ndarray
     eigenvalues: np.ndarray          # (B, n) signless Laplacian, descending
     groups: np.ndarray               # number of grouped eigenvalues
-    gamma_max: np.ndarray            # largest deviation |q_i - 2m/n|
-    gamma_min: np.ndarray            # smallest deviation
+    gamma: np.ndarray                # (B, n) deviations |q_i - 2m/n|, descending
     min_is_zero: np.ndarray
     qe: np.ndarray
     converged: np.ndarray
@@ -360,19 +353,16 @@ class FactsBatch:
 
     @classmethod
     def of(cls, f: GraphFacts) -> FactsBatch:
-        """A batch of one: the facts f holds, solving its signless Laplacian
-        if f has not. converged covers every matrix of f solved so far."""
-        g, info, spec, gamma = f.graph, f.info, f.signless_laplacian, f.gamma
+        """A batch of one: f's graph, its signless Laplacian spectrum, solved
+        if f has not solved it, and the connectivity and bipartite component
+        count of f.info. converged covers every matrix of f solved so far."""
+        g, info, values = f.graph, f.info, np.array([f.signless_laplacian.values])
         return cls(n=g.n, scale=f.scale, adjacency=adjacency_matrix(g)[None] > 0,
                    degrees=np.array([g.degrees]),
                    connected=np.array([info.is_connected]),
                    bipartite_components=np.array([info.bipartite_component_count]),
-                   eigenvalues=np.array([spec.values]),
-                   groups=np.array([len(spec.groups)]),
-                   gamma_max=np.array([gamma.values[0]]),
-                   gamma_min=np.array([gamma.values[-1]]),
-                   min_is_zero=np.array([gamma.min_is_zero]),
-                   qe=np.array([f.qe]),
+                   eigenvalues=values,
+                   **_deviation_facts(values, np.array([g.m]), g.n, f.scale),
                    converged=np.array([not f.unconverged()]))
 
     @cached_property
@@ -437,29 +427,37 @@ def _components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return least.sum(axis=1) == 1, (least & ~odd).sum(axis=1)
 
 
+def _row_fsums(a: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in a.tolist()])
+
+
 def _radius(values: np.ndarray) -> np.ndarray:
     """Spectrum.radius of each row of descending eigenvalues."""
     first, last = np.abs(values[:, 0]), np.abs(values[:, -1])
     return np.where(last > first, last, first)
 
 
-def _deviation_facts(values: np.ndarray, m: np.ndarray, n: int, scale: float) -> dict:
-    """The group count, extreme deviations, min_is_zero and QE of each row of
-    descending signless Laplacian eigenvalues, each bit for bit as
-    GraphFacts gives it. QE is an exactly rounded sum per row."""
+def _splits(values: np.ndarray, scale: float) -> np.ndarray:
+    """The grouping rule: for each row of descending eigenvalues, whether each
+    step between neighbours exceeds the grouping tolerance at the row's
+    spectral radius, which starts a new group."""
     steps = values[:, :-1] - values[:, 1:]
-    split = steps > tolerances.grouping_tol(_radius(values), scale=scale)[:, None]
-    deviations = np.abs(values - (2 * m / n)[:, None])
+    return steps > tolerances.grouping_tol(_radius(values), scale=scale)[:, None]
+
+
+def _deviation_facts(values: np.ndarray, m: np.ndarray, n: int, scale: float) -> dict:
+    """The group count, the descending deviations, min_is_zero and QE of each
+    row of descending signless Laplacian eigenvalues of graphs with m edges.
+    QE is an exactly rounded sum per row."""
+    gamma = np.sort(np.abs(values - (2 * m / n)[:, None]), axis=1)[:, ::-1]
     q1 = values[:, 0]
-    gamma_min = deviations.min(axis=1)
     return {
-        "groups": 1 + split.sum(axis=1),
-        "gamma_max": deviations.max(axis=1),
-        "gamma_min": gamma_min,
+        "groups": 1 + _splits(values, scale).sum(axis=1),
+        "gamma": gamma,
         # zero_tol(max(1.0, q1))
-        "min_is_zero": gamma_min <= tolerances.zero_tol(np.where(q1 > 1.0, q1, 1.0),
-                                                        scale=scale),
-        "qe": np.array([math.fsum(row) for row in deviations.tolist()]),
+        "min_is_zero": gamma[:, -1] <= tolerances.zero_tol(np.where(q1 > 1.0, q1, 1.0),
+                                                           scale=scale),
+        "qe": _row_fsums(gamma),
     }
 
 
@@ -468,10 +466,6 @@ def _zero_counts(values: np.ndarray, scale: float | None) -> np.ndarray:
     the row's spectral radius."""
     tol = tolerances.zero_tol(_radius(values), scale=scale)
     return (np.abs(values) <= tol[:, None]).sum(axis=1)
-
-
-def zero_multiplicity(spec: Spectrum, *, scale: float | None = None) -> int:
-    return int(_zero_counts(np.array([spec.values]), scale)[0])
 
 
 # -- lemma checks ---------------------------------------------------------------
@@ -511,10 +505,6 @@ class _Judged(NamedTuple):
     condition_met: np.ndarray | None = None
     consistent: np.ndarray | None = None
     compared: np.ndarray | None = None
-
-
-def _row_fsums(a: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(row) for row in a.tolist()])
 
 
 def _everywhere(b: FactsBatch) -> np.ndarray:

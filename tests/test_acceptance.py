@@ -9,7 +9,6 @@ import random
 import time
 
 from qspectra.bounds import evaluate_bound
-from qspectra.energy import energies, gamma_sequence
 from qspectra.families_verify import classify_q_pattern, prism_gamma_min
 from qspectra.graph_core import (
     cartesian_product,
@@ -23,8 +22,8 @@ from qspectra.graph_core import (
     random_graph,
     star,
 )
-from qspectra.reports import reproduce_table1, reproduce_table2, verify_exhaustive
-from qspectra.spectral import q_spectrum
+from qspectra.reports import energies, reproduce_table1, reproduce_table2, verify_exhaustive
+from qspectra.spectral import gamma_sequence, q_spectrum
 
 
 def _report(name, body):

@@ -1,7 +1,8 @@
 """FactsBatch: the verdict verify gives a stack batch equals the per-graph
 verdict of every graph in it, its degree and structure facts equal the
-per-graph ones, the mask pair order is one order, and the integer case tests
-stay exact where int64 would overflow.
+per-graph ones, its deviation facts and equality-family flags equal an
+independent scalar reference, the mask pair order is one order, and the
+integer case tests stay exact where int64 would overflow.
 """
 
 import itertools
@@ -11,9 +12,10 @@ import random
 import numpy as np
 import pytest
 
-from qspectra import bounds, graph_core, reports, spectral
+from qspectra import bounds, graph_core, reports, spectral, tolerances
 from qspectra.graph_core import (
-    complete, degree_stats, graph_from_mask, is_complete, mask_pairs, structure)
+    complete, degree_stats, graph_from_mask, is_complete, mask_pairs, matching, path,
+    random_graph, star, structure)
 from qspectra.reports import batch_verdict, check_graph
 from qspectra.spectral import FactsBatch, GraphFacts, adjacency_matrix
 
@@ -94,6 +96,112 @@ def test_batch_degree_and_structure_facts_equal_the_per_graph_ones():
                     is_complete(g)), (n, mask)
 
 
+# -- the scalar reference -------------------------------------------------------------
+
+def reference_deviation_facts(values, m, scale):
+    """The deviation facts of a graph with m edges and these descending Q
+    eigenvalues, in scalar Python: the deviations |q - 2m/n| sorted
+    descending, QE as their fsum, whether the least deviation is zero within
+    zero_tol(max(1, q1)), and the (mean, multiplicity) groups, split where a
+    step exceeds the grouping tolerance at the spectral radius."""
+    n = len(values)
+    gamma = sorted((abs(v - 2 * m / n) for v in values), reverse=True)
+    zero = gamma[-1] <= tolerances.zero_tol(max(1.0, values[0]), scale=scale)
+    tol = tolerances.grouping_tol(max(abs(values[0]), abs(values[-1])), scale=scale)
+    groups, start = [], 0
+    for i in range(1, n + 1):
+        if i == n or values[i - 1] - values[i] > tol:
+            members = values[start:i]
+            groups.append((math.fsum(members) / len(members), len(members)))
+            start = i
+    return gamma, math.fsum(gamma), zero, groups
+
+
+def is_star(g):
+    return g.n >= 2 and g.m == g.n - 1 and max(g.degrees) == g.n - 1
+
+
+def is_perfect_matching(g):
+    return g.n >= 2 and all(d == 1 for d in g.degrees)
+
+
+def test_the_reference_predicates():
+    assert is_star(star(5)) and is_star(complete(2))
+    assert not is_star(path(4)) and not is_star(complete(1))
+    assert is_perfect_matching(matching(3))
+    assert not is_perfect_matching(path(3))
+
+
+def assert_graph_facts_match_the_reference(f):
+    spec = f.signless_laplacian
+    gamma, qe, zero, groups = reference_deviation_facts(list(spec.values), f.graph.m, f.scale)
+    assert repr((list(f.gamma.values), f.qe, f.gamma.min_is_zero, list(spec.groups))) == repr(
+        (gamma, qe, zero, groups)), graph_core.emit_graph6(f.graph)
+    assert f.gamma.mean == 2 * f.graph.m / f.graph.n
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300])
+def test_deviation_facts_equal_the_scalar_reference(scale):
+    # every labeled graph with n <= 6 and the order-7 sample, as batches and
+    # as GraphFacts
+    cases = [(n, range(1 << (n * (n - 1) // 2))) for n in range(1, 7)]
+    cases += [case for case in mask_cases() if case[0] == 7]
+    for n, masks in cases:
+        for start in range(0, len(masks), 4096):
+            chunk = masks[start:start + 4096]
+            b = FactsBatch.from_masks(n, chunk, scale)
+            lanes = zip(chunk, b.eigenvalues.tolist(), b.m.tolist(), b.gamma.tolist(),
+                        b.qe.tolist(), b.min_is_zero.tolist(), b.groups.tolist())
+            for mask, values, m, *facts in lanes:
+                gamma, qe, zero, groups = reference_deviation_facts(values, m, scale)
+                assert repr(facts) == repr([gamma, qe, zero, len(groups)]), (n, mask)
+    for n, masks in cases:
+        # a GraphFacts solves its own Q, so from order 6 every 32nd graph
+        for mask in masks[::1 if n < 6 else 32]:
+            assert_graph_facts_match_the_reference(
+                GraphFacts(graph_from_mask(n, mask), scale))
+
+
+def test_mid_size_graph_facts_equal_the_scalar_reference():
+    rng = random.Random(19)
+    for n in range(16, 65, 8):
+        for p in (0.2, 0.5, 0.8):
+            assert_graph_facts_match_the_reference(GraphFacts(random_graph(n, p, rng), 1.0))
+
+
+def test_groups_split_at_the_tolerance_as_the_scalar_reference_splits_them():
+    # descending rows whose steps straddle the grouping tolerance, which no
+    # graph spectrum above comes near
+    rng = random.Random(23)
+    rows = []
+    for _ in range(300):
+        row = [rng.choice((0.5, 1.0, 7.0, 300.0))]
+        tol = tolerances.grouping_tol(row[0], scale=1.0)
+        for _ in range(7):
+            row.append(row[-1] - tol * rng.choice((0.0, 0.5, 0.999, 1.0, 1.001, 3.0)))
+        rows.append(row)
+    facts = spectral._deviation_facts(np.array(rows), np.full(len(rows), 10), 8, 1.0)
+    for row, count in zip(rows, facts["groups"].tolist()):
+        groups = reference_deviation_facts(row, 10, 1.0)[3]
+        assert count == len(groups), row
+        assert repr(list(spectral._group(tuple(row), 1.0))) == repr(groups), row
+
+
+def test_equality_family_flags_equal_the_scalar_reference():
+    predicates = (bounds._is_star, bounds._is_perfect_matching, bounds._is_crown_like,
+                  bounds._is_balanced_complete_bipartite)
+    for n in range(1, 7):
+        masks = range(1 << (n * (n - 1) // 2))
+        b = FactsBatch.from_masks(n, masks, 1.0)
+        for mask, *flags in zip(masks, *(predicate(b).tolist() for predicate in predicates)):
+            g = graph_from_mask(n, mask)
+            info, r = structure(g), max(g.degrees)
+            bipartite_regular = info.is_connected and info.is_bipartite and info.is_regular
+            assert flags == [is_star(g), is_perfect_matching(g),
+                             bipartite_regular and n == 2 * r + 2,
+                             bipartite_regular and n == 2 * r], (n, mask)
+
+
 def test_the_mask_pair_order_is_stated_once(monkeypatch):
     for n in range(1, 6):
         masks = range(1 << (n * (n - 1) // 2))
@@ -118,7 +226,7 @@ def facts_at(degrees):
     return FactsBatch(n=len(degrees), scale=1.0, adjacency=np.zeros((1, 0, 0), dtype=bool),
                       degrees=np.array([degrees]), connected=np.array([True]),
                       bipartite_components=np.array([0]), eigenvalues=np.zeros((1, 1)),
-                      groups=np.array([1]), gamma_max=one, gamma_min=one,
+                      groups=np.array([1]), gamma=np.ones((1, 1)),
                       min_is_zero=np.array([False]), qe=one, converged=np.array([True]))
 
 
@@ -200,8 +308,9 @@ def test_squared_means_round_as_python_squares_them():
     n, m = 49, 1129
     pairs = list(itertools.combinations(range(n), 2))
     f = GraphFacts(graph_core.graph_from_edges(n, random.Random(0).sample(pairs, m)), 1.0)
-    mean, m1 = 2 * m / n, f.stats.zagreb_m1
-    dd = (f.stats.max_degree - f.stats.min_degree) ** 2
+    stats = degree_stats(f.graph)
+    mean, m1 = 2 * m / n, stats.zagreb_m1
+    dd = (stats.max_degree - stats.min_degree) ** 2
     t = 2 * m + m1 - 4 * m * m / n
     values = {r.bound_id: r for r in bounds.all_bounds(f)}
     for bound_id, branch, inner in (

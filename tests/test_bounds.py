@@ -19,7 +19,7 @@ from qspectra.bounds import (
     gan5_two_case_value,
     violations,
 )
-from qspectra.energy import energies
+from qspectra.reports import energies
 from qspectra.spectral import FactsBatch, GraphFacts
 from qspectra.graph_core import (
     Graph,
@@ -261,9 +261,9 @@ def test_abr1_equality_cases():
 
 
 def test_equality_family_predicates():
-    assert _is_balanced_complete_bipartite(GraphFacts(complete_bipartite(3, 3)))
-    assert not _is_balanced_complete_bipartite(GraphFacts(complete_bipartite(2, 3)))
-    assert not _is_balanced_complete_bipartite(GraphFacts(crown(3)))
+    assert _is_balanced_complete_bipartite(GraphFacts(complete_bipartite(3, 3)).batch)
+    assert not _is_balanced_complete_bipartite(GraphFacts(complete_bipartite(2, 3)).batch)
+    assert not _is_balanced_complete_bipartite(GraphFacts(crown(3)).batch)
     # U-ABR1's family: edgeless, or a single edge plus isolated vertices
     assert evaluate_bound(graph_from_edges(4, [(1, 3)]), "U-ABR1").diagnosis.condition_met
     assert not evaluate_bound(matching(2), "U-ABR1").diagnosis.condition_met

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from qspectra.energy import energies, gamma_sequence
+from qspectra.reports import energies
+from qspectra.spectral import gamma_sequence, q_spectrum
 from qspectra.graph_core import (
     Graph,
     complete,
@@ -88,10 +89,9 @@ def test_mean_degree_field():
 # -- deviation sequence --------------------------------------------------------
 
 
-def test_gamma_tie_break_prefers_larger_eigenvalue():
+def test_gamma_sequence_of_the_four_cycle():
     gam = gamma_sequence(cycle(4))
     assert [round(v, 9) for v in gam.values] == [2.0, 2.0, 0.0, 0.0]
-    assert [round(v, 9) for v in gam.q_values] == [4.0, 0.0, 2.0, 2.0]
     assert gam.mean == 2.0
     assert gam.min_is_zero
 
@@ -109,17 +109,7 @@ def test_gamma_sequence_is_consistent_on_random_graphs():
         gam = gamma_sequence(g)
         assert abs(gam.mean - 2 * g.m / g.n) <= 1e-15
         assert all(gam.values[i] >= gam.values[i + 1] for i in range(g.n - 1))
-        for dev, q in zip(gam.values, gam.q_values):
-            assert abs(dev - abs(q - gam.mean)) <= 1e-15
+        deviations = sorted((abs(q - gam.mean) for q in q_spectrum(g).values), reverse=True)
+        assert gam.values == tuple(deviations)
         total = math.fsum(gam.values)
         assert abs(total - energies(g).signless_laplacian_energy) == 0.0
-
-
-def test_gamma_ties_sorted_by_eigenvalue_within_equal_deviation():
-    rng = random.Random(56)
-    for _ in range(40):
-        g = random_graph(rng.randrange(2, 10), 0.5, rng)
-        gam = gamma_sequence(g)
-        for i in range(g.n - 1):
-            if gam.values[i] == gam.values[i + 1]:
-                assert gam.q_values[i] >= gam.q_values[i + 1]

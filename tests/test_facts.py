@@ -12,9 +12,9 @@ import pytest
 from qspectra import bounds, families_verify, graph_core, spectral, tolerances
 from qspectra.bounds import all_bounds
 from qspectra.cli import main
-from qspectra.energy import energies
 from qspectra.graph_core import cycle, prism
-from qspectra.reports import analyze_report, check_graph, reproduce_table1, verify_exhaustive
+from qspectra.reports import (
+    analyze_report, check_graph, energies, reproduce_table1, verify_exhaustive)
 from qspectra.spectral import q_spectrum
 
 

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from qspectra.bounds import evaluate_bound
-from qspectra.energy import energies, gamma_sequence
 from qspectra.families_verify import (
     classify_q_pattern,
     cubic_bounds,
@@ -29,6 +28,8 @@ from qspectra.graph_core import (
     prism,
     star,
 )
+from qspectra.reports import energies
+from qspectra.spectral import gamma_sequence
 
 
 def qe_of(g):

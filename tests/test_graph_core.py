@@ -21,8 +21,6 @@ from qspectra.graph_core import (
     graph_from_edges,
     graph_from_mask,
     is_complete,
-    is_perfect_matching,
-    is_star,
     matching,
     parse_edgelist,
     parse_graph6,
@@ -158,10 +156,6 @@ def test_structure_components_and_bipartite():
 def test_structural_predicates():
     assert is_complete(complete(4))
     assert not is_complete(cycle(4))
-    assert is_star(star(5)) and is_star(complete(2))
-    assert not is_star(path(4))
-    assert is_perfect_matching(matching(3))
-    assert not is_perfect_matching(path(3))
 
 
 def test_graph6_known_values():

@@ -1,16 +1,19 @@
 """The package surface, exported lazily, and the command-line paths that must
 run without numpy: `family`, refused input, usage errors and --help."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import qspectra
-from qspectra import bounds, energy, families_verify, graph_core, reports, spectral
+from qspectra import bounds, families_verify, graph_core, reports, spectral, tolerances
 from qspectra.cli import main
 
-MODULES = (graph_core, spectral, energy, bounds, families_verify, reports)
+MODULES = (graph_core, spectral, bounds, families_verify, reports)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def fresh_python(code: str, **kwargs) -> subprocess.CompletedProcess:
@@ -46,6 +49,29 @@ def test_names_and_submodules_resolve_after_a_bare_import():
                         "is qspectra.render_json)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [spectral.BACKEND, "1024", "1024", "True"]
+
+
+def test_the_benchmark_imports_resolve():
+    # the benchmark's worker imports these modules in every mode, so a name
+    # they import that the package lost fails every benchmark run
+    imported = set()
+    for source in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        # an import under `try: ... except ImportError` may fail (the
+        # compiled kernel, when it is not built)
+        optional = {id(node) for t in ast.walk(tree) if isinstance(t, ast.Try)
+                    and any(isinstance(h.type, ast.Name) and h.type.id == "ImportError"
+                            for h in t.handlers)
+                    for statement in t.body for node in ast.walk(statement)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "qspectra"
+                    and id(node) not in optional):
+                imported.update(alias.name for alias in node.names)
+    assert {"energies", "gamma_sequence", "degree_stats", "spectral"} <= imported
+    assert [name for name in sorted(imported) if not hasattr(qspectra, name)] == []
+    # and the attributes the benchmark patches or calls through the modules
+    assert callable(spectral.symmetric_eigenvalues)
+    assert callable(tolerances.scale) and callable(tolerances.tight_tol)
 
 
 def test_unknown_name_raises_attribute_error():

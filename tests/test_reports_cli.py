@@ -119,8 +119,9 @@ def test_verify_sample_capped_at_population():
 
 def test_verify_workers_match_sequential(monkeypatch, pool_sizes):
     # in jobs of 256, 1024 graphs are 4 jobs, and a 600-graph sample is 3, so
-    # both runs pool
+    # both runs pool, on any machine
     monkeypatch.setattr(reports, "_VERIFY_BATCH", 256)
+    monkeypatch.setattr(reports, "_usable_cpus", lambda: 2)
     for kwargs in ({"max_n": 5}, {"max_n": 6, "sample": 600, "seed": 11}):
         seq = verify_exhaustive(**kwargs)
         par = verify_exhaustive(workers=2, **kwargs)
@@ -178,11 +179,18 @@ def test_verify_pool_is_no_larger_than_its_job_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(reports, "_VERIFY_BATCH", 256)
+    monkeypatch.setattr(reports, "_usable_cpus", lambda: 64)
     summary = verify_exhaustive(3, workers=16)   # 8 graphs, one job
     assert sizes == []
     assert verify_report(summary) == verify_report(verify_exhaustive(3))
     summary = verify_exhaustive(5, workers=16)   # 1024 graphs, 4 jobs of 256
     assert sizes == [4]
+    assert verify_report(summary) == verify_report(verify_exhaustive(5))
+    # the fake pool starts no process, so an absurd worker count is safe here:
+    # 128 jobs of 8 graphs on 64 usable CPUs
+    monkeypatch.setattr(reports, "_VERIFY_BATCH", 8)
+    summary = verify_exhaustive(5, workers=10**6)
+    assert sizes == [4, 64]
     assert verify_report(summary) == verify_report(verify_exhaustive(5))
 
 

@@ -47,7 +47,6 @@ from qspectra.spectral import (
     q_spectrum,
     signless_laplacian_matrix,
     symmetric_eigenvalues,
-    zero_multiplicity,
 )
 
 
@@ -210,6 +209,12 @@ def test_spectrum_radius():
     assert abs(spec.radius - 6.0) <= 1e-9
 
 
+def zero_multiplicity(g):
+    """How many Q eigenvalues of g vanish within the zero tolerance, as the
+    zero_multiplicity_bipartite lemma counts them."""
+    return spectral._zero_counts(np.array([q_spectrum(g).values]), None).tolist()[0]
+
+
 def test_zero_multiplicity_counts_bipartite_components():
     cases = [
         complete(4),
@@ -223,14 +228,14 @@ def test_zero_multiplicity_counts_bipartite_components():
         Graph(3, ()),
     ]
     for g in cases:
-        assert zero_multiplicity(q_spectrum(g)) == structure(g).bipartite_component_count
+        assert zero_multiplicity(g) == structure(g).bipartite_component_count
 
 
 def test_zero_multiplicity_random():
     rng = random.Random(17)
     for _ in range(60):
         g = random_graph(rng.randrange(1, 11), rng.choice([0.15, 0.4, 0.7]), rng)
-        assert zero_multiplicity(q_spectrum(g)) == structure(g).bipartite_component_count
+        assert zero_multiplicity(g) == structure(g).bipartite_component_count
 
 
 # -- lemma checks ----------------------------------------------------------------
@@ -406,9 +411,11 @@ def _assert_stack_twins(compiled_kernel, stack):
     _jacobi_py.LANES_FIRST_MAX and past _jacobi_py.ROW_ADDS_MIN lanes, leave
     in each lane and return for it bit for bit what the Python jacobi_sweeps
     leaves in and returns for that matrix alone. The Python kernel runs its
-    lanes-first loop on the stack (at most LANES_FIRST_MAX lanes here) and
-    its lanes-last loop on the tiled copies for as long as more lanes than
-    that iterate, and adds its sums row by row on the widest copy."""
+    lanes-first loop on the stack (at most LANES_FIRST_MAX lanes here). On
+    the tiled copies it runs its lanes-last loop for as long as more lanes
+    than that iterate when the stack meets identity_skips, and its
+    lanes-first loop throughout when it does not; it adds its sums row by
+    row on the widest copy."""
     assert len(stack) <= _jacobi_py.LANES_FIRST_MAX
     single = [m.copy(order="C") for m in stack]
     expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
@@ -462,7 +469,7 @@ def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
     # at (0, 1) lane 0 rotates while lane 1 skips: its (0, 1) entry is -0.0,
     # and its rows 0 and 1 hold -0.0 and -1.0, which a rotation by c = 1,
     # s = 0 would not keep, since -0.0 - (-0.0) is +0.0. So identity_skips
-    # refuses the stack, and its tiled copies take the masked writes. Lane
+    # refuses the stack, and its tiled copies run lanes first throughout. Lane
     # 2's theta at (0, 1) is 0.0 / -2.0 = -0.0, whose tangent is +1.
     stack = np.array([
         [[2.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.25, 0.5],
@@ -537,7 +544,7 @@ def test_identity_rule_holds_for_verify_stacks_and_graph_matrices(monkeypatch):
         a, lap, q = adjacency_matrix(g), laplacian_matrix(g), signless_laplacian_matrix(g)
         assert _jacobi_py.identity_skips(np.stack([a, q]))
         # L is -A off the diagonal, so a non-edge is -0.0 and a stack of L
-        # keeps the masked writes
+        # runs lanes first
         non_edges = g.n * (g.n - 1) // 2 - g.m
         assert _jacobi_py.identity_skips(np.stack([a, lap, q])) == (non_edges == 0), g
 
@@ -568,6 +575,29 @@ def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
         last[3, 3] = float(defect)
     assert not _jacobi_py.identity_skips(stack)
     _assert_stack_twins(compiled_kernel, stack)
+
+
+def test_only_a_stack_that_meets_the_identity_rule_runs_lanes_last(monkeypatch):
+    # 17 lanes, past LANES_FIRST_MAX: the Q stack runs lanes last, and the
+    # same stack with one -0.0 pair runs lanes first for the whole solve
+    sweeps = []
+    lanes_last = _jacobi_py._lanes_last
+
+    def counted(w):
+        sweeps.append(w.shape[-1])
+        lanes_last(w)
+
+    monkeypatch.setattr(_jacobi_py, "_lanes_last", counted)
+    stack = _skipping_q_stack()
+    stack = np.concatenate([stack, stack[:1]])
+    assert len(stack) == _jacobi_py.LANES_FIRST_MAX + 1
+    _jacobi_py.jacobi_stack(stack.copy())
+    assert sweeps and sweeps[0] == len(stack)
+    sweeps.clear()
+    stack[-1, 0, 1] = stack[-1, 1, 0] = -0.0
+    assert not _jacobi_py.identity_skips(stack)
+    _jacobi_py.jacobi_stack(stack)
+    assert sweeps == []
 
 
 def test_stack_solved_spectra_equal_the_lazily_solved_ones():
