@@ -29,10 +29,9 @@ Restructured, to make fewer numpy calls per rotation:
   the copy also carries them to (p, q) and (q, q).
 
 ``jacobi_stack`` runs the B matrices in lockstep over the same cyclic (p, q)
-order. Once per sweep it copies the matrices still iterating into a work
-array, runs one of two loops on it, and copies them back. Both loops pay
-numpy's per-call cost once per rotation for all lanes, so a stack of one is
-slower than ``jacobi_sweeps``.
+order, on a work array of the matrices still iterating, with one of two
+loops. Both loops pay numpy's per-call cost once per rotation for all lanes,
+so a stack of one is slower than ``jacobi_sweeps``.
 
 Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, and for
 a stack that meets ``identity_skips`` (below), the work array is (n, n, B),
@@ -64,23 +63,36 @@ a rotation is only B elements long, and about 12 vector calls go to theta,
 t, c and s. With lanes first, the loops are n long, and each lane's theta,
 t, c and s are Python floats of the ``jacobi_sweeps`` expressions:
 
+- Once per solve, ``jacobi_stack`` gathers the work array, and
+  ``_lanes_first_views`` builds its row and column lists, its diagonal view
+  and the strided view of every (p, q) row pair. The array is held across
+  sweeps, and it is scattered and gathered again, with new views, only when
+  lanes leave. No rotation slices the array.
 - One multiply by a (B, 2, 2, 1) coefficient array and one add rotate rows
-  p and q of every lane in place, as in ``jacobi_sweeps``. Between the two,
-  the products that the add sums into entry (q, p) are set to 0.0, so the
-  add leaves +0.0 there, and the copy of column q from row q carries it to
-  (p, q).
-- The diagonal is read into Python lists at the start of each p-block. The
-  pivots app and aqq are read from, and their new values written to, those
-  lists, which go back into the diagonal at the end of the block. Within
-  the block the array's stale (p, p) entry goes only into entries that are
-  rewritten, and its stale (q, q) entries are not read.
-- Column p is copied from row p once per p-block, for the lanes that
-  rotated in it, as in ``jacobi_sweeps``.
+  p and q of every lane in place, as in ``jacobi_sweeps``.
+- Once per p-block, the diagonal is read into Python lists, and then column
+  p is saved and set to +0.0. The pivots app and aqq are read from, and
+  their new values written to, those lists. At the end of the block, column
+  p is copied from row p for the lanes that rotated in it, as in
+  ``jacobi_sweeps``, the saved column is put back for the lanes that did
+  not, and the lists go back into the diagonal.
+- The block zeroing keeps every bit. Inside a block, column-p entries are
+  read only into the new (q, p) and (p, p) entries. Each new (q, p) is
+  s * (+0.0) + c * (+0.0), which is +0.0 for either sign of s, because c > 0
+  and (-0.0) + (+0.0) is +0.0; the copy of column q from row q carries it to
+  (p, q), where ``jacobi_sweeps`` writes the literal 0.0. The new (p, p) is
+  stale and is rewritten from the pivot lists, and the stale (q, q) entries
+  are not read. A lane that did not rotate gets its column back, which
+  matters for input that is symmetric only to rounding.
 
-Timed with both loops on random-graph Q matrices (one CPU, best of 3), the
-lanes-first loop took 2.1 ms against 2.2 ms at n = 7 and 16 lanes, 13.4
-against 16.8 ms at n = 16 and 16 lanes, and 21.3 against 15.5 ms at n = 16
-and 32 lanes.
+Timed with both loops on seeded random-graph Q stacks (one CPU, best of 9),
+the two were even at 16 lanes: lanes first took 2.3 ms against 2.4 ms at
+n = 7, and 15.3 against 15.5 ms at n = 16. At 32 lanes lanes first was
+slower: 3.8 against 2.7 ms at n = 7, and 25.6 against 18.8 ms at n = 16.
+In ``benchmarks/bench_eigensolver.py --sizes 16,32,64`` (one CPU, best of
+six runs), analyze's stack of A, L and Q took 5.3, 27.1 and 144 ms per graph
+at n = 16, 32 and 64, against 7.7, 39.5 and 214 ms for three
+``jacobi_sweeps`` calls.
 
 In both loops a lane whose (p, q) entry is zero skips the rotation, as the
 compiled loop does, and keeps every bit, the sign of its zeros included.
@@ -302,24 +314,35 @@ def _lanes_last(w):
             w[:, p:q + 1:q - p] = cols
 
 
-def _lanes_first(w):
-    """One sweep of every matrix of a (lanes, n, n) work array, each lane's
-    rotation and pivot entries computed in Python floats."""
+def _lanes_first_views(w):
+    """The row and column lists, the diagonal and the (p, q) row-pair views,
+    by p and then q, of a (lanes, n, n) work array, for ``_lanes_first``."""
     lanes, n = w.shape[0], w.shape[-1]
+    pairs = w[:, None]
+    return (list(w.transpose(1, 0, 2)), list(w.transpose(2, 0, 1)),
+            w.reshape(lanes, n * n)[:, ::n + 1],
+            [[pairs[:, :, p:q + 1:q - p] for q in range(p + 1, n)] for p in range(n - 1)])
+
+
+def _lanes_first(w, views):
+    """One sweep of every matrix of a (lanes, n, n) work array, through its
+    ``_lanes_first_views``, each lane's rotation and pivot entries computed
+    in Python floats."""
+    lanes, n = w.shape[0], w.shape[-1]
+    rows, cols, diagonal, pairs = views
     coef = np.empty((lanes, 2, 2, 1))
     values = coef.reshape(-1)                # c, -s, s, c per lane
     terms = np.empty((lanes, 2, 2, n))       # rotation * (row p, row q) per lane
     left, right = terms[:, None, :, 0], terms[:, None, :, 1]
-    diagonal = w.reshape(lanes, n * n)[:, ::n + 1]
-    rows, cols = list(w.transpose(1, 0, 2)), list(w.transpose(2, 0, 1))
-    pairs = w[:, None]
-    sqrt, multiply, add = math.sqrt, np.multiply, np.add
+    saved = np.empty((lanes, n))             # column p as its block found it
+    sqrt, multiply, add, copyto = math.sqrt, np.multiply, np.add, np.copyto
     for p in range(n - 1):
-        x = rows[p]
-        zero = terms[:, 1, :, p]             # 0.0 + 0.0 is the new (q, p) entry
+        x, column = rows[p], cols[p]
         pivots = diagonal.tolist()
+        copyto(saved, column)
+        column.fill(0.0)                     # each new (q, p) is s*0.0 + c*0.0 = +0.0
         moved = False                        # lanes that rotated in this block
-        for q in range(p + 1, n):
+        for q, pair in zip(range(p + 1, n), pairs[p]):
             apqs = x[:, q].tolist()
             rotation, skipped = [], 0
             for apq, diag in zip(apqs, pivots):
@@ -343,21 +366,22 @@ def _lanes_first(w):
                 diag[q] = aqq + step
             if skipped == lanes:
                 continue
-            values[:] = rotation
-            pair = pairs[:, :, p:q + 1:q - p]
+            values[...] = rotation
             multiply(coef, pair, terms)
-            zero.fill(0.0)
             if skipped:
                 where = np.array(apqs)[:, None] != 0.0
-                np.add(left, right, out=pair, where=where[:, None, None])
-                np.copyto(cols[q], rows[q], where=where)
+                add(left, right, out=pair, where=where[:, None, None])
+                copyto(cols[q], rows[q], where=where)
                 moved = moved | where
             else:
                 add(left, right, pair)
                 cols[q][...] = rows[q]
                 moved = True
+        if moved is not True:
+            copyto(column, saved)            # a lane that did not rotate keeps its column
+        if moved is not False:
+            copyto(column, x, where=moved)
         diagonal[...] = pivots
-        np.copyto(cols[p], x, where=moved)
 
 
 def jacobi_stack(a):
@@ -387,6 +411,8 @@ def jacobi_stack(a):
     # a stack whose skipped lanes may not rotate by the identity runs lanes
     # first throughout
     lanes_last = active.size > LANES_FIRST_MAX and identity_skips(a)
+    held = active[:0]                        # the lanes of the lanes-first work array
+    work = a[held]
     # theta * theta overflows on the asymptotic branch, whose t is then reset;
     # the lanes that skip divide by their zero apq, and their t is then 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -397,15 +423,20 @@ def jacobi_stack(a):
                     w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)
                 _lanes_last(w.reshape(n, n, -1))
                 flat[active] = w.T
+                off_sq[active] = offdiag_sq(w)
             else:
-                w = a[active]                                             # (lanes, n, n)
-                _lanes_first(w)
-                a[active] = w
-                w = w.reshape(-1, n * n).T
+                # held across sweeps, and gathered again when lanes leave
+                if held.size != active.size:
+                    a[held] = work
+                    held = active
+                    work = a[active]                                      # (lanes, n, n)
+                    views = _lanes_first_views(work)
+                _lanes_first(work, views)
+                off_sq[active] = offdiag_sq(work.reshape(-1, n * n).T)
             sweeps[active] += 1
-            off_sq[active] = offdiag_sq(w)
             active = active[(off_sq[active] > threshold_sq[active])
                             & (sweeps[active] < MAX_SWEEPS)]
+    a[held] = work
     converged = off_sq <= threshold_sq
     v = np.abs(flat[:, offdiag])
     max_off = np.fmax.reduce(v, axis=1, initial=0.0)     # NaN never exceeds

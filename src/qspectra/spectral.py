@@ -170,7 +170,7 @@ class Spectrum:
 
     @property
     def radius(self) -> float:
-        return max(abs(self.values[0]), abs(self.values[-1]))
+        return _radius(np.array([self.values])).item()
 
 
 def _group(values: tuple[float, ...], scale: float) -> tuple[tuple[float, int], ...]:
@@ -432,7 +432,8 @@ def _row_fsums(a: np.ndarray) -> np.ndarray:
 
 
 def _radius(values: np.ndarray) -> np.ndarray:
-    """Spectrum.radius of each row of descending eigenvalues."""
+    """The spectral radius of each row of descending eigenvalues: |last| where
+    it exceeds |first|, else |first|, ties included."""
     first, last = np.abs(values[:, 0]), np.abs(values[:, -1])
     return np.where(last > first, last, first)
 

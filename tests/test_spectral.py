@@ -207,6 +207,15 @@ def test_spectrum_radius():
     assert spec.radius == 1.0
     spec = q_spectrum(complete(4))
     assert abs(spec.radius - 6.0) <= 1e-9
+    # a bipartite A spectrum is symmetric: |lambda_n| ties lambda_1 here, and
+    # exceeds it by an ulp for C4
+    tied, past = a_spectrum(complete_bipartite(2, 3)), a_spectrum(cycle(4))
+    assert -tied.values[-1] == tied.values[0]
+    assert -past.values[-1] > past.values[0]
+    for spec in (tied, past, a_spectrum(star(5)), q_spectrum(prism(3))):
+        row = spectral._radius(np.array([spec.values]))
+        assert type(spec.radius) is float
+        assert np.array([spec.radius]).tobytes() == row.tobytes()
 
 
 def zero_multiplicity(g):
@@ -497,6 +506,35 @@ def test_a_lane_without_a_rotation_in_a_block_keeps_its_column(compiled_kernel):
     single = stack[0].copy()
     _jacobi_py.jacobi_sweeps(single)
     assert single[1, 0] != 0.0
+    _assert_stack_twins(compiled_kernel, stack)
+
+
+def test_lanes_that_leave_after_different_sweep_counts(compiled_kernel):
+    # the lanes converge after 1, 5 and 3 sweeps, the first lane first: the
+    # lanes-first work array, held across sweeps, is gathered again each time
+    # lanes leave
+    stack = np.stack([signless_laplacian_matrix(g) for g in (complete(5), path(5), star(5))]
+                     + [adjacency_matrix(path(5))])
+    counts = [_jacobi_py.jacobi_sweeps(m.copy())[0] for m in stack]
+    assert counts == [1, 5, 3, 5]
+    _assert_stack_twins(compiled_kernel, stack)
+
+
+def test_a_lane_whose_rotations_all_have_negative_sine(compiled_kernel):
+    # lane 0 couples only the disjoint pairs (0, 5), (1, 4) and (2, 3), so each
+    # pair rotates once, from the input pivots, and each theta is negative:
+    # with column p set to +0.0 for the block, every new (q, p) entry of the
+    # lane is s * 0.0 + c * 0.0 = (-0.0) + (+0.0), which is +0.0
+    lane = np.array([
+        [8.0, 0.0, 0.0, 0.0, 0.0, 2.0], [0.0, -1.0, 0.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, 2.0, -0.5, 0.0, 0.0], [0.0, 0.0, -0.5, 3.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0, 1.0, 0.0], [2.0, 0.0, 0.0, 0.0, 0.0, 5.0],
+    ])
+    off = lane - np.diag(np.diag(lane))
+    assert (np.count_nonzero(off, axis=1) == 1).all()
+    for p, q in zip(*np.nonzero(np.triu(off))):
+        assert (lane[q, q] - lane[p, p]) / (2.0 * lane[p, q]) < 0.0
+    stack = np.stack([lane, signless_laplacian_matrix(prism(3))])
     _assert_stack_twins(compiled_kernel, stack)
 
 
