@@ -3,14 +3,18 @@
 Builds seeded batches of 1024 edge masks on each order, as verify's jobs are,
 and prints the CPU milliseconds each stage takes over all batches of an
 order: ``FactsBatch.from_masks``; within it ``jacobi_stack`` and
-``_components``, run again on the arrays it built; ``batch_violations``; and
-``batch_lemma_failures``. The ``identity`` column says whether every Q stack
-of the order meets ``_jacobi_py.identity_skips``, under which the Python
-kernel's lanes-last loop rotates a skipped lane by the identity and writes
-every lane with plain copies; a stack that fails it still solves bit for bit,
-but lanes first throughout. The re-run stages must give what the batch holds,
-and every batch's verdict must equal what ``reports._verify_batch`` gives for
-its masks; exits 1 otherwise. The verdicts are empty at the default
+``_components``, run again on the arrays it built; ``batch_violations``;
+``batch_lemma_failures``; and ``row_sums``, the three exactly rounded row
+sums a batch reads, run again: QE's over the deviations (part of
+``from_masks``) and the two trace lemmas' over the eigenvalues and their
+squares (part of ``batch_lemma_failures``). The ``identity`` column says
+whether every Q stack of the order meets ``_jacobi_py.identity_skips``, under
+which the Python kernel's lanes-last loop rotates a skipped lane by the
+identity and writes every lane with plain copies; a stack that fails it still
+solves bit for bit, but lanes first throughout. The re-run stages must give
+what the batch holds, each row sum must equal ``math.fsum`` of its row bit for
+bit, and every batch's verdict must equal what ``reports._verify_batch`` gives
+for its masks; exits 1 otherwise. The verdicts are empty at the default
 tolerance; under ``QSPECTRA_TOL=1e-300`` they are not.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_verify.py [--orders 5,6,7] [--seed 1] [--smoke]
@@ -19,6 +23,7 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_verify.py [--orders 5,6,7] [--see
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import time
 
@@ -32,7 +37,7 @@ from qspectra.spectral import FactsBatch, batch_lemma_failures
 
 BATCHES = 15        # batches per order; --smoke runs one
 STAGES = ("from_masks", "jacobi_stack", "_components", "batch_violations",
-          "batch_lemma_failures")
+          "batch_lemma_failures", "row_sums")
 
 
 def sample_batches(n: int, count: int, seed: int) -> list[list[int]]:
@@ -51,6 +56,14 @@ def timed(seconds: dict, stage: str, fn, *args):
     return result
 
 
+def row_sums(arrays: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    return [spectral._row_fsums(a) for a in arrays]
+
+
+def fsums_per_row(a: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(row) for row in a.tolist()])
+
+
 def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> tuple[bool, bool]:
     """Times each stage on one batch. Returns whether every check holds, and
     whether its Q stack meets identity_skips."""
@@ -63,6 +76,9 @@ def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> tuple[bo
     connected, bipartite = timed(seconds, "_components", spectral._components, b.adjacency)
     violated = timed(seconds, "batch_violations", batch_violations, b)
     failed = timed(seconds, "batch_lemma_failures", batch_lemma_failures, b)
+    # QE's deviations, and the eigenvalues and their squares of the trace lemmas
+    summed = (b.gamma, b.eigenvalues, b.eigenvalues * b.eigenvalues)
+    sums = timed(seconds, "row_sums", row_sums, summed)
 
     def name(lane: int) -> str:
         return emit_graph6(graph_from_mask(n, masks[lane]))
@@ -72,6 +88,8 @@ def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> tuple[bo
              [(name(lane), cid) for lane, cid in verdict[1]])
     return (values.tobytes() == b.eigenvalues.tobytes()
             and (connected == b.connected).all() and (bipartite == b.bipartite_components).all()
+            and sums[0].tobytes() == b.qe.tobytes()
+            and all(x.tobytes() == fsums_per_row(a).tobytes() for x, a in zip(sums, summed))
             and violated == verdict[0] and failed == verdict[1][:len(failed)]
             and named == reports._verify_batch((n, masks, scale))), identity
 
@@ -84,7 +102,8 @@ def main() -> int:
     args = parser.parse_args()
     scale = tolerances.scale()
     print(f"kernel: {spectral.BACKEND}; CPU ms over every batch of an order; "
-          f"jacobi_stack and _components are parts of from_masks")
+          f"jacobi_stack and _components are parts of from_masks, and row_sums "
+          f"of from_masks and batch_lemma_failures")
     header = f"{'n':>3} {'batches':>8} {'graphs':>7}" + "".join(f" {s:>21}" for s in STAGES)
     print(header + f" {'identity':>8} {'checked':>8}")
     print("-" * (len(header) + 18))

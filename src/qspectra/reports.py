@@ -14,6 +14,7 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Any
 
@@ -119,6 +120,13 @@ def _column_value(name: str, cycle_n: int, f: GraphFacts) -> float:
     return evaluate_bound(f, name).value
 
 
+@lru_cache(maxsize=8)
+def _prism_facts(cycle_n: int, scale: float) -> GraphFacts:
+    """The facts of prism(cycle_n) at one tolerance scale. Both tables read
+    the same 8 prisms, so a process that reproduces both solves each once."""
+    return GraphFacts(prism(cycle_n), scale)
+
+
 def _table_report(title: str, data_file: str) -> TableReport:
     t0 = time.perf_counter()
     names, expected_rows = _load_expected(data_file)
@@ -128,7 +136,7 @@ def _table_report(title: str, data_file: str) -> TableReport:
     worst = 0.0
     unconverged: list[str] = []
     for cycle_n in sorted(expected_rows):
-        f = GraphFacts(prism(cycle_n), scale)
+        f = _prism_facts(cycle_n, scale)
         computed = {name: _column_value(name, cycle_n, f) for name in names}
         unconverged.extend(f.unconverged())
         expected = expected_rows[cycle_n]

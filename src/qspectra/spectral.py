@@ -51,9 +51,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tolerances
-# MAX_ORDER lives in numpy-free graph_core; spectral.MAX_ORDER is kept as an alias
-from .graph_core import (MAX_ORDER, Graph, StructureInfo, common_neighbour_counts,
-                         emit_graph6, mask_pairs, structure)
+from .graph_core import (Graph, StructureInfo, common_neighbour_counts, emit_graph6,
+                         mask_pairs, structure)
 
 __all__ = [
     "BACKEND",
@@ -91,7 +90,11 @@ class EigenSolveReport:
     converged: bool
     off_frobenius: float       # off-diagonal Frobenius norm at termination
     max_offdiag: float
-    error_bound: float         # eigenvalue perturbation bound (= off_frobenius)
+    # the off-diagonal Frobenius norm at termination, as off_frobenius: by
+    # Weyl's inequality it bounds how far the final iterate's diagonal lies
+    # from that iterate's eigenvalues, leaving out rounding in the rotations,
+    # so it does not bound the error of the computed eigenvalues
+    error_bound: float
 
 
 def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
@@ -427,8 +430,65 @@ def _components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return least.sum(axis=1) == 1, (least & ~odd).sum(axis=1)
 
 
+# the fewest rows on which _row_fsums runs its cascade; below it, one
+# math.fsum call per row is faster (see README "Exhaustive verification")
+_CASCADE_MIN_ROWS = 256
+
+
 def _row_fsums(a: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(row) for row in a.tolist()])
+    """math.fsum of each row of a (rows, k) float64 array, bit for bit, its
+    exceptions included.
+
+    Below _CASCADE_MIN_ROWS rows it calls math.fsum per row. From there on,
+    one TwoSum cascade (Knuth's error-free transformation; Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26, 2005) runs down the columns of every row
+    at once: column j goes into the running sum with (s, d) = TwoSum(s, a_j),
+    and d into the running error with (e, f) = TwoSum(e, d). TwoSum is exact
+    in binary64 when nothing overflows, subnormals included, so the exact row
+    sum is S = s + e + F, where F is the sum of the f. A final
+    (r, t) = TwoSum(s, e) gives r = fl(s + e) and S = r + t + F. A row takes
+    r when
+    - every f is zero (L, the computed sum of the |f|, is 0): then S = s + e,
+      and r is its round-half-even, which is what math.fsum returns, ties
+      included; or
+    - |t| + 2L is below h, half the gap from |r| down to the next float. The
+      gap below is never wider than the gap above, and beside a power of two
+      it is half of it, so S is strictly inside r's rounding interval:
+      |S - r| <= |t| + |F|, and |F| < 2L while k u is far below 1.
+    Every other row goes to math.fsum: a zero r, whose sign fsum decides; a
+    row with an |a| not below 2^1020 / k, so that the sum of its |a| is below
+    2^1020, no addition here or in fsum overflows, and inf, nan and fsum's
+    OverflowError come from fsum itself; and a row the second test cannot
+    decide (Shewchuk's adaptive filter, Discrete Comput. Geom. 18, 1997).
+    """
+    if len(a) < _CASCADE_MIN_ROWS:
+        return np.array([math.fsum(row) for row in a.tolist()])
+    cols = a.T.copy()
+    small = np.abs(cols).max(axis=0) < 2.0 ** 1020 / len(cols)   # false on inf and nan
+    if not small.all():
+        cols[:, ~small] = 0.0
+    s, e, loss = cols[0], np.zeros(len(a)), np.zeros(len(a))
+    for column in cols[1:]:
+        s, d = _two_sum(s, column)
+        e, f = _two_sum(e, d)
+        loss += np.abs(f)
+    r, t = _two_sum(s, e)
+    size = np.abs(r)
+    # the gap below |r| > 0 is |r| minus the float whose bits are one less
+    half_gap = (size - (size.view(np.int64) - 1).view(np.float64)) * 0.5
+    exact = (loss == 0.0) | (np.abs(t) + 2 * loss < half_gap)
+    taken = exact & small & (r != 0.0)
+    if not taken.all():
+        undecided = np.flatnonzero(~taken)
+        r[undecided] = [math.fsum(row) for row in a[undecided].tolist()]
+    return r
+
+
+def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fl(x + y) and its rounding error, exactly (Knuth's TwoSum)."""
+    s = x + y
+    v = s - x
+    return s, (x - (s - v)) + (y - v)
 
 
 def _radius(values: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 lemma checks and common-neighbour counts run once per graph at most, the
 batch of one is built and each catalog row evaluated once per graph, the
 tolerance scale is read once per graph at most, and no result outlives the
-call that computed it.
+call that computed it, but for the prism facts that the two tables share.
 """
 
 from collections import Counter
@@ -14,7 +14,8 @@ from qspectra.bounds import all_bounds
 from qspectra.cli import main
 from qspectra.graph_core import cycle, prism
 from qspectra.reports import (
-    analyze_report, check_graph, energies, reproduce_table1, verify_exhaustive)
+    analyze_report, check_graph, energies, reproduce_table1, reproduce_table2,
+    verify_exhaustive)
 from qspectra.spectral import q_spectrum
 
 
@@ -72,6 +73,15 @@ def test_cli_bounds_solves_only_the_signless_laplacian(counts, capsys):
 def test_each_spectrum_is_solved_once_per_call(counts, call, solves):
     call()
     assert counts["solves"] == solves
+
+
+def test_both_tables_solve_each_prism_once_per_scale(counts, monkeypatch):
+    first, second = reproduce_table1(), reproduce_table2()
+    assert counts["solves"] == 8 == len(first.rows) == len(second.rows)
+    # another tolerance scale gets facts of its own
+    monkeypatch.setenv("QSPECTRA_TOL", "2")
+    reproduce_table2()
+    assert counts["solves"] == 16
 
 
 def test_analyze_solves_a_l_and_q_in_one_stack(counts):

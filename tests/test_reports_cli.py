@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qspectra import reports, spectral
+from qspectra import graph_core, reports, spectral
 from qspectra.cli import main
 from qspectra.graph_core import cycle, emit_graph6, prism, star
 from qspectra.reports import (
@@ -261,20 +261,19 @@ def test_cli_refuses_a_graph_above_the_order_cap(capsys, monkeypatch):
         jacobi_stack = jacobi_sweeps
 
     monkeypatch.setattr(spectral, "_KERNEL", NoSolve)
-    n = spectral.MAX_ORDER + 1
+    n = graph_core.MAX_ORDER + 1
     for command in ("bounds", "analyze"):
         monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n}\n"))
         assert main([command, "--edgelist", "-"]) == 2
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err == (f"qspectra: parse error: graph has {n} vertices; the dense "
-                                f"solver accepts at most {spectral.MAX_ORDER}\n")
+                                f"solver accepts at most {graph_core.MAX_ORDER}\n")
 
 
 @pytest.fixture
 def no_graph_is_built(monkeypatch):
     """Fails the test if any Graph is constructed."""
-    from qspectra import graph_core
 
     def fail(self):
         raise AssertionError("a Graph was built")
@@ -302,7 +301,7 @@ def test_cli_refuses_an_oversize_input_before_building_it(args, stdin, n, capsys
     assert code == 2
     assert peak < 1 << 20, peak    # no edge tuples were built either
     assert capsys.readouterr() == ("", f"qspectra: parse error: graph has {n} vertices; "
-                                       f"the dense solver accepts at most {spectral.MAX_ORDER}\n")
+                                       f"the dense solver accepts at most {graph_core.MAX_ORDER}\n")
 
 
 @pytest.mark.parametrize("spec, n", [
@@ -314,7 +313,7 @@ def test_cli_family_refuses_an_order_above_the_cap_before_building_it(
         spec, n, fmt, capsys, no_graph_is_built):
     assert main(["family", *spec, *fmt]) == 2
     assert capsys.readouterr() == ("", f"qspectra: parse error: graph has {n} vertices; "
-                                       f"the dense solver accepts at most {spectral.MAX_ORDER}\n")
+                                       f"the dense solver accepts at most {graph_core.MAX_ORDER}\n")
 
 
 @pytest.mark.parametrize("family, message", [
