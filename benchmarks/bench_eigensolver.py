@@ -5,12 +5,14 @@ with every kernel that imports, one matrix at a time (ms per solve) and each
 size's matrices as one stack (us per matrix). A second table solves the
 adjacency, Laplacian and signless Laplacian matrices of each of those graphs,
 as analyze does: three one-matrix calls against one stack of three (ms per
-graph). Confirms bit for bit, on every matrix and returned tuple, that the
-two kernels agree and that each kernel's stack entry agrees with its
-one-matrix entry. The stack check also covers a stack of at least 17 of
-the graphs' Laplacians per size (the ``L stack`` column): their non-edges
-hold -0.0, so the stack fails ``_jacobi_py.identity_skips``, and the Python
-kernel solves it lanes first throughout. Exits 1 when any result differs.
+graph). Each row is the best of REPEATS (5) passes, timed with
+``time.process_time``. Confirms bit for bit, on every matrix and returned
+tuple, that the two kernels agree and that each kernel's stack entry agrees
+with its one-matrix entry. The stack check also covers a stack of at least
+17 of the graphs' Laplacians per size (the ``L stack`` column): like every
+graph matrix they meet ``_jacobi_py.identity_skips``, so the Python kernel
+solves them lanes last while more than 16 lanes iterate. Exits 1 when any
+result differs.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -27,6 +29,7 @@ from qspectra import _jacobi_py
 from qspectra.graph_core import random_graph
 from qspectra.spectral import adjacency_matrix, laplacian_matrix, signless_laplacian_matrix
 
+REPEATS = 5         # passes per row, of which the fastest counts
 KERNELS = {"python": _jacobi_py}
 try:
     from qspectra import _jacobi_cy
@@ -43,30 +46,37 @@ def make_graphs(sizes: list[int], count: int, seed: int) -> dict[int, list]:
 
 def laplacian_stack(graphs: list) -> list[np.ndarray]:
     """The Laplacians of the graphs, cycled to more lanes than the Python
-    stack kernel runs lanes first by count alone."""
+    stack kernel runs lanes first."""
     count = max(len(graphs), _jacobi_py.LANES_FIRST_MAX + 1)
     return [laplacian_matrix(graphs[i % len(graphs)]) for i in range(count)]
+
+
+def best_of(bench, *args) -> tuple[float, list]:
+    """The least seconds of REPEATS passes of bench(*args), and what the last
+    pass solved."""
+    passes = [bench(*args) for _ in range(REPEATS)]
+    return min(seconds for seconds, _ in passes), passes[-1][1]
 
 
 def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
     """Seconds per solve, one matrix per call, and each matrix's (result
     repr, solved bytes)."""
     results = []
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for m in mats:
         work = np.array(m, dtype=np.float64, order="C", copy=True)
         results.append((kernel.jacobi_sweeps(work), work))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     return elapsed / len(mats), [(repr(r), w.tobytes()) for r, w in results]
 
 
 def bench_stack(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
     """Seconds per matrix, all matrices in one stack call, and each matrix's
     (result repr, solved bytes)."""
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     stack = np.stack(mats)
     results = kernel.jacobi_stack(stack)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     return elapsed / len(mats), [(repr(r), w.tobytes()) for r, w in zip(results, stack)]
 
 
@@ -76,7 +86,7 @@ def bench_triples(kernel, graphs: list, stacked: bool) -> tuple[float, list]:
     triples = [[build(g) for build in (adjacency_matrix, laplacian_matrix,
                                        signless_laplacian_matrix)] for g in graphs]
     solved = []
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for mats in triples:
         if stacked:
             work = np.stack(mats)
@@ -85,7 +95,7 @@ def bench_triples(kernel, graphs: list, stacked: bool) -> tuple[float, list]:
             for m in mats:
                 work = np.array(m, dtype=np.float64, order="C", copy=True)
                 solved.append((kernel.jacobi_sweeps(work), work))
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     return elapsed / len(graphs), [(repr(r), w.tobytes()) for r, w in solved]
 
 
@@ -116,8 +126,8 @@ def main() -> int:
     mismatch = False
     for n in sizes:
         # the reference is the pure-Python kernel, one matrix per call
-        single = {name: bench_kernel(kernel, suite[n]) for name, kernel in KERNELS.items()}
-        stacked = {name: bench_stack(kernel, suite[n]) for name, kernel in KERNELS.items()}
+        single = {name: best_of(bench_kernel, kernel, suite[n]) for name, kernel in KERNELS.items()}
+        stacked = {name: best_of(bench_stack, kernel, suite[n]) for name, kernel in KERNELS.items()}
         reference = single["python"][1]
         same = all(out == reference for _, out in (*single.values(), *stacked.values()))
         laplacians = laplacian_stack(graphs[n])
@@ -145,7 +155,8 @@ def main() -> int:
     for n in sizes:
         line, outputs = f"{n:>5}", []
         for name, kernel in KERNELS.items():
-            calls, stack = (bench_triples(kernel, graphs[n], stacked) for stacked in (False, True))
+            calls, stack = (best_of(bench_triples, kernel, graphs[n], stacked)
+                            for stacked in (False, True))
             line += (f" {calls[0] * 1e3:>22.3f} {stack[0] * 1e3:>20.3f}"
                      f" {calls[0] / stack[0]:>7.2f}x")
             outputs += [calls[1], stack[1]]

@@ -5,7 +5,9 @@ the same float64 bits in it and return the same (sweeps, converged,
 off_frobenius, max_offdiag) tuple. The contract extends to ``jacobi_stack``,
 which both kernels also provide: given the same (B, n, n) stack, both leave in
 each matrix, and return for it, bit for bit what ``jacobi_sweeps`` leaves in
-and returns for that matrix alone.
+and returns for that matrix alone. Both refuse, with ValueError and before
+any write, a buffer that is not float64, C-contiguous, writable and square
+(2-D for one matrix, 3-D for a stack).
 
 Identical to the compiled kernel: the rotation order, the ``apq == 0.0`` skip,
 the theta, t, c and s expressions, the pivot formulas, and the convergence
@@ -28,18 +30,21 @@ Restructured, to make fewer numpy calls per rotation:
 - The pivot entries of row q are set before column q is copied from it, so
   the copy also carries them to (p, q) and (q, q).
 
-``jacobi_stack`` runs the B matrices in lockstep over the same cyclic (p, q)
-order, on a work array of the matrices still iterating, with one of two
-loops. Both loops pay numpy's per-call cost once per rotation for all lanes,
-so a stack of one is slower than ``jacobi_sweeps``.
+``jacobi_stack`` first checks ``identity_skips``: the stack is all finite,
+exactly symmetric (``a == a.transpose(0, 2, 1)``) and holds no -0.0, as the
+A, L and Q of every graph are. A stack that fails the rule is solved one
+matrix at a time by ``jacobi_sweeps``, the contract's reference. A stack that
+meets it runs its B matrices in lockstep over the same cyclic (p, q) order,
+on a work array of the matrices still iterating, with one of two loops. In
+both, a lane whose (p, q) entry is zero, which the compiled loop skips,
+rotates by the identity, c = 1, s = 0 and step = 0, so every write is plain
+and each numpy call of a rotation covers every lane.
 
-Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, and for
-a stack that meets ``identity_skips`` (below), the work array is (n, n, B),
-lanes last, so that every numpy call of a rotation covers all B lanes at
-once. It is gathered and scattered as (n * n, B) rows,
-one column per matrix; while every matrix still iterates, the work array
-of the last sweep (first, one transposed copy of the stack) holds them all,
-and no gather runs. In the loop:
+Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, the work
+array is (n, n, B), lanes last. It is gathered and scattered as (n * n, B)
+rows, one column per matrix; while every matrix still iterates, the work
+array of the last sweep (first, one transposed copy of the stack) holds them
+all, and no gather runs. In the loop:
 
 - theta, t, c, s and the pivot step t * apq are vectors of the same
   expressions, with the operands in the same order, each written into a
@@ -47,7 +52,8 @@ and no gather runs. In the loop:
   ``copysign(t, theta + 0.0)``: adding 0.0 turns a -0.0 theta into +0.0 and
   leaves every other theta as it is, so t is negated exactly where
   ``theta < 0.0``. The asymptotic branch, which a NaN theta also takes, is a
-  ``where=`` divide.
+  ``where=`` divide. A skipped lane's theta is +-inf or NaN, and its t is
+  then set to 0.0.
 - Rows p and q are rotated as in ``jacobi_sweeps``, through the strided pair
   view and a (2, 2, 1, B) coefficient array, into a buffer whose pivot block
   is then set. The buffer is written back as rows p and q and, through the
@@ -56,12 +62,10 @@ and no gather runs. In the loop:
   block only its pivot entries are read, and each rotation overwrites those,
   so the last write leaves what the block-end copy leaves.
 
-At most LANES_FIRST_MAX lanes, as in analyze's A, L and Q of one graph, and
-for the whole solve of a stack that fails ``identity_skips``, the work array
-is (B, n, n), lanes first. With lanes last, every numpy loop of
-a rotation is only B elements long, and about 12 vector calls go to theta,
-t, c and s. With lanes first, the loops are n long, and each lane's theta,
-t, c and s are Python floats of the ``jacobi_sweeps`` expressions:
+At most LANES_FIRST_MAX lanes, as in analyze's A, L and Q of one graph, the
+work array is (B, n, n), lanes first, so each numpy loop runs along a row,
+and each lane's theta, t, c and s are Python floats of the ``jacobi_sweeps``
+expressions:
 
 - Once per solve, ``jacobi_stack`` gathers the work array, and
   ``_lanes_first_views`` builds its row and column lists, its diagonal view
@@ -71,57 +75,34 @@ t, c and s are Python floats of the ``jacobi_sweeps`` expressions:
 - One multiply by a (B, 2, 2, 1) coefficient array and one add rotate rows
   p and q of every lane in place, as in ``jacobi_sweeps``.
 - Once per p-block, the diagonal is read into Python lists, and then column
-  p is saved and set to +0.0. The pivots app and aqq are read from, and
-  their new values written to, those lists. At the end of the block, column
-  p is copied from row p for the lanes that rotated in it, as in
-  ``jacobi_sweeps``, the saved column is put back for the lanes that did
-  not, and the lists go back into the diagonal.
+  p is set to +0.0. The pivots app and aqq are read from, and their new
+  values written to, those lists. At the end of the block column p is
+  copied from row p, and the lists go back into the diagonal.
 - The block zeroing keeps every bit. Inside a block, column-p entries are
   read only into the new (q, p) and (p, p) entries. Each new (q, p) is
   s * (+0.0) + c * (+0.0), which is +0.0 for either sign of s, because c > 0
   and (-0.0) + (+0.0) is +0.0; the copy of column q from row q carries it to
   (p, q), where ``jacobi_sweeps`` writes the literal 0.0. The new (p, p) is
   stale and is rewritten from the pivot lists, and the stale (q, q) entries
-  are not read. A lane that did not rotate gets its column back, which
-  matters for input that is symmetric only to rounding.
+  are not read. A lane that did not rotate in the block gets back its
+  column p, which is its row p.
 
-Timed with both loops on seeded random-graph Q stacks (one CPU, best of 9),
-the two were even at 16 lanes: lanes first took 2.3 ms against 2.4 ms at
-n = 7, and 15.3 against 15.5 ms at n = 16. At 32 lanes lanes first was
-slower: 3.8 against 2.7 ms at n = 7, and 25.6 against 18.8 ms at n = 16.
-In ``benchmarks/bench_eigensolver.py --sizes 16,32,64`` (one CPU, best of
-six runs), analyze's stack of A, L and Q took 5.3, 27.1 and 144 ms per graph
-at n = 16, 32 and 64, against 7.7, 39.5 and 214 ms for three
-``jacobi_sweeps`` calls.
-
-In both loops a lane whose (p, q) entry is zero skips the rotation, as the
-compiled loop does, and keeps every bit, the sign of its zeros included.
-The lanes-first loop leaves it out of its writes with ``where=``, which is
-exact for any stack. The lanes-last loop has one write mode, plain: a
-skipped lane's t is set to 0.0 after the asymptotic divide (its theta is
-+-inf or NaN there), so it rotates by the identity, c = 1, s = 0 and
-step = 0 (a masked copy costs 3 to 4 times a plain one). That keeps every
-bit only under ``identity_skips``: the stack is all finite, exactly
-symmetric (``a == a.transpose(0, 2, 1)``) and holds no -0.0, as every Q
-stack of verify is. ``jacobi_stack`` decides once per call, when more than
-LANES_FIRST_MAX lanes iterate at the start; a stack that fails the rule,
-such as one of Laplacians, whose non-edges hold -0.0, runs lanes first for
-the whole solve. Under the rule:
+Why the identity keeps every bit under the rule:
 
 - No rotating lane ever writes -0.0. Since |t| <= 1, c = 1 / sqrt(t * t + 1)
   is at least 1 / sqrt(2), so c * x rounds to zero only when x is zero, and
   keeps its sign; a rounded sum is -0.0 only when both addends are. The
   writes are c * x + (-s) * y, s * x + c * y, app - step, aqq + step and the
   literal 0.0.
-- Symmetry is kept exactly: rows and columns p and q are written from one
-  buffer, and every lanes-last sweep runs before any lanes-first sweep.
+- Symmetry is kept exactly: every column written is copied from its row,
+  so each lane leaves every p-block exactly symmetric.
 - Entries stay finite: an iterating lane has a finite Frobenius square, so
   every entry is below about 1.3e154. A lane whose square overflows never
   iterates, because its threshold is inf.
 - So a skipped lane keeps every bit. Its new rows are x + (+-0) = x and
   (+-0) + y = y, and its columns equal its rows. Its pivots are app - (+0)
   and aqq + (+0). Its (p, q) and (q, p) entries are already +0.0, so the
-  two 0.0 writes leave them as they are.
+  writes of 0.0 leave them as they are.
 
 Without the rule the identity would move bits: -0.0 - (-0.0) is +0.0, and a
 column written from its row loses an entry that is symmetric only to
@@ -133,8 +114,7 @@ The Frobenius and off-diagonal sums of ``jacobi_stack`` add each matrix's
 squares from row 0 of a (terms, lanes) array down, in the compiled loop
 order: by one ``np.add.accumulate`` call below ROW_ADDS_MIN (256) lanes, as
 in analyze's stacks of three with up to 2,016 terms, and by one in-place add
-per row from there on, as in verify's batches of 1024, where that ran 4 to 5
-times as fast (the two forms were even near 200 lanes). Starting from row 0
+per row from there on, as in verify's batches of 1024. Starting from row 0
 rather than 0.0 gives the same bits, because a square is +0.0 or more, or
 NaN.
 """
@@ -157,11 +137,20 @@ def _offdiag_sq(rows, n):
     return s
 
 
+def _require_square(a, ndim, error):
+    """Raise ValueError(error) unless ``a`` is a float64, C-contiguous and
+    writable array of ndim dimensions whose last two are equal."""
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            and a.ndim == ndim and a.shape[-2] == a.shape[-1]):
+        raise ValueError(error)
+
+
 def jacobi_sweeps(a):
     """Diagonalize a symmetric C-contiguous float64 matrix in place.
 
     Returns (sweeps, converged, off_frobenius, max_offdiag).
     """
+    _require_square(a, 2, "expected a square 2-D float64 buffer")
     n = a.shape[0]
     if n < 2:
         return 0, True, 0.0, 0.0
@@ -326,28 +315,26 @@ def _lanes_first_views(w):
 
 def _lanes_first(w, views):
     """One sweep of every matrix of a (lanes, n, n) work array, through its
-    ``_lanes_first_views``, each lane's rotation and pivot entries computed
-    in Python floats."""
+    ``_lanes_first_views``, for a stack that meets ``identity_skips``: each
+    lane's rotation and pivot entries are computed in Python floats, a lane
+    that skips a rotation rotates by the identity, and every write is
+    plain."""
     lanes, n = w.shape[0], w.shape[-1]
     rows, cols, diagonal, pairs = views
     coef = np.empty((lanes, 2, 2, 1))
     values = coef.reshape(-1)                # c, -s, s, c per lane
     terms = np.empty((lanes, 2, 2, n))       # rotation * (row p, row q) per lane
     left, right = terms[:, None, :, 0], terms[:, None, :, 1]
-    saved = np.empty((lanes, n))             # column p as its block found it
-    sqrt, multiply, add, copyto = math.sqrt, np.multiply, np.add, np.copyto
+    sqrt, multiply, add = math.sqrt, np.multiply, np.add
     for p in range(n - 1):
         x, column = rows[p], cols[p]
         pivots = diagonal.tolist()
-        copyto(saved, column)
         column.fill(0.0)                     # each new (q, p) is s*0.0 + c*0.0 = +0.0
-        moved = False                        # lanes that rotated in this block
         for q, pair in zip(range(p + 1, n), pairs[p]):
-            apqs = x[:, q].tolist()
             rotation, skipped = [], 0
-            for apq, diag in zip(apqs, pivots):
+            for apq, diag in zip(x[:, q].tolist(), pivots):
                 if apq == 0.0:
-                    rotation += (1.0, 0.0, 0.0, 1.0)     # computed, never written
+                    rotation += (1.0, 0.0, 0.0, 1.0)     # the identity
                     skipped += 1
                     continue
                 app, aqq = diag[p], diag[q]
@@ -368,19 +355,9 @@ def _lanes_first(w, views):
                 continue
             values[...] = rotation
             multiply(coef, pair, terms)
-            if skipped:
-                where = np.array(apqs)[:, None] != 0.0
-                add(left, right, out=pair, where=where[:, None, None])
-                copyto(cols[q], rows[q], where=where)
-                moved = moved | where
-            else:
-                add(left, right, pair)
-                cols[q][...] = rows[q]
-                moved = True
-        if moved is not True:
-            copyto(column, saved)            # a lane that did not rotate keeps its column
-        if moved is not False:
-            copyto(column, x, where=moved)
+            add(left, right, pair)
+            cols[q][...] = rows[q]
+        column[...] = x
         diagonal[...] = pivots
 
 
@@ -390,11 +367,15 @@ def jacobi_stack(a):
 
     Returns a list of B (sweeps, converged, off_frobenius, max_offdiag)
     tuples. Entry i, and what is left in a[i], are bit for bit what
-    ``jacobi_sweeps(a[i])`` returns and leaves.
+    ``jacobi_sweeps(a[i])`` returns and leaves; a stack that fails
+    ``identity_skips`` is solved by exactly those calls.
     """
+    _require_square(a, 3, "expected a 3-D float64 buffer of square matrices")
     count, n = a.shape[0], a.shape[-1]
     if n < 2:
         return [(0, True, 0.0, 0.0)] * count
+    if not identity_skips(a):
+        return [jacobi_sweeps(m) for m in a]
     upper = np.triu_indices(n, 1)
     offdiag = upper[0] * n + upper[1]        # the entries above the diagonal, row-major
     flat = a.reshape(count, n * n)           # one row per matrix
@@ -408,16 +389,13 @@ def jacobi_stack(a):
     off_sq = offdiag_sq(w)
     sweeps = np.zeros(count, dtype=np.intp)
     active = np.flatnonzero(off_sq > threshold_sq)
-    # a stack whose skipped lanes may not rotate by the identity runs lanes
-    # first throughout
-    lanes_last = active.size > LANES_FIRST_MAX and identity_skips(a)
     held = active[:0]                        # the lanes of the lanes-first work array
     work = a[held]
     # theta * theta overflows on the asymptotic branch, whose t is then reset;
     # the lanes that skip divide by their zero apq, and their t is then 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         while active.size:
-            if lanes_last and active.size > LANES_FIRST_MAX:
+            if active.size > LANES_FIRST_MAX:
                 # while every lane iterates, w already holds every matrix
                 if active.size < count:
                     w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)

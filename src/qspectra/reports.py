@@ -267,11 +267,8 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
     return [(bid, gap) for _, bid, gap in violated], [cid for _, cid in failures]
 
 
-# Graphs in one verify job, judged as one FactsBatch. On the perfbench
-# verify-small workload (Python kernel, shared 2-vCPU Xeon, 6 alternating
-# pairs), 1024 read a median of 53,100 graphs/s and 40.0 MB peak RSS, and 256
-# read 35,000 graphs/s and 38.0 MB: each rotation's numpy calls in the stack
-# kernel serve 4x the lanes.
+# Graphs in one verify job, judged as one FactsBatch: each rotation's numpy
+# calls in the Python stack kernel serve every graph of the job at once.
 _VERIFY_BATCH = 1024
 
 

@@ -12,9 +12,7 @@ contract: ``jacobi_sweeps`` solves one matrix, and ``jacobi_stack`` solves a
 first. The second solves several matrices at once: ``GraphFacts.solve_all``
 stacks the A, L and Q of one graph for ``analyze_report`` and ``energies``,
 and ``FactsBatch.from_masks`` stacks verify's batches of graphs on one vertex
-count. On the Python kernel a stack of one ran at about 0.7 times the speed
-of ``jacobi_sweeps``, and a stack of three faster than three calls of it
-from n = 6 up (1.3 to 1.4 times from n = 10).
+count. README "Backends" gives the measured cost of each entry point.
 
 ``FactsBatch`` holds what the bound catalog and the lemma rules read, as
 arrays with one lane per graph, for B graphs of one order. Its deviation
@@ -153,7 +151,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    a = -adjacency_matrix(g)
+    # 0.0 - A, not -A: a non-edge holds +0.0, so L meets _jacobi_py.identity_skips
+    a = 0.0 - adjacency_matrix(g)
     np.fill_diagonal(a, g.degrees)
     return a
 

@@ -74,6 +74,24 @@ def test_laplacian_row_sums_vanish():
         assert np.array_equal(lap.sum(axis=1), np.zeros(g.n))
 
 
+def test_laplacian_holds_no_negative_zero():
+    # L is built as 0.0 - A, so a non-edge holds +0.0 where -A holds -0.0.
+    # jacobi_sweeps leaves the same tuple and diagonal on both forms, and
+    # equal entries elsewhere: a diagonal entry changes only by app - t*apq
+    # or aqq + t*apq with apq != 0.0, and the sums add squares, so only the
+    # sign of an off-diagonal zero may differ
+    for g in _joint_solve_cases():
+        lap = laplacian_matrix(g)
+        assert not (np.signbit(lap) & (lap == 0.0)).any(), g
+        old = -adjacency_matrix(g)
+        np.fill_diagonal(old, g.degrees)
+        assert np.array_equal(lap, old), g
+        result = repr(_jacobi_py.jacobi_sweeps(lap))
+        assert result == repr(_jacobi_py.jacobi_sweeps(old)), g
+        assert np.diagonal(lap).tobytes() == np.diagonal(old).tobytes(), g
+        assert np.array_equal(lap, old), g
+
+
 def test_signless_laplacian_is_degree_plus_adjacency():
     rng = random.Random(8)
     for _ in range(20):
@@ -419,12 +437,12 @@ def _assert_stack_twins(compiled_kernel, stack):
     """Both kernels' jacobi_stack, on the stack and on copies of it tiled past
     _jacobi_py.LANES_FIRST_MAX and past _jacobi_py.ROW_ADDS_MIN lanes, leave
     in each lane and return for it bit for bit what the Python jacobi_sweeps
-    leaves in and returns for that matrix alone. The Python kernel runs its
-    lanes-first loop on the stack (at most LANES_FIRST_MAX lanes here). On
-    the tiled copies it runs its lanes-last loop for as long as more lanes
-    than that iterate when the stack meets identity_skips, and its
-    lanes-first loop throughout when it does not; it adds its sums row by
-    row on the widest copy."""
+    leaves in and returns for that matrix alone. When the stack meets
+    identity_skips, the Python kernel runs its lanes-first loop on the stack
+    (at most LANES_FIRST_MAX lanes here), and on the tiled copies its
+    lanes-last loop for as long as more lanes than that iterate; it adds its
+    sums row by row on the widest copy. When the stack fails the rule, it
+    solves every lane with jacobi_sweeps."""
     assert len(stack) <= _jacobi_py.LANES_FIRST_MAX
     single = [m.copy(order="C") for m in stack]
     expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
@@ -478,8 +496,9 @@ def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
     # at (0, 1) lane 0 rotates while lane 1 skips: its (0, 1) entry is -0.0,
     # and its rows 0 and 1 hold -0.0 and -1.0, which a rotation by c = 1,
     # s = 0 would not keep, since -0.0 - (-0.0) is +0.0. So identity_skips
-    # refuses the stack, and its tiled copies run lanes first throughout. Lane
-    # 2's theta at (0, 1) is 0.0 / -2.0 = -0.0, whose tangent is +1.
+    # refuses the stack, and the Python kernel solves each lane with
+    # jacobi_sweeps. Lane 2's theta at (0, 1) is 0.0 / -2.0 = -0.0, whose
+    # tangent is +1.
     stack = np.array([
         [[2.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.25, 0.5],
          [0.5, 0.25, 4.0, 1.0], [0.25, 0.5, 1.0, 5.0]],
@@ -496,9 +515,10 @@ def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
 def test_a_lane_without_a_rotation_in_a_block_keeps_its_column(compiled_kernel):
     # lane 0 is symmetric only within the 1e-12 that symmetric_eigenvalues
     # accepts, and its row 0 gets no rotation, while lane 1 rotates in every
-    # block: column 0 is copied from row 0 in lane 1 only, so lane 0 keeps
-    # its stray (1, 0) entry for rotation (1, 2) to turn, as jacobi_sweeps
-    # does; a copy in lane 0 would zero it
+    # block: lane 0 must keep its stray (1, 0) entry for rotation (1, 2) to
+    # turn, as jacobi_sweeps does, and a copy of column 0 from row 0 would
+    # zero it. identity_skips refuses the stack, so the Python kernel solves
+    # each lane with jacobi_sweeps
     stack = np.array([
         [[1.0, 0.0, 0.0], [1e-14, 2.0, 1.0], [0.0, 1.0, 3.0]],
         [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]],
@@ -580,11 +600,7 @@ def test_identity_rule_holds_for_verify_stacks_and_graph_matrices(monkeypatch):
     graphs = [random_graph(n, p, rng) for n in (2, 7, 16) for p in (0.3, 0.9)]
     for g in graphs + [complete(5), star(6), Graph(4, ())]:
         a, lap, q = adjacency_matrix(g), laplacian_matrix(g), signless_laplacian_matrix(g)
-        assert _jacobi_py.identity_skips(np.stack([a, q]))
-        # L is -A off the diagonal, so a non-edge is -0.0 and a stack of L
-        # runs lanes first
-        non_edges = g.n * (g.n - 1) // 2 - g.m
-        assert _jacobi_py.identity_skips(np.stack([a, lap, q])) == (non_edges == 0), g
+        assert _jacobi_py.identity_skips(np.stack([a, lap, q])), g
 
 
 def _skipping_q_stack():
@@ -598,11 +614,24 @@ def _skipping_q_stack():
     return stack
 
 
+def test_stacks_whose_lanes_skip_whole_blocks_meet_the_rule(compiled_kernel):
+    # the last lane of the Q stack rotates in neither p-block 0 nor 1, and a
+    # disconnected graph's A, L and Q skip every rotation between components:
+    # each such lane rotates by the identity and gets column p back from row p
+    _assert_stack_twins(compiled_kernel, _skipping_q_stack())
+    g = disjoint_union(cycle(5), disjoint_union(path(4), Graph(1, ())))
+    stack = np.stack([build(g) for build in (adjacency_matrix, laplacian_matrix,
+                                             signless_laplacian_matrix)])
+    assert _jacobi_py.identity_skips(stack)
+    _assert_stack_twins(compiled_kernel, stack)
+
+
 @pytest.mark.parametrize("defect", ["-0.0 pair", "1-ulp asymmetric pair", "inf", "nan"])
 def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
     # the last lane skips (0, 1) while other lanes rotate; the identity
     # rotation would leave +0.0 at its (0, 1) and (1, 0) entries. A lane
-    # with an inf or NaN entry never iterates
+    # with an inf or NaN entry never iterates. The Python kernel solves each
+    # lane of such a stack with jacobi_sweeps
     stack = _skipping_q_stack()
     last = stack[-1]
     if defect == "-0.0 pair":
@@ -616,26 +645,35 @@ def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
 
 
 def test_only_a_stack_that_meets_the_identity_rule_runs_lanes_last(monkeypatch):
-    # 17 lanes, past LANES_FIRST_MAX: the Q stack runs lanes last, and the
-    # same stack with one -0.0 pair runs lanes first for the whole solve
+    # the 16-lane Q stack runs lanes first, and with a 17th lane it runs lanes
+    # last first; with one -0.0 pair either stack fails the rule and enters
+    # neither loop
     sweeps = []
-    lanes_last = _jacobi_py._lanes_last
 
-    def counted(w):
-        sweeps.append(w.shape[-1])
-        lanes_last(w)
+    def counted(name, lanes):
+        loop = getattr(_jacobi_py, name)
 
-    monkeypatch.setattr(_jacobi_py, "_lanes_last", counted)
-    stack = _skipping_q_stack()
-    stack = np.concatenate([stack, stack[:1]])
-    assert len(stack) == _jacobi_py.LANES_FIRST_MAX + 1
-    _jacobi_py.jacobi_stack(stack.copy())
-    assert sweeps and sweeps[0] == len(stack)
+        def run(w, *views):
+            sweeps.append((name, w.shape[lanes]))
+            loop(w, *views)
+        return run
+
+    monkeypatch.setattr(_jacobi_py, "_lanes_last", counted("_lanes_last", -1))
+    monkeypatch.setattr(_jacobi_py, "_lanes_first", counted("_lanes_first", 0))
+    narrow = _skipping_q_stack()
+    wide = np.concatenate([narrow, narrow[:1]])
+    assert len(wide) == _jacobi_py.LANES_FIRST_MAX + 1
+    _jacobi_py.jacobi_stack(narrow.copy())
+    assert sweeps and {name for name, _ in sweeps} == {"_lanes_first"}
     sweeps.clear()
-    stack[-1, 0, 1] = stack[-1, 1, 0] = -0.0
-    assert not _jacobi_py.identity_skips(stack)
-    _jacobi_py.jacobi_stack(stack)
-    assert sweeps == []
+    _jacobi_py.jacobi_stack(wide.copy())
+    assert sweeps[0] == ("_lanes_last", len(wide))
+    for stack in (narrow, wide):
+        stack[-1, 0, 1] = stack[-1, 1, 0] = -0.0
+        assert not _jacobi_py.identity_skips(stack)
+        sweeps.clear()
+        _jacobi_py.jacobi_stack(stack)
+        assert sweeps == []
 
 
 def test_stack_solved_spectra_equal_the_lazily_solved_ones():
@@ -650,17 +688,20 @@ def test_stack_solved_spectra_equal_the_lazily_solved_ones():
             assert converged is lazy.solve.converged, (n, mask)
 
 
-def test_compiled_kernel_rejects_buffers_it_cannot_solve(compiled_kernel):
+def _assert_rejects_buffers_it_cannot_solve(kernel):
+    """The kernel raises ValueError, and writes nothing, on a buffer that is
+    not float64, C-contiguous, writable and square with 2 (jacobi_sweeps) or
+    3 (jacobi_stack) dimensions."""
     sym = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]])
     readonly = sym.copy()
     readonly.flags.writeable = False
     stack = np.stack([sym, 2.0 * sym])
     readonly_stack = stack.copy()
     readonly_stack.flags.writeable = False
-    cases = [(compiled_kernel.jacobi_sweeps, bad)
+    cases = [(kernel.jacobi_sweeps, bad)
              for bad in (np.ascontiguousarray(sym[:2]), sym.astype(np.float32),
                          np.asfortranarray(sym), readonly)]
-    cases += [(compiled_kernel.jacobi_stack, bad)
+    cases += [(kernel.jacobi_stack, bad)
               for bad in (sym.copy(), np.zeros((2, 3, 4)), stack.astype(np.float32),
                           np.asfortranarray(stack), readonly_stack)]
     for solve, bad in cases:
@@ -668,6 +709,14 @@ def test_compiled_kernel_rejects_buffers_it_cannot_solve(compiled_kernel):
         with pytest.raises(ValueError):
             solve(bad)
         assert bad.tobytes(order="A") == before.tobytes(order="A"), bad.flags
+
+
+def test_compiled_kernel_rejects_buffers_it_cannot_solve(compiled_kernel):
+    _assert_rejects_buffers_it_cannot_solve(compiled_kernel)
+
+
+def test_python_kernel_rejects_the_buffers_the_compiled_kernel_rejects():
+    _assert_rejects_buffers_it_cannot_solve(_jacobi_py)
 
 
 # -- the joint solve of A, L and Q ----------------------------------------------
