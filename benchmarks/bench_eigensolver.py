@@ -5,14 +5,16 @@ with every kernel that imports, one matrix at a time (ms per solve) and each
 size's matrices as one stack (us per matrix). A second table solves the
 adjacency, Laplacian and signless Laplacian matrices of each of those graphs,
 as analyze does: three one-matrix calls against one stack of three (ms per
-graph). Each row is the best of REPEATS (5) passes, timed with
-``time.process_time``. Confirms bit for bit, on every matrix and returned
-tuple, that the two kernels agree and that each kernel's stack entry agrees
-with its one-matrix entry. The stack check also covers a stack of at least
-17 of the graphs' Laplacians per size (the ``L stack`` column): like every
-graph matrix they meet ``_jacobi_py.identity_skips``, so the Python kernel
-solves them lanes last while more than 16 lanes iterate. Exits 1 when any
-result differs.
+graph). Each row is the best of REPEATS (5) samples, timed with
+``time.process_time``. A sample is one pass over the size's graphs or, where a
+warm-up pass takes under MIN_SAMPLE_S (20 ms), enough back-to-back passes to
+pass that, divided by their number. Confirms bit for bit, on every matrix and
+returned tuple, that the two kernels agree and that each kernel's stack entry
+agrees with its one-matrix entry. The stack check also covers a stack of at
+least 17 of the graphs' Laplacians per size (the ``L stack`` column): like
+every graph matrix they meet ``_jacobi_py.identity_skips``, so the Python
+kernel solves them lanes last while more than 16 lanes iterate. Exits 1 when
+any result differs.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -20,6 +22,7 @@ Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import time
 
@@ -29,7 +32,8 @@ from qspectra import _jacobi_py
 from qspectra.graph_core import random_graph
 from qspectra.spectral import adjacency_matrix, laplacian_matrix, signless_laplacian_matrix
 
-REPEATS = 5         # passes per row, of which the fastest counts
+REPEATS = 5         # samples per row, of which the fastest counts
+MIN_SAMPLE_S = 0.02     # CPU seconds below which a sample runs several passes
 KERNELS = {"python": _jacobi_py}
 try:
     from qspectra import _jacobi_cy
@@ -52,10 +56,17 @@ def laplacian_stack(graphs: list) -> list[np.ndarray]:
 
 
 def best_of(bench, *args) -> tuple[float, list]:
-    """The least seconds of REPEATS passes of bench(*args), and what the last
-    pass solved."""
-    passes = [bench(*args) for _ in range(REPEATS)]
-    return min(seconds for seconds, _ in passes), passes[-1][1]
+    """The least seconds of REPEATS samples of bench(*args), each the mean of
+    enough back-to-back passes to take MIN_SAMPLE_S, and what the last pass
+    solved."""
+    t0 = time.process_time()
+    bench(*args)        # the warm-up pass, which sets the passes per sample
+    passes = math.ceil(MIN_SAMPLE_S / max(time.process_time() - t0, 1e-9))
+    samples = []
+    for _ in range(REPEATS):
+        runs = [bench(*args) for _ in range(passes)]
+        samples.append(sum(seconds for seconds, _ in runs) / len(runs))
+    return min(samples), runs[-1][1]
 
 
 def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list]:

@@ -35,8 +35,7 @@ batch of one and a lane of a larger batch give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -58,8 +57,7 @@ __all__ = [
 PAIR_ENUMERATION_LIMIT = 20   # enumerate all valid vertex pairs only below this order
 
 
-@dataclass(frozen=True)
-class EqualityDiagnosis:
+class EqualityDiagnosis(NamedTuple):
     """Comparison of numerical tightness against the recorded equality family.
 
     verdict is one of:
@@ -78,8 +76,7 @@ class EqualityDiagnosis:
     verdict: str
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     bound_id: str
     direction: str              # lower | upper
     strict: bool

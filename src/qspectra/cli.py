@@ -8,21 +8,23 @@ and bounds name them on stderr), table mismatch, or an eigensolve that did not
 converge. Text output prints values to four decimals (banker's rounding);
 --json emits the canonical sorted-key rendering instead.
 
-Import rule: at top level this module imports only graph_core, which needs no
-numpy. Each command imports the library modules it runs once its input has
-been parsed and checked against the order cap (bounds: bounds and spectral;
-analyze, verify, table1 and table2: reports). So ``family``, refused input,
-usage errors and ``--help`` never load numpy.
+Import rule: at top level this module imports only graph_core, which needs
+none of numpy, dataclasses and fractions: its records are NamedTuples, and
+degree_stats imports Fraction when it runs. Each command imports the library
+modules it runs once its input has been parsed and checked against the order
+cap (bounds: bounds and spectral; analyze, verify, table1 and table2:
+reports). So ``family``, refused input, usage errors and ``--help`` load none
+of the three. Only the commands that solve load dataclasses, for spectral's
+GraphFacts and FactsBatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from .graph_core import (MAX_ORDER, Graph, build_family, emit_edgelist, emit_graph6,
-                         parse_edgelist, parse_graph6, render_json)
+                         parse_edgelist, parse_graph6, record_dict, render_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,12 +242,12 @@ def bounds_command(args) -> int:
         payload = {
             "graph6": emit_graph6(g),
             "signless_laplacian_energy": qe,
-            "bounds": [asdict(r) for r in results],
+            "bounds": [record_dict(r) for r in results],
         }
         sys.stdout.write(render_json(payload))
     else:
         print(f"QE = {_fmt(qe)} (n={g.n}, m={g.m}, graph6={emit_graph6(g)})")
-        _print_bounds_grid([asdict(r) for r in results])
+        _print_bounds_grid([record_dict(r) for r in results])
     violated = violations(f)
     _name_failures([bid for bid, _ in violated])
     return _status(not violated, f.unconverged())

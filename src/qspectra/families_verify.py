@@ -11,7 +11,7 @@ deviation; only prism_gamma_min follows the residue of n mod 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import tolerances
 from .bounds import _cor3_value, _cor7_value
@@ -33,8 +33,7 @@ __all__ = [
 
 # -- union-of-complete-and-crown recognition --------------------------------------
 
-@dataclass(frozen=True)
-class QPatternResult:
+class QPatternResult(NamedTuple):
     """Outcome of matching a spectrum against the four-value target pattern
     {2r, r+1, r-1, 0} of a disjoint union of complete graphs on r+1 vertices
     and crown graphs of degree r.
@@ -108,8 +107,7 @@ def classify_q_pattern(g: Graph | GraphFacts) -> QPatternResult:
 
 # -- strong regularity -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SrgResult:
+class SrgResult(NamedTuple):
     """Strong regularity certificate from exhaustive common-neighbour counts.
 
     adjacent_common / nonadjacent_common are the shared counts when constant.
@@ -183,8 +181,7 @@ def prism_gamma_min(n: int) -> float:
     return 1.0 - 2.0 * math.cos(2.0 * math.pi * math.ceil(n / 6) / n)
 
 
-@dataclass(frozen=True)
-class PrismBounds:
+class PrismBounds(NamedTuple):
     n: int                  # cycle length; the graph has 2n vertices
     gamma_min: float
     lower: float
@@ -203,8 +200,7 @@ def prism_bounds(n: int) -> PrismBounds:
 
 # -- general cubic graphs -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubicBounds:
+class CubicBounds(NamedTuple):
     n: int
     gamma_min: float
     lower: float

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MAX_ORDER",
@@ -55,25 +56,48 @@ __all__ = [
 MAX_ORDER = 1024
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph with precomputed degrees and adjacency sets."""
+    """Immutable simple graph with precomputed degrees and adjacency sets.
+    Two graphs are equal, and hash equal, when n and edges are."""
+
+    __slots__ = ("n", "edges", "degrees", "adjacency")
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    degrees: tuple[int, ...]
+    adjacency: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        deg = [0] * self.n
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        deg = [0] * n
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
             deg[u] += 1
             deg[v] += 1
             adj[u].add(v)
             adj[v].add(u)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "degrees", tuple(deg))
         object.__setattr__(self, "adjacency", tuple(frozenset(s) for s in adj))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __reduce__(self):
+        # pickle and copy rebuild the graph through __init__, since
+        # __setattr__ refuses the slot-by-slot restore
+        return self.__class__, (self.n, self.edges)
 
     @property
     def m(self) -> int:
@@ -255,8 +279,7 @@ def _as_int(value) -> int:
 
 # -- degree statistics and structure -----------------------------------------
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     n: int
     m: int
     max_degree: int
@@ -266,6 +289,10 @@ class DegreeStats:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
+    # imported here, so that the commands that need no degree statistics
+    # (family, refused input) do not load fractions
+    from fractions import Fraction
+
     deg = g.degrees
     return DegreeStats(
         n=g.n,
@@ -277,8 +304,7 @@ def degree_stats(g: Graph) -> DegreeStats:
     )
 
 
-@dataclass(frozen=True)
-class StructureInfo:
+class StructureInfo(NamedTuple):
     components: tuple[tuple[int, ...], ...]   # vertex lists, each sorted, by min vertex
     is_connected: bool
     component_bipartite: tuple[bool, ...]
@@ -463,6 +489,14 @@ def parse_edgelist(text: str,
     if n is None:
         raise ValueError("edge list: no vertex count found")
     return Graph(n, tuple(sorted(set(edges))))
+
+
+def record_dict(record: NamedTuple) -> dict[str, Any]:
+    """A record's fields by name, for render_json, which would print a
+    record as a list. A field that holds a record (a BoundResult's
+    diagnosis) becomes a nested dict too."""
+    return {name: record_dict(value) if hasattr(value, "_asdict") else value
+            for name, value in record._asdict().items()}
 
 
 def render_json(payload: Any) -> str:

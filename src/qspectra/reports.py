@@ -13,10 +13,9 @@ import math
 import os
 import random
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import tolerances
 from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 # render_json lives in graph_core; reports.render_json is kept as an alias
-from .graph_core import Graph, emit_graph6, graph_from_mask, prism, render_json
+from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict, render_json
 from .spectral import FactsBatch, GraphFacts, batch_lemma_failures, graph_facts
 
 __all__ = [
@@ -44,8 +43,7 @@ __all__ = [
 
 # -- energies ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     adjacency_energy: float
     laplacian_energy: float
     signless_laplacian_energy: float
@@ -76,8 +74,7 @@ def energies(g: Graph | GraphFacts) -> EnergyReport:
 
 # -- reference tables ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     label: str
     exact_qe: float
     columns: dict[str, float]     # computed values, in table column order
@@ -85,8 +82,7 @@ class TableRow:
     deviation: dict[str, float]   # |computed - expected| per column
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     title: str
     column_names: tuple[str, ...]
     rows: tuple[TableRow, ...]
@@ -169,7 +165,7 @@ def _spectrum_dict(spec) -> dict[str, Any]:
     return {
         "values": list(spec.values),
         "groups": [[rep, mult] for rep, mult in spec.groups],
-        "solver": asdict(spec.solve),
+        "solver": record_dict(spec.solve),
     }
 
 
@@ -218,17 +214,16 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
             "signless_laplacian_energy": en.signless_laplacian_energy,
             "qe_equals_adjacency_energy": en.qe_equals_adjacency_energy,
         },
-        "lemma_checks": [asdict(c) for c in f.lemmas],
-        "bounds": [asdict(b) for b in all_bounds(f)],
-        "q_pattern": asdict(pattern),
-        "srg": asdict(srg),
+        "lemma_checks": [record_dict(c) for c in f.lemmas],
+        "bounds": [record_dict(b) for b in all_bounds(f)],
+        "q_pattern": record_dict(pattern),
+        "srg": record_dict(srg),
     }
 
 
 # -- exhaustive verification -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifySummary:
+class VerifySummary(NamedTuple):
     max_n: int
     graphs_checked: int
     violations: tuple[tuple[str, str, float], ...]    # (graph6, bound_id, gap)
@@ -361,5 +356,5 @@ def table_report_dict(report: TableReport) -> dict[str, Any]:
         "tolerance": report.tolerance,
         "max_deviation": report.max_deviation,
         "ok": report.ok,
-        "rows": [asdict(r) for r in report.rows],
+        "rows": [record_dict(r) for r in report.rows],
     }

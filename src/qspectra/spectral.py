@@ -81,8 +81,7 @@ except ImportError:
     BACKEND = "python"
 
 
-@dataclass(frozen=True)
-class EigenSolveReport:
+class EigenSolveReport(NamedTuple):
     backend: str
     sweeps: int
     converged: bool
@@ -163,8 +162,7 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     matrix: str                              # adjacency | laplacian | signless_laplacian
     values: tuple[float, ...]                # descending
     groups: tuple[tuple[float, int], ...]    # (representative, multiplicity)
@@ -190,8 +188,7 @@ _MATRIX_BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class GammaSequence:
+class GammaSequence(NamedTuple):
     """Deviations |q_i - 2m/n| of the signless Laplacian eigenvalues from the
     average degree, sorted descending."""
     values: tuple[float, ...]
@@ -530,8 +527,7 @@ def _zero_counts(values: np.ndarray, scale: float | None) -> np.ndarray:
 
 # -- lemma checks ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     check_id: str
     applicable: bool
     holds: bool | None

@@ -107,20 +107,20 @@ def test_verify_solves_once_and_reads_the_scale_at_most_once_per_graph(counts):
 
 def test_verify_builds_a_graph_only_for_a_failing_graph(monkeypatch):
     calls = {"structure": 0, "graphs": 0}
-    structure, post_init = graph_core.structure, graph_core.Graph.__post_init__
+    structure, init = graph_core.structure, graph_core.Graph.__init__
 
     def counted_structure(g):
         calls["structure"] += 1
         return structure(g)
 
-    def counted_post_init(self):
+    def counted_init(self, n, edges):
         calls["graphs"] += 1
-        post_init(self)
+        init(self, n, edges)
 
     # GraphFacts.info looks the function up in spectral
     monkeypatch.setattr(graph_core, "structure", counted_structure)
     monkeypatch.setattr(spectral, "structure", counted_structure)
-    monkeypatch.setattr(graph_core.Graph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(graph_core.Graph, "__init__", counted_init)
     summary = verify_exhaustive(5)
     assert summary.ok and summary.graphs_checked == 1024
     assert calls == {"structure": 0, "graphs": 0}

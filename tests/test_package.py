@@ -97,6 +97,24 @@ def test_cli_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+COLD_PATH_SKIPS = ("numpy", "dataclasses", "fractions")
+
+
+def test_cli_import_and_family_load_neither_dataclasses_nor_fractions():
+    # the records are NamedTuples and degree_stats imports Fraction itself,
+    # so the numpy-free path generates no dataclass code on a cold start
+    proc = fresh_python(
+        "import sys\n"
+        f"skips = {COLD_PATH_SKIPS!r}\n"
+        "import qspectra.cli\n"
+        "print([m for m in skips if m in sys.modules])\n"
+        "code = qspectra.cli.main(['family', 'crown', '3', '--json'])\n"
+        "print(code, [m for m in skips if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["family", "crown", "3", "--json"], 0),
     (["bounds", "--graph6", "Gxx", "--json"], 2),             # truncated graph6

@@ -275,10 +275,10 @@ def test_cli_refuses_a_graph_above_the_order_cap(capsys, monkeypatch):
 def no_graph_is_built(monkeypatch):
     """Fails the test if any Graph is constructed."""
 
-    def fail(self):
+    def fail(self, n, edges):
         raise AssertionError("a Graph was built")
 
-    monkeypatch.setattr(graph_core.Graph, "__post_init__", fail)
+    monkeypatch.setattr(graph_core.Graph, "__init__", fail)
 
 
 @pytest.mark.parametrize("args, stdin, n", [

@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sysconfig
 from collections import defaultdict
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -747,4 +746,4 @@ def test_joint_solve_equals_each_kind_solved_alone():
             got, alone = getattr(joint, kind), getattr(GraphFacts(g, 1.0), kind)
             assert repr(got.values) == repr(alone.values), (g, kind)
             assert repr(got.groups) == repr(alone.groups), (g, kind)
-            assert repr(asdict(got.solve)) == repr(asdict(alone.solve)), (g, kind)
+            assert repr(got.solve._asdict()) == repr(alone.solve._asdict()), (g, kind)
