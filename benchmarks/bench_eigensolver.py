@@ -8,13 +8,15 @@ as analyze does: three one-matrix calls against one stack of three (ms per
 graph). Each row is the best of REPEATS (5) samples, timed with
 ``time.process_time``. A sample is one pass over the size's graphs or, where a
 warm-up pass takes under MIN_SAMPLE_S (20 ms), enough back-to-back passes to
-pass that, divided by their number. Confirms bit for bit, on every matrix and
-returned tuple, that the two kernels agree and that each kernel's stack entry
-agrees with its one-matrix entry. The stack check also covers a stack of at
-least 17 of the graphs' Laplacians per size (the ``L stack`` column): like
-every graph matrix they meet ``_jacobi_py.identity_skips``, so the Python
-kernel solves them lanes last while more than 16 lanes iterate. Exits 1 when
-any result differs.
+pass that, divided by their number. The samples go round-robin over every
+row of the run, so that a row's samples spread across the run and its best
+one can meet the machine's fast phase. Confirms bit for bit, on every matrix
+and returned tuple, that the two kernels agree and that each kernel's stack
+entry agrees with its one-matrix entry. The stack check also covers a stack
+of at least 17 of the graphs' Laplacians per size (the ``L stack`` column):
+like every graph matrix they meet ``_jacobi_py.identity_skips``, so the
+Python kernel solves them lanes last while more than 16 lanes iterate. Exits
+1 when any result differs.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -55,18 +57,23 @@ def laplacian_stack(graphs: list) -> list[np.ndarray]:
     return [laplacian_matrix(graphs[i % len(graphs)]) for i in range(count)]
 
 
-def best_of(bench, *args) -> tuple[float, list]:
-    """The least seconds of REPEATS samples of bench(*args), each the mean of
-    enough back-to-back passes to take MIN_SAMPLE_S, and what the last pass
-    solved."""
-    t0 = time.process_time()
-    bench(*args)        # the warm-up pass, which sets the passes per sample
-    passes = math.ceil(MIN_SAMPLE_S / max(time.process_time() - t0, 1e-9))
-    samples = []
+def best_of_each(rows: list[tuple]) -> list[tuple[float, list]]:
+    """For each (bench, *args) row: the least seconds of REPEATS samples of
+    bench(*args), each the mean of enough back-to-back passes to take
+    MIN_SAMPLE_S, and what its last pass solved. Sample k of every row runs
+    before sample k + 1 of any."""
+    passes = []
+    for bench, *args in rows:
+        t0 = time.process_time()
+        bench(*args)        # the warm-up pass, which sets the passes per sample
+        passes.append(math.ceil(MIN_SAMPLE_S / max(time.process_time() - t0, 1e-9)))
+    best, solved = [math.inf] * len(rows), [None] * len(rows)
     for _ in range(REPEATS):
-        runs = [bench(*args) for _ in range(passes)]
-        samples.append(sum(seconds for seconds, _ in runs) / len(runs))
-    return min(samples), runs[-1][1]
+        for i, ((bench, *args), count) in enumerate(zip(rows, passes)):
+            runs = [bench(*args) for _ in range(count)]
+            best[i] = min(best[i], sum(seconds for seconds, _ in runs) / count)
+            solved[i] = runs[-1][1]
+    return list(zip(best, solved))
 
 
 def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
@@ -121,9 +128,16 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     graphs = make_graphs(sizes, args.count, args.seed)
     suite = {n: [signless_laplacian_matrix(g) for g in gs] for n, gs in graphs.items()}
-
     if "compiled" not in KERNELS:
         print("compiled kernel not available; timing the pure-Python kernel only")
+    rows = {}
+    for n in sizes:
+        for name, kernel in KERNELS.items():
+            rows[n, name, "single"] = (bench_kernel, kernel, suite[n])
+            rows[n, name, "stack"] = (bench_stack, kernel, suite[n])
+            for stacked in (False, True):
+                rows[n, name, "triples", stacked] = (bench_triples, kernel, graphs[n], stacked)
+    timed = dict(zip(rows, best_of_each(list(rows.values()))))
     header = f"{'n':>5}"
     for name in KERNELS:
         header += f" {name + ' (ms)':>14}"
@@ -137,8 +151,8 @@ def main() -> int:
     mismatch = False
     for n in sizes:
         # the reference is the pure-Python kernel, one matrix per call
-        single = {name: best_of(bench_kernel, kernel, suite[n]) for name, kernel in KERNELS.items()}
-        stacked = {name: best_of(bench_stack, kernel, suite[n]) for name, kernel in KERNELS.items()}
+        single = {name: timed[n, name, "single"] for name in KERNELS}
+        stacked = {name: timed[n, name, "stack"] for name in KERNELS}
         reference = single["python"][1]
         same = all(out == reference for _, out in (*single.values(), *stacked.values()))
         laplacians = laplacian_stack(graphs[n])
@@ -165,9 +179,8 @@ def main() -> int:
     print("-" * len(header))
     for n in sizes:
         line, outputs = f"{n:>5}", []
-        for name, kernel in KERNELS.items():
-            calls, stack = (best_of(bench_triples, kernel, graphs[n], stacked)
-                            for stacked in (False, True))
+        for name in KERNELS:
+            calls, stack = (timed[n, name, "triples", stacked] for stacked in (False, True))
             line += (f" {calls[0] * 1e3:>22.3f} {stack[0] * 1e3:>20.3f}"
                      f" {calls[0] / stack[0]:>7.2f}x")
             outputs += [calls[1], stack[1]]

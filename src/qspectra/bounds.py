@@ -10,14 +10,16 @@ Each bound's hypotheses, with the reason each gives when it fails, and its
 value formula are stated once, on the arrays of a spectral.FactsBatch, one
 lane per graph. batch_violations judges a whole batch at once and is the one
 statement of the violation rule; verify calls it on its stack batches.
-all_bounds, evaluate_bound and violations evaluate the batch of one that a
-GraphFacts keeps, and a batch evaluates each catalog row once, so the records
-and the verdict of one graph share one walk of the catalog. all_bounds gives
-the full report record of every bound, for analyze, the bounds command and
-the tables; violations gives only the (id, gap) pairs of the bounds a graph
-violates. Only the report extras are computed per graph: the stated equality
-condition and whether the graph meets it, the pair details of L-GAN4 and
-L-GAN5, and U-THM3's strictness on one branch.
+_tight is the one tightness test, for the verdict and the equality
+diagnosis. all_bounds, evaluate_bound and violations evaluate the batch of
+one that a GraphFacts keeps, and a batch evaluates each catalog row once, so
+the records and the verdict of one graph share one walk of the catalog.
+all_bounds gives the full report record of every bound, for analyze, the
+bounds command and the tables; violations gives only the (id, gap) pairs of
+the bounds a graph violates. Only the report extras are computed per graph:
+the stated equality condition and whether the graph meets it, the pair
+details of L-GAN4 and L-GAN5, and U-THM3's strictness on one branch. The
+pair rule of those two is stated once, in _extreme_pair, for every lane.
 
 Bound identifiers are a fixed external interface. The catalog table at the end
 of this module states each bound's id, direction and strictness once; its row
@@ -122,10 +124,11 @@ def _deviation_square_sum(b: FactsBatch) -> np.ndarray:
 
 # -- degree-pair selection shared by the two pair-based estimates ----------------
 #
-# Deterministic rule: anchor at the lowest-index extreme-degree vertex, pick the
-# partner as the lowest-index extreme-degree vertex among the rest, then branch
-# on adjacency. Below PAIR_ENUMERATION_LIMIT vertices the details also carry the
-# spread of the estimate over every valid anchor/partner pair.
+# Deterministic rule, stated once in _extreme_pair: anchor at the lowest-index
+# extreme-degree vertex, pick the partner as the lowest-index extreme-degree
+# vertex among the rest, then branch on adjacency. Below PAIR_ENUMERATION_LIMIT
+# vertices the details also carry the spread of the estimate over every valid
+# anchor/partner pair.
 
 def _top_pair_value(b: FactsBatch, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     n, m, m1 = b.n, b.m, b.m1
@@ -144,8 +147,7 @@ def _bottom_pair_value(b: FactsBatch, vn: np.ndarray, vn1: np.ndarray) -> np.nda
 
 
 def _extreme_pair(b: FactsBatch, want_max: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The deterministic (anchor, partner) of every lane: the first
-    _pair_candidates pair."""
+    """The deterministic (anchor, partner) of every lane."""
     extreme, excluded = (b.max_degree, -1) if want_max else (b.min_degree, b.n)
     anchor = np.argmax(b.degrees == extreme[:, None], axis=1)
     rest = b.degrees.copy()
@@ -155,34 +157,24 @@ def _extreme_pair(b: FactsBatch, want_max: bool) -> tuple[np.ndarray, np.ndarray
     return anchor, np.argmax(rest == partner_degree[:, None], axis=1)
 
 
-def _pair_candidates(degrees: tuple[int, ...],
-                     want_max: bool) -> list[tuple[int, int]]:
-    """All (anchor, partner) pairs the tie-breaking could legitimately pick,
-    the deterministic pair first. The partner degree is the same for every
-    anchor: the extreme degree itself when several vertices share it."""
-    pick = max if want_max else min
-    extreme = pick(degrees)
-    anchors = [i for i, d in enumerate(degrees) if d == extreme]
-    d2 = extreme if len(anchors) > 1 else pick(
-        d for i, d in enumerate(degrees) if i != anchors[0])
-    partners = [i for i, d in enumerate(degrees) if d == d2]
-    return [(v1, v2) for v1 in anchors for v2 in partners if v2 != v1]
-
-
-def _pair_details(f: GraphFacts, b: FactsBatch, want_max: bool,
-                  value_fn) -> dict[str, Any]:
-    degrees = f.graph.degrees
-    pairs = _pair_candidates(degrees, want_max)
-    v1, v2 = pairs[0]
+def _pair_details(b: FactsBatch, want_max: bool, value_fn) -> dict[str, Any]:
+    """The deterministic pair of lane 0 and, below PAIR_ENUMERATION_LIMIT
+    vertices, the spread of value_fn over every pair the tie-break could
+    pick: an anchor of the anchor's degree and another vertex of the
+    partner's."""
+    (v1,), (v2,) = (side.tolist() for side in _extreme_pair(b, want_max))
+    degrees = b.degrees[0].tolist()
     details: dict[str, Any] = {
         "anchor_vertex": v1,
         "partner_vertex": v2,
         "anchor_degree": degrees[v1],
         "partner_degree": degrees[v2],
-        "pair_adjacent": v2 in f.graph.adjacency[v1],
+        "pair_adjacent": b.adjacency[0, v1, v2].item(),
     }
-    if f.graph.n > PAIR_ENUMERATION_LIMIT:
+    if b.n > PAIR_ENUMERATION_LIMIT:
         return details
+    pairs = [(a, p) for a, da in enumerate(degrees) if da == degrees[v1]
+             for p, dp in enumerate(degrees) if dp == degrees[v2] and p != a]
     # every candidate pair at once, against the facts of lane 0
     vals = value_fn(b, *(np.array(side) for side in zip(*pairs))).tolist()
     details["pair_value_min"] = min(vals)
@@ -313,7 +305,7 @@ def _l_gan4(b: FactsBatch) -> _Rule:
 
 
 def _l_gan4_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return None, None, _pair_details(f, b, True, _top_pair_value)
+    return None, None, _pair_details(b, True, _top_pair_value)
 
 
 def _l_gan5(b: FactsBatch) -> _Rule:
@@ -330,7 +322,7 @@ def _l_gan5(b: FactsBatch) -> _Rule:
 def _l_gan5_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
     if named["bipartite"]:
         return None, None, {"branch": "bipartite"}
-    details = _pair_details(f, b, False, _bottom_pair_value)
+    details = _pair_details(b, False, _bottom_pair_value)
     details["branch"] = "two-case"
     return None, None, details
 
@@ -554,6 +546,11 @@ def _gap(direction: str, value, qe):
     return (qe - value) if direction == "lower" else (value - qe)
 
 
+def _tight(gap, qe, scale: float):
+    """Whether each gap is within the tightness tolerance at its QE."""
+    return np.abs(gap) <= tolerances.tight_tol(qe, scale=scale)
+
+
 def batch_violations(b: FactsBatch) -> list[tuple[int, str, float]]:
     """(lane, bound_id, gap) for every applicable bound on the wrong side of
     its lane's QE by more than the tightness tolerance, in catalog order,
@@ -562,7 +559,7 @@ def batch_violations(b: FactsBatch) -> list[tuple[int, str, float]]:
     with np.errstate(all="ignore"):
         gaps = np.array([_gap(row[1], value, b.qe)
                          for row, (_, value, _) in zip(_CATALOG, evaluated)])
-        wrong = (gaps < 0) & ~(np.abs(gaps) <= tolerances.tight_tol(b.qe, scale=b.scale))
+        wrong = (gaps < 0) & ~_tight(gaps, b.qe, b.scale)
     for row_wrong, (hypotheses, _, _) in zip(wrong, evaluated):
         for holds, _ in hypotheses:
             row_wrong &= holds
@@ -573,15 +570,14 @@ def batch_violations(b: FactsBatch) -> list[tuple[int, str, float]]:
 
 def _results(rows: tuple, f: GraphFacts) -> tuple[BoundResult, ...]:
     """The report records of catalog rows on f."""
-    b, tol = f.batch, tolerances.tight_tol(f.qe, scale=f.scale)
-    return tuple(_result(row, evaluated, f, b, tol)
+    b = f.batch
+    return tuple(_result(row, evaluated, f, b)
                  for row, evaluated in zip(rows, _evaluate(rows, b)))
 
 
-def _result(row: tuple, evaluated: _Rule, f: GraphFacts, b: FactsBatch,
-            tol: float) -> BoundResult:
+def _result(row: tuple, evaluated: _Rule, f: GraphFacts, b: FactsBatch) -> BoundResult:
     """One catalog row evaluated on f's batch of one b, with its gap and its
-    equality diagnosis; tol is the tightness tolerance at f's QE."""
+    equality diagnosis."""
     bound_id, direction, strict = row[:3]
     hypotheses, value, named = evaluated
     reason = next((text for holds, text in hypotheses if not holds[0]), None)
@@ -594,7 +590,7 @@ def _result(row: tuple, evaluated: _Rule, f: GraphFacts, b: FactsBatch,
         f, b, {key: a.tolist()[0] for key, a in named.items()})
     strict = details.get("strict_branch", strict)
     gap = _gap(direction, value, f.qe)
-    tight = abs(gap) <= tol
+    tight = bool(_tight(gap, f.qe, f.scale))
     # condition_met is None exactly when no family is stated
     if strict:
         verdict = "near-tight-strict" if tight else "consistent"

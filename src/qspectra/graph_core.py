@@ -51,8 +51,7 @@ __all__ = [
 
 # The largest vertex count the CLI accepts; graph input above it is refused
 # before any matrix is built. A solve holds an n x n float64 matrix and costs
-# O(n^3) per sweep: at the cap, 8 MiB and, scaled from n = 256 (0.65 s compiled,
-# 1.6 s Python, 2-vCPU Xeon), about one to two minutes per solve.
+# O(n^3) per sweep; README "Command-line interface" gives its cost at the cap.
 MAX_ORDER = 1024
 
 

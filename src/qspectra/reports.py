@@ -13,7 +13,6 @@ import math
 import os
 import random
 import time
-from functools import lru_cache
 from importlib import resources
 from typing import Any, NamedTuple
 
@@ -22,8 +21,7 @@ import numpy as np
 from . import tolerances
 from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
-# render_json lives in graph_core; reports.render_json is kept as an alias
-from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict, render_json
+from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict
 from .spectral import FactsBatch, GraphFacts, batch_lemma_failures, graph_facts
 
 __all__ = [
@@ -116,13 +114,6 @@ def _column_value(name: str, cycle_n: int, f: GraphFacts) -> float:
     return evaluate_bound(f, name).value
 
 
-@lru_cache(maxsize=8)
-def _prism_facts(cycle_n: int, scale: float) -> GraphFacts:
-    """The facts of prism(cycle_n) at one tolerance scale. Both tables read
-    the same 8 prisms, so a process that reproduces both solves each once."""
-    return GraphFacts(prism(cycle_n), scale)
-
-
 def _table_report(title: str, data_file: str) -> TableReport:
     t0 = time.perf_counter()
     names, expected_rows = _load_expected(data_file)
@@ -132,7 +123,7 @@ def _table_report(title: str, data_file: str) -> TableReport:
     worst = 0.0
     unconverged: list[str] = []
     for cycle_n in sorted(expected_rows):
-        f = _prism_facts(cycle_n, scale)
+        f = GraphFacts(prism(cycle_n), scale)
         computed = {name: _column_value(name, cycle_n, f) for name in names}
         unconverged.extend(f.unconverged())
         expected = expected_rows[cycle_n]
@@ -240,8 +231,8 @@ def batch_verdict(b: FactsBatch) -> tuple[list[tuple[int, str, float]],
     """The verdict on every graph of a batch: (lane, bound_id, gap) for each
     violated bound, as bounds.batch_violations gives them, and (lane,
     check_id) for each failed check, rule by rule. A lane with neither has
-    every applicable bound and every spectral check holding, and every solve
-    read for it converged."""
+    every applicable bound and every spectral check holding, and its signless
+    Laplacian solve converged."""
     failures = batch_lemma_failures(b)
     failures.extend((lane, "solver:not_converged")
                     for lane in np.flatnonzero(~b.converged).tolist())
@@ -259,7 +250,11 @@ def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
     bound holds, every spectral check holds, and every solve read so far
     converged."""
     violated, failures = batch_verdict(f.batch)
-    return [(bid, gap) for _, bid, gap in violated], [cid for _, cid in failures]
+    failed = [cid for _, cid in failures]
+    # the batch's flag covers the Q solve; f names its A and L solves too
+    if f.unconverged() and "solver:not_converged" not in failed:
+        failed.append("solver:not_converged")
+    return [(bid, gap) for _, bid, gap in violated], failed
 
 
 # Graphs in one verify job, judged as one FactsBatch: each rotation's numpy

@@ -25,7 +25,9 @@ with connectivity and the bipartite component count from Warshall's
 closure on bitset rows of the bipartite double cover (``_components``).
 ``FactsBatch.of`` builds a batch of one from a GraphFacts: its graph, its Q
 spectrum and the two counts of ``structure()``, which is far faster than
-the closure on one graph.
+the closure on one graph. In both, ``converged`` is whether each lane's
+signless Laplacian solve converged; ``GraphFacts.unconverged()`` names each
+unconverged solve of one graph, A and L included.
 
 ``GraphFacts`` holds what the reports read about one graph: structure, the
 three spectra, the lemma checks and the common-neighbour counts, each
@@ -41,7 +43,7 @@ on a batch: ``batch_lemma_failures`` judges every lane, and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -254,17 +256,11 @@ class GraphFacts:
         batch of one."""
         return self.batch.qe.tolist()[0]
 
-    @property
+    @cached_property
     def batch(self) -> FactsBatch:
-        """This graph as a batch of one, built once; its converged follows
-        every solve made since, and the catalog rows evaluated on it stay."""
-        b, converged = self.__dict__.get("_batch"), not self.unconverged()
-        if b is None:
-            b = FactsBatch.of(self)
-        elif b.converged[0] != converged:
-            b = replace(b, converged=np.array([converged]))
-        self.__dict__["_batch"] = b
-        return b
+        """This graph as a batch of one, built once, with the catalog rows
+        evaluated on it."""
+        return FactsBatch.of(self)
 
     @cached_property
     def lemmas(self) -> tuple[LemmaCheck, ...]:
@@ -311,8 +307,8 @@ def gamma_sequence(g: Graph | GraphFacts) -> GammaSequence:
 class FactsBatch:
     """The facts of B graphs on n vertices each, one array lane per graph,
     each equal to what GraphFacts gives for that graph. Integer facts are
-    int64 arrays. ``converged`` is False for a graph when a solve read for it
-    did not converge."""
+    int64 arrays. ``converged`` is whether the graph's signless Laplacian
+    solve converged."""
     n: int
     scale: float                     # the tolerance multiplier of every lane
     adjacency: np.ndarray            # (B, n, n) bool
@@ -354,15 +350,16 @@ class FactsBatch:
     def of(cls, f: GraphFacts) -> FactsBatch:
         """A batch of one: f's graph, its signless Laplacian spectrum, solved
         if f has not solved it, and the connectivity and bipartite component
-        count of f.info. converged covers every matrix of f solved so far."""
-        g, info, values = f.graph, f.info, np.array([f.signless_laplacian.values])
+        count of f.info."""
+        g, info, q = f.graph, f.info, f.signless_laplacian
+        values = np.array([q.values])
         return cls(n=g.n, scale=f.scale, adjacency=adjacency_matrix(g)[None] > 0,
                    degrees=np.array([g.degrees]),
                    connected=np.array([info.is_connected]),
                    bipartite_components=np.array([info.bipartite_component_count]),
                    eigenvalues=values,
                    **_deviation_facts(values, np.array([g.m]), g.n, f.scale),
-                   converged=np.array([not f.unconverged()]))
+                   converged=np.array([q.solve.converged]))
 
     @cached_property
     def lanes(self) -> np.ndarray:

@@ -5,15 +5,18 @@ applicability gates, deterministic pair selection, and strictness flags.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qspectra import tolerances
 from qspectra.bounds import (
     BOUND_IDS,
     PAIR_ENUMERATION_LIMIT,
+    _bottom_pair_value,
     _extreme_pair,
     _is_balanced_complete_bipartite,
-    _pair_candidates,
+    _pair_details,
+    _top_pair_value,
     all_bounds,
     evaluate_bound,
     gan5_two_case_value,
@@ -404,7 +407,7 @@ def test_pair_estimate_is_the_deterministic_pairs_value():
 
 
 def reference_pair_candidates(degrees, want_max):
-    # the earlier generator form, kept as the oracle for the list form
+    # every pair the tie-break could pick, the deterministic pair first
     extreme = max(degrees) if want_max else min(degrees)
     for v1 in (i for i, d in enumerate(degrees) if d == extreme):
         rest = [(d, i) for i, d in enumerate(degrees) if i != v1]
@@ -420,10 +423,24 @@ def test_pair_candidates_match_the_reference_on_every_small_graph():
                  for want_max in (True, False)}
         for lane, g in enumerate(labeled_graphs(n)):
             for want_max in (True, False):
-                candidates = _pair_candidates(g.degrees, want_max)
-                assert candidates == list(reference_pair_candidates(g.degrees, want_max)), g
                 # the batch rule picks the deterministic pair of every lane
-                assert pairs[want_max][lane] == candidates[0], g
+                assert pairs[want_max][lane] == next(
+                    reference_pair_candidates(g.degrees, want_max)), g
+
+
+def test_pair_details_spread_over_the_reference_pairs():
+    for n in range(2, 6):
+        for mask, g in enumerate(labeled_graphs(n)):
+            if g.m == 0:
+                continue        # the reports that read the details need an edge
+            b = FactsBatch.from_masks(n, [mask], 1.0)
+            for want_max, value_fn in ((True, _top_pair_value), (False, _bottom_pair_value)):
+                pairs = list(reference_pair_candidates(g.degrees, want_max))
+                details = _pair_details(b, want_max, value_fn)
+                values = value_fn(b, *(np.array(side) for side in zip(*pairs)))
+                assert details["pair_count"] == len(pairs), g
+                assert (details["pair_value_min"], details["pair_value_max"]) == (
+                    min(values.tolist()), max(values.tolist())), g
 
 
 def test_gan5_bipartite_branch_and_two_case_form_differ():

@@ -2,7 +2,7 @@
 lemma checks and common-neighbour counts run once per graph at most, the
 batch of one is built and each catalog row evaluated once per graph, the
 tolerance scale is read once per graph at most, and no result outlives the
-call that computed it, but for the prism facts that the two tables share.
+call that computed it.
 """
 
 from collections import Counter
@@ -12,7 +12,7 @@ import pytest
 from qspectra import bounds, families_verify, graph_core, spectral, tolerances
 from qspectra.bounds import all_bounds
 from qspectra.cli import main
-from qspectra.graph_core import cycle, prism
+from qspectra.graph_core import cycle, emit_graph6, prism
 from qspectra.reports import (
     analyze_report, check_graph, energies, reproduce_table1, reproduce_table2,
     verify_exhaustive)
@@ -75,13 +75,11 @@ def test_each_spectrum_is_solved_once_per_call(counts, call, solves):
     assert counts["solves"] == solves
 
 
-def test_both_tables_solve_each_prism_once_per_scale(counts, monkeypatch):
-    first, second = reproduce_table1(), reproduce_table2()
-    assert counts["solves"] == 8 == len(first.rows) == len(second.rows)
-    # another tolerance scale gets facts of its own
-    monkeypatch.setenv("QSPECTRA_TOL", "2")
-    reproduce_table2()
-    assert counts["solves"] == 16
+def test_each_table_solves_its_own_prisms(counts):
+    assert len(reproduce_table1().rows) == 8 and counts["solves"] == 8
+    # after the other table, in the same process, each still solves its own 8
+    assert len(reproduce_table2().rows) == 8 and counts["solves"] == 16
+    assert len(reproduce_table1().rows) == 8 and counts["solves"] == 24
 
 
 def test_analyze_solves_a_l_and_q_in_one_stack(counts):
@@ -219,3 +217,24 @@ def test_a_kept_batch_sees_a_solve_made_after_it(catalog, monkeypatch):
     f.solve_all()                               # A and L, neither converged
     assert check_graph(f) == ([], ["solver:not_converged"])
     assert catalog["batches"] == 1 and catalog["rows"] == list(bounds.BOUND_IDS)
+
+
+def test_a_batch_flags_only_its_signless_laplacian_solve(monkeypatch, capsys):
+    kernel = spectral._KERNEL
+
+    class AdjacencyUnconverged:
+        """The active kernel, reporting lane 0 of a stack as not converged:
+        the adjacency matrix, in the A, L and Q stack of one graph."""
+        @staticmethod
+        def jacobi_stack(a):
+            (sweeps, _, off, top), *rest = kernel.jacobi_stack(a)
+            return [(sweeps, False, off, top), *rest]
+
+    monkeypatch.setattr(spectral, "_KERNEL", AdjacencyUnconverged)
+    f = spectral.GraphFacts(prism(4))
+    analyze_report(f)
+    assert f.batch.converged.tolist() == [True]
+    assert "solver:not_converged" in check_graph(f)[1]
+    assert main(["analyze", "--family", "prism", "4"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"qspectra: eigensolve did not converge: adjacency of {emit_graph6(prism(4))}"]

@@ -11,10 +11,9 @@ import pytest
 
 from qspectra import graph_core, reports, spectral
 from qspectra.cli import main
-from qspectra.graph_core import cycle, emit_graph6, prism, star
+from qspectra.graph_core import cycle, emit_graph6, prism, render_json, star
 from qspectra.reports import (
     analyze_report,
-    render_json,
     reproduce_table1,
     reproduce_table2,
     table_report_dict,
