@@ -3,9 +3,10 @@
 Covers three related facilities: recovering a disjoint union of equal-order
 complete graphs and crown graphs from its signless Laplacian spectrum alone,
 detecting strong regularity by brute-force common-neighbour counting, and the
-bounds for circular-ladder (prism) and general cubic graphs. Those bounds are
-the catalog's L-COR3 and U-COR7, evaluated at the closed-form minimum
-deviation; only prism_gamma_min follows the residue of n mod 6.
+bounds for circular-ladder (prism) graphs. Those bounds are the catalog's
+L-COR3 and U-COR7, evaluated at the closed-form minimum deviation; only
+prism_gamma_min follows the residue of n mod 6. On any other cubic graph the
+catalog's own L-COR3 and U-COR7 rows are the cubic bounds.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ __all__ = [
     "prism_gamma_min",
     "PrismBounds",
     "prism_bounds",
-    "CubicBounds",
-    "cubic_bounds",
 ]
 
 
@@ -197,38 +196,3 @@ def prism_bounds(n: int) -> PrismBounds:
                        lower=float(_cor3_value(2 * n, 3, gamma, gamma == 0.0)),
                        upper=float(_cor7_value(2 * n, 3 * n)))
 
-
-# -- general cubic graphs -----------------------------------------------------------
-
-class CubicBounds(NamedTuple):
-    n: int
-    gamma_min: float
-    lower: float
-    lower_branch: str
-    upper: float
-    qe: float
-
-
-def cubic_bounds(g: Graph | GraphFacts) -> CubicBounds:
-    """Signless Laplacian energy bounds for a 3-regular graph, branched on the
-    smallest deviation gamma from the mean 3. The source statement claims
-    strict inequalities, but the lower branch value 3n/2 is attained exactly
-    (by the complete graph on four vertices), so no strictness is asserted
-    here; values are reported as-is. Below deviation one the lower value is
-    L-COR3, and the upper value is U-COR7.
-    """
-    f = graph_facts(g)
-    if set(f.graph.degrees) != {3}:
-        raise ValueError("cubic bounds require a 3-regular graph")
-    n = f.graph.n
-    gamma = f.gamma.values[-1]
-    zero = f.gamma.min_is_zero
-    # the boundary gamma = 1 takes the saturating branch, with the closed-form
-    # slack so families whose deviation is exactly 1 are not misrouted
-    if not zero and gamma >= 1.0 - tolerances.CLOSED_FORM_ABS:
-        lower, branch = 1.5 * n, "deviation-at-least-one"
-    else:
-        lower = float(_cor3_value(n, 3, gamma, zero))
-        branch = "zero-deviation" if zero else "deviation-below-one"
-    return CubicBounds(n=n, gamma_min=gamma, lower=lower, lower_branch=branch,
-                       upper=float(_cor7_value(n, f.graph.m)), qe=f.qe)

@@ -102,9 +102,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -214,6 +211,8 @@ def _require_size(kind: str, value: int) -> int:
 
 
 def _require_cycle_length(n: int) -> int:
+    if not isinstance(n, int):
+        raise ValueError(f"cycle: size parameters must be integers >= 3, got {n!r}")
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     return n

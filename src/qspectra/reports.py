@@ -45,9 +45,7 @@ class EnergyReport(NamedTuple):
     adjacency_energy: float
     laplacian_energy: float
     signless_laplacian_energy: float
-    mean_degree: float
     qe_equals_adjacency_energy: bool   # coincidence guaranteed for regular graphs
-    is_regular: bool
 
 
 def energies(g: Graph | GraphFacts) -> EnergyReport:
@@ -55,7 +53,7 @@ def energies(g: Graph | GraphFacts) -> EnergyReport:
     of |mu_i - 2m/n|) and the signless Laplacian energy QE of one graph."""
     f = graph_facts(g)
     f.solve_all()
-    mean = 2 * f.graph.m / f.graph.n
+    mean = f.gamma.mean
     e = math.fsum(abs(v) for v in f.adjacency.values)
     le = math.fsum(abs(v - mean) for v in f.laplacian.values)
     qe = f.qe
@@ -64,9 +62,7 @@ def energies(g: Graph | GraphFacts) -> EnergyReport:
         adjacency_energy=e,
         laplacian_energy=le,
         signless_laplacian_energy=qe,
-        mean_degree=mean,
         qe_equals_adjacency_energy=same,
-        is_regular=f.info.is_regular,
     )
 
 
@@ -165,7 +161,6 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
     f = graph_facts(g)
     f.solve_all()
     g, b, info, gam = f.graph, f.batch, f.info, f.gamma
-    en = energies(f)
     pattern = classify_q_pattern(f)
     srg = detect_srg(f)
     return {
@@ -178,7 +173,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
         "degree_stats": {
             "max_degree": b.max_degree.tolist()[0],
             "min_degree": b.min_degree.tolist()[0],
-            "average_degree": 2 * g.m / g.n,
+            "average_degree": gam.mean,
             "zagreb_m1": b.m1.tolist()[0],
         },
         "structure": {
@@ -199,12 +194,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
             "mean": gam.mean,
             "min_is_zero": gam.min_is_zero,
         },
-        "energies": {
-            "adjacency_energy": en.adjacency_energy,
-            "laplacian_energy": en.laplacian_energy,
-            "signless_laplacian_energy": en.signless_laplacian_energy,
-            "qe_equals_adjacency_energy": en.qe_equals_adjacency_energy,
-        },
+        "energies": record_dict(energies(f)),
         "lemma_checks": [record_dict(c) for c in f.lemmas],
         "bounds": [record_dict(b) for b in all_bounds(f)],
         "q_pattern": record_dict(pattern),

@@ -1,13 +1,13 @@
 """Numeric tolerances used across the package.
 
-Every comparison tolerance but CLOSED_FORM_ABS scales with the QSPECTRA_TOL
-environment variable (default 1.0) so a whole run can be made looser or
-stricter without touching call sites. The variable is read once per graph's
-facts (see ``spectral.GraphFacts``) and once per verify or table call, and
-that snapshot is passed down as the ``scale`` keyword of the helpers below;
-called without it, a helper reads the variable itself. The helpers take a
-float or an array of sizes, and return the same shape. The eigensolver's
-internal termination threshold is a fixed design constant and is not scaled.
+Every comparison tolerance scales with the QSPECTRA_TOL environment variable
+(default 1.0) so a whole run can be made looser or stricter without touching
+call sites. The variable is read once per graph's facts (see
+``spectral.GraphFacts``) and once per verify or table call, and that snapshot
+is passed down as the ``scale`` keyword of the helpers below; called without
+it, a helper reads the variable itself. The helpers take a float or an array
+of sizes, and return the same shape. The eigensolver's internal termination
+threshold is a fixed design constant and is not scaled.
 """
 
 import math
@@ -21,7 +21,6 @@ TIGHT_REL = 1e-6           # bound tightness, times max(1, QE)
 TRACE_SUM_REL = 1e-8       # eigenvalue sum against 2m, times max(1, n)
 TRACE_SQUARE_REL = 1e-7    # squared eigenvalue sum against 2m + M1, times max(1, n)
 TABLE_ABS = 5e-4           # printed-table reproduction, absolute
-CLOSED_FORM_ABS = 1e-9     # closed-form branch boundary slack, absolute, not scaled
 
 
 def scale() -> float:

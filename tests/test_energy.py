@@ -10,7 +10,6 @@ import pytest
 from qspectra.reports import energies
 from qspectra.spectral import gamma_sequence, q_spectrum
 from qspectra.graph_core import (
-    Graph,
     complete,
     complete_bipartite,
     crown,
@@ -19,6 +18,7 @@ from qspectra.graph_core import (
     prism,
     random_graph,
     star,
+    structure,
 )
 
 
@@ -66,7 +66,7 @@ def test_qe_triangle():
 def test_regular_graphs_share_all_three_energies():
     for g in (cycle(5), cycle(6), prism(3), prism(4), complete(6), crown(3)):
         rep = energies(g)
-        assert rep.is_regular
+        assert structure(g).is_regular
         assert rep.qe_equals_adjacency_energy
         assert abs(rep.signless_laplacian_energy - rep.adjacency_energy) <= 1e-9
         assert abs(rep.laplacian_energy - rep.adjacency_energy) <= 1e-9
@@ -74,16 +74,10 @@ def test_regular_graphs_share_all_three_energies():
 
 def test_star_energies_differ():
     rep = energies(star(4))
-    assert not rep.is_regular
+    assert not structure(star(4)).is_regular
     assert not rep.qe_equals_adjacency_energy
     # adjacency energy of a star is 2*sqrt(n-1)
     assert abs(rep.adjacency_energy - 2 * math.sqrt(3)) <= 1e-9
-
-
-def test_mean_degree_field():
-    rep = energies(star(5))
-    assert abs(rep.mean_degree - 2 * 4 / 5) <= 1e-15
-    assert abs(energies(Graph(3, ())).mean_degree) == 0.0
 
 
 # -- deviation sequence --------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Spectrum-pattern classifier round trips, strong-regularity detection, and
-the closed-form circular-ladder and cubic bounds against solver values.
+"""Spectrum-pattern classifier round trips, strong-regularity detection, the
+closed-form circular-ladder bounds against solver values, and the catalog's
+L-COR3 and U-COR7 as the bounds on cubic graphs.
 """
 
 import math
+import random
 
 import pytest
 
+from qspectra import tolerances
 from qspectra.bounds import evaluate_bound
 from qspectra.families_verify import (
     classify_q_pattern,
-    cubic_bounds,
     detect_srg,
     prism_bounds,
     prism_gamma_min,
@@ -23,13 +25,15 @@ from qspectra.graph_core import (
     cycle,
     disjoint_copies,
     disjoint_union,
+    graph_from_edges,
     matching,
     path,
     prism,
     star,
+    structure,
 )
 from qspectra.reports import energies
-from qspectra.spectral import gamma_sequence
+from qspectra.spectral import GraphFacts, gamma_sequence
 
 
 def qe_of(g):
@@ -181,14 +185,6 @@ def test_prism_flat_branch_value():
     assert prism_bounds(9).lower == 18.0
 
 
-def test_prism_bounds_match_cubic_bounds():
-    for n in (3, 4, 5, 7):
-        pb = prism_bounds(n)
-        cb = cubic_bounds(prism(n))
-        assert abs(pb.upper - cb.upper) <= 1e-12
-        assert abs(pb.gamma_min - cb.gamma_min) <= 1e-9
-
-
 def test_prism_bounds_are_the_catalog_bounds_on_prisms():
     for n in range(3, 41):
         pb = prism_bounds(n)
@@ -229,52 +225,54 @@ def test_prism_rejects_bad_orders():
 # -- cubic graphs ---------------------------------------------------------------------
 
 
-def test_cubic_rejects_non_cubic():
-    for g in (cycle(4), star(4), matching(1), complete(5)):
-        with pytest.raises(ValueError):
-            cubic_bounds(g)
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, outer + spokes + inner)
 
 
-def test_cubic_zero_deviation_branch():
-    cb = cubic_bounds(complete_bipartite(3, 3))
-    assert cb.lower_branch == "zero-deviation"
-    assert cb.lower == 6.0
-    assert abs(cb.qe - 6.0) <= 1e-9
+def _random_connected_cubic(n, rng):
+    """A connected cubic graph on n vertices from the configuration model,
+    drawing again until the pairing has no loop, no multiple edge and one
+    component."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            g = graph_from_edges(n, pairs)
+            if structure(g).is_connected:
+                return g
 
 
-def test_cubic_saturating_branch_attained_by_complete_four():
-    cb = cubic_bounds(complete(4))
-    assert cb.lower_branch == "deviation-at-least-one"
-    assert cb.lower == 6.0
-    assert abs(cb.qe - 6.0) <= 1e-9
-
-
-def test_cubic_below_one_branch():
-    cb = cubic_bounds(prism(5))
-    assert cb.lower_branch == "deviation-below-one"
-    assert 0.0 < cb.gamma_min < 1.0
-    expected = 6.0 * 10 * math.sqrt(cb.gamma_min) / (3.0 + cb.gamma_min)
-    assert abs(cb.lower - expected) <= 1e-12
-    assert cb.lower <= cb.qe <= cb.upper
-
-
-def test_cubic_handles_disconnected():
-    cb = cubic_bounds(disjoint_copies(2, complete(4)))
-    assert cb.lower_branch == "deviation-at-least-one"
-    assert cb.lower == 12.0
-    assert abs(cb.qe - 12.0) <= 1e-9
-
-
-def test_cubic_sandwich_on_assorted_cubic_graphs():
-    graphs = [complete(4), complete_bipartite(3, 3), crown(3)]
-    graphs += [prism(n) for n in range(3, 9)]
-    graphs.append(disjoint_union(complete(4), prism(4)))
+def test_cor3_and_cor7_are_the_cubic_bounds():
+    # on a connected cubic graph every deviation lies in [0, 3], where
+    # 6 sqrt(gamma) / (3 + gamma) >= 3/2, with equality at gamma = 1 (K4): so
+    # L-COR3 is at least the source's 3n/2 wherever the least deviation is 1
+    # or more
+    rng = random.Random(2026)
+    k2 = complete(2)
+    graphs = [complete(4), complete_bipartite(3, 3), _petersen(),
+              cartesian_product(cartesian_product(k2, k2), k2)]
+    graphs += [prism(n) for n in range(3, 13)]
+    graphs += [_random_connected_cubic(n, rng) for n in range(4, 21, 2) for _ in range(3)]
+    at_least_one = 0
     for g in graphs:
-        cb = cubic_bounds(g)
-        assert cb.lower <= cb.qe + 1e-9, g
-        assert cb.upper >= cb.qe - 1e-9, g
+        f = GraphFacts(g)
+        qe, tol = f.qe, tolerances.tight_tol(f.qe, scale=f.scale)
+        lower, upper = evaluate_bound(f, "L-COR3"), evaluate_bound(f, "U-COR7")
+        assert lower.applicable and upper.applicable, g
+        assert lower.value <= qe + tol and upper.value >= qe - tol, g
+        if f.gamma.values[-1] >= 1 - 1e-9:
+            at_least_one += 1
+            assert lower.value >= 1.5 * g.n - tol, g
+    assert at_least_one >= 2     # K4 and the Petersen graph at least
 
 
-def test_cubic_upper_value():
-    cb = cubic_bounds(prism(3))
-    assert abs(cb.upper - (3.0 + math.sqrt(3.0 * 5 * 3))) <= 1e-12
+def test_disconnected_cubic_graph_gets_cor7_only():
+    f = GraphFacts(disjoint_union(complete(4), prism(4)))
+    assert evaluate_bound(f, "U-COR7").applicable
+    lower = evaluate_bound(f, "L-COR3")
+    assert not lower.applicable
+    assert lower.reason == "requires a connected regular graph with at least one edge"

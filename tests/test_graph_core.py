@@ -38,8 +38,8 @@ def test_graph_from_edges_normalizes():
     assert g.edges == ((0, 3), (1, 2))
     assert g.m == 2
     assert g.degrees == (1, 1, 1, 1)
-    assert g.has_edge(1, 2) and g.has_edge(2, 1)
-    assert not g.has_edge(0, 1)
+    assert 2 in g.adjacency[1] and 1 in g.adjacency[2]
+    assert 1 not in g.adjacency[0]
 
 
 def test_graph_from_edges_rejects_bad_input():
@@ -89,7 +89,7 @@ def test_prism_low_vertices_adjacent_extreme_pair():
     # vertex 0 and vertex 1 are the two copies of the first cycle vertex;
     # the deterministic pair rules in the bound catalog rely on this
     for n in (3, 4, 5):
-        assert prism(n).has_edge(0, 1)
+        assert 1 in prism(n).adjacency[0]
 
 
 def test_cartesian_product_matches_prism():
@@ -126,6 +126,14 @@ def test_build_family_dispatch():
         build_family("complete", [3, 4])
     with pytest.raises(ValueError):
         build_family("complete", ["x"])
+
+
+@pytest.mark.parametrize("builder", [cycle, prism])
+@pytest.mark.parametrize("bad", [4.0, "5", None])
+def test_cycle_sizes_must_be_integers(builder, bad):
+    # as star(4.0) does, with a ValueError that names the family
+    with pytest.raises(ValueError, match=r"^cycle: size parameters must be integers >= 3"):
+        builder(bad)
 
 
 def test_degree_stats_exact_average():

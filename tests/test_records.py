@@ -14,7 +14,6 @@ from qspectra import (
     GraphFacts,
     all_bounds,
     classify_q_pattern,
-    cubic_bounds,
     degree_stats,
     detect_srg,
     energies,
@@ -28,17 +27,17 @@ from qspectra.cli import main
 
 RECORDS = {"EigenSolveReport", "Spectrum", "GammaSequence", "LemmaCheck",
            "EqualityDiagnosis", "BoundResult", "QPatternResult", "SrgResult",
-           "PrismBounds", "CubicBounds", "EnergyReport", "TableRow", "TableReport",
+           "PrismBounds", "EnergyReport", "TableRow", "TableReport",
            "VerifySummary", "DegreeStats", "StructureInfo"}
 
 
 def one_of_each_record() -> list:
-    f = GraphFacts(prism(4))    # cubic, so cubic_bounds applies
+    f = GraphFacts(prism(4))
     bound = next(r for r in all_bounds(f) if r.diagnosis is not None)
     table = reproduce_table1()
     return [f.signless_laplacian.solve, f.signless_laplacian, f.gamma, f.lemmas[0],
             bound.diagnosis, bound, classify_q_pattern(f), detect_srg(f), prism_bounds(4),
-            cubic_bounds(f), energies(f), table.rows[0], table, verify_exhaustive(3),
+            energies(f), table.rows[0], table, verify_exhaustive(3),
             degree_stats(f.graph), structure(f.graph)]
 
 

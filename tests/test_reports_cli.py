@@ -484,6 +484,23 @@ def test_cli_analyze_names_every_failure_on_stderr(monkeypatch, capsys):
         assert err.splitlines() == ["qspectra: verification failed: " + named]
 
 
+def test_cli_analyze_text_counts_each_failed_lemma_check_once(monkeypatch, capsys):
+    # a check fails where it does not hold or where its equality flag
+    # contradicts its stated condition; two_distinct_q_complete is not a
+    # lemma check, so the text does not count it
+    monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
+    cases = (
+        ("D?K", "3 FAILED", "q_sum, q_square_sum, zero_multiplicity_bipartite"),
+        ("D~{", "1 FAILED", "min_vs_average:equality, two_distinct_q_complete"),
+        ("DYc", "3 FAILED", "q_square_sum, radius_vs_average, radius_degree_window"),
+    )
+    for text, counted, named in cases:
+        assert main(["analyze", "--graph6", text]) == 3
+        out, err = capsys.readouterr()
+        assert f"lemma checks: 6 run, {counted}\n" in out
+        assert err.splitlines() == ["qspectra: verification failed: " + named]
+
+
 def test_cli_bounds_names_the_violated_bounds_on_stderr(monkeypatch, capsys):
     monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
     for fmt in ([], ["--json"]):
