@@ -9,16 +9,16 @@ rather than a bogus number.
 Each bound's hypotheses, with the reason each gives when it fails, and its
 value formula are stated once, on the arrays of a spectral.FactsBatch, one
 lane per graph. batch_violations judges a whole batch at once and is the one
-statement of the violation rule; verify calls it on its stack batches.
-_tight is the one tightness test, for the verdict and the equality
-diagnosis. all_bounds, evaluate_bound and violations evaluate the batch of
-one that a GraphFacts keeps, and a batch evaluates each catalog row once, so
-the records and the verdict of one graph share one walk of the catalog.
-all_bounds gives the full report record of every bound, for analyze, the
-bounds command and the tables; violations gives only the (id, gap) pairs of
-the bounds a graph violates. Only the report extras are computed per graph:
-the stated equality condition and whether the graph meets it, the pair
-details of L-GAN4 and L-GAN5, and U-THM3's strictness on one branch. The
+statement of the violation rule; verify calls it on its stack batches. _tight
+is the one tightness test, for the verdict and the equality diagnosis.
+all_bounds, evaluate_bound and violations evaluate the batch of one that a
+GraphFacts keeps. Facts are cached once per graph; the catalog rules are pure
+functions of a batch, so the records and the verdict of one graph each walk
+the catalog. all_bounds gives the full report record of every bound, for
+analyze, the bounds command and the tables; violations gives only the (id,
+gap) pairs of the bounds a graph violates. Only the report extras are computed
+per graph: the stated equality condition and whether the graph meets it, the
+pair details of L-GAN4 and L-GAN5, and U-THM3's strictness on one branch. The
 pair rule of those two is stated once, in _extreme_pair, for every lane.
 
 Bound identifiers are a fixed external interface. The catalog table at the end
@@ -527,16 +527,14 @@ BOUND_IDS = tuple(row[0] for row in _CATALOG)
 
 def _evaluate(rows: tuple, b: FactsBatch) -> list[_Rule]:
     """Each catalog row of rows on every lane: its hypotheses, the shared one
-    first, its value and its named arrays. A row is evaluated once per batch."""
+    first, its value and its named arrays."""
     evaluated = []
     with np.errstate(all="ignore"):
-        for bound_id, _, _, shared, rule, _ in rows:
-            if bound_id not in b.catalog:
-                hypotheses, value, named = rule(b)
-                if shared is not None:
-                    hypotheses = [(shared[0](b), shared[1]), *hypotheses]
-                b.catalog[bound_id] = (hypotheses, value, named)
-            evaluated.append(b.catalog[bound_id])
+        for _, _, _, shared, rule, _ in rows:
+            hypotheses, value, named = rule(b)
+            if shared is not None:
+                hypotheses = [(shared[0](b), shared[1]), *hypotheses]
+            evaluated.append((hypotheses, value, named))
     return evaluated
 
 

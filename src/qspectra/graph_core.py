@@ -145,7 +145,7 @@ def star(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    _require_cycle_length(n)
+    _require_cycle_length("cycle", n)
     return Graph(n, tuple(sorted((i, (i + 1) % n) if i < (i + 1) % n
                                  else ((i + 1) % n, i) for i in range(n))))
 
@@ -172,6 +172,7 @@ def crown(r: int) -> Graph:
 
 def prism(n: int) -> Graph:
     """Circular ladder: the Cartesian product of an n-cycle with one edge."""
+    _require_cycle_length("prism", n)
     return cartesian_product(cycle(n), path(2))
 
 
@@ -210,11 +211,12 @@ def _require_size(kind: str, value: int) -> int:
     return value
 
 
-def _require_cycle_length(n: int) -> int:
+def _require_cycle_length(kind: str, n: int) -> int:
     if not isinstance(n, int):
-        raise ValueError(f"cycle: size parameters must be integers >= 3, got {n!r}")
+        raise ValueError(f"{kind}: size parameters must be integers >= 3, got {n!r}")
     if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+        needs = "at least 3 vertices" if kind == "cycle" else "a cycle length of at least 3"
+        raise ValueError(f"{kind} needs {needs}, got {n}")
     return n
 
 
@@ -227,11 +229,11 @@ _FAMILY_BUILDERS = {
                            lambda a, b: (_require_size("complete_bipartite", a)
                                          + _require_size("complete_bipartite", b))),
     "star": (star, 1, lambda n: _require_size("star", n)),
-    "cycle": (cycle, 1, _require_cycle_length),
+    "cycle": (cycle, 1, lambda n: _require_cycle_length("cycle", n)),
     "path": (path, 1, lambda n: _require_size("path", n)),
     "matching": (matching, 1, lambda k: 2 * _require_size("matching", k)),
     "crown": (crown, 1, lambda r: 2 * _require_size("crown", r) + 2),
-    "prism": (prism, 1, lambda n: 2 * _require_cycle_length(n)),
+    "prism": (prism, 1, lambda n: 2 * _require_cycle_length("prism", n)),
 }
 FAMILY_KINDS = (*_FAMILY_BUILDERS, "copies")
 
@@ -520,6 +522,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Uniform G(n, p) from the supplied generator."""
+    _require_size("random_graph", n)
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
                   if rng.random() < p)
     return Graph(n, edges)

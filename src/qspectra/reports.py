@@ -22,7 +22,8 @@ from . import tolerances
 from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict
-from .spectral import FactsBatch, GraphFacts, batch_lemma_failures, graph_facts
+from .spectral import (FactsBatch, GraphFacts, batch_lemma_failures, check_spectral_lemmas,
+                       graph_facts)
 
 __all__ = [
     "EnergyReport",
@@ -195,7 +196,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
             "min_is_zero": gam.min_is_zero,
         },
         "energies": record_dict(energies(f)),
-        "lemma_checks": [record_dict(c) for c in f.lemmas],
+        "lemma_checks": [record_dict(c) for c in check_spectral_lemmas(f)],
         "bounds": [record_dict(b) for b in all_bounds(f)],
         "q_pattern": record_dict(pattern),
         "srg": record_dict(srg),

@@ -30,14 +30,15 @@ signless Laplacian solve converged; ``GraphFacts.unconverged()`` names each
 unconverged solve of one graph, A and L included.
 
 ``GraphFacts`` holds what the reports read about one graph: structure, the
-three spectra, the lemma checks and the common-neighbour counts, each
-computed on first use, plus one tolerance-scale snapshot. Its deviation
-sequence and QE are lane 0 of ``GraphFacts.batch``, its batch of one, built
-once. The spectrum, energy, bound and classifier functions accept either a
-Graph or a GraphFacts; a caller that asks several questions about one graph
-builds the facts once and passes them along. Each lemma rule is stated once,
-on a batch: ``batch_lemma_failures`` judges every lane, and the
-``LemmaCheck`` records of ``GraphFacts.lemmas`` render a batch of one.
+three spectra and the common-neighbour counts, each computed on first use,
+plus one tolerance-scale snapshot. Its deviation sequence and QE are lane 0
+of ``GraphFacts.batch``, its batch of one, built once. The spectrum, energy,
+bound and classifier functions accept either a Graph or a GraphFacts; a
+caller that asks several questions about one graph builds the facts once and
+passes them along. Facts are cached once per graph; the catalog and lemma
+rules are pure functions of a batch. Each lemma rule is stated once:
+``batch_lemma_failures`` judges every lane, and ``check_spectral_lemmas``
+renders the ``LemmaCheck`` records of a graph's batch of one.
 """
 
 from __future__ import annotations
@@ -258,13 +259,8 @@ class GraphFacts:
 
     @cached_property
     def batch(self) -> FactsBatch:
-        """This graph as a batch of one, built once, with the catalog rows
-        evaluated on it."""
+        """This graph as a batch of one, built once."""
         return FactsBatch.of(self)
-
-    @cached_property
-    def lemmas(self) -> tuple[LemmaCheck, ...]:
-        return _lemma_checks(self)
 
     @cached_property
     def common_neighbours(self) -> tuple[tuple[bool, int], ...]:
@@ -321,8 +317,6 @@ class FactsBatch:
     min_is_zero: np.ndarray
     qe: np.ndarray
     converged: np.ndarray
-    # the catalog rows evaluated on this batch, by bound id (bounds._evaluate)
-    catalog: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_masks(cls, n: int, masks, scale: float) -> FactsBatch:
@@ -515,7 +509,7 @@ def _deviation_facts(values: np.ndarray, m: np.ndarray, n: int, scale: float) ->
     }
 
 
-def _zero_counts(values: np.ndarray, scale: float | None) -> np.ndarray:
+def _zero_counts(values: np.ndarray, scale: float) -> np.ndarray:
     """How many eigenvalues of each row vanish within the zero tolerance at
     the row's spectral radius."""
     tol = tolerances.zero_tol(_radius(values), scale=scale)
@@ -536,13 +530,6 @@ class LemmaCheck(NamedTuple):
     condition: str | None = None      # stated equality condition, when one exists
     condition_met: bool | None = None
     consistent: bool | None = None    # equality flag matches the stated condition
-
-
-def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
-    """Structural facts about the signless Laplacian spectrum, each reported
-    with its numeric slack. A failure signals a solver defect, not a property
-    of the graph."""
-    return graph_facts(g).lemmas
 
 
 class _Judged(NamedTuple):
@@ -667,8 +654,11 @@ def batch_lemma_failures(b: FactsBatch) -> list[tuple[int, str]]:
     return [(lane, failures[rule]) for rule, lane in zip(rules.tolist(), lanes.tolist())]
 
 
-def _lemma_checks(f: GraphFacts) -> tuple[LemmaCheck, ...]:
-    b = f.batch
+def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
+    """Structural facts about the signless Laplacian spectrum, each reported
+    with its numeric slack, rendered from the graph's batch of one. A failure
+    signals a solver defect, not a property of the graph."""
+    b = graph_facts(g).batch
     checks = []
     for lemma in _LEMMAS:
         # lane 0 as Python scalars

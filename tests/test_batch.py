@@ -5,6 +5,7 @@ independent scalar reference, the mask pair order is one order, and the
 integer case tests stay exact where int64 would overflow.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -299,6 +300,27 @@ def test_a_batch_of_one_reads_the_facts_it_is_given():
     assert (b.n, b.m.tolist(), b.groups.tolist(), b.qe.tolist()) == (
         5, [10], [len(f.signless_laplacian.groups)], [f.qe])
     assert b.eigenvalues.tolist() == [list(f.signless_laplacian.values)]
+
+
+def test_a_judged_batch_replaced_with_new_deviations_evaluates_them():
+    # the catalog rules are pure functions of the batch they are given: a
+    # copy with its deviations doubled gives the row a never-judged batch
+    # with the same fields gives, whatever the original was asked before
+    b = FactsBatch.from_masks(5, range(1024), 1.0)
+    bounds.batch_violations(b)
+    judged = dataclasses.replace(b, gamma=2 * b.gamma)
+    fresh = dataclasses.replace(FactsBatch.from_masks(5, range(1024), 1.0), gamma=2 * b.gamma)
+    row = (bounds._CATALOG[bounds.BOUND_IDS.index("L-THM2")],)
+    (hypotheses, value, named), = bounds._evaluate(row, judged)
+    (fresh_hypotheses, fresh_value, fresh_named), = bounds._evaluate(row, fresh)
+    assert value.tobytes() == fresh_value.tobytes()
+    assert named["gamma_max"].tobytes() == fresh_named["gamma_max"].tobytes()
+    assert [(holds.tobytes(), reason) for holds, reason in hypotheses] == [
+        (holds.tobytes(), reason) for holds, reason in fresh_hypotheses]
+    # T / gamma_1 halves where L-THM2 applies
+    (_, original, _), = bounds._evaluate(row, b)
+    applies = np.logical_and.reduce([holds for holds, _ in hypotheses])
+    assert applies.any() and (value[applies] == original[applies] / 2).all()
 
 
 def test_squared_means_round_as_python_squares_them():

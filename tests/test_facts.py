@@ -1,15 +1,17 @@
 """Per-graph facts: each spectrum is solved once per top-level call, the
-lemma checks and common-neighbour counts run once per graph at most, the
-batch of one is built and each catalog row evaluated once per graph, the
-tolerance scale is read once per graph at most, and no result outlives the
-call that computed it.
+common-neighbour counts run once per graph at most, the batch of one is
+built once per graph, the tolerance scale is read once per graph at most,
+and no result outlives the call that computed it. Facts are cached once per
+graph; the catalog and lemma rules are pure functions of a batch, so each
+report and each verdict walks the whole catalog, in order, on that one
+batch, and an analyze report renders the lemma records once.
 """
 
 from collections import Counter
 
 import pytest
 
-from qspectra import bounds, families_verify, graph_core, spectral, tolerances
+from qspectra import bounds, families_verify, graph_core, reports, spectral, tolerances
 from qspectra.bounds import all_bounds
 from qspectra.cli import main
 from qspectra.graph_core import cycle, emit_graph6, prism
@@ -137,19 +139,20 @@ def test_verify_builds_a_graph_only_for_a_failing_graph(monkeypatch):
 def test_cli_runs_the_lemma_checks_and_neighbour_counts_once(
         monkeypatch, capsys, argv, lemma_runs, neighbour_counts):
     seen = {"lemmas": 0, "neighbours": 0}
-    lemma_checks, counts = spectral._lemma_checks, spectral.common_neighbour_counts
+    lemma_checks, counts = spectral.check_spectral_lemmas, spectral.common_neighbour_counts
 
-    def counted_lemmas(f):
+    def counted_lemmas(g):
         seen["lemmas"] += 1
-        return lemma_checks(f)
+        return lemma_checks(g)
 
     def counted_neighbours(g):
         seen["neighbours"] += 1
         return counts(g)
 
-    monkeypatch.setattr(spectral, "_lemma_checks", counted_lemmas)
     # counted in every module that holds the name, however it was imported
-    for module in (graph_core, spectral, bounds, families_verify):
+    for module in (graph_core, spectral, bounds, families_verify, reports):
+        if hasattr(module, "check_spectral_lemmas"):
+            monkeypatch.setattr(module, "check_spectral_lemmas", counted_lemmas)
         if hasattr(module, "common_neighbour_counts"):
             monkeypatch.setattr(module, "common_neighbour_counts", counted_neighbours)
     assert main(argv) == 0
@@ -186,11 +189,12 @@ def catalog(monkeypatch):
     ["bounds", "--family", "crown", "4"],
     ["bounds", "--family", "crown", "4", "--json"],
 ])
-def test_cli_builds_one_batch_and_walks_the_catalog_once(catalog, capsys, argv):
+def test_cli_builds_one_batch_and_walks_the_whole_catalog_twice(catalog, capsys, argv):
     assert main(argv) == 0
     capsys.readouterr()
     assert catalog["batches"] == 1
-    assert catalog["rows"] == list(bounds.BOUND_IDS)
+    # once for the records, once for the verdict, each in catalog order
+    assert catalog["rows"] == [*bounds.BOUND_IDS, *bounds.BOUND_IDS]
 
 
 def test_a_table_builds_one_batch_per_row_and_evaluates_its_columns_once(catalog):
@@ -216,7 +220,8 @@ def test_a_kept_batch_sees_a_solve_made_after_it(catalog, monkeypatch):
     monkeypatch.setattr(spectral, "_KERNEL", Unconverged)
     f.solve_all()                               # A and L, neither converged
     assert check_graph(f) == ([], ["solver:not_converged"])
-    assert catalog["batches"] == 1 and catalog["rows"] == list(bounds.BOUND_IDS)
+    # one batch, and one whole walk of the catalog per verdict
+    assert catalog["batches"] == 1 and catalog["rows"] == [*bounds.BOUND_IDS, *bounds.BOUND_IDS]
 
 
 def test_a_batch_flags_only_its_signless_laplacian_solve(monkeypatch, capsys):

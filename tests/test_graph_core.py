@@ -132,8 +132,18 @@ def test_build_family_dispatch():
 @pytest.mark.parametrize("bad", [4.0, "5", None])
 def test_cycle_sizes_must_be_integers(builder, bad):
     # as star(4.0) does, with a ValueError that names the family
-    with pytest.raises(ValueError, match=r"^cycle: size parameters must be integers >= 3"):
+    with pytest.raises(ValueError, match=rf"^{builder.__name__}: size parameters must be "
+                                         r"integers >= 3"):
         builder(bad)
+
+
+@pytest.mark.parametrize("builder,message", [
+    (cycle, "cycle needs at least 3 vertices, got 2"),
+    (prism, "prism needs a cycle length of at least 3, got 2"),
+])
+def test_cycle_lengths_below_three_name_the_family(builder, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        builder(2)
 
 
 def test_degree_stats_exact_average():
@@ -234,6 +244,14 @@ def test_graph_from_mask_matches_iana_order():
     # the masks of an order give each of its labeled graphs exactly once
     for n, count in ((1, 1), (3, 8), (4, 64)):
         assert len({graph_from_mask(n, mask) for mask in range(count)}) == count
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.0, "3"])
+def test_random_graph_refuses_an_order_that_is_not_a_positive_integer(n):
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match=r"^random_graph: size parameters must be integers >= 1"):
+        random_graph(n, 0.5, rng)
+    assert rng.getstate() == random.Random(0).getstate()     # before the first draw
 
 
 def test_random_graph_extremes():

@@ -13,6 +13,7 @@ from qspectra import (
     Graph,
     GraphFacts,
     all_bounds,
+    check_spectral_lemmas,
     classify_q_pattern,
     degree_stats,
     detect_srg,
@@ -35,7 +36,7 @@ def one_of_each_record() -> list:
     f = GraphFacts(prism(4))
     bound = next(r for r in all_bounds(f) if r.diagnosis is not None)
     table = reproduce_table1()
-    return [f.signless_laplacian.solve, f.signless_laplacian, f.gamma, f.lemmas[0],
+    return [f.signless_laplacian.solve, f.signless_laplacian, f.gamma, check_spectral_lemmas(f)[0],
             bound.diagnosis, bound, classify_q_pattern(f), detect_srg(f), prism_bounds(4),
             energies(f), table.rows[0], table, verify_exhaustive(3),
             degree_stats(f.graph), structure(f.graph)]

@@ -319,7 +319,8 @@ def test_cli_family_refuses_an_order_above_the_cap_before_building_it(
     (["copies", "0", "complete", "2000"],
      "disjoint_copies: size parameters must be integers >= 1, got 0"),
     (["copies", "2000", "cycle", "2"], "cycle needs at least 3 vertices, got 2"),
-], ids=["count", "inner"])
+    (["copies", "2000", "prism", "2"], "prism needs a cycle length of at least 3, got 2"),
+], ids=["count", "inner", "inner-prism"])
 def test_cli_bad_family_parameters_above_the_cap_exit_one(family, message, capsys,
                                                          no_graph_is_built):
     assert main(["analyze", "--family", *family]) == 1
