@@ -11,15 +11,19 @@ value formula are stated once, on the arrays of a spectral.FactsBatch, one
 lane per graph. batch_violations judges a whole batch at once and is the one
 statement of the violation rule; verify calls it on its stack batches. _tight
 is the one tightness test, for the verdict and the equality diagnosis.
-all_bounds, evaluate_bound and violations evaluate the batch of one that a
-GraphFacts keeps. Facts are cached once per graph; the catalog rules are pure
-functions of a batch, so the records and the verdict of one graph each walk
-the catalog. all_bounds gives the full report record of every bound, for
-analyze, the bounds command and the tables; violations gives only the (id,
-gap) pairs of the bounds a graph violates. Only the report extras are computed
-per graph: the stated equality condition and whether the graph meets it, the
-pair details of L-GAN4 and L-GAN5, and U-THM3's strictness on one branch. The
-pair rule of those two is stated once, in _extreme_pair, for every lane.
+all_bounds, evaluate_bound and violations evaluate the graph's batch of one.
+Facts are cached once per graph; the catalog rules are pure functions of a
+batch, so the records and the verdict of one graph each walk the catalog.
+all_bounds gives the full report record of every bound, for analyze, the
+bounds command and the tables; violations gives only the (id, gap) pairs of
+the bounds a graph violates. Only the report extras are computed per graph,
+and from its batch of one alone: the stated equality condition and whether
+the graph meets it, the pair details of L-GAN4 and L-GAN5, and U-THM3's
+strictness on one branch. Every stated equality family is a flag per lane,
+U-THM3's and U-COR7's from the batch's common-neighbour counts, and a report
+reads lane 0. The pair rule of L-GAN4 and L-GAN5 is stated once, in
+_extreme_pair, for every lane; verify's batch_violations reads no family flag
+and no pair detail.
 
 Bound identifiers are a fixed external interface. The catalog table at the end
 of this module states each bound's id, direction and strictness once; its row
@@ -37,7 +41,7 @@ batch of one and a lane of a larger batch give the same bits.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -187,10 +191,9 @@ def gan5_two_case_value(g: Graph | GraphFacts) -> float:
     """The adjacency-branched form of the L-GAN5 estimate, evaluated without
     the bipartite special case. Exposed because the reference tables tabulate
     this form for every row, bipartite or not."""
-    f = graph_facts(g)
-    if f.graph.m < 1 or f.graph.n < 2:
+    b = graph_facts(g).batch
+    if _lane0((b.m < 1) | (b.n < 2)):
         raise ValueError("two-case estimate needs at least one edge and two vertices")
-    b = f.batch
     return _bottom_pair_value(b, *_extreme_pair(b, want_max=False)).tolist()[0]
 
 
@@ -228,17 +231,14 @@ def _is_balanced_complete_bipartite(b: FactsBatch) -> np.ndarray:
     return _connected_bipartite_regular(b) & (2 * b.max_degree == b.n)
 
 
-_THM3_CONDITION = ("complete graph, perfect matching, or regular graph with "
-                   "constant common-neighbour count")
-
-
-def _thm3_family(f: GraphFacts, b: FactsBatch) -> bool:
-    if _lane0(b.complete | _is_perfect_matching(b)):
-        return True
-    # strongly-regular-style case: regular with every vertex pair sharing the
-    # same number of common neighbours, adjacent or not
-    return (_lane0(b.regular & (b.m >= 1))
-            and len({k for _, k in f.common_neighbours}) == 1)
+def _thm3_family(b: FactsBatch) -> np.ndarray:
+    # the strongly-regular-style case: regular with every vertex pair sharing
+    # the same number of common neighbours, adjacent or not
+    u, v = np.triu_indices(b.n, 1)
+    counts = b.common_neighbours[:, u, v]
+    constant = (counts == counts[:, :1]).all(axis=1)
+    return (b.complete | _is_perfect_matching(b)
+            | (b.regular & (b.m >= 1) & constant))
 
 
 # -- hypotheses several bounds share: (test on a batch, reason when it fails) -----
@@ -255,28 +255,27 @@ _CONNECTED_EDGE = (lambda b: b.connected & (b.m >= 1),
 # reaches a verdict or a record.
 _Rule = tuple[list[tuple[np.ndarray, str]], np.ndarray, dict[str, np.ndarray]]
 
-# A report takes the facts of one graph, its batch of one, and lane 0 of the
-# rule's named arrays as Python scalars, and gives the stated equality
-# condition, whether the graph meets it (None exactly when none is stated),
-# and the details.
+# A report takes a batch of one and lane 0 of the rule's named arrays as
+# Python scalars, and gives the stated equality condition, whether the graph
+# meets it (None exactly when none is stated), and the details.
 _Report = tuple[str | None, bool | None, dict[str, Any]]
 
 
-def _no_condition(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+def _no_condition(b: FactsBatch, named: dict) -> _Report:
     return None, None, named
 
 
-def _star(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return "star", _lane0(_is_star(b)), named
+def _family(condition: str, flag: Callable[[FactsBatch], np.ndarray]):
+    """The report of a fixed stated family: the condition, lane 0 of its
+    flag, and the named values as the details."""
+    return lambda b, named: (condition, _lane0(flag(b)), named)
 
 
-def _balanced_complete_bipartite(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return ("balanced complete bipartite graph",
-            _lane0(_is_balanced_complete_bipartite(b)), named)
-
-
-def _thm3_condition(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return _THM3_CONDITION, _thm3_family(f, b), named
+_star = _family("star", _is_star)
+_balanced_complete_bipartite = _family("balanced complete bipartite graph",
+                                       _is_balanced_complete_bipartite)
+_thm3_condition = _family("complete graph, perfect matching, or regular graph "
+                          "with constant common-neighbour count", _thm3_family)
 
 
 # -- lower bounds -----------------------------------------------------------------
@@ -304,7 +303,7 @@ def _l_gan4(b: FactsBatch) -> _Rule:
     return [], _top_pair_value(b, *_extreme_pair(b, want_max=True)), {}
 
 
-def _l_gan4_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+def _l_gan4_report(b: FactsBatch, named: dict) -> _Report:
     return None, None, _pair_details(b, True, _top_pair_value)
 
 
@@ -319,7 +318,7 @@ def _l_gan5(b: FactsBatch) -> _Rule:
     return [], value, {"bipartite": bipartite}
 
 
-def _l_gan5_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+def _l_gan5_report(b: FactsBatch, named: dict) -> _Report:
     if named["bipartite"]:
         return None, None, {"branch": "bipartite"}
     details = _pair_details(b, False, _bottom_pair_value)
@@ -353,9 +352,8 @@ def _l_cor4(b: FactsBatch) -> _Rule:
             value, {"threshold": threshold})
 
 
-def _l_cor4_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    n, m = f.graph.n, f.graph.m
-    return "complete graph on three vertices", n == 3 and m == 3, named
+_l_cor4_report = _family("complete graph on three vertices",
+                         lambda b: (b.n == 3) & (b.m == 3))
 
 
 def _l_cor5(b: FactsBatch) -> _Rule:
@@ -395,9 +393,9 @@ def _l_cor3(b: FactsBatch) -> _Rule:
             _cor3_value(b.n, b.max_degree, gn, zero), {"zero": zero, "gamma_min": gn})
 
 
-def _l_cor3_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+def _l_cor3_report(b: FactsBatch, named: dict) -> _Report:
     if named["zero"]:
-        return _balanced_complete_bipartite(f, b, {"branch": "zero-deviation"})
+        return _balanced_complete_bipartite(b, {"branch": "zero-deviation"})
     return ("complete graph or crown graph",
             _lane0(b.complete | _is_crown_like(b)),
             {"branch": "positive-deviation", "gamma_min": named["gamma_min"]})
@@ -410,8 +408,8 @@ def _u_abr1(b: FactsBatch) -> _Rule:
     return [], 4 * m * (1 - 1 / n), {}
 
 
-def _u_abr1_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    return "edgeless, or a single edge plus isolated vertices", f.graph.m <= 1, named
+_u_abr1_report = _family("edgeless, or a single edge plus isolated vertices",
+                         lambda b: b.m <= 1)
 
 
 def _u_abr2(b: FactsBatch) -> _Rule:
@@ -434,9 +432,7 @@ def _u_li(b: FactsBatch) -> _Rule:
     return [(~(rad < 0), "radicand is negative")], value, {}
 
 
-def _u_li_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
-    n, m = f.graph.n, f.graph.m
-    return "single edge", n == 2 and m == 1, named
+_u_li_report = _family("single edge", lambda b: (b.n == 2) & (b.m == 1))
 
 
 def _u_gan(b: FactsBatch) -> _Rule:
@@ -457,10 +453,10 @@ def _u_thm3(b: FactsBatch) -> _Rule:
     return [], value, {"mean_dominant": mean_dominant}
 
 
-def _u_thm3_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+def _u_thm3_report(b: FactsBatch, named: dict) -> _Report:
     if named["mean_dominant"]:
-        return _thm3_condition(f, b, {"branch": "mean-at-least-rms",
-                                      "strict_branch": False})
+        return _thm3_condition(b, {"branch": "mean-at-least-rms",
+                                   "strict_branch": False})
     return None, None, {"branch": "mean-below-rms", "strict_branch": True}
 
 
@@ -479,7 +475,7 @@ def _u_cor6(b: FactsBatch) -> _Rule:
             value, {"inside": inside})
 
 
-def _u_cor6_report(f: GraphFacts, b: FactsBatch, named: dict) -> _Report:
+def _u_cor6_report(b: FactsBatch, named: dict) -> _Report:
     return None, None, {"branch": ("below-degree-spread-threshold" if named["inside"]
                                    else "above-degree-spread-threshold")}
 
@@ -566,15 +562,14 @@ def batch_violations(b: FactsBatch) -> list[tuple[int, str, float]]:
             in zip(rows.tolist(), lanes.tolist(), gaps[rows, lanes].tolist())]
 
 
-def _results(rows: tuple, f: GraphFacts) -> tuple[BoundResult, ...]:
-    """The report records of catalog rows on f."""
-    b = f.batch
-    return tuple(_result(row, evaluated, f, b)
+def _results(rows: tuple, b: FactsBatch) -> tuple[BoundResult, ...]:
+    """The report records of catalog rows on a batch of one."""
+    return tuple(_result(row, evaluated, b)
                  for row, evaluated in zip(rows, _evaluate(rows, b)))
 
 
-def _result(row: tuple, evaluated: _Rule, f: GraphFacts, b: FactsBatch) -> BoundResult:
-    """One catalog row evaluated on f's batch of one b, with its gap and its
+def _result(row: tuple, evaluated: _Rule, b: FactsBatch) -> BoundResult:
+    """One catalog row evaluated on a batch of one, with its gap and its
     equality diagnosis."""
     bound_id, direction, strict = row[:3]
     hypotheses, value, named = evaluated
@@ -585,10 +580,11 @@ def _result(row: tuple, evaluated: _Rule, f: GraphFacts, b: FactsBatch) -> Bound
                            diagnosis=None, details={})
     value = value.tolist()[0]
     condition, condition_met, details = row[5](
-        f, b, {key: a.tolist()[0] for key, a in named.items()})
+        b, {key: a.tolist()[0] for key, a in named.items()})
     strict = details.get("strict_branch", strict)
-    gap = _gap(direction, value, f.qe)
-    tight = bool(_tight(gap, f.qe, f.scale))
+    qe = b.qe.tolist()[0]
+    gap = _gap(direction, value, qe)
+    tight = bool(_tight(gap, qe, b.scale))
     # condition_met is None exactly when no family is stated
     if strict:
         verdict = "near-tight-strict" if tight else "consistent"
@@ -607,11 +603,11 @@ def evaluate_bound(g: Graph | GraphFacts, bound_id: str) -> BoundResult:
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; "
                          f"known ids: {', '.join(BOUND_IDS)}")
-    return _results((_CATALOG[BOUND_IDS.index(bound_id)],), graph_facts(g))[0]
+    return _results((_CATALOG[BOUND_IDS.index(bound_id)],), graph_facts(g).batch)[0]
 
 
 def all_bounds(g: Graph | GraphFacts) -> tuple[BoundResult, ...]:
-    return _results(_CATALOG, graph_facts(g))
+    return _results(_CATALOG, graph_facts(g).batch)
 
 
 def violations(g: Graph | GraphFacts) -> list[tuple[str, float]]:

@@ -5,8 +5,10 @@ Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
 (qspectra.MAX_ORDER, defined in graph_core), 3 verification violations
 (a violated bound, or for analyze and verify a failed spectral check; analyze
 and bounds name them on stderr), table mismatch, or an eigensolve that did not
-converge. Text output prints values to four decimals (banker's rounding);
---json emits the canonical sorted-key rendering instead.
+converge, 141 (128 + SIGPIPE) when stdout is a pipe that its reader has
+closed, which ends the command quietly. Text output prints values to four
+decimals (banker's rounding); --json emits the canonical sorted-key rendering
+instead.
 
 Import rule: at top level this module imports only graph_core, which needs
 none of numpy, dataclasses and fractions: its records are NamedTuples, and
@@ -21,6 +23,7 @@ GraphFacts and FactsBatch.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .graph_core import (MAX_ORDER, Graph, build_family, emit_edgelist, emit_graph6,
@@ -347,7 +350,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows on the write that reaches it, here at the latest
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141    # 128 + SIGPIPE, the status of a process that SIGPIPE ended
     except ParseInputError as exc:
         print(f"qspectra: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -2,8 +2,9 @@
 
 Covers three related facilities: recovering a disjoint union of equal-order
 complete graphs and crown graphs from its signless Laplacian spectrum alone,
-detecting strong regularity by brute-force common-neighbour counting, and the
-bounds for circular-ladder (prism) graphs. Those bounds are the catalog's
+detecting strong regularity from the common-neighbour counts of the graph's
+batch of one (the matrix square of its adjacency), and the bounds for
+circular-ladder (prism) graphs. Those bounds are the catalog's
 L-COR3 and U-COR7, evaluated at the closed-form minimum deviation; only
 prism_gamma_min follows the residue of n mod 6. On any other cubic graph the
 catalog's own L-COR3 and U-COR7 rows are the cubic bounds.
@@ -14,9 +15,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from . import tolerances
 from .bounds import _cor3_value, _cor7_value
-from .graph_core import Graph, is_complete
+from .graph_core import Graph
 from .spectral import GraphFacts, graph_facts
 
 __all__ = [
@@ -141,21 +144,19 @@ def detect_srg(g: Graph | GraphFacts) -> SrgResult:
     n, m, r = f.graph.n, f.graph.m, info.regularity_degree
     if m == 0:
         return _not_srg("edgeless graphs are excluded by convention")
-    if is_complete(f.graph):
+    b = f.batch
+    if b.complete[0]:
         return _not_srg("complete graphs are excluded by convention")
-    a = c = None
-    for adjacent, k in f.common_neighbours:
-        if adjacent:
-            if a is None:
-                a = k
-            elif k != a:
-                return _not_srg("adjacent pairs disagree on common neighbours")
-        else:
-            if c is None:
-                c = k
-            elif k != c:
-                return _not_srg("non-adjacent pairs disagree on common neighbours")
-    # n >= 2 with some edge and some non-edge guarantees both kinds of pair
+    # every vertex pair u < v in lexicographic order; n >= 2 with some edge
+    # and some non-edge guarantees both kinds of pair
+    u, v = np.triu_indices(n, 1)
+    adjacent, counts = b.adjacency[0, u, v], b.common_neighbours[0, u, v]
+    a, c = counts[adjacent][0].item(), counts[~adjacent][0].item()
+    differs = counts != np.where(adjacent, a, c)
+    if differs.any():
+        # the first pair that disagrees with the first pair of its kind
+        kind = "adjacent" if adjacent[differs.argmax()] else "non-adjacent"
+        return _not_srg(f"{kind} pairs disagree on common neighbours")
     feasible = r * (r - 1 - a) == (n - r - 1) * c
     three_ok = None
     if info.is_connected:

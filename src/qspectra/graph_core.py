@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -352,21 +352,6 @@ def structure(g: Graph) -> StructureInfo:
         is_regular=regular,
         regularity_degree=deg[0] if regular else None,
     )
-
-
-# -- structural predicates (used by the classifiers and equality diagnosis) ---
-
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
-def common_neighbour_counts(g: Graph) -> Iterator[tuple[bool, int]]:
-    """(adjacent, number of shared neighbours) for every vertex pair u < v,
-    in lexicographic pair order."""
-    adj = g.adjacency
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            yield v in adj[u], len(adj[u] & adj[v])
 
 
 # -- graph6 format ------------------------------------------------------------

@@ -14,11 +14,14 @@ stacks the A, L and Q of one graph for ``analyze_report`` and ``energies``,
 and ``FactsBatch.from_masks`` stacks verify's batches of graphs on one vertex
 count. README "Backends" gives the measured cost of each entry point.
 
-``FactsBatch`` holds what the bound catalog and the lemma rules read, as
-arrays with one lane per graph, for B graphs of one order. Its deviation
-facts (the deviations |q_i - 2m/n| sorted descending, QE as their exactly
-rounded sum, min_is_zero and the group count) come from ``_deviation_facts``,
-and ``_splits`` is the one grouping rule, ``Spectrum.groups``'s too.
+``FactsBatch`` holds what the bound catalog, its equality families and the
+lemma rules read, as arrays with one lane per graph, for B graphs of one
+order. Its deviation facts (the deviations |q_i - 2m/n| sorted descending,
+QE as their exactly rounded sum, min_is_zero and the group count) come from
+``_deviation_facts``, and ``_splits`` is the one grouping rule,
+``Spectrum.groups``'s too. Its ``common_neighbours``, the matrix square of
+the adjacency, is computed once, on first read, for the U-THM3 / U-COR7
+family and the strong regularity test; verify's judges never read it.
 ``from_masks`` builds a batch straight from int64 edge masks (up to 11
 vertices), solving every signless Laplacian in one ``jacobi_stack`` call,
 with connectivity and the bipartite component count from Warshall's
@@ -29,9 +32,9 @@ the closure on one graph. In both, ``converged`` is whether each lane's
 signless Laplacian solve converged; ``GraphFacts.unconverged()`` names each
 unconverged solve of one graph, A and L included.
 
-``GraphFacts`` holds what the reports read about one graph: structure, the
-three spectra and the common-neighbour counts, each computed on first use,
-plus one tolerance-scale snapshot. Its deviation sequence and QE are lane 0
+``GraphFacts`` holds what the reports read about one graph: structure and the
+three spectra, each computed on first use, plus one tolerance-scale
+snapshot. Its deviation sequence, QE and common-neighbour counts are lane 0
 of ``GraphFacts.batch``, its batch of one, built once. The spectrum, energy,
 bound and classifier functions accept either a Graph or a GraphFacts; a
 caller that asks several questions about one graph builds the facts once and
@@ -52,8 +55,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tolerances
-from .graph_core import (Graph, StructureInfo, common_neighbour_counts, emit_graph6,
-                         mask_pairs, structure)
+from .graph_core import Graph, StructureInfo, emit_graph6, mask_pairs, structure
 
 __all__ = [
     "BACKEND",
@@ -262,11 +264,6 @@ class GraphFacts:
         """This graph as a batch of one, built once."""
         return FactsBatch.of(self)
 
-    @cached_property
-    def common_neighbours(self) -> tuple[tuple[bool, int], ...]:
-        """graph_core.common_neighbour_counts of the graph, as a tuple."""
-        return tuple(common_neighbour_counts(self.graph))
-
     def unconverged(self) -> tuple[str, ...]:
         """Names ('<kind> of <graph6>') of the matrices solved so far whose
         solve did not converge."""
@@ -367,6 +364,13 @@ class FactsBatch:
     def m1(self) -> np.ndarray:
         """The first Zagreb index, the sum of squared degrees."""
         return (self.degrees * self.degrees).sum(axis=1)
+
+    @cached_property
+    def common_neighbours(self) -> np.ndarray:
+        """(B, n, n): how many neighbours vertices u and v share, the
+        matrix square of the adjacency, which float64 holds exactly."""
+        a = self.adjacency.astype(np.float64)
+        return (a @ a).astype(np.int64)
 
     @cached_property
     def max_degree(self) -> np.ndarray:

@@ -1,8 +1,9 @@
 """FactsBatch: the verdict verify gives a stack batch equals the per-graph
 verdict of every graph in it, its degree and structure facts equal the
-per-graph ones, its deviation facts and equality-family flags equal an
-independent scalar reference, the mask pair order is one order, and the
-integer case tests stay exact where int64 would overflow.
+per-graph ones, its deviation facts, equality-family flags and strong
+regularity results equal an independent scalar reference, the mask pair
+order is one order, and the integer case tests stay exact where int64 would
+overflow.
 """
 
 import dataclasses
@@ -14,11 +15,12 @@ import numpy as np
 import pytest
 
 from qspectra import bounds, graph_core, reports, spectral, tolerances
+from qspectra.families_verify import SrgResult, detect_srg
 from qspectra.graph_core import (
-    complete, degree_stats, graph_from_mask, is_complete, mask_pairs, matching, path,
-    random_graph, star, structure)
+    cartesian_product, complete, cycle, degree_stats, disjoint_union, graph_from_edges,
+    graph_from_mask, mask_pairs, matching, path, prism, random_graph, star, structure)
 from qspectra.reports import batch_verdict, check_graph
-from qspectra.spectral import FactsBatch, GraphFacts, adjacency_matrix
+from qspectra.spectral import FactsBatch, GraphFacts, a_spectrum, adjacency_matrix
 
 
 def mask_cases():
@@ -126,11 +128,68 @@ def is_perfect_matching(g):
     return g.n >= 2 and all(d == 1 for d in g.degrees)
 
 
+def is_complete(g):
+    return g.m == g.n * (g.n - 1) // 2
+
+
+def common_neighbour_counts(g):
+    """(adjacent, number of shared neighbours) of every vertex pair u < v, in
+    lexicographic pair order, from Graph.adjacency set intersections."""
+    adj = g.adjacency
+    return [(v in adj[u], len(adj[u] & adj[v]))
+            for u, v in itertools.combinations(range(g.n), 2)]
+
+
+def in_thm3_family(g):
+    """U-THM3's and U-COR7's stated family: complete, a perfect matching, or
+    regular with an edge and one common-neighbour count for every pair."""
+    return (is_complete(g) or is_perfect_matching(g)
+            or (len(set(g.degrees)) == 1 and g.m >= 1
+                and len({k for _, k in common_neighbour_counts(g)}) == 1))
+
+
+def reference_srg(g):
+    """detect_srg of a regular graph, with a loop over the vertex pairs in
+    lexicographic order: the first pair whose count differs from the first
+    pair of its kind names the reason."""
+    reason, common = None, {}
+    if g.m == 0:
+        reason = "edgeless graphs are excluded by convention"
+    elif is_complete(g):
+        reason = "complete graphs are excluded by convention"
+    else:
+        for adjacent, k in common_neighbour_counts(g):
+            if common.setdefault(adjacent, k) != k:
+                kind = "adjacent" if adjacent else "non-adjacent"
+                reason = f"{kind} pairs disagree on common neighbours"
+                break
+    if reason is not None:
+        return SrgResult(is_srg=False, reason=reason, degree=None, adjacent_common=None,
+                         nonadjacent_common=None, is_S_nr=False, feasibility_ok=None,
+                         three_eigenvalue_consistent=None)
+    n, r, a, c = g.n, g.degrees[0], common[True], common[False]
+    return SrgResult(is_srg=True, reason=None, degree=r, adjacent_common=a,
+                     nonadjacent_common=c, is_S_nr=a == c,
+                     feasibility_ok=r * (r - 1 - a) == (n - r - 1) * c,
+                     three_eigenvalue_consistent=(len(a_spectrum(g).groups) <= 3
+                                                  if structure(g).is_connected else None))
+
+
 def test_the_reference_predicates():
     assert is_star(star(5)) and is_star(complete(2))
     assert not is_star(path(4)) and not is_star(complete(1))
     assert is_perfect_matching(matching(3))
     assert not is_perfect_matching(path(3))
+    assert is_complete(complete(4))
+    assert not is_complete(cycle(4))
+    # the 4 x 4 rook graph has two common neighbours on every pair; C5 has
+    # none on an edge and one on a non-edge
+    assert in_thm3_family(cartesian_product(complete(4), complete(4)))
+    assert in_thm3_family(matching(3)) and in_thm3_family(complete(1))
+    assert not in_thm3_family(cycle(5)) and not in_thm3_family(prism(4))
+    assert reference_srg(cycle(5)).nonadjacent_common == 1
+    assert reference_srg(prism(5)).reason == (
+        "non-adjacent pairs disagree on common neighbours")
 
 
 def assert_graph_facts_match_the_reference(f):
@@ -190,7 +249,7 @@ def test_groups_split_at_the_tolerance_as_the_scalar_reference_splits_them():
 
 def test_equality_family_flags_equal_the_scalar_reference():
     predicates = (bounds._is_star, bounds._is_perfect_matching, bounds._is_crown_like,
-                  bounds._is_balanced_complete_bipartite)
+                  bounds._is_balanced_complete_bipartite, bounds._thm3_family)
     for n in range(1, 7):
         masks = range(1 << (n * (n - 1) // 2))
         b = FactsBatch.from_masks(n, masks, 1.0)
@@ -200,7 +259,38 @@ def test_equality_family_flags_equal_the_scalar_reference():
             bipartite_regular = info.is_connected and info.is_bipartite and info.is_regular
             assert flags == [is_star(g), is_perfect_matching(g),
                              bipartite_regular and n == 2 * r + 2,
-                             bipartite_regular and n == 2 * r], (n, mask)
+                             bipartite_regular and n == 2 * r, in_thm3_family(g)], (n, mask)
+
+
+def test_strong_regularity_equals_the_pair_loop():
+    # every labeled regular graph with n <= 6, edgeless and complete included
+    seen = set()
+    for n in range(1, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_mask(n, mask)
+            if len(set(g.degrees)) == 1:
+                expected = reference_srg(g)
+                assert repr(detect_srg(g)) == repr(expected), (n, mask)
+                seen.add(expected.reason)
+    # every outcome is among them
+    assert set(seen) == {None, "edgeless graphs are excluded by convention",
+                         "complete graphs are excluded by convention",
+                         "adjacent pairs disagree on common neighbours",
+                         "non-adjacent pairs disagree on common neighbours"}
+    # no regular graph on at most 6 vertices has pairs of both kinds that
+    # disagree; in C3 + C4 and C3 + C5 both kinds do, so the labels decide
+    # which kind disagrees first
+    rng = random.Random(11)
+    seen.clear()
+    for base in (disjoint_union(cycle(3), cycle(4)), disjoint_union(cycle(3), cycle(5))):
+        for _ in range(50):
+            label = rng.sample(range(base.n), base.n)
+            g = graph_from_edges(base.n, [(label[u], label[v]) for u, v in base.edges])
+            expected = reference_srg(g)
+            assert repr(detect_srg(g)) == repr(expected), graph_core.emit_graph6(g)
+            seen.add(expected.reason)
+    assert set(seen) == {"adjacent pairs disagree on common neighbours",
+                         "non-adjacent pairs disagree on common neighbours"}
 
 
 def test_the_mask_pair_order_is_stated_once(monkeypatch):

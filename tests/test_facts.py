@@ -1,6 +1,6 @@
 """Per-graph facts: each spectrum is solved once per top-level call, the
-common-neighbour counts run once per graph at most, the batch of one is
-built once per graph, the tolerance scale is read once per graph at most,
+batch's common-neighbour counts are computed once per graph at most, the
+batch of one is built once per graph, the tolerance scale is read once per graph at most,
 and no result outlives the call that computed it. Facts are cached once per
 graph; the catalog and lemma rules are pure functions of a batch, so each
 report and each verdict walks the whole catalog, in order, on that one
@@ -8,6 +8,7 @@ batch, and an analyze report renders the lemma records once.
 """
 
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -139,22 +140,24 @@ def test_verify_builds_a_graph_only_for_a_failing_graph(monkeypatch):
 def test_cli_runs_the_lemma_checks_and_neighbour_counts_once(
         monkeypatch, capsys, argv, lemma_runs, neighbour_counts):
     seen = {"lemmas": 0, "neighbours": 0}
-    lemma_checks, counts = spectral.check_spectral_lemmas, spectral.common_neighbour_counts
+    lemma_checks = spectral.check_spectral_lemmas
+    counts = spectral.FactsBatch.common_neighbours.func
 
     def counted_lemmas(g):
         seen["lemmas"] += 1
         return lemma_checks(g)
 
-    def counted_neighbours(g):
+    def counted_neighbours(b):
         seen["neighbours"] += 1
-        return counts(g)
+        return counts(b)
 
     # counted in every module that holds the name, however it was imported
     for module in (graph_core, spectral, bounds, families_verify, reports):
         if hasattr(module, "check_spectral_lemmas"):
             monkeypatch.setattr(module, "check_spectral_lemmas", counted_lemmas)
-        if hasattr(module, "common_neighbour_counts"):
-            monkeypatch.setattr(module, "common_neighbour_counts", counted_neighbours)
+    counted = cached_property(counted_neighbours)
+    counted.__set_name__(spectral.FactsBatch, "common_neighbours")
+    monkeypatch.setattr(spectral.FactsBatch, "common_neighbours", counted)
     assert main(argv) == 0
     capsys.readouterr()
     assert (seen["lemmas"], seen["neighbours"]) == (lemma_runs, neighbour_counts)

@@ -20,7 +20,6 @@ from qspectra.graph_core import (
     emit_graph6,
     graph_from_edges,
     graph_from_mask,
-    is_complete,
     matching,
     parse_edgelist,
     parse_graph6,
@@ -30,6 +29,7 @@ from qspectra.graph_core import (
     star,
     structure,
 )
+from qspectra.spectral import FactsBatch, GraphFacts
 
 
 def test_graph_from_edges_normalizes():
@@ -172,6 +172,9 @@ def test_structure_components_and_bipartite():
 
 
 def test_structural_predicates():
+    def is_complete(g):
+        return FactsBatch.of(GraphFacts(g, 1.0)).complete.tolist() == [True]
+
     assert is_complete(complete(4))
     assert not is_complete(cycle(4))
 

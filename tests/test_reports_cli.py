@@ -435,6 +435,23 @@ def test_cli_table_mismatch_exits_three():
     assert "MISMATCH" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "crown", "3", "--json"],
+    ["bounds", "--graph6", "Bw"],
+])
+def test_cli_exits_141_quietly_on_a_closed_stdout_pipe(argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qspectra.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 def test_cli_exits_three_on_an_unconverged_solve(unconverged_kernel, capsys):
     g6 = emit_graph6(star(4))
     cases = (
