@@ -1,0 +1,63 @@
+"""Count the source lines of the qspectra package.
+
+For each ``src/qspectra/*.py`` file, prints its code, docstring and comment
+lines and their totals, then the line count of the C kernel ``_jacobi_cy.c``.
+A docstring line is a line of the string that opens a module, class or
+function body (found with ``ast``). A code line holds a token other than a
+comment or a line break (found with ``tokenize``) and is not a docstring line.
+A comment line holds a comment and no code. Blank lines count as none of the
+three.
+
+Usage: python3 benchmarks/src_lines.py
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qspectra"
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+          tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def count(source: str) -> tuple[int, int, int]:
+    """(code, docstring, comment) lines of one Python source."""
+    docs = docstring_lines(ast.parse(source))
+    code, comments = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            comments.add(tok.start[0])
+        elif tok.type not in LAYOUT:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    code -= docs
+    return len(code), len(docs), len(comments - code - docs)
+
+
+def main() -> None:
+    totals = [0, 0, 0]
+    print(f"{'file':<22}{'code':>7}{'docs':>7}{'comments':>10}")
+    for path in sorted(PACKAGE.glob("*.py")):
+        counts = count(path.read_text())
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(f"{path.name:<22}{counts[0]:>7}{counts[1]:>7}{counts[2]:>10}")
+    print(f"{'total':<22}{totals[0]:>7}{totals[1]:>7}{totals[2]:>10}")
+    kernel = PACKAGE / "_jacobi_cy.c"
+    print(f"{kernel.name}: {len(kernel.read_text().splitlines())} lines")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,10 +11,25 @@ any write, a buffer that is not float64, C-contiguous, writable and square
 
 Identical to the compiled kernel: the rotation order, the ``apq == 0.0`` skip,
 the theta, t, c and s expressions, the pivot formulas, and the convergence
-test. Scalars are read as Python floats, and the Frobenius and off-diagonal
-sums loop over ``tolist()`` in the compiled loop order.
+test.
 
-Restructured, to make fewer numpy calls per rotation:
+Both entry points run one driver, ``_solve``, as the compiled kernel runs
+both through its ``solve()``; ``jacobi_sweeps(a)`` is its stack of one,
+``a[None]``. The driver alone states the termination bookkeeping, on arrays
+with one entry per matrix: the Frobenius threshold, the off-diagonal sums,
+the set of matrices still iterating (a matrix leaves it when it converges or
+reaches MAX_SWEEPS), the converged flag and the max-offdiag rule. Each sweep
+runs one of three loops on the matrices still iterating, and each leaves in
+a matrix the bits that the compiled sweep leaves:
+
+- ``_sweep``, the serial loop, one matrix at a time, for a single matrix or
+  for a stack that fails ``identity_skips``;
+- ``_lanes_last`` above LANES_FIRST_MAX (16) iterating matrices of a stack
+  that meets the rule, as in verify's batches of graphs;
+- ``_lanes_first`` at most that, as in analyze's A, L and Q of one graph.
+
+The serial loop reads each scalar as a Python float, and is restructured to
+make fewer numpy calls per rotation:
 
 - Rows p and q are rotated together: one multiply of the row pair by
   [[c, -s], [s, c]] into a buffer, then one add of its two halves back into
@@ -30,21 +45,19 @@ Restructured, to make fewer numpy calls per rotation:
 - The pivot entries of row q are set before column q is copied from it, so
   the copy also carries them to (p, q) and (q, q).
 
-``jacobi_stack`` first checks ``identity_skips``: the stack is all finite,
-exactly symmetric (``a == a.transpose(0, 2, 1)``) and holds no -0.0, as the
-A, L and Q of every graph are. A stack that fails the rule is solved one
-matrix at a time by ``jacobi_sweeps``, the contract's reference. A stack that
-meets it runs its B matrices in lockstep over the same cyclic (p, q) order,
-on a work array of the matrices still iterating, with one of two loops. In
-both, a lane whose (p, q) entry is zero, which the compiled loop skips,
-rotates by the identity, c = 1, s = 0 and step = 0, so every write is plain
-and each numpy call of a rotation covers every lane.
+``identity_skips`` holds when the stack is all finite, exactly symmetric
+(``a == a.transpose(0, 2, 1)``) and holds no -0.0, as the A, L and Q of every
+graph are. A stack that meets it runs its B matrices in lockstep over the
+same cyclic (p, q) order, on a work array of the matrices still iterating,
+with one of the two vectorized loops. In both, a lane whose (p, q) entry is
+zero, which the compiled loop skips, rotates by the identity, c = 1, s = 0
+and step = 0, so every write is plain and each numpy call of a rotation
+covers every lane.
 
-Above LANES_FIRST_MAX (16) lanes, as in verify's batches of graphs, the work
-array is (n, n, B), lanes last. It is gathered and scattered as (n * n, B)
-rows, one column per matrix; while every matrix still iterates, the work
-array of the last sweep (first, one transposed copy of the stack) holds them
-all, and no gather runs. In the loop:
+Lanes last, the work array is (n, n, B). It is gathered and scattered as
+(n * n, B) rows, one column per matrix; while every matrix still iterates,
+the work array of the last sweep (first, one transposed copy of the stack)
+holds them all, and no gather runs. In the loop:
 
 - theta, t, c, s and the pivot step t * apq are vectors of the same
   expressions, with the operands in the same order, each written into a
@@ -54,7 +67,7 @@ all, and no gather runs. In the loop:
   ``theta < 0.0``. The asymptotic branch, which a NaN theta also takes, is a
   ``where=`` divide. A skipped lane's theta is +-inf or NaN, and its t is
   then set to 0.0.
-- Rows p and q are rotated as in ``jacobi_sweeps``, through the strided pair
+- Rows p and q are rotated as in the serial loop, through the strided pair
   view and a (2, 2, 1, B) coefficient array, into a buffer whose pivot block
   is then set. The buffer is written back as rows p and q and, through the
   same pair view on the column axis, as columns p and q. Column p is written
@@ -62,18 +75,17 @@ all, and no gather runs. In the loop:
   block only its pivot entries are read, and each rotation overwrites those,
   so the last write leaves what the block-end copy leaves.
 
-At most LANES_FIRST_MAX lanes, as in analyze's A, L and Q of one graph, the
-work array is (B, n, n), lanes first, so each numpy loop runs along a row,
-and each lane's theta, t, c and s are Python floats of the ``jacobi_sweeps``
+Lanes first, the work array is (B, n, n), so each numpy loop runs along a
+row, and each lane's theta, t, c and s are Python floats of the serial loop's
 expressions:
 
-- Once per solve, ``jacobi_stack`` gathers the work array, and
-  ``_lanes_first_views`` builds its row and column lists, its diagonal view
-  and the strided view of every (p, q) row pair. The array is held across
-  sweeps, and it is scattered and gathered again, with new views, only when
-  lanes leave. No rotation slices the array.
+- The driver gathers the work array, and ``_lanes_first_views`` builds its
+  row and column lists, its diagonal view and the strided view of every
+  (p, q) row pair. The array is held across sweeps, and it is scattered and
+  gathered again, with new views, only when lanes leave. No rotation slices
+  the array.
 - One multiply by a (B, 2, 2, 1) coefficient array and one add rotate rows
-  p and q of every lane in place, as in ``jacobi_sweeps``.
+  p and q of every lane in place, as in the serial loop.
 - Once per p-block, the diagonal is read into Python lists, and then column
   p is set to +0.0. The pivots app and aqq are read from, and their new
   values written to, those lists. At the end of the block column p is
@@ -82,7 +94,7 @@ expressions:
   read only into the new (q, p) and (p, p) entries. Each new (q, p) is
   s * (+0.0) + c * (+0.0), which is +0.0 for either sign of s, because c > 0
   and (-0.0) + (+0.0) is +0.0; the copy of column q from row q carries it to
-  (p, q), where ``jacobi_sweeps`` writes the literal 0.0. The new (p, p) is
+  (p, q), where the serial loop writes the literal 0.0. The new (p, p) is
   stale and is rewritten from the pivot lists, and the stale (q, q) entries
   are not read. A lane that did not rotate in the block gets back its
   column p, which is its row p.
@@ -107,16 +119,15 @@ Why the identity keeps every bit under the rule:
 Without the rule the identity would move bits: -0.0 - (-0.0) is +0.0, and a
 column written from its row loses an entry that is symmetric only to
 rounding. In both loops, every write copies bits that the compiled loop's own
-operations, in its own order, produce for that lane. A matrix leaves the
-batch when it converges or reaches MAX_SWEEPS.
+operations, in its own order, produce for that lane.
 
-The Frobenius and off-diagonal sums of ``jacobi_stack`` add each matrix's
-squares from row 0 of a (terms, lanes) array down, in the compiled loop
-order: by one ``np.add.accumulate`` call below ROW_ADDS_MIN (256) lanes, as
-in analyze's stacks of three with up to 2,016 terms, and by one in-place add
-per row from there on, as in verify's batches of 1024. Starting from row 0
-rather than 0.0 gives the same bits, because a square is +0.0 or more, or
-NaN.
+The driver's Frobenius and off-diagonal sums add each matrix's squares from
+row 0 of a (terms, matrices) array down, in the compiled loop order: by one
+``np.add.accumulate`` call below ROW_ADDS_MIN (256) matrices, as for a single
+matrix or analyze's stacks of three with up to 2,016 terms, and by one
+in-place add per row from there on, as in verify's batches of 1024. Starting
+from row 0 rather than 0.0 gives the same bits, because a square is +0.0 or
+more, or NaN.
 """
 
 import math
@@ -125,16 +136,8 @@ import numpy as np
 
 MAX_SWEEPS = 50
 TERMINATION_REL = 1e-12  # off-diagonal Frobenius norm vs. input Frobenius norm
-
-
-def _offdiag_sq(rows, n):
-    s = 0.0
-    for p in range(n - 1):
-        row = rows[p]
-        for q in range(p + 1, n):
-            v = row[q]
-            s += 2.0 * (v * v)
-    return s
+ROW_ADDS_MIN = 256       # columns from which _sums_in_loop_order adds row by row
+LANES_FIRST_MAX = 16     # lanes up to which a stack that meets the rule runs _lanes_first
 
 
 def _require_square(a, ndim, error):
@@ -148,78 +151,25 @@ def _require_square(a, ndim, error):
 def jacobi_sweeps(a):
     """Diagonalize a symmetric C-contiguous float64 matrix in place.
 
-    Returns (sweeps, converged, off_frobenius, max_offdiag).
+    Returns (sweeps, converged, off_frobenius, max_offdiag): the driver's
+    entry for the stack of one, which it sweeps with the serial loop.
     """
     _require_square(a, 2, "expected a square 2-D float64 buffer")
-    n = a.shape[0]
-    if n < 2:
-        return 0, True, 0.0, 0.0
-    fro_sq = 0.0
-    for row in a.tolist():
-        for v in row:
-            fro_sq += v * v
-    threshold_sq = (TERMINATION_REL * TERMINATION_REL) * fro_sq
-    off_sq = _offdiag_sq(a.tolist(), n)
-    sqrt, multiply, add = math.sqrt, np.multiply, np.add
-    rows = list(a)
-    cols = list(a.T)
-    coef = np.empty(4)
-    rotation = coef.reshape(2, 2, 1)     # [[c, -s], [s, c]]
-    terms = np.empty((2, 2, n))          # rotation * (row p, row q)
-    left, right = terms[:, 0], terms[:, 1]
-    sweeps = 0
-    while off_sq > threshold_sq and sweeps < MAX_SWEEPS:
-        sweeps += 1
-        for p in range(n - 1):
-            x = rows[p]
-            rotated = False
-            for q in range(p + 1, n):
-                apq = x.item(q)
-                if apq == 0.0:
-                    continue
-                y = rows[q]
-                app = x.item(p)
-                aqq = y.item(q)
-                theta = (aqq - app) / (2.0 * apq)
-                if -1.0e150 < theta < 1.0e150:
-                    t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                else:
-                    # asymptotic tangent; theta * theta would overflow
-                    t = 0.5 / theta
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                coef[0] = c
-                coef[1] = -s
-                coef[2] = s
-                coef[3] = c
-                pair = a[p:q + 1:q - p]
-                multiply(rotation, pair, out=terms)
-                add(left, right, out=pair)
-                # pivot block set directly; the diagonal update form
-                # app - t*apq is the numerically stable one
-                y[p] = 0.0
-                y[q] = aqq + t * apq
-                cols[q][...] = y
-                x[p] = app - t * apq
-                rotated = True
-            if rotated:
-                cols[p][...] = x
-        off_sq = _offdiag_sq(a.tolist(), n)
-    converged = off_sq <= threshold_sq
-    max_off = 0.0
-    entries = a.tolist()
-    for p in range(n - 1):
-        row = entries[p]
-        for q in range(p + 1, n):
-            v = abs(row[q])
-            if v > max_off:
-                max_off = v
-    return sweeps, converged, math.sqrt(off_sq), max_off
+    return _solve(a[None])[0]
 
 
-ROW_ADDS_MIN = 256       # columns from which _sums_in_loop_order adds row by row
+def jacobi_stack(a):
+    """Diagonalize a C-contiguous float64 stack of symmetric matrices, shape
+    (B, n, n), in place.
+
+    Returns a list of B (sweeps, converged, off_frobenius, max_offdiag)
+    tuples. Entry i, and what is left in a[i], are bit for bit what
+    ``jacobi_sweeps(a[i])`` returns and leaves. The driver sweeps a stack that
+    fails ``identity_skips`` with the serial loop, one matrix at a time, and
+    one that meets it with the lanes-last or lanes-first loop.
+    """
+    _require_square(a, 3, "expected a 3-D float64 buffer of square matrices")
+    return _solve(a)
 
 
 def _sums_in_loop_order(terms):
@@ -233,15 +183,120 @@ def _sums_in_loop_order(terms):
     return total
 
 
-LANES_FIRST_MAX = 16     # lanes up to which jacobi_stack runs _lanes_first
-
-
 def identity_skips(a):
     """True when a lane of the (B, n, n) stack ``a`` that skips a rotation may
     rotate by the identity instead and keep every bit: ``a`` is all finite,
     exactly symmetric and holds no -0.0."""
     return bool(np.isfinite(a).all() and (a == a.transpose(0, 2, 1)).all()
                 and not (np.signbit(a) & (a == 0.0)).any())
+
+
+def _solve(a):
+    """Diagonalize every matrix of a checked (B, n, n) stack in place, each
+    sweep with the loop that the module docstring names, and return its B
+    (sweeps, converged, off_frobenius, max_offdiag) tuples."""
+    count, n = a.shape[0], a.shape[-1]
+    if n < 2:
+        return [(0, True, 0.0, 0.0)] * count
+    serial = count == 1 or not identity_skips(a)
+    upper = np.triu_indices(n, 1)
+    offdiag = upper[0] * n + upper[1]        # the entries above the diagonal, row-major
+    flat = a.reshape(count, n * n)           # one row per matrix
+    w = flat.T.copy()                        # (n * n, count), one column per matrix
+
+    def offdiag_sq(rows):
+        v = rows[offdiag]
+        return _sums_in_loop_order(2.0 * (v * v))
+
+    sweeps = np.zeros(count, dtype=np.intp)
+    # the square of an entry above about 1.3e154 overflows to inf; theta *
+    # theta overflows on the asymptotic branch, whose t is then reset; the
+    # lanes that skip divide by their zero apq, and their t is then 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        threshold_sq = (TERMINATION_REL * TERMINATION_REL) * _sums_in_loop_order(w * w)
+        off_sq = offdiag_sq(w)
+        active = np.flatnonzero(off_sq > threshold_sq)
+        held = active[:0]                    # the lanes of the lanes-first work array
+        work = a[held]
+        while active.size:
+            if serial:
+                for i in active.tolist():
+                    _sweep(a[i])
+                off_sq[active] = offdiag_sq(flat[active].T)
+            elif active.size > LANES_FIRST_MAX:
+                # while every lane iterates, w already holds every matrix
+                if active.size < count:
+                    w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)
+                _lanes_last(w.reshape(n, n, -1))
+                flat[active] = w.T
+                off_sq[active] = offdiag_sq(w)
+            else:
+                # held across sweeps, and gathered again when lanes leave
+                if held.size != active.size:
+                    a[held] = work
+                    held = active
+                    work = a[active]                                      # (lanes, n, n)
+                    views = _lanes_first_views(work)
+                _lanes_first(work, views)
+                off_sq[active] = offdiag_sq(work.reshape(-1, n * n).T)
+            sweeps[active] += 1
+            active = active[(off_sq[active] > threshold_sq[active])
+                            & (sweeps[active] < MAX_SWEEPS)]
+    a[held] = work
+    converged = off_sq <= threshold_sq
+    v = np.abs(flat[:, offdiag])
+    max_off = np.fmax.reduce(v, axis=1, initial=0.0)     # NaN never exceeds
+    return list(zip(sweeps.tolist(), converged.tolist(),
+                    np.sqrt(off_sq).tolist(), max_off.tolist()))
+
+
+def _sweep(a):
+    """One sweep of the n x n matrix ``a`` in place, the serial loop: each
+    rotation's theta, t, c and s are Python floats."""
+    n = a.shape[0]
+    sqrt, multiply, add = math.sqrt, np.multiply, np.add
+    rows = list(a)
+    cols = list(a.T)
+    coef = np.empty(4)
+    rotation = coef.reshape(2, 2, 1)     # [[c, -s], [s, c]]
+    terms = np.empty((2, 2, n))          # rotation * (row p, row q)
+    left, right = terms[:, 0], terms[:, 1]
+    for p in range(n - 1):
+        x = rows[p]
+        rotated = False
+        for q in range(p + 1, n):
+            apq = x.item(q)
+            if apq == 0.0:
+                continue
+            y = rows[q]
+            app = x.item(p)
+            aqq = y.item(q)
+            theta = (aqq - app) / (2.0 * apq)
+            if -1.0e150 < theta < 1.0e150:
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+            else:
+                # asymptotic tangent; theta * theta would overflow
+                t = 0.5 / theta
+            c = 1.0 / sqrt(t * t + 1.0)
+            s = t * c
+            coef[0] = c
+            coef[1] = -s
+            coef[2] = s
+            coef[3] = c
+            pair = a[p:q + 1:q - p]
+            multiply(rotation, pair, out=terms)
+            add(left, right, out=pair)
+            # pivot block set directly; the diagonal update form
+            # app - t*apq is the numerically stable one
+            y[p] = 0.0
+            y[q] = aqq + t * apq
+            cols[q][...] = y
+            x[p] = app - t * apq
+            rotated = True
+        if rotated:
+            cols[p][...] = x
 
 
 def _lanes_last(w):
@@ -294,7 +349,7 @@ def _lanes_last(w):
             pair = w[p:q + 1:q - p]
             np.multiply(coef, pair, out=terms)
             np.add(left, right, out=rows)
-            # pivot block set directly, as in jacobi_sweeps
+            # pivot block set directly, as in the serial loop
             np.subtract(app, step, out=rows[0, p])
             rows[0, q] = 0.0
             rows[1, p] = 0.0
@@ -359,64 +414,3 @@ def _lanes_first(w, views):
             cols[q][...] = rows[q]
         column[...] = x
         diagonal[...] = pivots
-
-
-def jacobi_stack(a):
-    """Diagonalize a C-contiguous float64 stack of symmetric matrices, shape
-    (B, n, n), in place.
-
-    Returns a list of B (sweeps, converged, off_frobenius, max_offdiag)
-    tuples. Entry i, and what is left in a[i], are bit for bit what
-    ``jacobi_sweeps(a[i])`` returns and leaves; a stack that fails
-    ``identity_skips`` is solved by exactly those calls.
-    """
-    _require_square(a, 3, "expected a 3-D float64 buffer of square matrices")
-    count, n = a.shape[0], a.shape[-1]
-    if n < 2:
-        return [(0, True, 0.0, 0.0)] * count
-    if not identity_skips(a):
-        return [jacobi_sweeps(m) for m in a]
-    upper = np.triu_indices(n, 1)
-    offdiag = upper[0] * n + upper[1]        # the entries above the diagonal, row-major
-    flat = a.reshape(count, n * n)           # one row per matrix
-    w = flat.T.copy()                        # (n * n, count), one column per matrix
-    threshold_sq = (TERMINATION_REL * TERMINATION_REL) * _sums_in_loop_order(w * w)
-
-    def offdiag_sq(rows):
-        v = rows[offdiag]
-        return _sums_in_loop_order(2.0 * (v * v))
-
-    off_sq = offdiag_sq(w)
-    sweeps = np.zeros(count, dtype=np.intp)
-    active = np.flatnonzero(off_sq > threshold_sq)
-    held = active[:0]                        # the lanes of the lanes-first work array
-    work = a[held]
-    # theta * theta overflows on the asymptotic branch, whose t is then reset;
-    # the lanes that skip divide by their zero apq, and their t is then 0.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        while active.size:
-            if active.size > LANES_FIRST_MAX:
-                # while every lane iterates, w already holds every matrix
-                if active.size < count:
-                    w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)
-                _lanes_last(w.reshape(n, n, -1))
-                flat[active] = w.T
-                off_sq[active] = offdiag_sq(w)
-            else:
-                # held across sweeps, and gathered again when lanes leave
-                if held.size != active.size:
-                    a[held] = work
-                    held = active
-                    work = a[active]                                      # (lanes, n, n)
-                    views = _lanes_first_views(work)
-                _lanes_first(work, views)
-                off_sq[active] = offdiag_sq(work.reshape(-1, n * n).T)
-            sweeps[active] += 1
-            active = active[(off_sq[active] > threshold_sq[active])
-                            & (sweeps[active] < MAX_SWEEPS)]
-    a[held] = work
-    converged = off_sq <= threshold_sq
-    v = np.abs(flat[:, offdiag])
-    max_off = np.fmax.reduce(v, axis=1, initial=0.0)     # NaN never exceeds
-    return list(zip(sweeps.tolist(), converged.tolist(),
-                    np.sqrt(off_sq).tolist(), max_off.tolist()))

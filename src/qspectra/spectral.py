@@ -539,7 +539,7 @@ class LemmaCheck(NamedTuple):
 class _Judged(NamedTuple):
     """A lemma rule judged on every lane of a batch. A rule with a stated
     equality condition also gives its numerical equality flag, whether the
-    condition is met, whether the two agree, and where they are compared."""
+    condition is met, and where the two are compared."""
     applicable: np.ndarray
     holds: np.ndarray
     lhs: np.ndarray
@@ -547,7 +547,6 @@ class _Judged(NamedTuple):
     slack: np.ndarray
     equality: np.ndarray | None = None
     condition_met: np.ndarray | None = None
-    consistent: np.ndarray | None = None
     compared: np.ndarray | None = None
 
 
@@ -588,7 +587,7 @@ def _radius_vs_average(b: FactsBatch) -> _Judged:
     q1, avg, eq_tol = _radius_terms(b)
     eq = np.abs(q1 - 2 * avg) <= eq_tol
     return _Judged(_everywhere(b), q1 >= 2 * avg - eq_tol, q1, 2 * avg, q1 - 2 * avg,
-                   eq, b.regular, eq == b.regular, _everywhere(b))
+                   eq, b.regular, _everywhere(b))
 
 
 def _min_vs_average(b: FactsBatch) -> _Judged:
@@ -599,7 +598,7 @@ def _min_vs_average(b: FactsBatch) -> _Judged:
     applicable = b.connected & (b.m >= 1)
     eq = np.abs(qn - (avg - 1)) <= eq_tol
     return _Judged(applicable, qn <= avg - 1 + eq_tol, qn, avg - 1, (avg - 1) - qn,
-                   eq, b.complete, eq == b.complete, applicable)
+                   eq, b.complete, applicable)
 
 
 def _radius_degree_window(b: FactsBatch) -> _Judged:
@@ -609,7 +608,7 @@ def _radius_degree_window(b: FactsBatch) -> _Judged:
     below, above = q1 - lo, hi - q1
     return _Judged(_everywhere(b), (lo - eq_tol <= q1) & (q1 <= hi + eq_tol), q1, hi,
                    np.where(above < below, above, below),     # min(below, above)
-                   eq, b.regular, eq == b.regular, b.connected)
+                   eq, b.regular, b.connected)
 
 
 class _Lemma(NamedTuple):
@@ -651,9 +650,9 @@ def batch_lemma_failures(b: FactsBatch) -> list[tuple[int, str]]:
         broken = judged.applicable & ~judged.holds
         failures.append(lemma.check_id)
         masks.append(broken)
-        if judged.consistent is not None:
+        if judged.equality is not None:
             failures.append(lemma.check_id + ":equality")
-            masks.append(~broken & judged.compared & ~judged.consistent)
+            masks.append(~broken & judged.compared & (judged.equality != judged.condition_met))
     rules, lanes = np.nonzero(masks)
     return [(lane, failures[rule]) for rule, lane in zip(rules.tolist(), lanes.tolist())]
 
@@ -677,5 +676,5 @@ def check_spectral_lemmas(g: Graph | GraphFacts) -> tuple[LemmaCheck, ...]:
             lhs=judged.lhs, rhs=judged.rhs, slack=judged.slack, note=lemma.note,
             equality=judged.equality, condition=lemma.condition,
             condition_met=judged.condition_met,
-            consistent=judged.consistent if judged.compared else None))
+            consistent=judged.equality == judged.condition_met if judged.compared else None))
     return tuple(checks)

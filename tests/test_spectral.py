@@ -403,6 +403,12 @@ def _kernel_cases():
     # symmetric only within the 1e-12 that symmetric_eigenvalues accepts; row 0
     # gets no rotation, so column 0 keeps its stray entry in both kernels
     yield np.array([[1.0, 0.0, 0.0], [1e-14, 2.0, 1.0], [0.0, 1.0, 3.0]])
+    yield _OVERFLOWING_SQUARES
+
+
+# finite, but the squares of its entries overflow: its Frobenius square and
+# threshold are inf, so it is left as it is after 0 sweeps
+_OVERFLOWING_SQUARES = np.array([[1e160, 3e159, 0.0], [3e159, 2e160, 1e159], [0.0, 1e159, 5e159]])
 
 
 def test_compiled_and_python_kernels_bit_identical(compiled_kernel):
@@ -420,7 +426,8 @@ def test_compiled_and_python_kernels_bit_identical(compiled_kernel):
 def _kernel_stacks():
     """_kernel_cases() grouped by order into stacks, each followed by its
     matrices scaled by 1e3 so sweep counts differ within a stack, plus an
-    empty stack and stacks of 1 x 1 and 2 x 2 matrices."""
+    empty stack, stacks of 1 x 1 and 2 x 2 matrices, and a stack that meets
+    identity_skips and whose squares overflow."""
     by_order = defaultdict(list)
     for mat in _kernel_cases():
         by_order[mat.shape[0]].append(mat)
@@ -430,6 +437,7 @@ def _kernel_stacks():
     yield np.array([[[3.0]], [[0.0]], [[-1.5]]])
     yield np.array([[[1.0, 2.0], [2.0, -1.0]], [[5.0, 0.0], [0.0, 1.0]],
                     [[0.0, 1e-160], [1e-160, 4.0]]])
+    yield np.stack([_OVERFLOWING_SQUARES, 0.5 * _OVERFLOWING_SQUARES])
 
 
 def _assert_stack_twins(compiled_kernel, stack):
@@ -441,7 +449,8 @@ def _assert_stack_twins(compiled_kernel, stack):
     (at most LANES_FIRST_MAX lanes here), and on the tiled copies its
     lanes-last loop for as long as more lanes than that iterate; it adds its
     sums row by row on the widest copy. When the stack fails the rule, it
-    solves every lane with jacobi_sweeps."""
+    sweeps every lane with its serial loop, one matrix at a time, the loop
+    that also runs jacobi_sweeps."""
     assert len(stack) <= _jacobi_py.LANES_FIRST_MAX
     single = [m.copy(order="C") for m in stack]
     expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
@@ -495,8 +504,8 @@ def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
     # at (0, 1) lane 0 rotates while lane 1 skips: its (0, 1) entry is -0.0,
     # and its rows 0 and 1 hold -0.0 and -1.0, which a rotation by c = 1,
     # s = 0 would not keep, since -0.0 - (-0.0) is +0.0. So identity_skips
-    # refuses the stack, and the Python kernel solves each lane with
-    # jacobi_sweeps. Lane 2's theta at (0, 1) is 0.0 / -2.0 = -0.0, whose
+    # refuses the stack, and the Python kernel sweeps each lane with its
+    # serial loop. Lane 2's theta at (0, 1) is 0.0 / -2.0 = -0.0, whose
     # tangent is +1.
     stack = np.array([
         [[2.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.25, 0.5],
@@ -516,8 +525,8 @@ def test_a_lane_without_a_rotation_in_a_block_keeps_its_column(compiled_kernel):
     # accepts, and its row 0 gets no rotation, while lane 1 rotates in every
     # block: lane 0 must keep its stray (1, 0) entry for rotation (1, 2) to
     # turn, as jacobi_sweeps does, and a copy of column 0 from row 0 would
-    # zero it. identity_skips refuses the stack, so the Python kernel solves
-    # each lane with jacobi_sweeps
+    # zero it. identity_skips refuses the stack, so the Python kernel sweeps
+    # each lane with its serial loop
     stack = np.array([
         [[1.0, 0.0, 0.0], [1e-14, 2.0, 1.0], [0.0, 1.0, 3.0]],
         [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]],
@@ -629,8 +638,8 @@ def test_stacks_whose_lanes_skip_whole_blocks_meet_the_rule(compiled_kernel):
 def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
     # the last lane skips (0, 1) while other lanes rotate; the identity
     # rotation would leave +0.0 at its (0, 1) and (1, 0) entries. A lane
-    # with an inf or NaN entry never iterates. The Python kernel solves each
-    # lane of such a stack with jacobi_sweeps
+    # with an inf or NaN entry never iterates. The Python kernel sweeps each
+    # lane of such a stack with its serial loop
     stack = _skipping_q_stack()
     last = stack[-1]
     if defect == "-0.0 pair":
@@ -646,7 +655,8 @@ def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
 def test_only_a_stack_that_meets_the_identity_rule_runs_lanes_last(monkeypatch):
     # the 16-lane Q stack runs lanes first, and with a 17th lane it runs lanes
     # last first; with one -0.0 pair either stack fails the rule and enters
-    # neither loop
+    # neither loop. A single matrix that meets the rule, passed alone or as a
+    # stack of one, enters neither loop either
     sweeps = []
 
     def counted(name, lanes):
@@ -662,6 +672,11 @@ def test_only_a_stack_that_meets_the_identity_rule_runs_lanes_last(monkeypatch):
     narrow = _skipping_q_stack()
     wide = np.concatenate([narrow, narrow[:1]])
     assert len(wide) == _jacobi_py.LANES_FIRST_MAX + 1
+    single = narrow[0].copy()
+    assert _jacobi_py.identity_skips(single[None])
+    assert _jacobi_py.jacobi_sweeps(single.copy())[0] > 0
+    assert _jacobi_py.jacobi_stack(single[None].copy())[0][0] > 0
+    assert sweeps == []
     _jacobi_py.jacobi_stack(narrow.copy())
     assert sweeps and {name for name, _ in sweeps} == {"_lanes_first"}
     sweeps.clear()
