@@ -15,13 +15,13 @@ sums a batch reads, run again: QE's over the deviations (part of
 squares (part of ``batch_lemma_failures``). The ``identity`` column says
 whether every Q stack of the order meets ``_jacobi_py.identity_skips``, under
 which the Python kernel's loops rotate a skipped lane by the identity and
-write every lane with plain copies; a stack outside the rule is swept one
-matrix at a time by the serial loop that also runs ``jacobi_sweeps``. The
-re-run stages must give
-what the batch holds, each row sum must equal ``math.fsum`` of its row bit for
-bit, and every batch's verdict must equal what ``reports._verify_batch`` gives
-for its masks; exits 1 otherwise. The verdicts are empty at the default
-tolerance; under ``QSPECTRA_TOL=1e-300`` they are not.
+write every lane with plain copies; a stack outside the rule is solved one
+matrix at a time, each in one-lane lanes-first sweeps, as ``jacobi_sweeps``
+solves a matrix. The re-run stages must give what the batch holds, each row
+sum must equal ``math.fsum`` of its row bit for bit, and every batch's
+verdict must equal what ``reports._verify_batch`` gives for its masks; exits
+1 otherwise. The verdicts are empty at the default tolerance; under
+``QSPECTRA_TOL=1e-300`` they are not.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_verify.py [--orders 5,6,7] [--seed 1] [--smoke]
 """

@@ -1,7 +1,8 @@
 """Count the source lines of the qspectra package.
 
 For each ``src/qspectra/*.py`` file, prints its code, docstring and comment
-lines and their totals, then the line count of the C kernel ``_jacobi_cy.c``.
+lines and its physical lines (as ``wc -l`` counts them), and their totals,
+then the line count of the C kernel ``_jacobi_cy.c``.
 A docstring line is a line of the string that opens a module, class or
 function body (found with ``ast``). A code line holds a token other than a
 comment or a line break (found with ``tokenize``) and is not a docstring line.
@@ -34,8 +35,8 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def count(source: str) -> tuple[int, int, int]:
-    """(code, docstring, comment) lines of one Python source."""
+def count(source: str) -> tuple[int, int, int, int]:
+    """(code, docstring, comment, physical) lines of one Python source."""
     docs = docstring_lines(ast.parse(source))
     code, comments = set(), set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -44,17 +45,17 @@ def count(source: str) -> tuple[int, int, int]:
         elif tok.type not in LAYOUT:
             code.update(range(tok.start[0], tok.end[0] + 1))
     code -= docs
-    return len(code), len(docs), len(comments - code - docs)
+    return len(code), len(docs), len(comments - code - docs), source.count("\n")
 
 
 def main() -> None:
-    totals = [0, 0, 0]
-    print(f"{'file':<22}{'code':>7}{'docs':>7}{'comments':>10}")
+    totals = [0, 0, 0, 0]
+    print(f"{'file':<22}{'code':>7}{'docs':>7}{'comments':>10}{'lines':>7}")
     for path in sorted(PACKAGE.glob("*.py")):
         counts = count(path.read_text())
         totals = [t + c for t, c in zip(totals, counts)]
-        print(f"{path.name:<22}{counts[0]:>7}{counts[1]:>7}{counts[2]:>10}")
-    print(f"{'total':<22}{totals[0]:>7}{totals[1]:>7}{totals[2]:>10}")
+        print(f"{path.name:<22}{counts[0]:>7}{counts[1]:>7}{counts[2]:>10}{counts[3]:>7}")
+    print(f"{'total':<22}{totals[0]:>7}{totals[1]:>7}{totals[2]:>10}{totals[3]:>7}")
     kernel = PACKAGE / "_jacobi_cy.c"
     print(f"{kernel.name}: {len(kernel.read_text().splitlines())} lines")
 

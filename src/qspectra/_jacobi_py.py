@@ -18,41 +18,25 @@ both through its ``solve()``; ``jacobi_sweeps(a)`` is its stack of one,
 ``a[None]``. The driver alone states the termination bookkeeping, on arrays
 with one entry per matrix: the Frobenius threshold, the off-diagonal sums,
 the set of matrices still iterating (a matrix leaves it when it converges or
-reaches MAX_SWEEPS), the converged flag and the max-offdiag rule. Each sweep
-runs one of three loops on the matrices still iterating, and each leaves in
-a matrix the bits that the compiled sweep leaves:
+reaches MAX_SWEEPS), the converged flag and the max-offdiag rule. A stack of
+more than one matrix that fails ``identity_skips`` is solved one matrix at a
+time, each as a stack of one. Otherwise each sweep runs one of two loops on
+the matrices still iterating, and each leaves in a matrix the bits that the
+compiled sweep leaves:
 
-- ``_sweep``, the serial loop, one matrix at a time, for a single matrix or
-  for a stack that fails ``identity_skips``;
-- ``_lanes_last`` above LANES_FIRST_MAX (16) iterating matrices of a stack
-  that meets the rule, as in verify's batches of graphs;
-- ``_lanes_first`` at most that, as in analyze's A, L and Q of one graph.
-
-The serial loop reads each scalar as a Python float, and is restructured to
-make fewer numpy calls per rotation:
-
-- Rows p and q are rotated together: one multiply of the row pair by
-  [[c, -s], [s, c]] into a buffer, then one add of its two halves back into
-  the rows. Each entry is c*x + (-s)*y or s*x + c*y. This is the compiled
-  c*x - s*y and s*x + c*y bit for bit, because (-s)*y is exactly -(s*y) and
-  x + (-z) is exactly x - z in IEEE arithmetic.
-- Column q is copied from row q after each rotation, but column p only once,
-  at the end of the p-block, and only if some rotation in the block ran.
-  Within the block the stale column-p entries are read only at pivot
-  positions, and every rotation overwrites its pivot entries. A block with
-  no rotation leaves column p as the compiled kernel does, which matters
-  for input that is symmetric only to rounding.
-- The pivot entries of row q are set before column q is copied from it, so
-  the copy also carries them to (p, q) and (q, q).
+- ``_lanes_last`` above LANES_FIRST_MAX (16) iterating matrices, as in
+  verify's batches of graphs;
+- ``_lanes_first`` at most that, as in analyze's A, L and Q of one graph,
+  and for every single matrix, as a one-lane stack.
 
 ``identity_skips`` holds when the stack is all finite, exactly symmetric
 (``a == a.transpose(0, 2, 1)``) and holds no -0.0, as the A, L and Q of every
-graph are. A stack that meets it runs its B matrices in lockstep over the
-same cyclic (p, q) order, on a work array of the matrices still iterating,
-with one of the two vectorized loops. In both, a lane whose (p, q) entry is
-zero, which the compiled loop skips, rotates by the identity, c = 1, s = 0
-and step = 0, so every write is plain and each numpy call of a rotation
-covers every lane.
+graph are. Both loops run the matrices in lockstep over the same cyclic
+(p, q) order, on a work array of the matrices still iterating. A lane whose
+(p, q) entry is zero, which the compiled loop skips, rotates by the identity,
+c = 1, s = 0 and step = 0, so every write is plain and each numpy call of a
+rotation covers every lane. A rotation that every lane skips is skipped, so
+a lone lane never rotates by the identity.
 
 Lanes last, the work array is (n, n, B). It is gathered and scattered as
 (n * n, B) rows, one column per matrix; while every matrix still iterates,
@@ -67,37 +51,48 @@ holds them all, and no gather runs. In the loop:
   ``theta < 0.0``. The asymptotic branch, which a NaN theta also takes, is a
   ``where=`` divide. A skipped lane's theta is +-inf or NaN, and its t is
   then set to 0.0.
-- Rows p and q are rotated as in the serial loop, through the strided pair
-  view and a (2, 2, 1, B) coefficient array, into a buffer whose pivot block
-  is then set. The buffer is written back as rows p and q and, through the
-  same pair view on the column axis, as columns p and q. Column p is written
-  at every rotation of the lane rather than once per p-block: within the
-  block only its pivot entries are read, and each rotation overwrites those,
-  so the last write leaves what the block-end copy leaves.
+- Rows p and q are rotated as lanes first rotates them, through the strided
+  pair view and a (2, 2, 1, B) coefficient array, into a buffer whose pivot
+  block is then set. The buffer is written back as rows p and q and, through
+  the same pair view on the column axis, as columns p and q. Column p is
+  written at every rotation of the lane rather than once per p-block: within
+  the block only its pivot entries are read, and each rotation overwrites
+  those, so the last write leaves what the block-end copy leaves.
 
 Lanes first, the work array is (B, n, n), so each numpy loop runs along a
-row, and each lane's theta, t, c and s are Python floats of the serial loop's
-expressions:
+row, and each lane's theta, t, c and s are Python floats of the compiled
+loop's expressions:
 
 - The driver gathers the work array, and ``_lanes_first_views`` builds its
   row and column lists, its diagonal view and the strided view of every
   (p, q) row pair. The array is held across sweeps, and it is scattered and
   gathered again, with new views, only when lanes leave. No rotation slices
   the array.
-- One multiply by a (B, 2, 2, 1) coefficient array and one add rotate rows
-  p and q of every lane in place, as in the serial loop.
-- Once per p-block, the diagonal is read into Python lists, and then column
-  p is set to +0.0. The pivots app and aqq are read from, and their new
-  values written to, those lists. At the end of the block column p is
-  copied from row p, and the lists go back into the diagonal.
-- The block zeroing keeps every bit. Inside a block, column-p entries are
-  read only into the new (q, p) and (p, p) entries. Each new (q, p) is
-  s * (+0.0) + c * (+0.0), which is +0.0 for either sign of s, because c > 0
-  and (-0.0) + (+0.0) is +0.0; the copy of column q from row q carries it to
-  (p, q), where the serial loop writes the literal 0.0. The new (p, p) is
-  stale and is rewritten from the pivot lists, and the stale (q, q) entries
-  are not read. A lane that did not rotate in the block gets back its
-  column p, which is its row p.
+- Rows p and q of every lane are rotated together: one multiply of the row
+  pairs by a (B, 2, 2, 1) array of [[c, -s], [s, c]] into a buffer, then
+  one add of its two halves back into the rows. Each entry is c*x + (-s)*y
+  or s*x + c*y. This is the compiled c*x - s*y and s*x + c*y bit for bit,
+  because (-s)*y is exactly -(s*y) and x + (-z) is exactly x - z in IEEE
+  arithmetic. Column q is then copied from row q.
+- Once per p-block, the diagonal is read into Python lists. The pivots app
+  and aqq are read from, and their new values written to, those lists. At
+  the block's first rotation column p is set to +0.0. At the end of a block
+  that rotated, column p is copied from row p, and the lists go back into
+  the diagonal; a block without a rotation leaves the matrix as it was.
+- The zeroing keeps every bit. Inside a block, column-p entries are read
+  only into the new (q, p) and (p, p) entries. Each new (q, p) is
+  s * (+0.0) + c * (+0.0), which is +0.0 for either sign of a finite s,
+  because c > 0 and (-0.0) + (+0.0) is +0.0; the copy of column q from row
+  q carries it to (p, q), where the compiled loop writes the literal 0.0.
+  The new (p, p) is stale and is rewritten from the pivot lists, and the
+  stale (q, q) entries are not read. Under the rule, a lane that did not
+  rotate in a block that rotated gets back its column p, which is its row p.
+
+Why a lone lane keeps the compiled bits on any input, including input that
+is symmetric only to rounding or that holds -0.0: it never rotates by the
+identity; a matrix that iterates has a finite Frobenius square, so its
+entries stay finite, c > 0 and s is finite, and each new (q, p) is +0.0 as
+above; and a block with no rotation leaves the matrix as it was.
 
 Why the identity keeps every bit under the rule:
 
@@ -137,7 +132,7 @@ import numpy as np
 MAX_SWEEPS = 50
 TERMINATION_REL = 1e-12  # off-diagonal Frobenius norm vs. input Frobenius norm
 ROW_ADDS_MIN = 256       # columns from which _sums_in_loop_order adds row by row
-LANES_FIRST_MAX = 16     # lanes up to which a stack that meets the rule runs _lanes_first
+LANES_FIRST_MAX = 16     # iterating lanes up to which a sweep runs _lanes_first
 
 
 def _require_square(a, ndim, error):
@@ -152,7 +147,8 @@ def jacobi_sweeps(a):
     """Diagonalize a symmetric C-contiguous float64 matrix in place.
 
     Returns (sweeps, converged, off_frobenius, max_offdiag): the driver's
-    entry for the stack of one, which it sweeps with the serial loop.
+    entry for the stack of one, which it sweeps as one lane of the
+    lanes-first loop.
     """
     _require_square(a, 2, "expected a square 2-D float64 buffer")
     return _solve(a[None])[0]
@@ -164,9 +160,10 @@ def jacobi_stack(a):
 
     Returns a list of B (sweeps, converged, off_frobenius, max_offdiag)
     tuples. Entry i, and what is left in a[i], are bit for bit what
-    ``jacobi_sweeps(a[i])`` returns and leaves. The driver sweeps a stack that
-    fails ``identity_skips`` with the serial loop, one matrix at a time, and
-    one that meets it with the lanes-last or lanes-first loop.
+    ``jacobi_sweeps(a[i])`` returns and leaves. The driver solves a stack of
+    more than one matrix that fails ``identity_skips`` one matrix at a time,
+    as ``jacobi_sweeps`` does, and sweeps any other with the lanes-last or
+    lanes-first loop.
     """
     _require_square(a, 3, "expected a 3-D float64 buffer of square matrices")
     return _solve(a)
@@ -198,7 +195,8 @@ def _solve(a):
     count, n = a.shape[0], a.shape[-1]
     if n < 2:
         return [(0, True, 0.0, 0.0)] * count
-    serial = count == 1 or not identity_skips(a)
+    if count > 1 and not identity_skips(a):
+        return [r for i in range(count) for r in _solve(a[i:i + 1])]
     upper = np.triu_indices(n, 1)
     offdiag = upper[0] * n + upper[1]        # the entries above the diagonal, row-major
     flat = a.reshape(count, n * n)           # one row per matrix
@@ -219,11 +217,7 @@ def _solve(a):
         held = active[:0]                    # the lanes of the lanes-first work array
         work = a[held]
         while active.size:
-            if serial:
-                for i in active.tolist():
-                    _sweep(a[i])
-                off_sq[active] = offdiag_sq(flat[active].T)
-            elif active.size > LANES_FIRST_MAX:
+            if active.size > LANES_FIRST_MAX:
                 # while every lane iterates, w already holds every matrix
                 if active.size < count:
                     w = np.ascontiguousarray(flat[active].T)             # (n * n, lanes)
@@ -248,55 +242,6 @@ def _solve(a):
     max_off = np.fmax.reduce(v, axis=1, initial=0.0)     # NaN never exceeds
     return list(zip(sweeps.tolist(), converged.tolist(),
                     np.sqrt(off_sq).tolist(), max_off.tolist()))
-
-
-def _sweep(a):
-    """One sweep of the n x n matrix ``a`` in place, the serial loop: each
-    rotation's theta, t, c and s are Python floats."""
-    n = a.shape[0]
-    sqrt, multiply, add = math.sqrt, np.multiply, np.add
-    rows = list(a)
-    cols = list(a.T)
-    coef = np.empty(4)
-    rotation = coef.reshape(2, 2, 1)     # [[c, -s], [s, c]]
-    terms = np.empty((2, 2, n))          # rotation * (row p, row q)
-    left, right = terms[:, 0], terms[:, 1]
-    for p in range(n - 1):
-        x = rows[p]
-        rotated = False
-        for q in range(p + 1, n):
-            apq = x.item(q)
-            if apq == 0.0:
-                continue
-            y = rows[q]
-            app = x.item(p)
-            aqq = y.item(q)
-            theta = (aqq - app) / (2.0 * apq)
-            if -1.0e150 < theta < 1.0e150:
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-            else:
-                # asymptotic tangent; theta * theta would overflow
-                t = 0.5 / theta
-            c = 1.0 / sqrt(t * t + 1.0)
-            s = t * c
-            coef[0] = c
-            coef[1] = -s
-            coef[2] = s
-            coef[3] = c
-            pair = a[p:q + 1:q - p]
-            multiply(rotation, pair, out=terms)
-            add(left, right, out=pair)
-            # pivot block set directly; the diagonal update form
-            # app - t*apq is the numerically stable one
-            y[p] = 0.0
-            y[q] = aqq + t * apq
-            cols[q][...] = y
-            x[p] = app - t * apq
-            rotated = True
-        if rotated:
-            cols[p][...] = x
 
 
 def _lanes_last(w):
@@ -349,7 +294,7 @@ def _lanes_last(w):
             pair = w[p:q + 1:q - p]
             np.multiply(coef, pair, out=terms)
             np.add(left, right, out=rows)
-            # pivot block set directly, as in the serial loop
+            # pivot block set directly, as in the compiled loop
             np.subtract(app, step, out=rows[0, p])
             rows[0, q] = 0.0
             rows[1, p] = 0.0
@@ -370,10 +315,10 @@ def _lanes_first_views(w):
 
 def _lanes_first(w, views):
     """One sweep of every matrix of a (lanes, n, n) work array, through its
-    ``_lanes_first_views``, for a stack that meets ``identity_skips``: each
-    lane's rotation and pivot entries are computed in Python floats, a lane
-    that skips a rotation rotates by the identity, and every write is
-    plain."""
+    ``_lanes_first_views``, for a single matrix or a stack that meets
+    ``identity_skips``: each lane's rotation and pivot entries are computed
+    in Python floats, a lane that skips a rotation rotates by the identity,
+    and every write is plain."""
     lanes, n = w.shape[0], w.shape[-1]
     rows, cols, diagonal, pairs = views
     coef = np.empty((lanes, 2, 2, 1))
@@ -384,7 +329,7 @@ def _lanes_first(w, views):
     for p in range(n - 1):
         x, column = rows[p], cols[p]
         pivots = diagonal.tolist()
-        column.fill(0.0)                     # each new (q, p) is s*0.0 + c*0.0 = +0.0
+        rotated = False
         for q, pair in zip(range(p + 1, n), pairs[p]):
             rotation, skipped = [], 0
             for apq, diag in zip(x[:, q].tolist(), pivots):
@@ -408,9 +353,13 @@ def _lanes_first(w, views):
                 diag[q] = aqq + step
             if skipped == lanes:
                 continue
+            if not rotated:
+                column.fill(0.0)             # each new (q, p) is s*0.0 + c*0.0 = +0.0
+                rotated = True
             values[...] = rotation
             multiply(coef, pair, terms)
             add(left, right, pair)
             cols[q][...] = rows[q]
-        column[...] = x
-        diagonal[...] = pivots
+        if rotated:
+            column[...] = x
+            diagonal[...] = pivots

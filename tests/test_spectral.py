@@ -404,6 +404,27 @@ def _kernel_cases():
     # gets no rotation, so column 0 keeps its stray entry in both kernels
     yield np.array([[1.0, 0.0, 0.0], [1e-14, 2.0, 1.0], [0.0, 1.0, 3.0]])
     yield _OVERFLOWING_SQUARES
+    # identity_skips refuses each matrix below, which the Python kernel
+    # solves alone, as a one-lane lanes-first stack. Symmetric only to
+    # rounding: one pair of entries an ulp apart
+    for n in (9, 17):
+        raw = nprng.normal(size=(n, n))
+        mat = np.ascontiguousarray((raw + raw.T) / 2.0)
+        i, j = sorted(nprng.choice(n, 2, replace=False))
+        mat[j, i] = np.nextafter(mat[i, j], np.inf)
+        yield mat
+    # sparse, with -0.0 off-diagonal entries, in pairs and alone
+    for n in (6, 11, 26):
+        raw = nprng.normal(size=(n, n))
+        mat = np.where(nprng.random((n, n)) < 0.1, raw + raw.T, 0.0)
+        mat[(mat == 0.0) & (nprng.random((n, n)) < 0.5) & ~np.eye(n, dtype=bool)] = -0.0
+        mat[(mat.T == 0.0) & np.signbit(mat.T) & (nprng.random((n, n)) < 0.5)] = -0.0
+        yield np.ascontiguousarray(mat)
+    # rows 3 and 4 meet no rotation, so p-block 3 has none, and both kernels
+    # keep the stray (4, 3) entry under the zero (3, 4)
+    yield np.array([[2.0, 1.0, 0.5, 0.0, 0.0], [1.0, 3.0, 0.25, 0.0, 0.0],
+                    [0.5, 0.25, 4.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.75, 5.0]])
 
 
 # finite, but the squares of its entries overflow: its Frobenius square and
@@ -449,8 +470,8 @@ def _assert_stack_twins(compiled_kernel, stack):
     (at most LANES_FIRST_MAX lanes here), and on the tiled copies its
     lanes-last loop for as long as more lanes than that iterate; it adds its
     sums row by row on the widest copy. When the stack fails the rule, it
-    sweeps every lane with its serial loop, one matrix at a time, the loop
-    that also runs jacobi_sweeps."""
+    solves every lane alone, in one-lane lanes-first sweeps, as
+    jacobi_sweeps does."""
     assert len(stack) <= _jacobi_py.LANES_FIRST_MAX
     single = [m.copy(order="C") for m in stack]
     expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in single]
@@ -504,9 +525,9 @@ def test_a_lane_that_skips_a_rotation_keeps_its_signed_zeros(compiled_kernel):
     # at (0, 1) lane 0 rotates while lane 1 skips: its (0, 1) entry is -0.0,
     # and its rows 0 and 1 hold -0.0 and -1.0, which a rotation by c = 1,
     # s = 0 would not keep, since -0.0 - (-0.0) is +0.0. So identity_skips
-    # refuses the stack, and the Python kernel sweeps each lane with its
-    # serial loop. Lane 2's theta at (0, 1) is 0.0 / -2.0 = -0.0, whose
-    # tangent is +1.
+    # refuses the stack, and the Python kernel solves each lane alone, as a
+    # one-lane lanes-first stack. Lane 2's theta at (0, 1) is
+    # 0.0 / -2.0 = -0.0, whose tangent is +1.
     stack = np.array([
         [[2.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.25, 0.5],
          [0.5, 0.25, 4.0, 1.0], [0.25, 0.5, 1.0, 5.0]],
@@ -525,8 +546,8 @@ def test_a_lane_without_a_rotation_in_a_block_keeps_its_column(compiled_kernel):
     # accepts, and its row 0 gets no rotation, while lane 1 rotates in every
     # block: lane 0 must keep its stray (1, 0) entry for rotation (1, 2) to
     # turn, as jacobi_sweeps does, and a copy of column 0 from row 0 would
-    # zero it. identity_skips refuses the stack, so the Python kernel sweeps
-    # each lane with its serial loop
+    # zero it. identity_skips refuses the stack, so the Python kernel solves
+    # each lane alone, and a block without a rotation leaves column 0 as is
     stack = np.array([
         [[1.0, 0.0, 0.0], [1e-14, 2.0, 1.0], [0.0, 1.0, 3.0]],
         [[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 4.0]],
@@ -638,8 +659,8 @@ def test_stacks_whose_lanes_skip_whole_blocks_meet_the_rule(compiled_kernel):
 def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
     # the last lane skips (0, 1) while other lanes rotate; the identity
     # rotation would leave +0.0 at its (0, 1) and (1, 0) entries. A lane
-    # with an inf or NaN entry never iterates. The Python kernel sweeps each
-    # lane of such a stack with its serial loop
+    # with an inf or NaN entry never iterates. The Python kernel solves each
+    # lane of such a stack alone, as a one-lane lanes-first stack
     stack = _skipping_q_stack()
     last = stack[-1]
     if defect == "-0.0 pair":
@@ -654,9 +675,9 @@ def test_identity_rule_refuses_a_stack_it_would_change(compiled_kernel, defect):
 
 def test_only_a_stack_that_meets_the_identity_rule_runs_lanes_last(monkeypatch):
     # the 16-lane Q stack runs lanes first, and with a 17th lane it runs lanes
-    # last first; with one -0.0 pair either stack fails the rule and enters
-    # neither loop. A single matrix that meets the rule, passed alone or as a
-    # stack of one, enters neither loop either
+    # last first; with one -0.0 pair either stack fails the rule and each of
+    # its matrices runs alone, in one-lane lanes-first sweeps. A single
+    # matrix, passed alone or as a stack of one, runs one-lane sweeps too
     sweeps = []
 
     def counted(name, lanes):
@@ -674,9 +695,12 @@ def test_only_a_stack_that_meets_the_identity_rule_runs_lanes_last(monkeypatch):
     assert len(wide) == _jacobi_py.LANES_FIRST_MAX + 1
     single = narrow[0].copy()
     assert _jacobi_py.identity_skips(single[None])
-    assert _jacobi_py.jacobi_sweeps(single.copy())[0] > 0
-    assert _jacobi_py.jacobi_stack(single[None].copy())[0][0] > 0
-    assert sweeps == []
+    for solve, work in ((_jacobi_py.jacobi_sweeps, single.copy()),
+                        (lambda w: _jacobi_py.jacobi_stack(w)[0], single[None].copy())):
+        sweeps.clear()
+        assert solve(work)[0] == len(sweeps) > 0
+        assert set(sweeps) == {("_lanes_first", 1)}
+    sweeps.clear()
     _jacobi_py.jacobi_stack(narrow.copy())
     assert sweeps and {name for name, _ in sweeps} == {"_lanes_first"}
     sweeps.clear()
@@ -687,7 +711,7 @@ def test_only_a_stack_that_meets_the_identity_rule_runs_lanes_last(monkeypatch):
         assert not _jacobi_py.identity_skips(stack)
         sweeps.clear()
         _jacobi_py.jacobi_stack(stack)
-        assert sweeps == []
+        assert sweeps and set(sweeps) == {("_lanes_first", 1)}
 
 
 def test_stack_solved_spectra_equal_the_lazily_solved_ones():
