@@ -3,7 +3,8 @@
  * Twin of _jacobi_py.jacobi_sweeps and _jacobi_py.jacobi_stack: identical
  * rotation order, expression shapes, and convergence test, compiled with
  * -ffp-contract=off so both kernels produce bit-identical diagonals. Both
- * entry points run the one solve() below, jacobi_stack once per matrix.
+ * entry points run solve_buffer(), which runs solve() once per matrix;
+ * jacobi_sweeps is its stack of one. The library calls jacobi_stack only.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -107,65 +108,24 @@ solve(double *a, Py_ssize_t n, SolveResult *r)
     r->max_offdiag = max_off;
 }
 
+/* Diagonalize in place each matrix of arg, a C-contiguous, writable float64
+ * buffer with ndim dimensions of which the last two are equal, and return
+ * the list of their (sweeps, converged, off_frobenius, max_offdiag) tuples.
+ * Any other buffer is refused, before any write, with ValueError(error). */
 static PyObject *
-result_tuple(const SolveResult *r)
+solve_buffer(PyObject *arg, int ndim, const char *error)
 {
-    return Py_BuildValue("(nOdd)", r->sweeps, r->converged ? Py_True : Py_False,
-                         r->off_frobenius, r->max_offdiag);
-}
-
-/* The C-contiguous, writable float64 buffer of arg, with ndim dimensions of
- * which the last two are equal; 0 on success, -1 with an exception set
- * otherwise. */
-static int
-get_square_buffer(PyObject *arg, Py_buffer *view, int ndim, const char *error)
-{
-    if (PyObject_GetBuffer(arg, view,
+    Py_buffer view;
+    if (PyObject_GetBuffer(arg, &view,
                            PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
-        return -1;
-    if (view->ndim != ndim || view->shape[ndim - 2] != view->shape[ndim - 1]
-            || strcmp(view->format, "d") != 0) {
-        PyBuffer_Release(view);
+        return NULL;
+    if (view.ndim != ndim || view.shape[ndim - 2] != view.shape[ndim - 1]
+            || strcmp(view.format, "d") != 0) {
+        PyBuffer_Release(&view);
         PyErr_SetString(PyExc_ValueError, error);
-        return -1;
+        return NULL;
     }
-    return 0;
-}
-
-PyDoc_STRVAR(jacobi_sweeps_doc,
-"jacobi_sweeps(a)\n--\n\n"
-"Diagonalize a symmetric C-contiguous float64 matrix in place.\n\n"
-"Returns (sweeps, converged, off_frobenius, max_offdiag).");
-
-static PyObject *
-jacobi_sweeps(PyObject *Py_UNUSED(module), PyObject *arg)
-{
-    Py_buffer view;
-    SolveResult r;
-    if (get_square_buffer(arg, &view, 2, "expected a square 2-D float64 buffer") < 0)
-        return NULL;
-    Py_BEGIN_ALLOW_THREADS
-    solve(view.buf, view.shape[0], &r);
-    Py_END_ALLOW_THREADS
-    PyBuffer_Release(&view);
-    return result_tuple(&r);
-}
-
-PyDoc_STRVAR(jacobi_stack_doc,
-"jacobi_stack(a)\n--\n\n"
-"Diagonalize a C-contiguous float64 stack of symmetric matrices, shape\n"
-"(B, n, n), in place.\n\n"
-"Returns a list of B (sweeps, converged, off_frobenius, max_offdiag) tuples;\n"
-"entry i is what jacobi_sweeps(a[i]) returns.");
-
-static PyObject *
-jacobi_stack(PyObject *Py_UNUSED(module), PyObject *arg)
-{
-    Py_buffer view;
-    if (get_square_buffer(arg, &view, 3,
-                          "expected a 3-D float64 buffer of square matrices") < 0)
-        return NULL;
-    Py_ssize_t count = view.shape[0], n = view.shape[1];
+    Py_ssize_t count = ndim == 2 ? 1 : view.shape[0], n = view.shape[ndim - 1];
     SolveResult *res = PyMem_New(SolveResult, count);
     if (res == NULL) {
         PyBuffer_Release(&view);
@@ -179,7 +139,9 @@ jacobi_stack(PyObject *Py_UNUSED(module), PyObject *arg)
     PyBuffer_Release(&view);
     PyObject *out = PyList_New(count);
     for (Py_ssize_t b = 0; out != NULL && b < count; b++) {
-        PyObject *item = result_tuple(&res[b]);
+        PyObject *item = Py_BuildValue("(nOdd)", res[b].sweeps,
+                                       res[b].converged ? Py_True : Py_False,
+                                       res[b].off_frobenius, res[b].max_offdiag);
         if (item == NULL)
             Py_CLEAR(out);
         else
@@ -187,6 +149,33 @@ jacobi_stack(PyObject *Py_UNUSED(module), PyObject *arg)
     }
     PyMem_Free(res);
     return out;
+}
+
+PyDoc_STRVAR(jacobi_sweeps_doc,
+"jacobi_sweeps(a)\n--\n\n"
+"Diagonalize a symmetric C-contiguous float64 matrix in place.\n\n"
+"Returns (sweeps, converged, off_frobenius, max_offdiag).");
+
+static PyObject *
+jacobi_sweeps(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    PyObject *out = solve_buffer(arg, 2, "expected a square 2-D float64 buffer");
+    PyObject *first = out == NULL ? NULL : PySequence_GetItem(out, 0);
+    Py_XDECREF(out);
+    return first;
+}
+
+PyDoc_STRVAR(jacobi_stack_doc,
+"jacobi_stack(a)\n--\n\n"
+"Diagonalize a C-contiguous float64 stack of symmetric matrices, shape\n"
+"(B, n, n), in place.\n\n"
+"Returns a list of B (sweeps, converged, off_frobenius, max_offdiag) tuples;\n"
+"entry i is what jacobi_sweeps(a[i]) returns.");
+
+static PyObject *
+jacobi_stack(PyObject *Py_UNUSED(module), PyObject *arg)
+{
+    return solve_buffer(arg, 3, "expected a 3-D float64 buffer of square matrices");
 }
 
 static PyMethodDef methods[] = {

@@ -13,13 +13,13 @@ Identical to the compiled kernel: the rotation order, the ``apq == 0.0`` skip,
 the theta, t, c and s expressions, the pivot formulas, and the convergence
 test.
 
-Both entry points run one driver, ``_solve``, as the compiled kernel runs
-both through its ``solve()``; ``jacobi_sweeps(a)`` is its stack of one,
-``a[None]``. The driver alone states the termination bookkeeping, on arrays
-with one entry per matrix: the Frobenius threshold, the off-diagonal sums,
-the set of matrices still iterating (a matrix leaves it when it converges or
-reaches MAX_SWEEPS), the converged flag and the max-offdiag rule. A stack of
-more than one matrix that fails ``identity_skips`` is solved one matrix at a
+Both entry points run one driver, ``_solve``, as both compiled ones run
+``solve_buffer()``; ``jacobi_sweeps(a)`` is its stack of one, ``a[None]``.
+The driver alone states the termination bookkeeping, on arrays with one
+entry per matrix: the Frobenius threshold, the off-diagonal sums, the set of
+matrices still iterating (a matrix leaves it when it converges or reaches
+MAX_SWEEPS), the converged flag and the max-offdiag rule. A stack of more
+than one matrix that fails ``identity_skips`` is solved one matrix at a
 time, each as a stack of one. Otherwise each sweep runs one of two loops on
 the matrices still iterating, and each leaves in a matrix the bits that the
 compiled sweep leaves:

@@ -114,9 +114,7 @@ def _squared(x):
     C's pow, which rounds some squares (322/30, for one) away from x * x;
     numpy's array power is x * x. Each distinct value of a batch is squared
     once."""
-    values, where = np.ravel(x), slice(None)
-    if values.size > 1:
-        values, where = np.unique(values, return_inverse=True)
+    values, where = np.unique(np.ravel(x), return_inverse=True)
     return np.array([v ** 2 for v in values.tolist()])[where].reshape(np.shape(x))
 
 

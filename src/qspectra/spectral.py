@@ -5,14 +5,14 @@ The solver is a cyclic Jacobi iteration with a fixed rotation order,
 terminating when the off-diagonal Frobenius norm drops below 1e-12 times the
 input's Frobenius norm, capped at 50 sweeps (non-convergence is flagged, not
 raised). The compiled kernel is used when its extension imports, the
-pure-Python twin otherwise. Each kernel has two entry points with one twin
-contract: ``jacobi_sweeps`` solves one matrix, and ``jacobi_stack`` solves a
-(B, n, n) stack, leaving in each matrix and returning for it bit for bit what
-``jacobi_sweeps`` would. A lazy spectrum read solves its one matrix with the
-first. The second solves several matrices at once: ``GraphFacts.solve_all``
-stacks the A, L and Q of one graph for ``analyze_report`` and ``energies``,
-and ``FactsBatch.from_masks`` stacks verify's batches of graphs on one vertex
-count. README "Backends" gives the measured cost of each entry point.
+pure-Python twin otherwise. The library calls the kernel through
+``jacobi_stack`` only, in ``_solve_stack``, which solves a (B, n, n) stack in
+place; ``jacobi_sweeps``, the stack of one in both kernels, is kept for the
+benchmarks and the twin tests. ``symmetric_eigenvalues``, which every lazy
+spectrum read calls, solves one matrix as a stack of one;
+``GraphFacts.solve_all`` stacks the A, L and Q of one graph for
+``analyze_report`` and ``energies``; and ``FactsBatch.from_masks`` stacks
+verify's batches of graphs on one vertex count.
 
 ``FactsBatch`` holds what the bound catalog, its equality families and the
 lemma rules read, as arrays with one lane per graph, for B graphs of one
@@ -105,8 +105,16 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
     Validates shape, finiteness, and symmetry (within 1e-12 relative) before
     solving; the input is not modified.
     """
-    work = np.array(_checked(mat), order="C", copy=True)
-    return _solved(work, _KERNEL.jacobi_sweeps(work))
+    values, (result,) = _solve_stack(np.array(_checked(mat), order="C", copy=True)[None])
+    return values[0], EigenSolveReport(BACKEND, *result, error_bound=result[2])
+
+
+def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list]:
+    """Diagonalize a C-contiguous float64 (B, n, n) stack in place, in one
+    jacobi_stack call. Returns each matrix's eigenvalues as a row, descending,
+    and the kernel's (sweeps, converged, off_frobenius, max_offdiag) tuples."""
+    results = _KERNEL.jacobi_stack(stack)
+    return np.sort(np.diagonal(stack, axis1=1, axis2=2), axis=1)[:, ::-1].copy(), results
 
 
 def _checked(mat) -> np.ndarray:
@@ -124,23 +132,6 @@ def _checked(mat) -> np.ndarray:
     if asym > 1e-12 * max(1.0, scale):
         raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
     return a
-
-
-def _solved(work: np.ndarray, result: tuple) -> tuple[np.ndarray, EigenSolveReport]:
-    """The descending eigenvalues and the report of one matrix that a kernel
-    has diagonalized in place. result is the kernel's (sweeps, converged,
-    off_frobenius, max_offdiag) tuple."""
-    sweeps, converged, off_fro, max_off = result
-    values = np.sort(np.diagonal(work))[::-1].copy()
-    report = EigenSolveReport(
-        backend=BACKEND,
-        sweeps=int(sweeps),
-        converged=bool(converged),
-        off_frobenius=float(off_fro),
-        max_offdiag=float(max_off),
-        error_bound=float(off_fro),
-    )
-    return values, report
 
 
 # -- graph matrices ------------------------------------------------------------
@@ -229,9 +220,10 @@ class GraphFacts:
         if not todo:
             return
         stack = np.stack([_checked(_MATRIX_BUILDERS[kind](self.graph)) for kind in todo])
-        for kind, work, result in zip(todo, stack, _KERNEL.jacobi_stack(stack)):
+        for kind, values, result in zip(todo, *_solve_stack(stack)):
             # where the cached_property of the kind keeps its value
-            self.__dict__[kind] = self._spectrum(kind, *_solved(work, result))
+            self.__dict__[kind] = self._spectrum(
+                kind, values, EigenSolveReport(BACKEND, *result, error_bound=result[2]))
 
     @cached_property
     def adjacency(self) -> Spectrum:
@@ -328,8 +320,7 @@ class FactsBatch:
         degrees = adjacency.sum(axis=2)
         q = adjacency.astype(np.float64)
         q[:, np.arange(n), np.arange(n)] = degrees
-        results = _KERNEL.jacobi_stack(q)
-        values = np.sort(np.diagonal(q, axis1=1, axis2=2), axis=1)[:, ::-1].copy()
+        values, results = _solve_stack(q)
         connected, bipartite = _components(adjacency)
         return cls(n=n, scale=scale, adjacency=adjacency, degrees=degrees,
                    connected=connected, bipartite_components=bipartite,

@@ -35,18 +35,12 @@ def test_tolerance_change_does_not_outlive_the_call(monkeypatch):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Matrices solved by the kernel, by either entry point, the entry point
-    of each call ('sweeps', or the stack's size), and tolerance scale reads."""
+    """Matrices solved by the kernel, the size of each jacobi_stack call (the
+    one entry point the library calls), and tolerance scale reads."""
     seen = {"solves": 0, "calls": [], "scale_reads": 0}
     kernel, scale = spectral._KERNEL, tolerances.scale
 
     class CountedKernel:
-        @staticmethod
-        def jacobi_sweeps(a):
-            seen["solves"] += 1
-            seen["calls"].append("sweeps")
-            return kernel.jacobi_sweeps(a)
-
         @staticmethod
         def jacobi_stack(a):
             seen["solves"] += len(a)
@@ -89,7 +83,7 @@ def test_analyze_solves_a_l_and_q_in_one_stack(counts):
     analyze_report(cycle(5))
     assert counts["calls"] == [3]
     all_bounds(prism(5))
-    assert counts["calls"] == [3, "sweeps"]
+    assert counts["calls"] == [3, 1]
 
 
 def test_joint_solve_solves_only_the_kinds_not_solved_yet(counts):
@@ -97,7 +91,34 @@ def test_joint_solve_solves_only_the_kinds_not_solved_yet(counts):
     f.signless_laplacian
     energies(f)                  # A and L, in one stack
     analyze_report(f)            # nothing left to solve
-    assert counts["calls"] == ["sweeps", 2]
+    assert counts["calls"] == [1, 2]
+
+
+def test_no_library_path_calls_jacobi_sweeps(monkeypatch, capsys):
+    # every solve, a lone matrix's too, is one jacobi_stack call; jacobi_sweeps
+    # is left to the benchmarks and the kernel twin tests
+    kernel = spectral._KERNEL
+
+    class StackOnly:
+        jacobi_stack = staticmethod(kernel.jacobi_stack)
+
+        @staticmethod
+        def jacobi_sweeps(a):
+            raise AssertionError("a library path called jacobi_sweeps")
+
+    monkeypatch.setattr(spectral, "_KERNEL", StackOnly)
+    analyze_report(cycle(5))
+    all_bounds(prism(5))
+    reproduce_table1()
+    assert verify_exhaustive(4).ok
+    values, report = spectral.symmetric_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
+    assert values.tolist() == [3.0, 1.0] and report.converged
+    f = spectral.GraphFacts(prism(4))
+    assert f.adjacency.solve.converged and f.laplacian.solve.converged
+    assert f.signless_laplacian.solve.converged and f.qe > 0
+    assert main(["bounds", "--graph6", "OP?gQPC?CAXDEVAPg@CHK", "--json"]) == 0
+    assert main(["analyze", "--family", "prism", "4"]) == 0
+    capsys.readouterr()
 
 
 def test_verify_solves_once_and_reads_the_scale_at_most_once_per_graph(counts):

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sysconfig
 from collections import defaultdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,26 @@ def _kernel_stacks():
     yield np.array([[[1.0, 2.0], [2.0, -1.0]], [[5.0, 0.0], [0.0, 1.0]],
                     [[0.0, 1e-160], [1e-160, 4.0]]])
     yield np.stack([_OVERFLOWING_SQUARES, 0.5 * _OVERFLOWING_SQUARES])
+
+
+def test_both_kernels_return_python_int_bool_float_float(compiled_kernel):
+    # EigenSolveReport takes a kernel's tuple as it is, so both entry points
+    # of both kernels return Python scalars, on the n < 2 shortcut, squares
+    # that overflow, and inf and NaN entries too
+    broken = [np.array([[1.0, value], [value, 2.0]]) for value in (np.inf, np.nan)]
+    stacks = list(_kernel_stacks())
+    for value in (np.inf, np.nan):
+        stacks.append(_skipping_q_stack())
+        stacks[-1][-1, 3, 3] = value
+    for kernel in (compiled_kernel, _jacobi_py):
+        results = [kernel.jacobi_sweeps(m.copy(order="C"))
+                   for m in chain(_kernel_cases(), broken)]
+        results += [r for stack in stacks for r in kernel.jacobi_stack(stack.copy(order="C"))]
+        assert len(results) > 100
+        for result in results:
+            where = (kernel.__name__, result)
+            assert type(result) is tuple, where
+            assert tuple(map(type, result)) == (int, bool, float, float), where
 
 
 def _assert_stack_twins(compiled_kernel, stack):
