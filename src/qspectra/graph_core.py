@@ -1,11 +1,11 @@
 """Simple undirected graphs: construction, named families, structure, text
 formats, and the order cap every graph input is checked against.
 
-Vertices are 0..n-1. Edges are stored as a sorted tuple of (u, v) pairs with
-u < v, so two Graph objects compare equal exactly when they are the same
-labeled graph. All constructors validate; enumeration helpers, and
-parse_edgelist once it has checked each line, build trusted edge tuples
-directly.
+Vertices are 0..n-1. A Graph stores n, its edges as a sorted tuple of (u, v)
+pairs with u < v, and its degrees, so two Graph objects compare equal exactly
+when they are the same labeled graph. All constructors validate; enumeration
+helpers, and parse_edgelist once it has checked each line, build trusted edge
+tuples directly.
 """
 
 from __future__ import annotations
@@ -56,28 +56,23 @@ MAX_ORDER = 1024
 
 
 class Graph:
-    """Immutable simple graph with precomputed degrees and adjacency sets.
-    Two graphs are equal, and hash equal, when n and edges are."""
+    """Immutable simple graph: its order, sorted edges and degrees. Two
+    graphs are equal, and hash equal, when n and edges are."""
 
-    __slots__ = ("n", "edges", "degrees", "adjacency")
+    __slots__ = ("n", "edges", "degrees")
 
     n: int
     edges: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
-    adjacency: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         deg = [0] * n
-        adj = [set() for _ in range(n)]
         for u, v in edges:
             deg[u] += 1
             deg[v] += 1
-            adj[u].add(v)
-            adj[v].add(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "degrees", tuple(deg))
-        object.__setattr__(self, "adjacency", tuple(frozenset(s) for s in adj))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -162,8 +157,7 @@ def matching(k: int) -> Graph:
 
 
 def crown(r: int) -> Graph:
-    """Complete bipartite graph on r+1 plus r+1 vertices minus a perfect
-    matching; r-regular bipartite on 2(r+1) vertices."""
+    """K_{r+1,r+1} minus a perfect matching: r-regular bipartite on 2r+2 vertices."""
     _require_size("crown", r)
     s = r + 1
     edges = tuple((i, s + j) for i in range(s) for j in range(s) if i != j)
@@ -250,8 +244,7 @@ def build_family(kind: str, params: Sequence[int],
 
 
 def _family_plan(kind: str, params: list) -> tuple[int, Callable[[], Graph]]:
-    """A family's vertex count, with every parameter checked, and a function
-    that builds it."""
+    """A family's vertex count, every parameter checked, and a function that builds it."""
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
     if kind not in _FAMILY_BUILDERS:    # copies
@@ -315,30 +308,30 @@ class StructureInfo(NamedTuple):
 
 
 def structure(g: Graph) -> StructureInfo:
-    """Connected components with per-component two-colorability."""
-    seen = [False] * g.n
+    """Connected components with per-component two-colorability, by a search
+    over neighbour lists built from g.edges; no output depends on visit order."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    color = [-1] * g.n
     comps: list[tuple[int, ...]] = []
     bip_flags: list[bool] = []
     for s0 in range(g.n):
-        if seen[s0]:
+        if color[s0] >= 0:
             continue
-        color = {s0: 0}
-        seen[s0] = True
-        stack = [s0]
+        color[s0] = 0
         verts = [s0]
         bip = True
-        while stack:
-            u = stack.pop()
+        for u in verts:     # breadth first: verts grows as the queue
             cu = color[u]
-            for w in g.adjacency[u]:
-                if w in color:
-                    if color[w] == cu:
-                        bip = False
-                else:
+            for w in adj[u]:
+                cw = color[w]
+                if cw < 0:
                     color[w] = 1 - cu
-                    seen[w] = True
-                    stack.append(w)
                     verts.append(w)
+                elif cw == cu:
+                    bip = False
         comps.append(tuple(sorted(verts)))
         bip_flags.append(bip)
     deg = g.degrees
@@ -360,6 +353,7 @@ _G6_MAX_LONG = 258047  # largest vertex count of the 4-byte header form
 
 
 def emit_graph6(g: Graph) -> str:
+    """g's graph6 line: body bit v(v-1)/2 + u is set for each edge (u, v)."""
     n = g.n
     if n <= 62:
         header = chr(n + 63)
@@ -367,17 +361,15 @@ def emit_graph6(g: Graph) -> str:
         header = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError(f"graph6 supports at most {_G6_MAX_LONG} vertices, got {n}")
-    bits = []
-    # upper triangle in column order: (0,1), (0,2), (1,2), (0,3), ...
-    for j in range(1, n):
-        adj = g.adjacency[j]
-        bits.extend(1 if i in adj else 0 for i in range(j))
-    out = [header]
-    for k in range(0, len(bits), 6):
-        group = bits[k:k + 6]
-        group += [0] * (6 - len(group))
-        out.append(chr(sum(b << (5 - i) for i, b in enumerate(group)) + 63))
-    return "".join(out)
+    # upper triangle in column order: (0,1), (0,2), (1,2), (0,3), ...; zero
+    # padded to whole characters of six bits, the first the most significant
+    nbits = n * (n - 1) // 2
+    bits = [0] * (nbits + -nbits % 6)
+    for u, v in g.edges:
+        bits[v * (v - 1) // 2 + u] = 1
+    six = [iter(bits)] * 6
+    return header + "".join(chr(63 + (a << 5 | b << 4 | c << 3 | d << 2 | e << 1 | f))
+                            for a, b, c, d, e, f in zip(*six))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -132,10 +132,19 @@ def is_complete(g):
     return g.m == g.n * (g.n - 1) // 2
 
 
+def neighbour_sets(g):
+    """Each vertex's set of neighbours, from g.edges."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def common_neighbour_counts(g):
     """(adjacent, number of shared neighbours) of every vertex pair u < v, in
-    lexicographic pair order, from Graph.adjacency set intersections."""
-    adj = g.adjacency
+    lexicographic pair order, from neighbour set intersections."""
+    adj = neighbour_sets(g)
     return [(v in adj[u], len(adj[u] & adj[v]))
             for u, v in itertools.combinations(range(g.n), 2)]
 

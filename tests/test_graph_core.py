@@ -3,8 +3,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from qspectra import spectral
 from qspectra.graph_core import (
     FAMILY_KINDS,
     build_family,
@@ -38,8 +40,8 @@ def test_graph_from_edges_normalizes():
     assert g.edges == ((0, 3), (1, 2))
     assert g.m == 2
     assert g.degrees == (1, 1, 1, 1)
-    assert 2 in g.adjacency[1] and 1 in g.adjacency[2]
-    assert 1 not in g.adjacency[0]
+    assert (1, 2) in g.edges and (2, 1) not in g.edges
+    assert (0, 1) not in g.edges
 
 
 def test_graph_from_edges_rejects_bad_input():
@@ -51,6 +53,13 @@ def test_graph_from_edges_rejects_bad_input():
         graph_from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(0, 1.5)])
+
+
+def test_a_graph_holds_its_order_edges_and_degrees_only():
+    g = prism(4)
+    assert [name for cls in type(g).__mro__
+            for name in getattr(cls, "__slots__", ())] == ["n", "edges", "degrees"]
+    assert not hasattr(g, "__dict__")
 
 
 def test_graph_equality_and_hash():
@@ -89,7 +98,7 @@ def test_prism_low_vertices_adjacent_extreme_pair():
     # vertex 0 and vertex 1 are the two copies of the first cycle vertex;
     # the deterministic pair rules in the bound catalog rely on this
     for n in (3, 4, 5):
-        assert 1 in prism(n).adjacency[0]
+        assert (0, 1) in prism(n).edges
 
 
 def test_cartesian_product_matches_prism():
@@ -171,6 +180,23 @@ def test_structure_components_and_bipartite():
     assert not c.is_bipartite
 
 
+def test_structure_agrees_with_the_bitset_closure():
+    # every labeled graph with n <= 6, and seeded G(n, p) graphs up to the
+    # one-word limit of _components, n = 31
+    graphs = [graph_from_mask(n, mask) for n in range(1, 7)
+              for mask in range(1 << (n * (n - 1) // 2))]
+    rng = random.Random(31)
+    graphs += [random_graph(n, p, rng) for n in (7, 9, 12, 16, 20, 25, 31)
+               for p in (0.02, 0.05, 0.1, 0.2, 0.5) for _ in range(4)]
+    for n in sorted({g.n for g in graphs}):
+        of_order = [g for g in graphs if g.n == n]
+        connected, bipartite = spectral._components(
+            np.array([spectral.adjacency_matrix(g) > 0 for g in of_order]))
+        for g, conn, bip in zip(of_order, connected.tolist(), bipartite.tolist()):
+            info = structure(g)
+            assert (info.is_connected, info.bipartite_component_count) == (conn, bip), g.edges
+
+
 def test_structural_predicates():
     def is_complete(g):
         return FactsBatch.of(GraphFacts(g, 1.0)).complete.tolist() == [True]
@@ -192,6 +218,27 @@ def test_graph6_round_trip_random():
         n = rng.randint(1, 30)
         g = random_graph(n, rng.choice([0.15, 0.5, 0.85]), rng)
         assert parse_graph6(emit_graph6(g)) == g
+
+
+def reference_graph6(g):
+    """graph6 by its definition: one bit per vertex pair i < j in column
+    order, set when the pair is an edge, six bits per character."""
+    n, edges = g.n, set(g.edges)
+    bits = [1 if (i, j) in edges else 0 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    size = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    chars = size + [int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6)]
+    return "".join(chr(c + 63) for c in chars)
+
+
+def test_graph6_equals_the_set_membership_reference():
+    # both header forms: one byte up to n = 62, four from n = 63
+    rng = random.Random(62)
+    for n in (1, 2, 62, 63, 64, 300):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = random_graph(n, p, rng)
+            assert emit_graph6(g) == reference_graph6(g), (n, p)
+    assert reference_graph6(complete(2)) == "A_" and reference_graph6(complete(3)) == "Bw"
 
 
 def test_graph6_long_form_round_trip():

@@ -60,15 +60,14 @@ def test_graph_compares_and_hashes_by_order_and_edges():
     assert a != c and a != (3, ((0, 1),))
     assert len({a, b, c}) == 2
     assert repr(prism(5)) == "Graph(n=10, m=15)"
-    assert a.degrees == (1, 1, 0) and a.adjacency == (frozenset({1}), frozenset({0}),
-                                                      frozenset())
-    for name in ("n", "edges", "degrees", "adjacency", "not_a_field"):
+    assert a.degrees == (1, 1, 0) and a.edges == ((0, 1),)
+    for name in ("n", "edges", "degrees", "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     with pytest.raises(AttributeError):
         del a.n
     for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
-        assert twin == a and twin.degrees == a.degrees and twin.adjacency == a.adjacency
+        assert twin == a and twin.degrees == a.degrees and twin.edges == a.edges
 
 
 def test_bounds_json_renders_the_diagnosis_as_an_object_or_null(capsys):

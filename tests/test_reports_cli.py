@@ -136,11 +136,6 @@ def unconverged_kernel(monkeypatch):
 
     class Unconverged:
         @staticmethod
-        def jacobi_sweeps(a):
-            sweeps, _, off_fro, max_off = kernel.jacobi_sweeps(a)
-            return sweeps, False, off_fro, max_off
-
-        @staticmethod
         def jacobi_stack(a):
             return [(sweeps, False, off_fro, max_off)
                     for sweeps, _, off_fro, max_off in kernel.jacobi_stack(a)]

@@ -634,8 +634,6 @@ def test_identity_rule_holds_for_verify_stacks_and_graph_matrices(monkeypatch):
     kernel = spectral._KERNEL
 
     class RecordingKernel:
-        jacobi_sweeps = staticmethod(kernel.jacobi_sweeps)
-
         @staticmethod
         def jacobi_stack(a):
             seen.append(a.copy())
