@@ -12,14 +12,18 @@ median wall time and the least CPU time (user plus system, from
 cycle runs them. One more run of each row under ``-X importtime`` names which
 of numpy, dataclasses and fractions it loaded. Exits 1 when a process exits
 with another code than its row expects, or when a row's stdout differs
-between runs.
+between runs. ``--json FILE`` also writes the rows to FILE, each with its
+name, exit codes, median wall ms, least CPU ms and loads, next to the
+backend and the git commit of the source tree ("-dirty" when its tracked
+files differ from it, null outside a checkout).
 
-Usage: PYTHONPATH=src python3 benchmarks/bench_cold.py [--smoke]
+Usage: PYTHONPATH=src python3 benchmarks/bench_cold.py [--smoke] [--json FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import resource
@@ -83,9 +87,18 @@ def loaded(importtime_stderr: str) -> list[str]:
     return [m for m in WATCHED if m in names]
 
 
+def source_commit() -> str | None:
+    """The commit of the git checkout that holds SRC, as ``git describe``
+    gives it with every tag left out, or None outside a checkout."""
+    git = subprocess.run(["git", "-C", SRC, "describe", "--always", "--dirty", "--abbrev=40",
+                          "--exclude=*"], capture_output=True, text=True)
+    return git.stdout.strip() if git.returncode == 0 else None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="one run per row")
+    parser.add_argument("--json", metavar="FILE", help="also write the rows to FILE")
     args = parser.parse_args()
     requests, imports = rows()
     env, table = child_env(), requests + imports
@@ -116,19 +129,29 @@ def main() -> int:
               f"  loads of {', '.join(WATCHED)}")
     print(header)
     print("-" * len(header))
-    failed = False
+    failed, records = False, []
     for i, (name, _, code) in enumerate(table):
         ok_code, same = codes[i] == {code}, len(outputs[i]) == 1
         failed |= not (ok_code and same)
         exit_text = str(code) if ok_code else "NO"
-        print(f"{name:<{width}} {exit_text:>4} {statistics.median(walls[i]) * 1e3:>9.1f}"
-              f" {min(cpus[i]) * 1e3:>9.1f} {'same' if same else 'DIFFER':>7}"
+        records.append({"name": name, "exit": sorted(codes[i]),
+                        "wall_ms": round(statistics.median(walls[i]) * 1e3, 3),
+                        "cpu_ms": round(min(cpus[i]) * 1e3, 3), "loads": loads[i]})
+        print(f"{name:<{width}} {exit_text:>4} {records[-1]['wall_ms']:>9.1f}"
+              f" {records[-1]['cpu_ms']:>9.1f} {'same' if same else 'DIFFER':>7}"
               f"  {' '.join(loads[i]) or '-'}")
         if i == len(requests) - 1:
             k = len(requests)
-            print(f"{f'cycle ({k} requests)':<{width}} {'':>4}"
-                  f" {sum(statistics.median(w) for w in walls[:k]) * 1e3:>9.1f}"
-                  f" {sum(min(c) for c in cpus[:k]) * 1e3:>9.1f}")
+            records.append({"name": f"cycle ({k} requests)",
+                            "wall_ms": sum(r["wall_ms"] for r in records[:k]),
+                            "cpu_ms": sum(r["cpu_ms"] for r in records[:k])})
+            print(f"{records[-1]['name']:<{width}} {'':>4} {records[-1]['wall_ms']:>9.1f}"
+                  f" {records[-1]['cpu_ms']:>9.1f}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as out:
+            json.dump({"backend": backend, "commit": source_commit(), "source": SRC,
+                       "runs_per_row": len(walls[0]), "rows": records}, out, indent=2)
+            out.write("\n")
     return 1 if failed else 0
 
 

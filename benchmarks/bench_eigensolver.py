@@ -5,18 +5,22 @@ with every kernel that imports, one matrix at a time (ms per solve) and each
 size's matrices as one stack (us per matrix). A second table solves the
 adjacency, Laplacian and signless Laplacian matrices of each of those graphs,
 as analyze does: three one-matrix calls against one stack of three (ms per
-graph). Each row is the best of REPEATS (5) samples, timed with
+graph). A third table solves the signless Laplacians of the eight prisms
+that table1 and table2 tabulate (orders 6 to 20), as those tables do: eight
+one-matrix calls against one stack, each matrix zero-padded to order 20
+(ms per table). Each row is the best of REPEATS (5) samples, timed with
 ``time.process_time``. A sample is one pass over the size's graphs or, where a
 warm-up pass takes under MIN_SAMPLE_S (20 ms), enough back-to-back passes to
 pass that, divided by their number. The samples go round-robin over every
 row of the run, so that a row's samples spread across the run and its best
 one can meet the machine's fast phase. Confirms bit for bit, on every matrix
 and returned tuple, that the two kernels agree and that each kernel's stack
-entry agrees with its one-matrix entry. The stack check also covers a stack
-of at least 17 of the graphs' Laplacians per size (the ``L stack`` column):
-like every graph matrix they meet ``_jacobi_py.identity_skips``, so the
-Python kernel solves them lanes last while more than 16 lanes iterate. Exits
-1 when any result differs.
+entry agrees with its one-matrix entry, a padded lane in its tuple, its
+leading block and its padding, which must stay +0.0. The stack check also
+covers a stack of at least 17 of the graphs' Laplacians per size (the
+``L stack`` column): like every graph matrix they meet
+``_jacobi_py.identity_skips``, so the Python kernel solves them lanes last
+while more than 16 lanes iterate. Exits 1 when any result differs.
 
 Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
 """
@@ -31,7 +35,7 @@ import time
 import numpy as np
 
 from qspectra import _jacobi_py
-from qspectra.graph_core import random_graph
+from qspectra.graph_core import prism, random_graph
 from qspectra.spectral import adjacency_matrix, laplacian_matrix, signless_laplacian_matrix
 
 REPEATS = 5         # samples per row, of which the fastest counts
@@ -98,6 +102,27 @@ def bench_stack(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
     return elapsed / len(mats), [(repr(r), w.tobytes()) for r, w in zip(results, stack)]
 
 
+def bench_padded(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
+    """Seconds per matrix, all matrices zero-padded to the largest order in
+    one stack call, and each matrix's (result repr, solved bytes of its
+    leading block), with None for the bytes where the padding is not all
+    +0.0 after the solve."""
+    t0 = time.process_time()
+    size = max(len(m) for m in mats)
+    stack = np.zeros((len(mats), size, size))
+    for lane, m in zip(stack, mats):
+        lane[:len(m), :len(m)] = m
+    results = kernel.jacobi_stack(stack)
+    elapsed = time.process_time() - t0
+    solved = []
+    for result, lane, m in zip(results, stack, mats):
+        block, padding = lane[:len(m), :len(m)].tobytes(), lane.copy()
+        padding[:len(m), :len(m)] = 0.0
+        # all bits zero: every padding entry is +0.0
+        solved.append((repr(result), None if padding.view(np.uint64).any() else block))
+    return elapsed / len(mats), solved
+
+
 def bench_triples(kernel, graphs: list, stacked: bool) -> tuple[float, list]:
     """Seconds per graph to solve its A, L and Q, as three one-matrix calls or
     one stack of three, and each matrix's (result repr, solved bytes)."""
@@ -137,6 +162,11 @@ def main() -> int:
             rows[n, name, "stack"] = (bench_stack, kernel, suite[n])
             for stacked in (False, True):
                 rows[n, name, "triples", stacked] = (bench_triples, kernel, graphs[n], stacked)
+    # the rows of table1 and table2, prism(3) to prism(10)
+    prisms = [signless_laplacian_matrix(prism(k)) for k in range(3, 11)]
+    for name, kernel in KERNELS.items():
+        rows[name, "prisms", "single"] = (bench_kernel, kernel, prisms)
+        rows[name, "prisms", "padded"] = (bench_padded, kernel, prisms)
     timed = dict(zip(rows, best_of_each(list(rows.values()))))
     header = f"{'n':>5}"
     for name in KERNELS:
@@ -187,6 +217,23 @@ def main() -> int:
         same = all(out == outputs[0] for out in outputs)
         mismatch |= not same
         print(f"{line} {'yes' if same else 'NO':>10}")
+
+    print()
+    print(f"Q of the {len(prisms)} table prisms, orders 6 to 20: one call per matrix "
+          "against one zero-padded stack")
+    header = (f"{'kernel':>8} {f'{len(prisms)} calls (ms)':>14} {'padded stack (ms)':>18}"
+              f" {'speedup':>8} {'identical':>10}")
+    print(header)
+    print("-" * len(header))
+    # the reference is the pure-Python kernel, one matrix per call
+    reference = timed["python", "prisms", "single"][1]
+    for name in KERNELS:
+        calls, padded = (timed[name, "prisms", how] for how in ("single", "padded"))
+        same = calls[1] == reference and padded[1] == reference
+        mismatch |= not same
+        print(f"{name:>8} {calls[0] * len(prisms) * 1e3:>14.3f}"
+              f" {padded[0] * len(prisms) * 1e3:>18.3f} {calls[0] / padded[0]:>7.2f}x"
+              f" {'yes' if same else 'NO':>10}")
     return 1 if mismatch else 0
 
 

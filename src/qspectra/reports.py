@@ -23,7 +23,7 @@ from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict
 from .spectral import (FactsBatch, GraphFacts, batch_lemma_failures, check_spectral_lemmas,
-                       graph_facts)
+                       graph_facts, solve_spectra)
 
 __all__ = [
     "EnergyReport",
@@ -119,8 +119,9 @@ def _table_report(title: str, data_file: str) -> TableReport:
     rows = []
     worst = 0.0
     unconverged: list[str] = []
-    for cycle_n in sorted(expected_rows):
-        f = GraphFacts(prism(cycle_n), scale)
+    facts = {cycle_n: GraphFacts(prism(cycle_n), scale) for cycle_n in sorted(expected_rows)}
+    solve_spectra((f, "signless_laplacian") for f in facts.values())
+    for cycle_n, f in facts.items():
         computed = {name: _column_value(name, cycle_n, f) for name in names}
         unconverged.extend(f.unconverged())
         expected = expected_rows[cycle_n]

@@ -6,13 +6,31 @@ terminating when the off-diagonal Frobenius norm drops below 1e-12 times the
 input's Frobenius norm, capped at 50 sweeps (non-convergence is flagged, not
 raised). The compiled kernel is used when its extension imports, the
 pure-Python twin otherwise. The library calls the kernel through
-``jacobi_stack`` only, in ``_solve_stack``, which solves a (B, n, n) stack in
+``jacobi_stack`` only, in ``_solve_stack``, which solves a (B, N, N) stack in
 place; ``jacobi_sweeps``, the stack of one in both kernels, is kept for the
 benchmarks and the twin tests. ``symmetric_eigenvalues``, which every lazy
-spectrum read calls, solves one matrix as a stack of one;
-``GraphFacts.solve_all`` stacks the A, L and Q of one graph for
-``analyze_report`` and ``energies``; and ``FactsBatch.from_masks`` stacks
-verify's batches of graphs on one vertex count.
+spectrum read calls, solves one matrix as a stack of one; ``solve_spectra``
+stacks any set of (GraphFacts, matrix kind) pairs, such as the A, L and Q of
+one graph (``GraphFacts.solve_all``, for ``analyze_report`` and
+``energies``) or the Q of a reference table's eight prisms; and
+``FactsBatch.from_masks`` stacks verify's batches of graphs on one vertex
+count.
+
+``solve_spectra`` zero-pads each matrix of order n to the largest order N
+of its stack, and a lane's eigenvalues are the leading n entries of its
+solved diagonal. Padding keeps every bit of a lone solve: the returned
+sweeps, converged, off_frobenius and max_offdiag, and the leading diagonal.
+
+- A zero row and column are never rotated: each of their (p, q) entries
+  takes the ``apq == 0.0`` skip of both kernels.
+- Every rotation of the lane writes +0.0 into the padding, since c > 0:
+  c * (+0.0) + (-s) * (+0.0) and s * (+0.0) + c * (+0.0) are +0.0.
+- The Frobenius and off-diagonal sums only gain +0.0 terms, which leave a
+  partial sum of squares (+0.0 or more) as it is, and the largest
+  off-diagonal magnitude only gains zeros, which never exceed it.
+- Graph matrices are finite, exactly symmetric and hold no -0.0, and +0.0
+  padding keeps them so, so the padded stack still meets
+  ``_jacobi_py.identity_skips``.
 
 ``FactsBatch`` holds what the bound catalog, its equality families and the
 lemma rules read, as arrays with one lane per graph, for B graphs of one
@@ -50,7 +68,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -66,6 +84,7 @@ __all__ = [
     "FactsBatch",
     "LemmaCheck",
     "symmetric_eigenvalues",
+    "solve_spectra",
     "adjacency_matrix",
     "laplacian_matrix",
     "signless_laplacian_matrix",
@@ -109,12 +128,19 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
     return values[0], EigenSolveReport(BACKEND, *result, error_bound=result[2])
 
 
-def _solve_stack(stack: np.ndarray) -> tuple[np.ndarray, list]:
-    """Diagonalize a C-contiguous float64 (B, n, n) stack in place, in one
-    jacobi_stack call. Returns each matrix's eigenvalues as a row, descending,
-    and the kernel's (sweeps, converged, off_frobenius, max_offdiag) tuples."""
+def _solve_stack(stack: np.ndarray, orders: list[int] | None = None) -> tuple:
+    """Diagonalize a C-contiguous float64 (B, N, N) stack in place, in one
+    jacobi_stack call. Lane i holds a matrix of order orders[i], zero-padded
+    to N (the module docstring says why that keeps every bit), or of order N
+    when orders is None. Returns each lane's eigenvalues, the sorted leading
+    orders[i] entries of its diagonal, descending: as a (B, N) array when
+    orders is None, else as a list of rows. Also returns the kernel's
+    (sweeps, converged, off_frobenius, max_offdiag) tuples."""
     results = _KERNEL.jacobi_stack(stack)
-    return np.sort(np.diagonal(stack, axis1=1, axis2=2), axis=1)[:, ::-1].copy(), results
+    diagonals = np.diagonal(stack, axis1=1, axis2=2)
+    if orders is None:
+        return np.sort(diagonals, axis=1)[:, ::-1].copy(), results
+    return [np.sort(d[:n])[::-1] for d, n in zip(diagonals, orders)], results
 
 
 def _checked(mat) -> np.ndarray:
@@ -216,14 +242,7 @@ class GraphFacts:
     def solve_all(self) -> None:
         """Solve the A, L and Q matrices not solved yet in one jacobi_stack
         call, for a caller that reads all three."""
-        todo = [kind for kind in _MATRIX_BUILDERS if kind not in self.__dict__]
-        if not todo:
-            return
-        stack = np.stack([_checked(_MATRIX_BUILDERS[kind](self.graph)) for kind in todo])
-        for kind, values, result in zip(todo, *_solve_stack(stack)):
-            # where the cached_property of the kind keeps its value
-            self.__dict__[kind] = self._spectrum(
-                kind, values, EigenSolveReport(BACKEND, *result, error_bound=result[2]))
+        solve_spectra((self, kind) for kind in _MATRIX_BUILDERS)
 
     @cached_property
     def adjacency(self) -> Spectrum:
@@ -263,6 +282,23 @@ class GraphFacts:
         solved = (self.__dict__.get(kind) for kind in _MATRIX_BUILDERS)
         return tuple(f"{spec.matrix} of {emit_graph6(self.graph)}"
                      for spec in solved if spec is not None and not spec.solve.converged)
+
+
+def solve_spectra(pairs: Iterable[tuple[GraphFacts, str]]) -> None:
+    """Solve the matrices of the (facts, kind) pairs not solved yet in one
+    jacobi_stack call, each zero-padded to the largest order among them, and
+    keep each spectrum on its facts, as the kind's cached_property would."""
+    todo = [(f, kind) for f, kind in pairs if kind not in f.__dict__]
+    if not todo:
+        return
+    orders = [f.graph.n for f, _ in todo]
+    stack = np.zeros((len(todo), max(orders), max(orders)))
+    for lane, (f, kind), n in zip(stack, todo, orders):
+        lane[:n, :n] = _checked(_MATRIX_BUILDERS[kind](f.graph))
+    for (f, kind), values, result in zip(todo, *_solve_stack(stack, orders)):
+        # where the cached_property of the kind keeps its value
+        f.__dict__[kind] = f._spectrum(
+            kind, values, EigenSolveReport(BACKEND, *result, error_bound=result[2]))
 
 
 def graph_facts(g: Graph | GraphFacts) -> GraphFacts:

@@ -73,10 +73,11 @@ def test_each_spectrum_is_solved_once_per_call(counts, call, solves):
 
 
 def test_each_table_solves_its_own_prisms(counts):
-    assert len(reproduce_table1().rows) == 8 and counts["solves"] == 8
+    # each table solves its 8 prisms in one zero-padded stack
+    assert len(reproduce_table1().rows) == 8 and counts["calls"] == [8]
     # after the other table, in the same process, each still solves its own 8
-    assert len(reproduce_table2().rows) == 8 and counts["solves"] == 16
-    assert len(reproduce_table1().rows) == 8 and counts["solves"] == 24
+    assert len(reproduce_table2().rows) == 8 and counts["calls"] == [8, 8]
+    assert len(reproduce_table1().rows) == 8 and counts["calls"] == [8, 8, 8]
 
 
 def test_analyze_solves_a_l_and_q_in_one_stack(counts):
@@ -91,7 +92,11 @@ def test_joint_solve_solves_only_the_kinds_not_solved_yet(counts):
     f.signless_laplacian
     energies(f)                  # A and L, in one stack
     analyze_report(f)            # nothing left to solve
-    assert counts["calls"] == [1, 2]
+    other = spectral.GraphFacts(cycle(6))
+    other.signless_laplacian
+    # every pair solved already: no call
+    spectral.solve_spectra([(f, "adjacency"), (f, "laplacian"), (other, "signless_laplacian")])
+    assert counts["calls"] == [1, 2, 1]
 
 
 def test_no_library_path_calls_jacobi_sweeps(monkeypatch, capsys):

@@ -805,3 +805,70 @@ def test_joint_solve_equals_each_kind_solved_alone():
             assert repr(got.values) == repr(alone.values), (g, kind)
             assert repr(got.groups) == repr(alone.groups), (g, kind)
             assert repr(got.solve._asdict()) == repr(alone.solve._asdict()), (g, kind)
+
+
+def _padded_stacks():
+    """Seeded stacks of graph matrices of mixed orders 1..24 and mixed kinds
+    (A, L and Q), each with its matrices zero-padded to the stack's largest
+    order, and the matrices as they are. The lane counts lie on both sides of
+    _jacobi_py.LANES_FIRST_MAX; the first stack holds a 1 x 1 matrix and an
+    edgeless graph's."""
+    rng = random.Random(32)
+    builders = (adjacency_matrix, laplacian_matrix, signless_laplacian_matrix)
+    for lanes in (2, 5, 9, 16, 17, 20, 24, 24):
+        graphs = [Graph(1, []), Graph(9, [])] if lanes == 2 else [
+            random_graph(rng.randint(1, 24), rng.choice([0.2, 0.5, 0.8]), rng)
+            for _ in range(lanes)]
+        mats = [rng.choice(builders)(g) for g in graphs]
+        size = max(len(m) for m in mats)
+        stack = np.zeros((lanes, size, size))
+        for lane, m in zip(stack, mats):
+            lane[:len(m), :len(m)] = m
+        yield stack, mats
+
+
+def _assert_padded_lanes_equal_lone_solves(kernel):
+    """Each lane of kernel.jacobi_stack on a padded stack returns the tuple,
+    and leaves the leading block, that the Python jacobi_sweeps returns for
+    and leaves in its matrix alone, and its padding stays +0.0."""
+    orders = set()
+    for stack, mats in _padded_stacks():
+        lone = [m.copy() for m in mats]
+        expected = [repr(_jacobi_py.jacobi_sweeps(w)) for w in lone]
+        results = kernel.jacobi_stack(stack)
+        for i, (result, lane, w) in enumerate(zip(results, stack, lone)):
+            n, where = len(w), (kernel.__name__, len(stack), i)
+            assert repr(result) == expected[i], where
+            assert lane[:n, :n].tobytes() == w.tobytes(), where
+            padding = np.concatenate([lane[n:].ravel(), lane[:n, n:].ravel()])
+            assert not (np.signbit(padding) | (padding != 0.0)).any(), where
+            orders.add(n)
+    assert {1, 24} <= orders and len(orders) > 12
+
+
+def test_padded_python_stack_lanes_keep_every_bit_of_a_lone_solve(monkeypatch):
+    # the stacks of more than LANES_FIRST_MAX lanes meet the lanes-last loop
+    lanes_last, swept = _jacobi_py._lanes_last, []
+
+    def counted(w):
+        swept.append(w.shape[-1])
+        lanes_last(w)
+
+    monkeypatch.setattr(_jacobi_py, "_lanes_last", counted)
+    _assert_padded_lanes_equal_lone_solves(_jacobi_py)
+    assert swept
+
+
+def test_padded_compiled_stack_lanes_keep_every_bit_of_a_lone_solve(compiled_kernel):
+    _assert_padded_lanes_equal_lone_solves(compiled_kernel)
+
+
+def test_a_mixed_order_solve_equals_each_matrix_solved_alone():
+    rng = random.Random(33)
+    graphs = [prism(n) for n in range(3, 11)] + [random_graph(n, 0.5, rng) for n in (1, 2, 13)]
+    kinds = ("adjacency", "laplacian", "signless_laplacian")
+    pairs = [(GraphFacts(g, 1.0), rng.choice(kinds)) for g in graphs]
+    spectral.solve_spectra(pairs)
+    for f, kind in pairs:
+        got, alone = f.__dict__[kind], getattr(GraphFacts(f.graph, 1.0), kind)
+        assert repr(got) == repr(alone), (f.graph.n, kind)
