@@ -1,5 +1,5 @@
-"""Measure what one Graph holds and time the graph_core calls an analyzed
-graph goes through, on the input mix of perfbench's analyze-mid workload.
+"""Measure what one Graph holds and time the graph calls an analyzed graph
+goes through, on the input mix of perfbench's analyze-mid workload.
 
 The rows are seeded G(n, p) graphs for n = 16, 24, ..., 64 and p = 0.1, 0.3
 and 0.6, and one prism, crown and complete bipartite member each, near the
@@ -7,10 +7,10 @@ middle size n = 40, as analyze-mid draws them. Per row it prints the bytes
 one Graph holds: the rise of ``tracemalloc``'s traced memory while a Graph is
 built from a fresh copy of the edges and kept, edge pairs included. Then
 the microseconds of one call of Graph construction from the sorted edges,
-``structure()``, ``emit_graph6`` and ``parse_graph6``, each the best of
-REPEATS (5) timings of CALLS (20) calls on ``time.process_time``. The last
-line sums the rows. Exits 1 when a graph's graph6 line does not parse back
-to the graph.
+``structure()`` (one graph's component facts, from ``spectral._components``),
+``emit_graph6`` and ``parse_graph6``, each the best of REPEATS (5) timings of
+CALLS (20) calls on ``time.process_time``. The last line sums the rows.
+Exits 1 when a graph's graph6 line does not parse back to the graph.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_graphs.py [--seed 1] [--smoke]
 """
@@ -23,8 +23,8 @@ import random
 import time
 import tracemalloc
 
-from qspectra.graph_core import (
-    Graph, build_family, emit_graph6, parse_graph6, random_graph, structure)
+from qspectra.graph_core import Graph, build_family, emit_graph6, parse_graph6, random_graph
+from qspectra.spectral import structure
 
 REPEATS = 5     # timings per call, of which the fastest counts; --smoke runs one
 CALLS = 20      # calls per timing; --smoke runs one

@@ -21,14 +21,19 @@ solves a matrix. The re-run stages must give what the batch holds, each row
 sum must equal ``math.fsum`` of its row bit for bit, and every batch's
 verdict must equal what ``reports._verify_batch`` gives for its masks; exits
 1 otherwise. The verdicts are empty at the default tolerance; under
-``QSPECTRA_TOL=1e-300`` they are not.
+``QSPECTRA_TOL=1e-300`` they are not. ``--json FILE`` also writes the rows
+to FILE, each with its order, batch and graph counts, stage milliseconds and
+checks, next to the backend and the git commit of the source tree, as
+``bench_cold.py`` gives it.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_verify.py [--orders 5,6,7] [--seed 1] [--smoke]
+       [--json FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import random
 import time
@@ -40,6 +45,8 @@ from qspectra._jacobi_py import identity_skips
 from qspectra.bounds import batch_violations
 from qspectra.graph_core import emit_graph6, graph_from_mask
 from qspectra.spectral import FactsBatch, batch_lemma_failures
+
+from bench_cold import SRC, source_commit
 
 BATCHES = 15        # batches per order; --smoke runs one
 REPEATS = 5         # calls per stage and batch, of which the fastest counts
@@ -87,8 +94,8 @@ def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> tuple[bo
     timed(seconds, "jacobi_stack", spectral._KERNEL.jacobi_stack, stacks)
     q = stacks[-1][0]
     values = np.sort(np.diagonal(q, axis1=1, axis2=2), axis=1)[:, ::-1]
-    connected, bipartite = timed(seconds, "_components", spectral._components,
-                                 [(b.adjacency,)] * REPEATS)[-1]
+    labels, odd = timed(seconds, "_components", spectral._components,
+                        [(b.adjacency,)] * REPEATS)[-1]
     violated = timed(seconds, "batch_violations", batch_violations, [(b,)] * REPEATS)
     failed = timed(seconds, "batch_lemma_failures", batch_lemma_failures, [(b,)] * REPEATS)
     # QE's deviations, and the eigenvalues and their squares of the trace lemmas
@@ -102,7 +109,7 @@ def run_batch(n: int, masks: list[int], scale: float, seconds: dict) -> tuple[bo
     named = ([(name(lane), bid, gap) for lane, bid, gap in verdict[0]],
              [(name(lane), cid) for lane, cid in verdict[1]])
     return (values.tobytes() == b.eigenvalues.tobytes()
-            and (connected == b.connected).all() and (bipartite == b.bipartite_components).all()
+            and (labels == b.labels).all() and (odd == b.odd).all()
             and sums[0].tobytes() == b.qe.tobytes()
             and all(x.tobytes() == fsums_per_row(a).tobytes() for x, a in zip(sums, summed))
             and all(v == verdict[0] for v in violated)
@@ -115,6 +122,7 @@ def main() -> int:
     parser.add_argument("--orders", default="5,6,7", help="comma-separated vertex counts")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true", help="one batch per order")
+    parser.add_argument("--json", metavar="FILE", help="also write the rows to FILE")
     args = parser.parse_args()
     scale = tolerances.scale()
     print(f"kernel: {spectral.BACKEND}; CPU ms over every batch of an order, best of "
@@ -124,7 +132,7 @@ def main() -> int:
     header = f"{'n':>3} {'batches':>8} {'graphs':>7}" + "".join(f" {s:>21}" for s in STAGES)
     print(header + f" {'identity':>8} {'checked':>8}")
     print("-" * (len(header) + 18))
-    mismatch = False
+    mismatch, records = False, []
     for n in (int(s) for s in args.orders.split(",")):
         seconds = dict.fromkeys(STAGES, 0.0)
         batches = sample_batches(n, 1 if args.smoke else BATCHES, args.seed)
@@ -135,6 +143,14 @@ def main() -> int:
         line = f"{n:>3} {len(batches):>8} {sum(map(len, batches)):>7}"
         line += "".join(f" {seconds[s] * 1e3:>21.1f}" for s in STAGES)
         print(f"{line} {'yes' if identity else 'no':>8} {'yes' if same else 'NO':>8}")
+        records.append({"n": n, "batches": len(batches), "graphs": sum(map(len, batches)),
+                        **{f"{s}_ms": round(seconds[s] * 1e3, 3) for s in STAGES},
+                        "identity": identity, "checked": same})
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as out:
+            json.dump({"backend": spectral.BACKEND, "commit": source_commit(), "source": SRC,
+                       "seed": args.seed, "repeats": REPEATS, "rows": records}, out, indent=2)
+            out.write("\n")
     return 1 if mismatch else 0
 
 

@@ -60,10 +60,10 @@ def _no_pattern(reason: str) -> QPatternResult:
 
 def classify_q_pattern(g: Graph | GraphFacts) -> QPatternResult:
     f = graph_facts(g)
-    info = f.info
-    if not info.is_regular:
+    b = f.batch
+    if not b.regular[0]:
         return _no_pattern("graph is not regular")
-    r = info.regularity_degree
+    r = b.max_degree.tolist()[0]
     if r < 2:
         return _no_pattern("requires regularity degree at least 2")
     spec = f.signless_laplacian
@@ -91,12 +91,14 @@ def classify_q_pattern(g: Graph | GraphFacts) -> QPatternResult:
     # structural confirmation of the spectral inference; in an r-regular graph
     # a component on r+1 vertices is forced to be complete, and a bipartite
     # component on 2r+2 vertices is forced to be a crown
+    leaders = b.leaders[0]
+    sizes = np.bincount(b.labels[0], minlength=f.graph.n)[leaders].tolist()
     complete_seen = crown_seen = 0
     verified = True
-    for comp, bip in zip(info.components, info.component_bipartite):
-        if len(comp) == r + 1:
+    for size, odd in zip(sizes, b.odd[0, leaders].tolist()):
+        if size == r + 1:
             complete_seen += 1
-        elif len(comp) == 2 * r + 2 and bip:
+        elif size == 2 * r + 2 and not odd:
             crown_seen += 1
         else:
             verified = False
@@ -138,13 +140,12 @@ def _not_srg(reason: str) -> SrgResult:
 
 def detect_srg(g: Graph | GraphFacts) -> SrgResult:
     f = graph_facts(g)
-    info = f.info
-    if not info.is_regular:
+    b = f.batch
+    if not b.regular[0]:
         return _not_srg("graph is not regular")
-    n, m, r = f.graph.n, f.graph.m, info.regularity_degree
+    n, m, r = f.graph.n, f.graph.m, b.max_degree.tolist()[0]
     if m == 0:
         return _not_srg("edgeless graphs are excluded by convention")
-    b = f.batch
     if b.complete[0]:
         return _not_srg("complete graphs are excluded by convention")
     # every vertex pair u < v in lexicographic order; n >= 2 with some edge
@@ -159,7 +160,7 @@ def detect_srg(g: Graph | GraphFacts) -> SrgResult:
         return _not_srg(f"{kind} pairs disagree on common neighbours")
     feasible = r * (r - 1 - a) == (n - r - 1) * c
     three_ok = None
-    if info.is_connected:
+    if b.connected[0]:
         three_ok = len(f.adjacency.groups) <= 3
     return SrgResult(is_srg=True, reason=None, degree=r,
                      adjacent_common=a, nonadjacent_common=c,

@@ -1,5 +1,5 @@
-"""Simple undirected graphs: construction, named families, structure, text
-formats, and the order cap every graph input is checked against.
+"""Simple undirected graphs: construction, named families, degree statistics,
+text formats, and the order cap every graph input is checked against.
 
 Vertices are 0..n-1. A Graph stores n, its edges as a sorted tuple of (u, v)
 pairs with u < v, and its degrees, so two Graph objects compare equal exactly
@@ -22,7 +22,6 @@ __all__ = [
     "MAX_ORDER",
     "Graph",
     "DegreeStats",
-    "StructureInfo",
     "graph_from_edges",
     "complete",
     "complete_bipartite",
@@ -38,7 +37,6 @@ __all__ = [
     "build_family",
     "FAMILY_KINDS",
     "degree_stats",
-    "structure",
     "parse_graph6",
     "emit_graph6",
     "parse_edgelist",
@@ -270,7 +268,7 @@ def _as_int(value) -> int:
         raise ValueError(f"family parameters must be integers, got {value!r}") from None
 
 
-# -- degree statistics and structure -----------------------------------------
+# -- degree statistics -------------------------------------------------------
 
 class DegreeStats(NamedTuple):
     n: int
@@ -294,56 +292,6 @@ def degree_stats(g: Graph) -> DegreeStats:
         min_degree=min(deg),
         average_degree=Fraction(2 * g.m, g.n),
         zagreb_m1=sum(d * d for d in deg),
-    )
-
-
-class StructureInfo(NamedTuple):
-    components: tuple[tuple[int, ...], ...]   # vertex lists, each sorted, by min vertex
-    is_connected: bool
-    component_bipartite: tuple[bool, ...]
-    is_bipartite: bool
-    bipartite_component_count: int
-    is_regular: bool
-    regularity_degree: int | None
-
-
-def structure(g: Graph) -> StructureInfo:
-    """Connected components with per-component two-colorability, by a search
-    over neighbour lists built from g.edges; no output depends on visit order."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color = [-1] * g.n
-    comps: list[tuple[int, ...]] = []
-    bip_flags: list[bool] = []
-    for s0 in range(g.n):
-        if color[s0] >= 0:
-            continue
-        color[s0] = 0
-        verts = [s0]
-        bip = True
-        for u in verts:     # breadth first: verts grows as the queue
-            cu = color[u]
-            for w in adj[u]:
-                cw = color[w]
-                if cw < 0:
-                    color[w] = 1 - cu
-                    verts.append(w)
-                elif cw == cu:
-                    bip = False
-        comps.append(tuple(sorted(verts)))
-        bip_flags.append(bip)
-    deg = g.degrees
-    regular = max(deg) == min(deg)
-    return StructureInfo(
-        components=tuple(comps),
-        is_connected=len(comps) == 1,
-        component_bipartite=tuple(bip_flags),
-        is_bipartite=all(bip_flags),
-        bipartite_component_count=sum(bip_flags),
-        is_regular=regular,
-        regularity_degree=deg[0] if regular else None,
     )
 
 

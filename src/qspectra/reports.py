@@ -162,7 +162,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
     """Everything the library knows about one graph, as a JSON-safe dict."""
     f = graph_facts(g)
     f.solve_all()
-    g, b, info, gam = f.graph, f.batch, f.info, f.gamma
+    g, b, gam = f.graph, f.batch, f.gamma
     pattern = classify_q_pattern(f)
     srg = detect_srg(f)
     return {
@@ -179,12 +179,12 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
             "zagreb_m1": b.m1.tolist()[0],
         },
         "structure": {
-            "is_connected": info.is_connected,
-            "component_count": len(info.components),
-            "is_bipartite": info.is_bipartite,
-            "bipartite_component_count": info.bipartite_component_count,
-            "is_regular": info.is_regular,
-            "regularity_degree": info.regularity_degree,
+            "is_connected": b.connected.tolist()[0],
+            "component_count": b.component_count.tolist()[0],
+            "is_bipartite": (b.bipartite_components == b.component_count).tolist()[0],
+            "bipartite_component_count": b.bipartite_components.tolist()[0],
+            "is_regular": b.regular.tolist()[0],
+            "regularity_degree": b.max_degree.tolist()[0] if b.regular[0] else None,
         },
         "spectra": {
             "adjacency": _spectrum_dict(f.adjacency),

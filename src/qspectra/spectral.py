@@ -40,26 +40,28 @@ QE as their exactly rounded sum, min_is_zero and the group count) come from
 ``Spectrum.groups``'s too. Its ``common_neighbours``, the matrix square of
 the adjacency, is computed once, on first read, for the U-THM3 / U-COR7
 family and the strong regularity test; verify's judges never read it.
-``from_masks`` builds a batch straight from int64 edge masks (up to 11
-vertices), solving every signless Laplacian in one ``jacobi_stack`` call,
-with connectivity and the bipartite component count from Warshall's
-closure on bitset rows of the bipartite double cover (``_components``).
-``FactsBatch.of`` builds a batch of one from a GraphFacts: its graph, its Q
-spectrum and the two counts of ``structure()``, which is far faster than
-the closure on one graph. In both, ``converged`` is whether each lane's
+Its component facts come from ``_components``, the one component rule, at
+any order: each vertex's component label (its least vertex) and whether its
+component has an odd cycle; connectivity and the component counts are
+derived from them. ``from_adjacency`` is the one constructor: ``from_masks``
+feeds it verify's int64 edge masks (up to 11 vertices), every signless
+Laplacian solved in one ``jacobi_stack`` call, and ``FactsBatch.of`` a
+GraphFacts's graph and Q spectrum. ``converged`` is whether each lane's
 signless Laplacian solve converged; ``GraphFacts.unconverged()`` names each
-unconverged solve of one graph, A and L included.
+unconverged solve of one graph, A and L included. ``structure()`` lists one
+graph's components from ``_components``, with no eigensolve.
 
-``GraphFacts`` holds what the reports read about one graph: structure and the
-three spectra, each computed on first use, plus one tolerance-scale
-snapshot. Its deviation sequence, QE and common-neighbour counts are lane 0
-of ``GraphFacts.batch``, its batch of one, built once. The spectrum, energy,
-bound and classifier functions accept either a Graph or a GraphFacts; a
-caller that asks several questions about one graph builds the facts once and
-passes them along. Facts are cached once per graph; the catalog and lemma
-rules are pure functions of a batch. Each lemma rule is stated once:
-``batch_lemma_failures`` judges every lane, and ``check_spectral_lemmas``
-renders the ``LemmaCheck`` records of a graph's batch of one.
+``GraphFacts`` holds what the reports read about one graph: the three
+spectra, each computed on first use, plus one tolerance-scale snapshot. Its
+deviation sequence, QE, common-neighbour counts and component facts are lane
+0 of ``GraphFacts.batch``, its batch of one, built once. The spectrum,
+energy, bound and classifier functions accept either a Graph or a
+GraphFacts; a caller that asks several questions about one graph builds the
+facts once and passes them along. Facts are cached once per graph; the
+catalog and lemma rules are pure functions of a batch. Each lemma rule is
+stated once: ``batch_lemma_failures`` judges every lane, and
+``check_spectral_lemmas`` renders the ``LemmaCheck`` records of a graph's
+batch of one.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import tolerances
-from .graph_core import Graph, StructureInfo, emit_graph6, mask_pairs, structure
+from .graph_core import Graph, emit_graph6, mask_pairs
 
 __all__ = [
     "BACKEND",
@@ -83,6 +85,8 @@ __all__ = [
     "GraphFacts",
     "FactsBatch",
     "LemmaCheck",
+    "StructureInfo",
+    "structure",
     "symmetric_eigenvalues",
     "solve_spectra",
     "adjacency_matrix",
@@ -228,10 +232,6 @@ class GraphFacts:
     # a lambda, so the module attribute is looked up at construction time
     scale: float = field(default_factory=lambda: tolerances.scale())
 
-    @cached_property
-    def info(self) -> StructureInfo:
-        return structure(self.graph)
-
     def _spectrum(self, kind: str, values: np.ndarray, report: EigenSolveReport) -> Spectrum:
         vt = tuple(values.tolist())
         return Spectrum(matrix=kind, values=vt, groups=_group(vt, self.scale), solve=report)
@@ -334,14 +334,27 @@ class FactsBatch:
     scale: float                     # the tolerance multiplier of every lane
     adjacency: np.ndarray            # (B, n, n) bool
     degrees: np.ndarray              # (B, n)
-    connected: np.ndarray
-    bipartite_components: np.ndarray
+    labels: np.ndarray               # (B, n) the least vertex of each vertex's component
+    odd: np.ndarray                  # (B, n) whether that component has an odd cycle
     eigenvalues: np.ndarray          # (B, n) signless Laplacian, descending
     groups: np.ndarray               # number of grouped eigenvalues
     gamma: np.ndarray                # (B, n) deviations |q_i - 2m/n|, descending
     min_is_zero: np.ndarray
     qe: np.ndarray
     converged: np.ndarray
+
+    @classmethod
+    def from_adjacency(cls, adjacency: np.ndarray, eigenvalues: np.ndarray,
+                       converged: np.ndarray, scale: float) -> FactsBatch:
+        """The facts of the graphs of a (B, n, n) bool adjacency stack, given
+        the (B, n) descending eigenvalues of their signless Laplacians and
+        whether each solve converged."""
+        n, degrees = adjacency.shape[1], adjacency.sum(axis=2)
+        labels, odd = _components(adjacency)
+        return cls(n=n, scale=scale, adjacency=adjacency, degrees=degrees, labels=labels,
+                   odd=odd, eigenvalues=eigenvalues,
+                   **_deviation_facts(eigenvalues, degrees.sum(axis=1) // 2, n, scale),
+                   converged=converged)
 
     @classmethod
     def from_masks(cls, n: int, masks, scale: float) -> FactsBatch:
@@ -353,31 +366,19 @@ class FactsBatch:
         adjacency = np.zeros((len(bits), n, n), dtype=bool)
         adjacency[:, pairs[0], pairs[1]] = bits
         adjacency[:, pairs[1], pairs[0]] = bits
-        degrees = adjacency.sum(axis=2)
         q = adjacency.astype(np.float64)
-        q[:, np.arange(n), np.arange(n)] = degrees
+        q[:, np.arange(n), np.arange(n)] = adjacency.sum(axis=2)
         values, results = _solve_stack(q)
-        connected, bipartite = _components(adjacency)
-        return cls(n=n, scale=scale, adjacency=adjacency, degrees=degrees,
-                   connected=connected, bipartite_components=bipartite,
-                   eigenvalues=values,
-                   **_deviation_facts(values, degrees.sum(axis=1) // 2, n, scale),
-                   converged=np.array([r[1] for r in results], dtype=bool))
+        return cls.from_adjacency(adjacency, values,
+                                  np.array([r[1] for r in results], dtype=bool), scale)
 
     @classmethod
     def of(cls, f: GraphFacts) -> FactsBatch:
-        """A batch of one: f's graph, its signless Laplacian spectrum, solved
-        if f has not solved it, and the connectivity and bipartite component
-        count of f.info."""
-        g, info, q = f.graph, f.info, f.signless_laplacian
-        values = np.array([q.values])
-        return cls(n=g.n, scale=f.scale, adjacency=adjacency_matrix(g)[None] > 0,
-                   degrees=np.array([g.degrees]),
-                   connected=np.array([info.is_connected]),
-                   bipartite_components=np.array([info.bipartite_component_count]),
-                   eigenvalues=values,
-                   **_deviation_facts(values, np.array([g.m]), g.n, f.scale),
-                   converged=np.array([q.solve.converged]))
+        """A batch of one: f's graph and its signless Laplacian spectrum,
+        solved if f has not solved it."""
+        q = f.signless_laplacian
+        return cls.from_adjacency(adjacency_matrix(f.graph)[None] > 0, np.array([q.values]),
+                                  np.array([q.solve.converged]), f.scale)
 
     @cached_property
     def lanes(self) -> np.ndarray:
@@ -407,6 +408,23 @@ class FactsBatch:
     def min_degree(self) -> np.ndarray:
         return self.degrees.min(axis=1)
 
+    @cached_property
+    def leaders(self) -> np.ndarray:
+        """(B, n): whether each vertex is the least of its component."""
+        return self.labels == np.arange(self.n)
+
+    @cached_property
+    def component_count(self) -> np.ndarray:
+        return self.leaders.sum(axis=1)
+
+    @property
+    def connected(self) -> np.ndarray:
+        return self.component_count == 1
+
+    @cached_property
+    def bipartite_components(self) -> np.ndarray:
+        return (self.leaders & ~self.odd).sum(axis=1)
+
     @property
     def regular(self) -> np.ndarray:
         return self.max_degree == self.min_degree
@@ -423,29 +441,74 @@ class FactsBatch:
         return self.adjacency[self.lanes, u, v]
 
 
+# the bits of a bitset word: 63, so that no word sets the int64 sign bit
+_WORD = 63
+
+
 def _components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per graph of a (B, n, n) adjacency stack: whether it is connected, and
-    its number of bipartite components. Both come from reachability in the
-    bipartite double cover, where a vertex reaches its own copy exactly when
-    its component has an odd cycle. Reachability is Warshall's transitive
-    closure (J. ACM 9, 1962) on int64 bitset rows, one per vertex of the
-    cover, 2n bits each; the edge masks of from_masks are int64 too, which
-    caps n at 11."""
+    """Per vertex of each graph of a (B, n, n) bool adjacency stack, any n:
+    its component label, the least vertex of its component, and whether its
+    component has an odd cycle, as two (B, n) arrays. Both come from
+    reachability in the bipartite double cover, where a vertex reaches its
+    own copy exactly when its component has an odd cycle. Reachability is
+    Warshall's transitive closure (J. ACM 9, 1962) on bitset rows, one per
+    vertex of the cover, of 2n bits in ceil(2n / 63) int64 words each."""
     n = adjacency.shape[1]
-    bit = 1 << np.arange(n, dtype=np.int64)
-    neighbours = (adjacency * bit).sum(axis=2)
-    # bit v is copy 0 of vertex v, bit n + v copy 1; copy 0 of v is joined to
-    # copy 1 of each neighbour, and each copy reaches itself
-    reach = np.concatenate([(neighbours << n) | bit, neighbours | (bit << n)], axis=1)
+    # cover vertex v is copy 0 of vertex v, n + v its copy 1; bit p of a row
+    # is bit p % 63 of its word p // 63, and row p of bits holds bit p alone
+    p = np.arange(2 * n)
+    bits = np.zeros((2 * n, -(-2 * n // _WORD)), dtype=np.int64)
+    bits[p, p // _WORD] = 1 << (p % _WORD)
+    copy0, copy1 = bits[:n], bits[n:]
+    # reach[j, b, i] is word j of what cover vertex i reaches in graph b:
+    # itself, and copy 0 of v is joined to copy 1 of each neighbour
+    reach = np.concatenate([copy0 + adjacency @ copy1, adjacency @ copy0 + copy1],
+                           axis=1).transpose(2, 0, 1).copy()
     for k in range(2 * n):
         # every vertex that reaches k reaches what k reaches (-1 is all ones)
-        reach |= -((reach >> k) & 1) & reach[:, k:k + 1]
-    first = reach[:, :n]
-    component = (first | (first >> n)) & ((1 << n) - 1)      # either copy
-    # a vertex is the least of its component when it reaches no lesser vertex
-    least = (component & (bit - 1)) == 0
-    odd = ((first >> (n + np.arange(n))) & 1) == 1
-    return least.sum(axis=1) == 1, (least & ~odd).sum(axis=1)
+        reach |= -((reach[k // _WORD] >> (k % _WORD)) & 1) & reach[:, :, k:k + 1]
+    # copy 1 of v reaches copy 0 of u when copy 0 of v reaches copy 1 of u,
+    # so the copy-0 bits of the two rows of v are v's component
+    component = (reach[:, :, :n] | reach[:, :, n:]) & copy0.sum(axis=0)[:, None, None]
+    word = (component != 0).argmax(axis=0)
+    low = np.take_along_axis(component, word[None], 0)[0]
+    # the exponent of the lowest set bit, a power of two that float64 holds exactly
+    labels = _WORD * word + np.frexp((low & -low).astype(np.float64))[1] - 1
+    v = p[:n]
+    odd = (reach[(n + v) // _WORD, :, v].T >> ((n + v) % _WORD)) & 1
+    return labels, odd == 1
+
+
+class StructureInfo(NamedTuple):
+    components: tuple[tuple[int, ...], ...]   # vertex lists, each sorted, by min vertex
+    is_connected: bool
+    component_bipartite: tuple[bool, ...]
+    is_bipartite: bool
+    bipartite_component_count: int
+    is_regular: bool
+    regularity_degree: int | None
+
+
+def structure(g: Graph) -> StructureInfo:
+    """g's components and their two-colorability, from _components on g's
+    adjacency, and its regularity; nothing is solved."""
+    (labels,), (odd,) = _components(adjacency_matrix(g)[None] > 0)
+    comps: dict[int, list[int]] = {}
+    for v, label in enumerate(labels.tolist()):
+        # each label is its component's least vertex, so labels arrive ascending
+        comps.setdefault(label, []).append(v)
+    bip_flags = [not odd[label] for label in comps]
+    deg = g.degrees
+    regular = max(deg) == min(deg)
+    return StructureInfo(
+        components=tuple(map(tuple, comps.values())),
+        is_connected=len(comps) == 1,
+        component_bipartite=tuple(bip_flags),
+        is_bipartite=all(bip_flags),
+        bipartite_component_count=sum(bip_flags),
+        is_regular=regular,
+        regularity_degree=deg[0] if regular else None,
+    )
 
 
 # the fewest rows on which _row_fsums runs its cascade; below it, one

@@ -1,11 +1,12 @@
 """FactsBatch: the verdict verify gives a stack batch equals the per-graph
-verdict of every graph in it, its degree and structure facts equal the
-per-graph ones, its deviation facts, equality-family flags and strong
-regularity results equal an independent scalar reference, the mask pair
-order is one order, and the integer case tests stay exact where int64 would
-overflow.
+verdict of every graph in it, each lane equals the batch of one of its graph,
+its degree facts equal the per-graph ones, its component facts, deviation
+facts, equality-family flags and strong regularity results equal an
+independent scalar reference, the mask pair order is one order, and the
+integer case tests stay exact where int64 would overflow.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -17,10 +18,12 @@ import pytest
 from qspectra import bounds, graph_core, reports, spectral, tolerances
 from qspectra.families_verify import SrgResult, detect_srg
 from qspectra.graph_core import (
-    cartesian_product, complete, cycle, degree_stats, disjoint_union, graph_from_edges,
-    graph_from_mask, mask_pairs, matching, path, prism, random_graph, star, structure)
+    MAX_ORDER, cartesian_product, complete, complete_bipartite, cycle, degree_stats,
+    disjoint_union, graph_from_edges, graph_from_mask, mask_pairs, matching, path, prism,
+    random_graph, star)
 from qspectra.reports import batch_verdict, check_graph
-from qspectra.spectral import FactsBatch, GraphFacts, a_spectrum, adjacency_matrix
+from qspectra.spectral import (
+    FactsBatch, GraphFacts, a_spectrum, adjacency_matrix, structure)
 
 
 def mask_cases():
@@ -85,21 +88,104 @@ def test_batch_degree_and_structure_facts_equal_the_per_graph_ones():
             chunk = masks[start:start + 4096]
             b = FactsBatch.from_masks(n, chunk, 1.0)
             rows = zip(chunk, b.degrees.tolist(), b.m.tolist(), b.m1.tolist(),
-                       b.max_degree.tolist(), b.min_degree.tolist(), b.connected.tolist(),
+                       b.max_degree.tolist(), b.min_degree.tolist(), b.labels.tolist(),
+                       b.odd.tolist(), b.connected.tolist(), b.component_count.tolist(),
                        b.bipartite_components.tolist(), b.regular.tolist(),
                        b.complete.tolist())
-            for mask, deg, m, m1, dmax, dmin, conn, bip, regular, comp in rows:
+            for mask, deg, m, m1, dmax, dmin, labels, odd, conn, count, bip, regular, comp in rows:
                 g = graph_from_mask(n, mask)
-                stats, info = degree_stats(g), structure(g)
+                stats = degree_stats(g)
                 assert (tuple(deg), m, m1, dmax, dmin) == (
                     g.degrees, stats.m, stats.zagreb_m1, stats.max_degree,
                     stats.min_degree), (n, mask)
-                assert (conn, bip, regular, comp) == (
-                    info.is_connected, info.bipartite_component_count, info.is_regular,
-                    is_complete(g)), (n, mask)
+                components = reference_components(g)
+                assert (labels, odd) == components, (n, mask)
+                odd_by_label = dict(zip(*components))
+                assert (conn, count, bip, regular, comp) == (
+                    len(odd_by_label) == 1, len(odd_by_label),
+                    list(odd_by_label.values()).count(False),
+                    len(set(g.degrees)) == 1, is_complete(g)), (n, mask)
+
+
+def test_each_from_masks_lane_is_the_batch_of_one_of_its_graph():
+    # every labeled graph with n <= 6, field by field and bit for bit
+    arrays = [field.name for field in dataclasses.fields(FactsBatch)
+              if field.name not in ("n", "scale")]
+    for n in range(1, 7):
+        masks = range(1 << (n * (n - 1) // 2))
+        for start in range(0, len(masks), 4096):
+            chunk = masks[start:start + 4096]
+            b = FactsBatch.from_masks(n, chunk, 1.0)
+            for lane, mask in enumerate(chunk):
+                one = FactsBatch.of(GraphFacts(graph_from_mask(n, mask), 1.0))
+                assert (one.n, one.scale) == (b.n, b.scale)
+                for name in arrays:
+                    got, want = getattr(b, name), getattr(one, name)
+                    assert (got.dtype, got[lane].tobytes()) == (
+                        want.dtype, want[0].tobytes()), (n, mask, name)
+
+
+def test_components_equal_a_breadth_first_search():
+    # every labeled graph with n <= 6; seeded G(n, p) graphs on either side
+    # of the 63-bit word edges of the 2n-bit cover rows, and at n = 100; and
+    # a graph at the order cap, its vertices shuffled, with bipartite and
+    # odd-cycle components
+    graphs = [graph_from_mask(n, mask) for n in range(1, 7)
+              for mask in range(1 << (n * (n - 1) // 2))]
+    rng = random.Random(31)
+    graphs += [random_graph(n, c / n, rng) for n in (31, 32, 33, 62, 63, 64, 65, 100)
+               for c in (0.5, 1.0, 1.5, 3.0) for _ in range(3)]
+    cap = disjoint_union(cycle(301), prism(100), complete_bipartite(10, 13),
+                         random_graph(MAX_ORDER - 524, 1.2 / 500, rng))
+    label = rng.sample(range(cap.n), cap.n)
+    graphs.append(graph_from_edges(cap.n, [(label[u], label[v]) for u, v in cap.edges]))
+    mixed = 0
+    for n in sorted({g.n for g in graphs}):
+        of_order = [g for g in graphs if g.n == n]
+        labels, odd = spectral._components(np.array([adjacency_matrix(g) > 0
+                                                     for g in of_order]))
+        for g, got in zip(of_order, zip(labels.tolist(), odd.tolist())):
+            assert got == reference_components(g), g.edges
+            # graphs with components of both kinds, each with an edge
+            sizes = collections.Counter(zip(*got))
+            mixed += {has_odd for (_, has_odd), size in sizes.items() if size > 1} == {
+                False, True}
+    assert mixed > 20
+    # structure() lists the components by least vertex, each sorted
+    labels, odd = reference_components(graphs[-1])
+    info = structure(graphs[-1])
+    assert info.components == tuple(tuple(v for v in range(cap.n) if labels[v] == least)
+                                    for least in sorted(set(labels)))
+    assert info.component_bipartite == tuple(not odd[c[0]] for c in info.components)
 
 
 # -- the scalar reference -------------------------------------------------------------
+
+def reference_components(g):
+    """Each vertex's component label, the least vertex of its component, and
+    whether that component has an odd cycle, as two lists, by a
+    breadth-first two-colouring over neighbour lists."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    colour, labels, odd = [-1] * g.n, [0] * g.n, [False] * g.n
+    for start in range(g.n):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        members, bipartite = [start], True
+        for u in members:       # breadth first: members grows as the queue
+            for w in adj[u]:
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[u]
+                    members.append(w)
+                elif colour[w] == colour[u]:
+                    bipartite = False
+        for u in members:
+            labels[u], odd[u] = start, not bipartite
+    return labels, odd
+
 
 def reference_deviation_facts(values, m, scale):
     """The deviation facts of a graph with m edges and these descending Q
@@ -181,7 +267,8 @@ def reference_srg(g):
                      nonadjacent_common=c, is_S_nr=a == c,
                      feasibility_ok=r * (r - 1 - a) == (n - r - 1) * c,
                      three_eigenvalue_consistent=(len(a_spectrum(g).groups) <= 3
-                                                  if structure(g).is_connected else None))
+                                                  if len(set(reference_components(g)[0])) == 1
+                                                  else None))
 
 
 def test_the_reference_predicates():
@@ -264,8 +351,9 @@ def test_equality_family_flags_equal_the_scalar_reference():
         b = FactsBatch.from_masks(n, masks, 1.0)
         for mask, *flags in zip(masks, *(predicate(b).tolist() for predicate in predicates)):
             g = graph_from_mask(n, mask)
-            info, r = structure(g), max(g.degrees)
-            bipartite_regular = info.is_connected and info.is_bipartite and info.is_regular
+            (labels, odd), r = reference_components(g), max(g.degrees)
+            bipartite_regular = (set(labels) == {0} and not any(odd)
+                                 and len(set(g.degrees)) == 1)
             assert flags == [is_star(g), is_perfect_matching(g),
                              bipartite_regular and n == 2 * r + 2,
                              bipartite_regular and n == 2 * r, in_thm3_family(g)], (n, mask)
@@ -322,10 +410,10 @@ def test_the_mask_pair_order_is_stated_once(monkeypatch):
 def facts_at(degrees):
     """A batch of one on len(degrees) vertices with the given degrees and
     placeholder spectral facts: enough for the integer case tests."""
-    one = np.ones(1)
-    return FactsBatch(n=len(degrees), scale=1.0, adjacency=np.zeros((1, 0, 0), dtype=bool),
-                      degrees=np.array([degrees]), connected=np.array([True]),
-                      bipartite_components=np.array([0]), eigenvalues=np.zeros((1, 1)),
+    one, n = np.ones(1), len(degrees)
+    return FactsBatch(n=n, scale=1.0, adjacency=np.zeros((1, 0, 0), dtype=bool),
+                      degrees=np.array([degrees]), labels=np.zeros((1, n), dtype=np.int64),
+                      odd=np.ones((1, n), dtype=bool), eigenvalues=np.zeros((1, 1)),
                       groups=np.array([1]), gamma=np.ones((1, 1)),
                       min_is_zero=np.array([False]), qe=one, converged=np.array([True]))
 
@@ -459,7 +547,8 @@ def test_records_hold_no_numpy_scalars(monkeypatch):
     from qspectra.graph_core import crown, graph_from_edges, prism, star
     from qspectra.reports import analyze_report, verify_exhaustive
     monkeypatch.setenv("QSPECTRA_TOL", "1e-300")
-    for g in (prism(5), crown(3), star(6), complete(5), graph_from_edges(1, [])):
+    for g in (prism(5), crown(3), star(6), complete(5), graph_from_edges(1, []),
+              disjoint_union(cycle(3), cycle(4), complete(1))):
         assert plain_types(analyze_report(g)) == set(), g
     summary = verify_exhaustive(5)
     assert summary.violations

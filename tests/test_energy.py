@@ -8,7 +8,7 @@ import random
 import pytest
 
 from qspectra.reports import energies
-from qspectra.spectral import gamma_sequence, q_spectrum
+from qspectra.spectral import gamma_sequence, q_spectrum, structure
 from qspectra.graph_core import (
     complete,
     complete_bipartite,
@@ -18,7 +18,6 @@ from qspectra.graph_core import (
     prism,
     random_graph,
     star,
-    structure,
 )
 
 

@@ -30,10 +30,9 @@ from qspectra.graph_core import (
     path,
     prism,
     star,
-    structure,
 )
 from qspectra.reports import energies
-from qspectra.spectral import GraphFacts, gamma_sequence
+from qspectra.spectral import GraphFacts, gamma_sequence, structure
 
 
 def qe_of(g):

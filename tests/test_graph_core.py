@@ -3,10 +3,8 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
-from qspectra import spectral
 from qspectra.graph_core import (
     FAMILY_KINDS,
     build_family,
@@ -29,9 +27,8 @@ from qspectra.graph_core import (
     prism,
     random_graph,
     star,
-    structure,
 )
-from qspectra.spectral import FactsBatch, GraphFacts
+from qspectra.spectral import FactsBatch, GraphFacts, structure
 
 
 def test_graph_from_edges_normalizes():
@@ -178,23 +175,6 @@ def test_structure_components_and_bipartite():
     c = structure(cycle(5))
     assert c.is_connected and c.is_regular and c.regularity_degree == 2
     assert not c.is_bipartite
-
-
-def test_structure_agrees_with_the_bitset_closure():
-    # every labeled graph with n <= 6, and seeded G(n, p) graphs up to the
-    # one-word limit of _components, n = 31
-    graphs = [graph_from_mask(n, mask) for n in range(1, 7)
-              for mask in range(1 << (n * (n - 1) // 2))]
-    rng = random.Random(31)
-    graphs += [random_graph(n, p, rng) for n in (7, 9, 12, 16, 20, 25, 31)
-               for p in (0.02, 0.05, 0.1, 0.2, 0.5) for _ in range(4)]
-    for n in sorted({g.n for g in graphs}):
-        of_order = [g for g in graphs if g.n == n]
-        connected, bipartite = spectral._components(
-            np.array([spectral.adjacency_matrix(g) > 0 for g in of_order]))
-        for g, conn, bip in zip(of_order, connected.tolist(), bipartite.tolist()):
-            info = structure(g)
-            assert (info.is_connected, info.bipartite_component_count) == (conn, bip), g.edges
 
 
 def test_structural_predicates():

@@ -33,7 +33,6 @@ from qspectra.graph_core import (
     prism,
     random_graph,
     star,
-    structure,
 )
 from qspectra.spectral import (
     BACKEND,
@@ -46,6 +45,7 @@ from qspectra.spectral import (
     laplacian_matrix,
     q_spectrum,
     signless_laplacian_matrix,
+    structure,
     symmetric_eigenvalues,
 )
 
