@@ -2,9 +2,14 @@
 request kind of the cli-cold benchmark mix, and the bare imports of
 ``qspectra.cli`` and ``qspectra.reports``.
 
-Every process runs with no bytecode written, so each compiles qspectra from
-source, with one BLAS thread and no ``QSPECTRA_*`` variable, on the qspectra
-this script imports (its source tree goes first on the child's PYTHONPATH).
+Every process compiles qspectra from source, with one BLAS thread and no
+``QSPECTRA_*`` variable, on the qspectra this script imports: each run
+copies its source tree, leaving out every ``__pycache__``, to a temporary
+directory that goes first on the child's PYTHONPATH, and no child writes
+bytecode. ``PYTHONDONTWRITEBYTECODE`` stops writes, not reads, so without
+the copy a cache that an earlier import left in the tree would be timed in
+place of the compile; a fresh ``PYTHONPYCACHEPREFIX`` would make numpy
+compile from source too.
 Each of ROUNDS (15) rounds runs every row once, in row order. A row gives the
 median wall time and the least CPU time (user plus system, from
 ``getrusage(RUSAGE_CHILDREN)`` deltas) of its process over the rounds; the
@@ -27,9 +32,11 @@ import json
 import os
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -60,9 +67,17 @@ def rows() -> tuple[list[tuple[str, list[str], int]], list[tuple[str, list[str],
              for module in ("qspectra.cli", "qspectra.reports")])
 
 
-def child_env() -> dict[str, str]:
+def source_copy(directory: str) -> str:
+    """A copy of SRC in directory, with no ``__pycache__``, compiled
+    extensions included; returns its path."""
+    return shutil.copytree(SRC, os.path.join(directory, "src"),
+                           ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def child_env(src: str) -> dict[str, str]:
+    """The environment of a child that imports qspectra from src."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("QSPECTRA_")}
-    path = [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env.update(PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return env
@@ -100,8 +115,15 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true", help="one run per row")
     parser.add_argument("--json", metavar="FILE", help="also write the rows to FILE")
     args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as directory:
+        return measure(args, child_env(source_copy(directory)))
+
+
+def measure(args: argparse.Namespace, env: dict[str, str]) -> int:
+    """Runs every row in children with env, prints the table, writes the
+    --json file, and returns the exit code."""
     requests, imports = rows()
-    env, table = child_env(), requests + imports
+    table = requests + imports
     backend = subprocess.run([sys.executable, "-c", "import qspectra; print(qspectra.BACKEND)"],
                              env=env, capture_output=True, text=True, check=True).stdout.strip()
     walls = [[] for _ in table]
@@ -122,8 +144,8 @@ def main() -> int:
         codes[i].add(proc.returncode)
         loads.append(loaded(proc.stderr))
 
-    print(f"qspectra from {SRC}, backend {backend}; median wall and least CPU ms "
-          f"over {len(walls[0])} run(s) per row, no bytecode written")
+    print(f"qspectra from a copy of {SRC} with no __pycache__, backend {backend}; median "
+          f"wall and least CPU ms over {len(walls[0])} run(s) per row, no bytecode written")
     width = max(len(name) for name, _, _ in table)
     header = (f"{'row':<{width}} {'exit':>4} {'wall ms':>9} {'CPU ms':>9} {'stdout':>7}"
               f"  loads of {', '.join(WATCHED)}")

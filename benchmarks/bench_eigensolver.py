@@ -21,13 +21,19 @@ covers a stack of at least 17 of the graphs' Laplacians per size (the
 ``L stack`` column): like every graph matrix they meet
 ``_jacobi_py.identity_skips``, so the Python kernel solves them lanes last
 while more than 16 lanes iterate. Exits 1 when any result differs.
+``--json FILE`` also writes the rows of the three tables to FILE, each with
+its table, size or kernel, milliseconds or microseconds and checks, next to
+the backend and the git commit of the source tree, as ``bench_cold.py``
+gives it.
 
-Usage: python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
+Usage: PYTHONPATH=src python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
+       [--json FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import random
 import time
@@ -36,7 +42,10 @@ import numpy as np
 
 from qspectra import _jacobi_py
 from qspectra.graph_core import prism, random_graph
-from qspectra.spectral import adjacency_matrix, laplacian_matrix, signless_laplacian_matrix
+from qspectra.spectral import (
+    BACKEND, adjacency_matrix, laplacian_matrix, signless_laplacian_matrix)
+
+from bench_cold import SRC, source_commit
 
 REPEATS = 5         # samples per row, of which the fastest counts
 MIN_SAMPLE_S = 0.02     # CPU seconds below which a sample runs several passes
@@ -149,6 +158,7 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=20,
                         help="matrices per size")
     parser.add_argument("--seed", type=int, default=20240601)
+    parser.add_argument("--json", metavar="FILE", help="also write the rows to FILE")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
     graphs = make_graphs(sizes, args.count, args.seed)
@@ -178,7 +188,7 @@ def main() -> int:
     header += f" {'identical':>10} {'L stack':>8}"
     print(header)
     print("-" * len(header))
-    mismatch = False
+    mismatch, records = False, []
     for n in sizes:
         # the reference is the pure-Python kernel, one matrix per call
         single = {name: timed[n, name, "single"] for name in KERNELS}
@@ -198,6 +208,11 @@ def main() -> int:
         for seconds, _ in stacked.values():
             line += f" {seconds * 1e6:>20.1f}"
         print(f"{line} {'yes' if same else 'NO':>10} {'yes' if lap_same else 'NO':>8}")
+        records.append({"table": "solve", "n": n,
+                        **{f"{name}_ms": round(single[name][0] * 1e3, 4) for name in KERNELS},
+                        **{f"{name}_stack_us": round(stacked[name][0] * 1e6, 2)
+                           for name in KERNELS},
+                        "identical": same, "l_stack": lap_same})
 
     print()
     print("A, L and Q of one graph: three one-matrix calls against one stack of three")
@@ -208,15 +223,18 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for n in sizes:
-        line, outputs = f"{n:>5}", []
+        line, outputs, record = f"{n:>5}", [], {"table": "triples", "n": n}
         for name in KERNELS:
             calls, stack = (timed[n, name, "triples", stacked] for stacked in (False, True))
             line += (f" {calls[0] * 1e3:>22.3f} {stack[0] * 1e3:>20.3f}"
                      f" {calls[0] / stack[0]:>7.2f}x")
             outputs += [calls[1], stack[1]]
+            record.update({f"{name}_3_calls_ms": round(calls[0] * 1e3, 4),
+                           f"{name}_stack_ms": round(stack[0] * 1e3, 4)})
         same = all(out == outputs[0] for out in outputs)
         mismatch |= not same
         print(f"{line} {'yes' if same else 'NO':>10}")
+        records.append({**record, "identical": same})
 
     print()
     print(f"Q of the {len(prisms)} table prisms, orders 6 to 20: one call per matrix "
@@ -234,6 +252,16 @@ def main() -> int:
         print(f"{name:>8} {calls[0] * len(prisms) * 1e3:>14.3f}"
               f" {padded[0] * len(prisms) * 1e3:>18.3f} {calls[0] / padded[0]:>7.2f}x"
               f" {'yes' if same else 'NO':>10}")
+        records.append({"table": "prisms", "kernel": name,
+                        "calls_ms": round(calls[0] * len(prisms) * 1e3, 4),
+                        "padded_stack_ms": round(padded[0] * len(prisms) * 1e3, 4),
+                        "identical": same})
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as out:
+            json.dump({"backend": BACKEND, "commit": source_commit(), "source": SRC,
+                       "sizes": sizes, "count": args.count, "seed": args.seed,
+                       "repeats": REPEATS, "rows": records}, out, indent=2)
+            out.write("\n")
     return 1 if mismatch else 0
 
 

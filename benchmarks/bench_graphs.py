@@ -11,20 +11,26 @@ the microseconds of one call of Graph construction from the sorted edges,
 ``emit_graph6`` and ``parse_graph6``, each the best of REPEATS (5) timings of
 CALLS (20) calls on ``time.process_time``. The last line sums the rows.
 Exits 1 when a graph's graph6 line does not parse back to the graph.
+``--json FILE`` also writes the rows and their sum to FILE, each with its
+label, n, m, cells and round-trip check, next to the backend and the git
+commit of the source tree, as ``bench_cold.py`` gives it.
 
-Usage: PYTHONPATH=src python3 benchmarks/bench_graphs.py [--seed 1] [--smoke]
+Usage: PYTHONPATH=src python3 benchmarks/bench_graphs.py [--seed 1] [--smoke] [--json FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import random
 import time
 import tracemalloc
 
 from qspectra.graph_core import Graph, build_family, emit_graph6, parse_graph6, random_graph
-from qspectra.spectral import structure
+from qspectra.spectral import BACKEND, structure
+
+from bench_cold import SRC, source_commit
 
 REPEATS = 5     # timings per call, of which the fastest counts; --smoke runs one
 CALLS = 20      # calls per timing; --smoke runs one
@@ -73,6 +79,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true", help="one timing of one call per cell")
+    parser.add_argument("--json", metavar="FILE", help="also write the rows to FILE")
     args = parser.parse_args()
     repeats, calls = (1, 1) if args.smoke else (REPEATS, CALLS)
     rows = inputs(args.seed)
@@ -82,7 +89,7 @@ def main() -> int:
     print(header + f" {'round trip':>10}")
     print("-" * (len(header) + 11))
     totals = dict.fromkeys(COLUMNS, 0.0)
-    mismatch = False
+    mismatch, records = False, []
     for label, g in rows:
         text = emit_graph6(g)
         same = parse_graph6(text) == g
@@ -99,8 +106,17 @@ def main() -> int:
         print(f"{label:<26} {g.n:>3} {g.m:>5} {cells['bytes']:>12}"
               + "".join(f" {cells[c]:>12.1f}" for c in COLUMNS[1:])
               + f" {'yes' if same else 'NO':>10}")
+        records.append({"graph": label, "n": g.n, "m": g.m,
+                        **{c: round(cells[c], 3) for c in COLUMNS}, "round_trip": same})
     print(f"{'total':<26} {'':>3} {'':>5} {totals['bytes']:>12.0f}"
           + "".join(f" {totals[c]:>12.1f}" for c in COLUMNS[1:]))
+    records.append({"graph": "total", **{c: round(totals[c], 3) for c in COLUMNS}})
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as out:
+            json.dump({"backend": BACKEND, "commit": source_commit(), "source": SRC,
+                       "seed": args.seed, "repeats": repeats, "calls": calls,
+                       "rows": records}, out, indent=2)
+            out.write("\n")
     return 1 if mismatch else 0
 
 

@@ -8,13 +8,14 @@ raised). The compiled kernel is used when its extension imports, the
 pure-Python twin otherwise. The library calls the kernel through
 ``jacobi_stack`` only, in ``_solve_stack``, which solves a (B, N, N) stack in
 place; ``jacobi_sweeps``, the stack of one in both kernels, is kept for the
-benchmarks and the twin tests. ``symmetric_eigenvalues``, which every lazy
-spectrum read calls, solves one matrix as a stack of one; ``solve_spectra``
-stacks any set of (GraphFacts, matrix kind) pairs, such as the A, L and Q of
-one graph (``GraphFacts.solve_all``, for ``analyze_report`` and
-``energies``) or the Q of a reference table's eight prisms; and
-``FactsBatch.from_masks`` stacks verify's batches of graphs on one vertex
-count.
+benchmarks and the twin tests. ``solve_spectra`` is the one path of a
+graph's spectra: it builds the A, L or Q matrices of any set of (GraphFacts,
+matrix kind) pairs, solves them as one stack and keeps each Spectrum in its
+facts' ``spectra``; a lazy read is a stack of one, ``GraphFacts.solve_all``
+(analyze, ``energies``) a stack of three, and a reference table's eight
+prisms a stack of eight. ``FactsBatch.from_masks`` stacks verify's batches.
+``symmetric_eigenvalues`` validates and solves a matrix from outside the
+library; no library path calls it.
 
 ``solve_spectra`` zero-pads each matrix of order n to the largest order N
 of its stack, and a lane's eigenvalues are the leading n entries of its
@@ -52,7 +53,7 @@ unconverged solve of one graph, A and L included. ``structure()`` lists one
 graph's components from ``_components``, with no eigensolve.
 
 ``GraphFacts`` holds what the reports read about one graph: the three
-spectra, each computed on first use, plus one tolerance-scale snapshot. Its
+spectra, each solved on first use, plus one tolerance-scale snapshot. Its
 deviation sequence, QE, common-neighbour counts and component facts are lane
 0 of ``GraphFacts.batch``, its batch of one, built once. The spectrum,
 energy, bound and classifier functions accept either a Graph or a
@@ -123,12 +124,23 @@ class EigenSolveReport(NamedTuple):
 
 
 def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
-    """Eigenvalues of a dense real symmetric matrix, sorted descending.
+    """Eigenvalues of a symmetric matrix from outside the library, descending.
 
     Validates shape, finiteness, and symmetry (within 1e-12 relative) before
     solving; the input is not modified.
     """
-    values, (result,) = _solve_stack(np.array(_checked(mat), order="C", copy=True)[None])
+    a = np.asarray(mat, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square and 2-D, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix must have at least one row")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    scale = float(np.max(np.abs(a)))
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > 1e-12 * max(1.0, scale):
+        raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
+    values, (result,) = _solve_stack(np.array(a, order="C", copy=True)[None])
     return values[0], EigenSolveReport(BACKEND, *result, error_bound=result[2])
 
 
@@ -145,23 +157,6 @@ def _solve_stack(stack: np.ndarray, orders: list[int] | None = None) -> tuple:
     if orders is None:
         return np.sort(diagonals, axis=1)[:, ::-1].copy(), results
     return [np.sort(d[:n])[::-1] for d, n in zip(diagonals, orders)], results
-
-
-def _checked(mat) -> np.ndarray:
-    """mat as a float64 array, once it is known to be square, non-empty,
-    finite and symmetric within 1e-12 relative."""
-    a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square and 2-D, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix must have at least one row")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    scale = float(np.max(np.abs(a)))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-12 * max(1.0, scale):
-        raise ValueError(f"matrix is not symmetric (max |a - a^T| = {asym:.3e})")
-    return a
 
 
 # -- graph matrices ------------------------------------------------------------
@@ -227,34 +222,33 @@ class GraphFacts:
     """The facts about one graph, each computed at most once and only when
     first read. ``scale`` is the tolerance multiplier every comparison on this
     graph uses, read from the environment when the facts are built unless
-    the caller passes its own snapshot."""
+    the caller passes its own snapshot. ``spectra`` maps each matrix kind
+    solved so far to its Spectrum; only ``solve_spectra`` writes it."""
     graph: Graph
     # a lambda, so the module attribute is looked up at construction time
     scale: float = field(default_factory=lambda: tolerances.scale())
-
-    def _spectrum(self, kind: str, values: np.ndarray, report: EigenSolveReport) -> Spectrum:
-        vt = tuple(values.tolist())
-        return Spectrum(matrix=kind, values=vt, groups=_group(vt, self.scale), solve=report)
-
-    def _solve(self, kind: str) -> Spectrum:
-        return self._spectrum(kind, *symmetric_eigenvalues(_MATRIX_BUILDERS[kind](self.graph)))
+    spectra: dict[str, Spectrum] = field(default_factory=dict, init=False, repr=False)
 
     def solve_all(self) -> None:
         """Solve the A, L and Q matrices not solved yet in one jacobi_stack
         call, for a caller that reads all three."""
         solve_spectra((self, kind) for kind in _MATRIX_BUILDERS)
 
-    @cached_property
+    def _read(self, kind: str) -> Spectrum:
+        solve_spectra(((self, kind),))
+        return self.spectra[kind]
+
+    @property
     def adjacency(self) -> Spectrum:
-        return self._solve("adjacency")
+        return self._read("adjacency")
 
-    @cached_property
+    @property
     def laplacian(self) -> Spectrum:
-        return self._solve("laplacian")
+        return self._read("laplacian")
 
-    @cached_property
+    @property
     def signless_laplacian(self) -> Spectrum:
-        return self._solve("signless_laplacian")
+        return self._read("signless_laplacian")
 
     @cached_property
     def gamma(self) -> GammaSequence:
@@ -277,28 +271,29 @@ class GraphFacts:
 
     def unconverged(self) -> tuple[str, ...]:
         """Names ('<kind> of <graph6>') of the matrices solved so far whose
-        solve did not converge."""
-        # a cached_property keeps its value in __dict__ once computed
-        solved = (self.__dict__.get(kind) for kind in _MATRIX_BUILDERS)
+        solve did not converge, in A, L, Q order."""
+        solved = (self.spectra.get(kind) for kind in _MATRIX_BUILDERS)
         return tuple(f"{spec.matrix} of {emit_graph6(self.graph)}"
                      for spec in solved if spec is not None and not spec.solve.converged)
 
 
 def solve_spectra(pairs: Iterable[tuple[GraphFacts, str]]) -> None:
-    """Solve the matrices of the (facts, kind) pairs not solved yet in one
-    jacobi_stack call, each zero-padded to the largest order among them, and
-    keep each spectrum on its facts, as the kind's cached_property would."""
-    todo = [(f, kind) for f, kind in pairs if kind not in f.__dict__]
+    """Build and solve the matrices of the (facts, kind) pairs not solved yet
+    in one jacobi_stack call, each zero-padded to the largest order among
+    them, and keep each Spectrum in its facts' ``spectra``. Graph matrices
+    are finite and exactly symmetric as built, so go in unchecked."""
+    todo = [(f, kind) for f, kind in pairs if kind not in f.spectra]
     if not todo:
         return
     orders = [f.graph.n for f, _ in todo]
     stack = np.zeros((len(todo), max(orders), max(orders)))
     for lane, (f, kind), n in zip(stack, todo, orders):
-        lane[:n, :n] = _checked(_MATRIX_BUILDERS[kind](f.graph))
+        lane[:n, :n] = _MATRIX_BUILDERS[kind](f.graph)
     for (f, kind), values, result in zip(todo, *_solve_stack(stack, orders)):
-        # where the cached_property of the kind keeps its value
-        f.__dict__[kind] = f._spectrum(
-            kind, values, EigenSolveReport(BACKEND, *result, error_bound=result[2]))
+        vt = tuple(values.tolist())
+        f.spectra[kind] = Spectrum(matrix=kind, values=vt, groups=_group(vt, f.scale),
+                                   solve=EigenSolveReport(BACKEND, *result,
+                                                          error_bound=result[2]))
 
 
 def graph_facts(g: Graph | GraphFacts) -> GraphFacts:

@@ -49,23 +49,26 @@ def lanes_of(verdict, count):
 
 @pytest.fixture(scope="module")
 def solves():
-    """symmetric_eigenvalues results by matrix bytes, kept across both
-    tolerances: the solve does not read the scale."""
+    """The lone solves of lazy spectrum reads, by stack bytes, kept across
+    both tolerances: the solve does not read the scale."""
     return {}
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300])
 def test_batch_verdict_equals_the_per_graph_verdict(scale, solves, monkeypatch):
-    solve = spectral.symmetric_eigenvalues
+    solve = spectral._solve_stack
 
-    def solve_once(mat):
-        key = np.asarray(mat).tobytes()
+    def solve_once(stack, orders=None):
+        if orders is None:          # a from_masks batch
+            return solve(stack, orders)
+        key = (stack.tobytes(), tuple(orders))
         if key not in solves:
-            solves[key] = solve(mat)
+            solves[key] = solve(stack, orders)
         return solves[key]
 
-    # each reference graph's one-matrix solve runs once, for both tolerances
-    monkeypatch.setattr(spectral, "symmetric_eigenvalues", solve_once)
+    # each reference graph's lazy Q read, a solve_spectra stack of one, runs
+    # once, for both tolerances
+    monkeypatch.setattr(spectral, "_solve_stack", solve_once)
     failing = 0
     for n, masks in mask_cases():
         for start in range(0, len(masks), reports._VERIFY_BATCH):

@@ -15,7 +15,7 @@ import pytest
 from qspectra import bounds, families_verify, graph_core, reports, spectral, tolerances
 from qspectra.bounds import all_bounds
 from qspectra.cli import main
-from qspectra.graph_core import cycle, emit_graph6, prism
+from qspectra.graph_core import crown, cycle, emit_graph6, prism
 from qspectra.reports import (
     analyze_report, check_graph, energies, reproduce_table1, reproduce_table2,
     verify_exhaustive)
@@ -124,6 +124,27 @@ def test_no_library_path_calls_jacobi_sweeps(monkeypatch, capsys):
     assert main(["bounds", "--graph6", "OP?gQPC?CAXDEVAPg@CHK", "--json"]) == 0
     assert main(["analyze", "--family", "prism", "4"]) == 0
     capsys.readouterr()
+
+
+def test_no_library_path_calls_symmetric_eigenvalues(monkeypatch, capsys):
+    # a graph's spectra are built and solved by solve_spectra alone, a lazy
+    # read's too; symmetric_eigenvalues is left to matrices from outside
+    def refused(mat):
+        raise AssertionError("a library path called symmetric_eigenvalues")
+
+    for module in (graph_core, spectral, bounds, families_verify, reports):
+        if hasattr(module, "symmetric_eigenvalues"):
+            monkeypatch.setattr(module, "symmetric_eigenvalues", refused)
+    analyze_report(cycle(5))
+    all_bounds(prism(5))
+    assert main(["bounds", "--graph6", "OP?gQPC?CAXDEVAPg@CHK", "--json"]) == 0
+    capsys.readouterr()
+    assert len(reproduce_table1().rows) == len(reproduce_table2().rows) == 8
+    assert verify_exhaustive(4).ok
+    assert families_verify.classify_q_pattern(crown(4)).pattern_found
+    assert families_verify.detect_srg(cycle(5)).is_srg
+    assert energies(prism(4)).signless_laplacian_energy > 0
+    assert q_spectrum(cycle(6)).solve.converged
 
 
 def test_verify_solves_once_and_reads_the_scale_at_most_once_per_graph(counts):

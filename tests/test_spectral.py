@@ -799,12 +799,16 @@ def test_joint_solve_equals_each_kind_solved_alone():
     for g in _joint_solve_cases():
         joint = GraphFacts(g, 1.0)
         joint.solve_all()
-        assert set(kinds) <= joint.__dict__.keys()     # solved, not read lazily below
+        assert set(kinds) <= joint.spectra.keys()      # solved, not read lazily below
         for kind in kinds:
             got, alone = getattr(joint, kind), getattr(GraphFacts(g, 1.0), kind)
             assert repr(got.values) == repr(alone.values), (g, kind)
             assert repr(got.groups) == repr(alone.groups), (g, kind)
             assert repr(got.solve._asdict()) == repr(alone.solve._asdict()), (g, kind)
+            # a lazy read, a stack of one, is the validated entry's solve
+            values, report = symmetric_eigenvalues(spectral._MATRIX_BUILDERS[kind](g))
+            assert repr(alone.values) == repr(tuple(values.tolist())), (g, kind)
+            assert repr(alone.solve._asdict()) == repr(report._asdict()), (g, kind)
 
 
 def _padded_stacks():
@@ -870,5 +874,5 @@ def test_a_mixed_order_solve_equals_each_matrix_solved_alone():
     pairs = [(GraphFacts(g, 1.0), rng.choice(kinds)) for g in graphs]
     spectral.solve_spectra(pairs)
     for f, kind in pairs:
-        got, alone = f.__dict__[kind], getattr(GraphFacts(f.graph, 1.0), kind)
+        got, alone = f.spectra[kind], getattr(GraphFacts(f.graph, 1.0), kind)
         assert repr(got) == repr(alone), (f.graph.n, kind)
