@@ -1,22 +1,23 @@
 """Run every benchmark harness on the active backend and write one results
 file, ``BENCH_<backend>.json`` at the top of the repository.
 
-Copies the source tree of the qspectra it imports to a temporary directory,
-leaving out every ``__pycache__`` (``bench_cold.source_copy``), and runs
-each harness in a child process that imports qspectra from the copy and
-writes no bytecode, with one BLAS thread and no ``QSPECTRA_*`` variable
-(``bench_cold.child_env``): ``bench_eigensolver.py``, ``bench_verify.py``,
-``bench_graphs.py`` and ``bench_cold.py``, each with ``--json``, then a full
-serial ``verify 7 --json`` through the CLI, then ``src_lines.py --json``.
-The file holds the machine (CPU model, CPU count, the CPUs this process may
-run on, platform), the Python and numpy versions, the backend, the git
-commit of the source tree as ``bench_cold.source_commit`` gives it, each
-harness's arguments, exit code and rows as the harness wrote them, the
-verify run's wall and CPU seconds (``getrusage(RUSAGE_CHILDREN)`` deltas)
-and its summary, and the line counts. A harness's own ``commit`` and
-``source`` name the temporary copy, so they are left out. Exits 1 when a
-harness or the verify run exits with another code than 0 or writes no JSON,
-or the verify run is not ok.
+Pins itself, and so every child it starts, to the highest CPU it may run on,
+as perfbench does. Copies the source tree of the qspectra it imports to a
+temporary directory, leaving out every ``__pycache__``
+(``bench_cold.source_copy``), and runs each harness in a child process that
+imports qspectra from the copy and writes no bytecode, with one BLAS thread
+and no ``QSPECTRA_*`` variable (``bench_cold.child_env``):
+``bench_eigensolver.py``, ``bench_verify.py``, ``bench_graphs.py`` and
+``bench_cold.py``, each with ``--json``, then a full serial ``verify 7
+--json`` through the CLI, then ``src_lines.py --json``. The file holds the
+machine (CPU model, CPU count, the pinned CPU, platform), the Python and
+numpy versions, the backend, the git commit of the source tree as
+``bench_cold.source_commit`` gives it, each harness's arguments, exit code
+and rows as the harness wrote them, the verify run's wall and CPU seconds
+(``getrusage(RUSAGE_CHILDREN)`` deltas) and its summary, and the line
+counts. A harness's own ``commit`` and ``source`` name the temporary copy,
+so they are left out. Exits 1 when a harness or the verify run exits with
+another code than 0 or writes no JSON, or the verify run is not ok.
 
 ``--smoke`` runs each harness in its smoke mode (``bench_eigensolver.py`` on
 two small sizes) and ``verify 5`` in place of ``verify 7``; ``--json FILE``
@@ -60,17 +61,16 @@ def cpu_model() -> str | None:
     return platform.processor() or None
 
 
-def machine() -> dict:
-    return {"cpu_model": cpu_model(), "cpu_count": os.cpu_count(),
-            "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else None, "platform": platform.platform(),
+def machine(cpu: int) -> dict:
+    return {"cpu_model": cpu_model(), "cpu_count": os.cpu_count(), "pinned_cpu": cpu,
+            "platform": platform.platform(),
             "python": platform.python_version(), "numpy": np.__version__}
 
 
 def harness(name: str, argv: list[str], env: dict[str, str], directory: str) -> dict:
     """Runs one harness with --json; its exit code and what its JSON holds."""
     out = os.path.join(directory, f"{name}.json")
-    wall, cpu, proc = run([str(HERE / f"{name}.py"), *argv, "--json", out], env)
+    (wall, cpu), proc = run([str(HERE / f"{name}.py"), *argv, "--json", out], env)
     print(f"{name} {' '.join(argv)}: exit {proc.returncode}, {wall:.1f} s", flush=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
@@ -92,15 +92,17 @@ def main() -> int:
     parser.add_argument("--json", metavar="FILE",
                         help="write the results to FILE in place of BENCH_<backend>.json")
     args = parser.parse_args()
+    pinned = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {pinned})
     with tempfile.TemporaryDirectory() as directory:
         env = child_env(source_copy(directory))
-        _, _, proc = run(["-c", "import qspectra; print(qspectra.BACKEND)"], env)
+        _, proc = run(["-c", "import qspectra; print(qspectra.BACKEND)"], env)
         backend = proc.stdout.strip()
         print(f"backend {backend}", flush=True)
         results = {name: harness(name, smoke if args.smoke else [], env, directory)
                    for name, smoke in SMOKE.items()}
         order = 5 if args.smoke else 7
-        wall, cpu, proc = run(["-m", "qspectra.cli", "verify", str(order), "--json"], env)
+        (wall, cpu), proc = run(["-m", "qspectra.cli", "verify", str(order), "--json"], env)
         print(f"verify {order}: exit {proc.returncode}, {wall:.1f} s wall, {cpu:.1f} s CPU",
               flush=True)
         try:
@@ -114,11 +116,12 @@ def main() -> int:
     failed = [name for name, r in results.items() if r["exit"] != 0 or "error" in r]
     if verify["exit"] != 0 or not verify.get("ok"):
         failed.append(f"verify {order}")
+    # the commit is read before the file is opened: BENCH_<backend>.json is tracked
+    report = {"backend": backend, "commit": source_commit(), "machine": machine(pinned),
+              "smoke": args.smoke, "harnesses": results, "verify": verify, "failed": failed}
     path = args.json or str(HERE.parent / f"BENCH_{backend}.json")
     with open(path, "w", encoding="utf-8") as out:
-        json.dump({"backend": backend, "commit": source_commit(), "machine": machine(),
-                   "smoke": args.smoke, "harnesses": results, "verify": verify,
-                   "failed": failed}, out, indent=2)
+        json.dump(report, out, indent=2)
         out.write("\n")
     print(f"wrote {path}" + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 1 if failed else 0

@@ -1,6 +1,8 @@
 """Time the CLI's cold start: one fresh ``python -m qspectra.cli`` process per
 request kind of the cli-cold benchmark mix, and the bare imports of
-``qspectra.cli`` and ``qspectra.reports``.
+``qspectra.cli`` and ``qspectra.reports``; and hold what every harness in
+this directory shares: the one timing rule (``sample``, ``summary``) and
+the ``--json`` writer (``write_json``).
 
 Every process compiles qspectra from source, with one BLAS thread and no
 ``QSPECTRA_*`` variable, on the qspectra this script imports: each run
@@ -10,17 +12,14 @@ bytecode. ``PYTHONDONTWRITEBYTECODE`` stops writes, not reads, so without
 the copy a cache that an earlier import left in the tree would be timed in
 place of the compile; a fresh ``PYTHONPYCACHEPREFIX`` would make numpy
 compile from source too.
-Each of ROUNDS (15) rounds runs every row once, in row order. A row gives the
-median wall time and the least CPU time (user plus system, from
-``getrusage(RUSAGE_CHILDREN)`` deltas) of its process over the rounds; the
-``cycle`` row sums the seven request rows, one of each kind, as one cli-cold
-cycle runs them. One more run of each row under ``-X importtime`` names which
-of numpy, dataclasses and fractions it loaded. Exits 1 when a process exits
-with another code than its row expects, or when a row's stdout differs
-between runs. ``--json FILE`` also writes the rows to FILE, each with its
-name, exit codes, median wall ms, least CPU ms and loads, next to the
-backend and the git commit of the source tree ("-dirty" when its tracked
-files differ from it, null outside a checkout).
+A row is one process, timed by ``run`` on wall time and on CPU time (user
+plus system, from ``getrusage(RUSAGE_CHILDREN)`` deltas), and takes ROUNDS
+(15) samples; the table prints their median wall and least CPU time. The
+``cycle`` row sums the seven request rows of each round, one of each kind,
+as one cli-cold cycle runs them. One more run of each row under ``-X
+importtime`` names which of numpy, dataclasses and fractions it loaded.
+Exits 1 when a process exits with another code than its row expects, or when
+a row's stdout differs between runs. ``--json FILE`` also writes the rows.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_cold.py [--smoke] [--json FILE]
 """
@@ -29,23 +28,63 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import resource
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 import qspectra
 from qspectra.graph_core import emit_graph6, random_graph
 
-ROUNDS = 15         # runs per row; --smoke runs one
+REPEATS = 5         # samples per row in process; --smoke takes one
+ROUNDS = 15         # samples per row of this harness; --smoke takes one
+MIN_SAMPLE_S = 0.02     # seconds below which a sample runs several passes
 WATCHED = ("numpy", "dataclasses", "fractions")
 SRC = str(Path(qspectra.__file__).resolve().parent.parent)
+
+
+def sample(rows: list, count: int) -> tuple[list[list], list[list]]:
+    """count samples of each row, a callable that runs one pass and returns
+    its seconds (a float, or a tuple of clocks) and its result; and the
+    result of each sample's last pass. A warm-up pass of each row sets its
+    passes per sample, enough for the longest clock to take MIN_SAMPLE_S; a
+    sample is the mean of its passes. Sample k of every row runs before
+    sample k + 1 of any."""
+    passes = [math.ceil(MIN_SAMPLE_S / max(np.max(row()[0]), 1e-9)) for row in rows]
+    samples, results = [[] for _ in rows], [[] for _ in rows]
+    for _ in range(count):
+        for row, k, kept, last in zip(rows, passes, samples, results):
+            runs = [row() for _ in range(k)]
+            kept.append(np.mean([seconds for seconds, _ in runs], axis=0))
+            last.append(runs[-1][1])
+    return samples, results
+
+
+def summary(seconds, unit: float) -> dict[str, float]:
+    """The least, lower quartile, median and upper quartile (linear, as
+    ``statistics.quantiles`` inclusive) of the seconds, times unit and
+    rounded to 4 decimals; one sample is all four."""
+    return {stat: round(float(x) * unit, 4) for stat, x in
+            zip(("min", "q1", "median", "q3"), np.percentile(seconds, [0, 25, 50, 75]))}
+
+
+def write_json(path: str | None, backend: str, rows: list, **settings) -> None:
+    """When path is given, writes the rows there, after the backend, the
+    commit and path of SRC and the settings."""
+    if path:
+        with open(path, "w", encoding="utf-8") as out:
+            json.dump({"backend": backend, "commit": source_commit(), "source": SRC,
+                       **settings, "rows": rows}, out, indent=2)
+            out.write("\n")
 
 
 def rows() -> tuple[list[tuple[str, list[str], int]], list[tuple[str, list[str], int]]]:
@@ -83,8 +122,9 @@ def child_env(src: str) -> dict[str, str]:
     return env
 
 
-def run(argv: list[str], env: dict[str, str]) -> tuple[float, float, subprocess.CompletedProcess]:
-    """Wall seconds, CPU seconds and the completed process of one child."""
+def run(argv: list[str], env: dict[str, str]) -> tuple[tuple[float, float],
+                                                       subprocess.CompletedProcess]:
+    """The wall and CPU seconds, and the completed process, of one child."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
@@ -92,7 +132,15 @@ def run(argv: list[str], env: dict[str, str]) -> tuple[float, float, subprocess.
     wall = time.perf_counter() - t0
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return wall, cpu, proc
+    return (wall, cpu), proc
+
+
+def clocks(samples: list) -> tuple[dict[str, dict[str, float]], str]:
+    """The wall_ms and cpu_ms cells of a row's (wall, CPU) samples, and their
+    median wall and least CPU ms as the table prints them."""
+    wall, cpu = np.transpose(samples)
+    cells = {"wall_ms": summary(wall, 1e3), "cpu_ms": summary(cpu, 1e3)}
+    return cells, f" {cells['wall_ms']['median']:>9.1f} {cells['cpu_ms']['min']:>9.1f}"
 
 
 def loaded(importtime_stderr: str) -> list[str]:
@@ -104,7 +152,8 @@ def loaded(importtime_stderr: str) -> list[str]:
 
 def source_commit() -> str | None:
     """The commit of the git checkout that holds SRC, as ``git describe``
-    gives it with every tag left out, or None outside a checkout."""
+    gives it with every tag left out ("-dirty" when tracked files differ from
+    it), or None outside a checkout."""
     git = subprocess.run(["git", "-C", SRC, "describe", "--always", "--dirty", "--abbrev=40",
                           "--exclude=*"], capture_output=True, text=True)
     return git.stdout.strip() if git.returncode == 0 else None
@@ -112,7 +161,7 @@ def source_commit() -> str | None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="one run per row")
+    parser.add_argument("--smoke", action="store_true", help="one sample per row")
     parser.add_argument("--json", metavar="FILE", help="also write the rows to FILE")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as directory:
@@ -124,28 +173,14 @@ def measure(args: argparse.Namespace, env: dict[str, str]) -> int:
     --json file, and returns the exit code."""
     requests, imports = rows()
     table = requests + imports
-    backend = subprocess.run([sys.executable, "-c", "import qspectra; print(qspectra.BACKEND)"],
-                             env=env, capture_output=True, text=True, check=True).stdout.strip()
-    walls = [[] for _ in table]
-    cpus = [[] for _ in table]
-    outputs = [set() for _ in table]
-    codes = [set() for _ in table]
-    for _ in range(1 if args.smoke else ROUNDS):
-        for i, (_, argv, _) in enumerate(table):
-            wall, cpu, proc = run(argv, env)
-            walls[i].append(wall)
-            cpus[i].append(cpu)
-            outputs[i].add(proc.stdout)
-            codes[i].add(proc.returncode)
-    loads = []
-    for i, (_, argv, _) in enumerate(table):
-        _, _, proc = run(["-X", "importtime", *argv], env)
-        outputs[i].add(proc.stdout)
-        codes[i].add(proc.returncode)
-        loads.append(loaded(proc.stderr))
+    backend = run(["-c", "import qspectra; print(qspectra.BACKEND)"], env)[1].stdout.strip()
+    count = 1 if args.smoke else ROUNDS
+    samples, procs = sample([partial(run, argv, env) for _, argv, _ in table], count)
+    for (_, argv, _), runs in zip(table, procs):
+        runs.append(run(["-X", "importtime", *argv], env)[1])
 
     print(f"qspectra from a copy of {SRC} with no __pycache__, backend {backend}; median "
-          f"wall and least CPU ms over {len(walls[0])} run(s) per row, no bytecode written")
+          f"wall and least CPU ms over {count} sample(s) per row, no bytecode written")
     width = max(len(name) for name, _, _ in table)
     header = (f"{'row':<{width}} {'exit':>4} {'wall ms':>9} {'CPU ms':>9} {'stdout':>7}"
               f"  loads of {', '.join(WATCHED)}")
@@ -153,27 +188,18 @@ def measure(args: argparse.Namespace, env: dict[str, str]) -> int:
     print("-" * len(header))
     failed, records = False, []
     for i, (name, _, code) in enumerate(table):
-        ok_code, same = codes[i] == {code}, len(outputs[i]) == 1
-        failed |= not (ok_code and same)
-        exit_text = str(code) if ok_code else "NO"
-        records.append({"name": name, "exit": sorted(codes[i]),
-                        "wall_ms": round(statistics.median(walls[i]) * 1e3, 3),
-                        "cpu_ms": round(min(cpus[i]) * 1e3, 3), "loads": loads[i]})
-        print(f"{name:<{width}} {exit_text:>4} {records[-1]['wall_ms']:>9.1f}"
-              f" {records[-1]['cpu_ms']:>9.1f} {'same' if same else 'DIFFER':>7}"
-              f"  {' '.join(loads[i]) or '-'}")
+        codes, same = {p.returncode for p in procs[i]}, len({p.stdout for p in procs[i]}) == 1
+        failed |= not (codes == {code} and same)
+        cells, text = clocks(samples[i])
+        loads = loaded(procs[i][-1].stderr)
+        records.append({"name": name, "exit": sorted(codes), **cells, "loads": loads})
+        print(f"{name:<{width}} {str(code) if codes == {code} else 'NO':>4}{text}"
+              f" {'same' if same else 'DIFFER':>7}  {' '.join(loads) or '-'}")
         if i == len(requests) - 1:
-            k = len(requests)
-            records.append({"name": f"cycle ({k} requests)",
-                            "wall_ms": sum(r["wall_ms"] for r in records[:k]),
-                            "cpu_ms": sum(r["cpu_ms"] for r in records[:k])})
-            print(f"{records[-1]['name']:<{width}} {'':>4} {records[-1]['wall_ms']:>9.1f}"
-                  f" {records[-1]['cpu_ms']:>9.1f}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as out:
-            json.dump({"backend": backend, "commit": source_commit(), "source": SRC,
-                       "runs_per_row": len(walls[0]), "rows": records}, out, indent=2)
-            out.write("\n")
+            cells, text = clocks(np.sum(samples[:i + 1], axis=0))
+            records.append({"name": f"cycle ({len(requests)} requests)", **cells})
+            print(f"{records[-1]['name']:<{width}} {'':>4}{text}")
+    write_json(args.json, backend, records, samples=count)
     return 1 if failed else 0
 
 

@@ -8,23 +8,19 @@ as analyze does: three one-matrix calls against one stack of three (ms per
 graph). A third table solves the signless Laplacians of the eight prisms
 that table1 and table2 tabulate (orders 6 to 20), as those tables do: eight
 one-matrix calls against one stack, each matrix zero-padded to order 20
-(ms per table). Each row is the best of REPEATS (5) samples, timed with
-``time.process_time``. A sample is one pass over the size's graphs or, where a
-warm-up pass takes under MIN_SAMPLE_S (20 ms), enough back-to-back passes to
-pass that, divided by their number. The samples go round-robin over every
-row of the run, so that a row's samples spread across the run and its best
-one can meet the machine's fast phase. Confirms bit for bit, on every matrix
-and returned tuple, that the two kernels agree and that each kernel's stack
-entry agrees with its one-matrix entry, a padded lane in its tuple, its
-leading block and its padding, which must stay +0.0. The stack check also
+(ms per table). A pass is one solve of the row's graphs, timed with
+``time.process_time``, and every row takes REPEATS (5) samples by the rule of
+``bench_cold.sample``; the tables print each row's least sample. Confirms bit
+for bit, on every matrix, returned tuple and sample, that the two kernels
+agree and that each kernel's stack entry agrees with its one-matrix entry, a
+padded lane in its tuple, its leading block and its padding, which must stay
++0.0. The stack check also
 covers a stack of at least 17 of the graphs' Laplacians per size (the
 ``L stack`` column): like every graph matrix they meet
 ``_jacobi_py.identity_skips``, so the Python kernel solves them lanes last
 while more than 16 lanes iterate. Exits 1 when any result differs.
 ``--json FILE`` also writes the rows of the three tables to FILE, each with
-its table, size or kernel, milliseconds or microseconds and checks, next to
-the backend and the git commit of the source tree, as ``bench_cold.py``
-gives it.
+its table, size or kernel, checks and timed cells (``bench_cold.summary``).
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,64] [--count 20]
        [--json FILE]
@@ -33,10 +29,9 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_eigensolver.py [--sizes 8,16,32,6
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import random
 import time
+from functools import partial
 
 import numpy as np
 
@@ -45,10 +40,8 @@ from qspectra.graph_core import prism, random_graph
 from qspectra.spectral import (
     BACKEND, adjacency_matrix, laplacian_matrix, signless_laplacian_matrix)
 
-from bench_cold import SRC, source_commit
+from bench_cold import REPEATS, sample, summary, write_json
 
-REPEATS = 5         # samples per row, of which the fastest counts
-MIN_SAMPLE_S = 0.02     # CPU seconds below which a sample runs several passes
 KERNELS = {"python": _jacobi_py}
 try:
     from qspectra import _jacobi_cy
@@ -68,25 +61,6 @@ def laplacian_stack(graphs: list) -> list[np.ndarray]:
     stack kernel runs lanes first."""
     count = max(len(graphs), _jacobi_py.LANES_FIRST_MAX + 1)
     return [laplacian_matrix(graphs[i % len(graphs)]) for i in range(count)]
-
-
-def best_of_each(rows: list[tuple]) -> list[tuple[float, list]]:
-    """For each (bench, *args) row: the least seconds of REPEATS samples of
-    bench(*args), each the mean of enough back-to-back passes to take
-    MIN_SAMPLE_S, and what its last pass solved. Sample k of every row runs
-    before sample k + 1 of any."""
-    passes = []
-    for bench, *args in rows:
-        t0 = time.process_time()
-        bench(*args)        # the warm-up pass, which sets the passes per sample
-        passes.append(math.ceil(MIN_SAMPLE_S / max(time.process_time() - t0, 1e-9)))
-    best, solved = [math.inf] * len(rows), [None] * len(rows)
-    for _ in range(REPEATS):
-        for i, ((bench, *args), count) in enumerate(zip(rows, passes)):
-            runs = [bench(*args) for _ in range(count)]
-            best[i] = min(best[i], sum(seconds for seconds, _ in runs) / count)
-            solved[i] = runs[-1][1]
-    return list(zip(best, solved))
 
 
 def bench_kernel(kernel, mats: list[np.ndarray]) -> tuple[float, list]:
@@ -168,16 +142,17 @@ def main() -> int:
     rows = {}
     for n in sizes:
         for name, kernel in KERNELS.items():
-            rows[n, name, "single"] = (bench_kernel, kernel, suite[n])
-            rows[n, name, "stack"] = (bench_stack, kernel, suite[n])
-            for stacked in (False, True):
-                rows[n, name, "triples", stacked] = (bench_triples, kernel, graphs[n], stacked)
+            rows[n, name, "single"] = partial(bench_kernel, kernel, suite[n])
+            rows[n, name, "stack"] = partial(bench_stack, kernel, suite[n])
+            rows[n, name, "3 calls"] = partial(bench_triples, kernel, graphs[n], False)
+            rows[n, name, "stack of 3"] = partial(bench_triples, kernel, graphs[n], True)
     # the rows of table1 and table2, prism(3) to prism(10)
     prisms = [signless_laplacian_matrix(prism(k)) for k in range(3, 11)]
     for name, kernel in KERNELS.items():
-        rows[name, "prisms", "single"] = (bench_kernel, kernel, prisms)
-        rows[name, "prisms", "padded"] = (bench_padded, kernel, prisms)
-    timed = dict(zip(rows, best_of_each(list(rows.values()))))
+        rows[name, "prisms", "single"] = partial(bench_kernel, kernel, prisms)
+        rows[name, "prisms", "padded"] = partial(bench_padded, kernel, prisms)
+    # each row's samples and the results of their last passes
+    timed = dict(zip(rows, zip(*sample(list(rows.values()), REPEATS))))
     header = f"{'n':>5}"
     for name in KERNELS:
         header += f" {name + ' (ms)':>14}"
@@ -193,8 +168,9 @@ def main() -> int:
         # the reference is the pure-Python kernel, one matrix per call
         single = {name: timed[n, name, "single"] for name in KERNELS}
         stacked = {name: timed[n, name, "stack"] for name in KERNELS}
-        reference = single["python"][1]
-        same = all(out == reference for _, out in (*single.values(), *stacked.values()))
+        reference = single["python"][1][0]
+        same = all(out == reference for _, outs in (*single.values(), *stacked.values())
+                   for out in outs)
         laplacians = laplacian_stack(graphs[n])
         lap_reference = bench_kernel(_jacobi_py, laplacians)[1]
         lap_same = all(bench_stack(kernel, laplacians)[1] == lap_reference
@@ -202,15 +178,15 @@ def main() -> int:
         mismatch |= not (same and lap_same)
         line = f"{n:>5}"
         for seconds, _ in single.values():
-            line += f" {seconds * 1e3:>14.3f}"
+            line += f" {min(seconds) * 1e3:>14.3f}"
         if len(KERNELS) == 2:
-            line += f" {single['python'][0] / single['compiled'][0]:>8.1f}x"
+            line += f" {min(single['python'][0]) / min(single['compiled'][0]):>8.1f}x"
         for seconds, _ in stacked.values():
-            line += f" {seconds * 1e6:>20.1f}"
+            line += f" {min(seconds) * 1e6:>20.1f}"
         print(f"{line} {'yes' if same else 'NO':>10} {'yes' if lap_same else 'NO':>8}")
         records.append({"table": "solve", "n": n,
-                        **{f"{name}_ms": round(single[name][0] * 1e3, 4) for name in KERNELS},
-                        **{f"{name}_stack_us": round(stacked[name][0] * 1e6, 2)
+                        **{f"{name}_ms": summary(single[name][0], 1e3) for name in KERNELS},
+                        **{f"{name}_stack_us": summary(stacked[name][0], 1e6)
                            for name in KERNELS},
                         "identical": same, "l_stack": lap_same})
 
@@ -225,12 +201,12 @@ def main() -> int:
     for n in sizes:
         line, outputs, record = f"{n:>5}", [], {"table": "triples", "n": n}
         for name in KERNELS:
-            calls, stack = (timed[n, name, "triples", stacked] for stacked in (False, True))
-            line += (f" {calls[0] * 1e3:>22.3f} {stack[0] * 1e3:>20.3f}"
-                     f" {calls[0] / stack[0]:>7.2f}x")
-            outputs += [calls[1], stack[1]]
-            record.update({f"{name}_3_calls_ms": round(calls[0] * 1e3, 4),
-                           f"{name}_stack_ms": round(stack[0] * 1e3, 4)})
+            calls, stack = timed[n, name, "3 calls"], timed[n, name, "stack of 3"]
+            line += (f" {min(calls[0]) * 1e3:>22.3f} {min(stack[0]) * 1e3:>20.3f}"
+                     f" {min(calls[0]) / min(stack[0]):>7.2f}x")
+            outputs += [*calls[1], *stack[1]]
+            record.update({f"{name}_3_calls_ms": summary(calls[0], 1e3),
+                           f"{name}_stack_ms": summary(stack[0], 1e3)})
         same = all(out == outputs[0] for out in outputs)
         mismatch |= not same
         print(f"{line} {'yes' if same else 'NO':>10}")
@@ -244,24 +220,20 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     # the reference is the pure-Python kernel, one matrix per call
-    reference = timed["python", "prisms", "single"][1]
+    reference = timed["python", "prisms", "single"][1][0]
     for name in KERNELS:
         calls, padded = (timed[name, "prisms", how] for how in ("single", "padded"))
-        same = calls[1] == reference and padded[1] == reference
+        same = all(out == reference for out in (*calls[1], *padded[1]))
         mismatch |= not same
-        print(f"{name:>8} {calls[0] * len(prisms) * 1e3:>14.3f}"
-              f" {padded[0] * len(prisms) * 1e3:>18.3f} {calls[0] / padded[0]:>7.2f}x"
-              f" {'yes' if same else 'NO':>10}")
+        print(f"{name:>8} {min(calls[0]) * len(prisms) * 1e3:>14.3f}"
+              f" {min(padded[0]) * len(prisms) * 1e3:>18.3f}"
+              f" {min(calls[0]) / min(padded[0]):>7.2f}x {'yes' if same else 'NO':>10}")
         records.append({"table": "prisms", "kernel": name,
-                        "calls_ms": round(calls[0] * len(prisms) * 1e3, 4),
-                        "padded_stack_ms": round(padded[0] * len(prisms) * 1e3, 4),
+                        "calls_ms": summary(calls[0], len(prisms) * 1e3),
+                        "padded_stack_ms": summary(padded[0], len(prisms) * 1e3),
                         "identical": same})
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as out:
-            json.dump({"backend": BACKEND, "commit": source_commit(), "source": SRC,
-                       "sizes": sizes, "count": args.count, "seed": args.seed,
-                       "repeats": REPEATS, "rows": records}, out, indent=2)
-            out.write("\n")
+    write_json(args.json, BACKEND, records, sizes=sizes, count=args.count, seed=args.seed,
+               samples=REPEATS)
     return 1 if mismatch else 0
 
 

@@ -8,12 +8,13 @@ one Graph holds: the rise of ``tracemalloc``'s traced memory while a Graph is
 built from a fresh copy of the edges and kept, edge pairs included. Then
 the microseconds of one call of Graph construction from the sorted edges,
 ``structure()`` (one graph's component facts, from ``spectral._components``),
-``emit_graph6`` and ``parse_graph6``, each the best of REPEATS (5) timings of
-CALLS (20) calls on ``time.process_time``. The last line sums the rows.
-Exits 1 when a graph's graph6 line does not parse back to the graph.
-``--json FILE`` also writes the rows and their sum to FILE, each with its
-label, n, m, cells and round-trip check, next to the backend and the git
-commit of the source tree, as ``bench_cold.py`` gives it.
+``emit_graph6`` and ``parse_graph6``. A pass is one call, timed with
+``time.process_time``, and every cell takes REPEATS (5) samples by the rule of
+``bench_cold.sample``; the table prints each cell's least sample. The last
+line sums the rows, sample by sample. Exits 1 when a graph's graph6 line does
+not parse back to the graph. ``--json FILE`` also writes the rows and their
+sum to FILE, each with its label, n, m, bytes, timed cells
+(``bench_cold.summary``) and round-trip check.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_graphs.py [--seed 1] [--smoke] [--json FILE]
 """
@@ -21,19 +22,17 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_graphs.py [--seed 1] [--smoke] [-
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import random
 import time
 import tracemalloc
 
+import numpy as np
+
 from qspectra.graph_core import Graph, build_family, emit_graph6, parse_graph6, random_graph
 from qspectra.spectral import BACKEND, structure
 
-from bench_cold import SRC, source_commit
+from bench_cold import REPEATS, sample, summary, write_json
 
-REPEATS = 5     # timings per call, of which the fastest counts; --smoke runs one
-CALLS = 20      # calls per timing; --smoke runs one
 SIZES = range(16, 65, 8)
 DENSITIES = (0.1, 0.3, 0.6)
 MEMBERS = (("prism", (19,)), ("crown", (20,)), ("complete_bipartite", (19, 22)))
@@ -65,58 +64,50 @@ def held_bytes(g: Graph) -> int:
     return held
 
 
-def best_us(fn, arg, repeats: int, calls: int) -> float:
-    best = math.inf
-    for _ in range(repeats):
+def call(fn, arg) -> callable:
+    """A row whose pass is one call of fn(arg), on CPU seconds."""
+    def row() -> tuple[float, None]:
         t0 = time.process_time()
-        for _ in range(calls):
-            fn(arg)
-        best = min(best, time.process_time() - t0)
-    return best / calls * 1e6
+        fn(arg)
+        return time.process_time() - t0, None
+    return row
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--smoke", action="store_true", help="one timing of one call per cell")
+    parser.add_argument("--smoke", action="store_true", help="one sample per cell")
     parser.add_argument("--json", metavar="FILE", help="also write the rows to FILE")
     args = parser.parse_args()
-    repeats, calls = (1, 1) if args.smoke else (REPEATS, CALLS)
+    count = 1 if args.smoke else REPEATS
     rows = inputs(args.seed)
-    print(f"bytes one Graph holds (tracemalloc); CPU us per call, best of {repeats} "
-          f"timings of {calls} calls")
+    texts = [emit_graph6(g) for _, g in rows]
+    trips = [parse_graph6(text) == g for text, (_, g) in zip(texts, rows)]
+    held = [held_bytes(g) for _, g in rows]
+    calls = [call(fn, arg) for (_, g), text in zip(rows, texts)
+             for fn, arg in ((lambda h: Graph(h.n, h.edges), g), (structure, g),
+                             (emit_graph6, g), (parse_graph6, text))]
+    # per graph, one (count,) array of samples per timed column
+    timed = np.reshape(sample(calls, count)[0], (len(rows), len(COLUMNS) - 1, count))
+    print(f"bytes one Graph holds (tracemalloc); CPU us per call, least of {count} sample(s)")
     header = f"{'graph':<26} {'n':>3} {'m':>5}" + "".join(f" {c:>12}" for c in COLUMNS)
     print(header + f" {'round trip':>10}")
     print("-" * (len(header) + 11))
-    totals = dict.fromkeys(COLUMNS, 0.0)
     mismatch, records = False, []
-    for label, g in rows:
-        text = emit_graph6(g)
-        same = parse_graph6(text) == g
+    for (label, g), same, size, cells in zip(rows, trips, held, timed):
         mismatch |= not same
-        cells = {
-            "bytes": held_bytes(g),
-            "build_us": best_us(lambda h: Graph(h.n, h.edges), g, repeats, calls),
-            "structure_us": best_us(structure, g, repeats, calls),
-            "emit_us": best_us(emit_graph6, g, repeats, calls),
-            "parse_us": best_us(parse_graph6, text, repeats, calls),
-        }
-        for c in COLUMNS:
-            totals[c] += cells[c]
-        print(f"{label:<26} {g.n:>3} {g.m:>5} {cells['bytes']:>12}"
-              + "".join(f" {cells[c]:>12.1f}" for c in COLUMNS[1:])
+        records.append({"graph": label, "n": g.n, "m": g.m, "bytes": size,
+                        **{c: summary(x, 1e6) for c, x in zip(COLUMNS[1:], cells)},
+                        "round_trip": same})
+        print(f"{label:<26} {g.n:>3} {g.m:>5} {size:>12}"
+              + "".join(f" {min(x) * 1e6:>12.1f}" for x in cells)
               + f" {'yes' if same else 'NO':>10}")
-        records.append({"graph": label, "n": g.n, "m": g.m,
-                        **{c: round(cells[c], 3) for c in COLUMNS}, "round_trip": same})
-    print(f"{'total':<26} {'':>3} {'':>5} {totals['bytes']:>12.0f}"
-          + "".join(f" {totals[c]:>12.1f}" for c in COLUMNS[1:]))
-    records.append({"graph": "total", **{c: round(totals[c], 3) for c in COLUMNS}})
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as out:
-            json.dump({"backend": BACKEND, "commit": source_commit(), "source": SRC,
-                       "seed": args.seed, "repeats": repeats, "calls": calls,
-                       "rows": records}, out, indent=2)
-            out.write("\n")
+    total = timed.sum(axis=0)
+    print(f"{'total':<26} {'':>3} {'':>5} {sum(held):>12}"
+          + "".join(f" {min(x) * 1e6:>12.1f}" for x in total))
+    records.append({"graph": "total", "bytes": sum(held),
+                    **{c: summary(x, 1e6) for c, x in zip(COLUMNS[1:], total)}})
+    write_json(args.json, BACKEND, records, seed=args.seed, samples=count)
     return 1 if mismatch else 0
 
 

@@ -8,9 +8,8 @@ function body (found with ``ast``). A code line holds a token other than a
 comment or a line break (found with ``tokenize``) and is not a docstring line.
 A comment line holds a comment and no code. Blank lines count as none of the
 three. ``--json FILE`` also writes each file's counts, their totals and the
-C kernel's line count to FILE, next to the backend of the counted package
-(which it imports from the tree it counts) and the git commit of the source
-tree, as ``bench_cold.py`` gives it.
+C kernel's line count to FILE (``bench_cold.write_json``), with the backend
+of the counted package, which it imports from the tree it counts.
 
 Usage: python3 benchmarks/src_lines.py [--json FILE]
 """
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import json
 import sys
 import tokenize
 from pathlib import Path
@@ -75,11 +73,8 @@ def main() -> None:
         # the package counted, ahead of any other on the path
         sys.path.insert(0, str(PACKAGE.parent))
         import qspectra
-        from bench_cold import SRC, source_commit
-        with open(args.json, "w", encoding="utf-8") as out:
-            json.dump({"backend": qspectra.BACKEND, "commit": source_commit(), "source": SRC,
-                       "rows": records}, out, indent=2)
-            out.write("\n")
+        from bench_cold import write_json
+        write_json(args.json, qspectra.BACKEND, records)
 
 
 if __name__ == "__main__":

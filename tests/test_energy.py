@@ -1,19 +1,22 @@
 """Energy values on families with known closed forms, the deviation sequence's
-ordering contract, and the regular-graph coincidence of the three energies.
+ordering contract, the regular-graph coincidence of the three energies, and
+the spectral identities of bipartite and regular graphs.
 """
 
 import math
 import random
+import sys
 
 import pytest
 
 from qspectra.reports import energies
-from qspectra.spectral import gamma_sequence, q_spectrum, structure
+from qspectra.spectral import GraphFacts, gamma_sequence, q_spectrum, structure
 from qspectra.graph_core import (
     complete,
     complete_bipartite,
     crown,
     cycle,
+    graph_from_mask,
     matching,
     prism,
     random_graph,
@@ -69,6 +72,37 @@ def test_regular_graphs_share_all_three_energies():
         assert rep.qe_equals_adjacency_energy
         assert abs(rep.signless_laplacian_energy - rep.adjacency_energy) <= 1e-9
         assert abs(rep.laplacian_energy - rep.adjacency_energy) <= 1e-9
+
+
+def test_bipartite_and_regular_graphs_meet_the_spectral_identities():
+    """On every labeled graph with 2 <= n <= 5, its A, L and Q solved as one
+    stack: Spec_Q = Spec_L when the graph is bipartite, so QE = LE; and
+    q_i - r = lambda_i = r - mu_{n+1-i} when it is r-regular. Each pair of
+    spectra agrees within the sum of its two solves' error_bounds plus
+    8 n eps max(1, q_1), and the energies within n times that."""
+    bipartite = regular = 0
+    for n in range(2, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            f = GraphFacts(graph_from_mask(n, mask))
+            f.solve_all()
+            a, lap, q = f.adjacency, f.laplacian, f.signless_laplacian
+            rounding = 8 * n * sys.float_info.epsilon * max(1.0, q.values[0])
+
+            def err(s, t):
+                return s.solve.error_bound + t.solve.error_bound + rounding
+
+            if not f.batch.odd.any():
+                bipartite += 1
+                assert all(abs(x - y) <= err(q, lap) for x, y in zip(q.values, lap.values)), f
+                le = math.fsum(abs(mu - 2 * f.graph.m / n) for mu in lap.values)
+                assert abs(f.qe - le) <= n * err(q, lap), f
+            r = f.graph.degrees[0]
+            if set(f.graph.degrees) == {r}:
+                regular += 1
+                assert all(abs(x - r - y) <= err(q, a) for x, y in zip(q.values, a.values)), f
+                assert all(abs(r - x - y) <= err(lap, a)
+                           for x, y in zip(reversed(lap.values), a.values)), f
+    assert (bipartite, regular) == (426, 26)
 
 
 def test_star_energies_differ():
