@@ -20,7 +20,8 @@ which the Python kernel's loops rotate a skipped lane by the identity and
 write every lane with plain copies; a stack outside the rule is solved one
 matrix at a time, each in one-lane lanes-first sweeps, as ``jacobi_sweeps``
 solves a matrix. In every sample the timed stages must give what the batch
-holds, each row sum must equal ``math.fsum`` of its row bit for bit, and
+holds, checked as each result is taken, so that no result outlives its
+check; each row sum must equal ``math.fsum`` of its row bit for bit, and
 every batch's verdict must equal what ``reports._verify_batch`` gives for
 its masks; exits 1 otherwise. The verdicts are empty at the default
 tolerance; under ``QSPECTRA_TOL=1e-300`` they are not. ``--smoke`` takes one
@@ -77,24 +78,43 @@ def solved(q: np.ndarray) -> np.ndarray:
 def stage_rows(n: int, batches: list[list[int]], built: list[FactsBatch], scale: float) -> list:
     """A row per stage of STAGES, whose pass calls the stage once on each
     batch of order n and returns the summed CPU seconds of the calls and
-    their results. built holds what from_masks gives for the batches."""
-    def row(fn, arguments) -> callable:
-        def timed() -> tuple[float, list]:
-            seconds, results = 0.0, []
-            for masks, b in zip(batches, built):
+    whether every result is what its batch holds. built holds what
+    from_masks gives for the batches. Each result is checked as it is taken
+    and then dropped, so a pass holds one result at a time."""
+    verdicts = [reports.batch_verdict(b) for b in built]
+    fsums = [[np.array([math.fsum(row) for row in a.tolist()]).tobytes() for a in summed_rows(b)]
+             for b in built]
+
+    def row(fn, arguments, agrees) -> callable:
+        def timed() -> tuple[float, bool]:
+            seconds, same = 0.0, True
+            for masks, b, verdict, sums in zip(batches, built, verdicts, fsums):
                 args = arguments(masks, b)
                 t0 = time.process_time()
-                results.append(fn(*args))
+                got = fn(*args)
                 seconds += time.process_time() - t0
-            return seconds, results
+                same = same and agrees(got, b, verdict, sums)
+            return seconds, same
         return timed
-    return [row(FactsBatch.from_masks, lambda masks, b: (n, masks, scale)),
-            row(solved, lambda masks, b: (q_stack(b),)),
-            row(spectral._components, lambda masks, b: (b.adjacency,)),
-            row(batch_violations, lambda masks, b: (b,)),
-            row(batch_lemma_failures, lambda masks, b: (b,)),
+
+    def same_values(values: np.ndarray, b: FactsBatch) -> bool:
+        return values.tobytes() == b.eigenvalues.tobytes()
+
+    return [row(FactsBatch.from_masks, lambda masks, b: (n, masks, scale),
+                lambda x, b, *_: same_values(x.eigenvalues, b)),
+            row(solved, lambda masks, b: (q_stack(b),),
+                lambda q, b, *_: same_values(
+                    np.sort(np.diagonal(q, axis1=1, axis2=2), axis=1)[:, ::-1], b)),
+            row(spectral._components, lambda masks, b: (b.adjacency,),
+                lambda got, b, *_: (got[0] == b.labels).all() and (got[1] == b.odd).all()),
+            row(batch_violations, lambda masks, b: (b,),
+                lambda v, b, verdict, _: v == verdict[0]),
+            row(batch_lemma_failures, lambda masks, b: (b,),
+                lambda f, b, verdict, _: f == verdict[1][:len(f)]),
             row(lambda *summed: [spectral._row_fsums(a) for a in summed],
-                lambda masks, b: summed_rows(b))]
+                lambda masks, b: summed_rows(b),
+                lambda got, b, _, sums: (got[0].tobytes() == b.qe.tobytes()
+                                         and [x.tobytes() for x in got] == sums))]
 
 
 def summed_rows(b: FactsBatch) -> tuple[np.ndarray, ...]:
@@ -103,27 +123,16 @@ def summed_rows(b: FactsBatch) -> tuple[np.ndarray, ...]:
     return b.gamma, b.eigenvalues, b.eigenvalues * b.eigenvalues
 
 
-def checked(masks: list[int], b: FactsBatch, got: dict[str, list]) -> bool:
-    """Whether each sample's result of each stage in got, on the batch b of
-    masks, is what b holds, and b's verdict is verify's."""
+def named_verdict_is_verifys(masks: list[int], b: FactsBatch) -> bool:
+    """Whether the verdict on the batch b of masks, its lanes named by their
+    graph6, is what verify's job gives for the masks."""
     def name(lane: int) -> str:
         return emit_graph6(graph_from_mask(b.n, masks[lane]))
 
     verdict = reports.batch_verdict(b)
     named = ([(name(lane), bid, gap) for lane, bid, gap in verdict[0]],
              [(name(lane), cid) for lane, cid in verdict[1]])
-    values = b.eigenvalues.tobytes()
-    fsums = [np.array([math.fsum(row) for row in a.tolist()]).tobytes() for a in summed_rows(b)]
-    return (all(x.eigenvalues.tobytes() == values for x in got["from_masks"])
-            and all(np.sort(np.diagonal(q, axis1=1, axis2=2), axis=1)[:, ::-1].tobytes() == values
-                    for q in got["jacobi_stack"])
-            and all((labels == b.labels).all() and (odd == b.odd).all()
-                    for labels, odd in got["_components"])
-            and all(v == verdict[0] for v in got["batch_violations"])
-            and all(f == verdict[1][:len(f)] for f in got["batch_lemma_failures"])
-            and all(sums[0].tobytes() == b.qe.tobytes()
-                    and [x.tobytes() for x in sums] == fsums for sums in got["row_sums"])
-            and named == reports._verify_batch((b.n, masks, b.scale)))
+    return named == reports._verify_batch((b.n, masks, b.scale))
 
 
 def main() -> int:
@@ -142,7 +151,7 @@ def main() -> int:
         orders.append((n, batches, built))
         rows.update(zip(((n, s) for s in STAGES), stage_rows(n, batches, built, scale)))
     count = 1 if args.smoke else REPEATS
-    # each row's samples and the results of their last passes
+    # each row's samples and whether each sample's last pass checked
     timed = dict(zip(rows, zip(*sample(list(rows.values()), count))))
     print(f"kernel: {spectral.BACKEND}; CPU ms over every batch of an order, least of {count} "
           f"sample(s); jacobi_stack and _components are parts of from_masks, and row_sums "
@@ -152,8 +161,8 @@ def main() -> int:
     print("-" * (len(header) + 18))
     mismatch, records = False, []
     for n, batches, built in orders:
-        same = all(checked(masks, b, {s: [got[j] for got in timed[n, s][1]] for s in STAGES})
-                   for j, (masks, b) in enumerate(zip(batches, built)))
+        same = (all(all(timed[n, s][1]) for s in STAGES)
+                and all(map(named_verdict_is_verifys, batches, built)))
         identity = all(identity_skips(q_stack(b)) for b in built)
         mismatch |= not same
         line = f"{n:>3} {len(batches):>8} {sum(map(len, batches)):>7}"

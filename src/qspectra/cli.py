@@ -136,18 +136,18 @@ def _print_grid(headers: list[str], rows: list[list[str]]) -> None:
 
 def analyze_command(args) -> int:
     g = _graph_from_args(args)
-    from .reports import analyze_report, check_graph
+    from .reports import analyze_report, batch_verdict
     from .spectral import GraphFacts
     f = GraphFacts(g)
     report = analyze_report(f)
-    violated, failures = check_graph(f)
+    violated, failures = batch_verdict(f.batch)
     if args.json:
         sys.stdout.write(render_json(report))
     else:
         _print_analysis(report)
     # the unconverged line of _status names solver:not_converged itself
-    _name_failures([bid for bid, _ in violated]
-                   + [cid for cid in failures if cid != "solver:not_converged"])
+    _name_failures([bid for _, bid, _ in violated]
+                   + [cid for _, cid in failures if cid != "solver:not_converged"])
     return _status(not violated and not failures, f.unconverged())
 
 

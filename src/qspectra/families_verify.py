@@ -20,7 +20,7 @@ import numpy as np
 from . import tolerances
 from .bounds import _cor3_value, _cor7_value
 from .graph_core import Graph
-from .spectral import GraphFacts, graph_facts
+from .spectral import GraphFacts, a_spectrum, graph_facts, q_spectrum
 
 __all__ = [
     "QPatternResult",
@@ -66,7 +66,7 @@ def classify_q_pattern(g: Graph | GraphFacts) -> QPatternResult:
     r = b.max_degree.tolist()[0]
     if r < 2:
         return _no_pattern("requires regularity degree at least 2")
-    spec = f.signless_laplacian
+    spec = q_spectrum(f)
     targets = (float(2 * r), float(r + 1), float(r - 1), 0.0)
     tol = tolerances.grouping_tol(spec.radius, scale=f.scale)
     counts = {t: 0 for t in targets}
@@ -161,7 +161,7 @@ def detect_srg(g: Graph | GraphFacts) -> SrgResult:
     feasible = r * (r - 1 - a) == (n - r - 1) * c
     three_ok = None
     if b.connected[0]:
-        three_ok = len(f.adjacency.groups) <= 3
+        three_ok = len(a_spectrum(f).groups) <= 3
     return SrgResult(is_srg=True, reason=None, degree=r,
                      adjacent_common=a, nonadjacent_common=c,
                      is_S_nr=(a == c), feasibility_ok=feasible,

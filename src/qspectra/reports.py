@@ -22,8 +22,9 @@ from . import tolerances
 from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict
-from .spectral import (FactsBatch, GraphFacts, batch_lemma_failures, check_spectral_lemmas,
-                       graph_facts, solve_spectra)
+from .spectral import (FactsBatch, GraphFacts, a_spectrum, batch_lemma_failures,
+                       check_spectral_lemmas, gamma_sequence, graph_facts, l_spectrum,
+                       q_spectrum, solve_spectra)
 
 __all__ = [
     "EnergyReport",
@@ -54,9 +55,9 @@ def energies(g: Graph | GraphFacts) -> EnergyReport:
     of |mu_i - 2m/n|) and the signless Laplacian energy QE of one graph."""
     f = graph_facts(g)
     f.solve_all()
-    mean = f.gamma.mean
-    e = math.fsum(abs(v) for v in f.adjacency.values)
-    le = math.fsum(abs(v - mean) for v in f.laplacian.values)
+    mean = gamma_sequence(f).mean
+    e = math.fsum(abs(v) for v in a_spectrum(f).values)
+    le = math.fsum(abs(v - mean) for v in l_spectrum(f).values)
     qe = f.qe
     same = abs(qe - e) <= tolerances.tight_tol(qe, scale=f.scale)
     return EnergyReport(
@@ -162,7 +163,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
     """Everything the library knows about one graph, as a JSON-safe dict."""
     f = graph_facts(g)
     f.solve_all()
-    g, b, gam = f.graph, f.batch, f.gamma
+    g, b, gam = f.graph, f.batch, gamma_sequence(f)
     pattern = classify_q_pattern(f)
     srg = detect_srg(f)
     return {
@@ -187,9 +188,9 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
             "regularity_degree": b.max_degree.tolist()[0] if b.regular[0] else None,
         },
         "spectra": {
-            "adjacency": _spectrum_dict(f.adjacency),
-            "laplacian": _spectrum_dict(f.laplacian),
-            "signless_laplacian": _spectrum_dict(f.signless_laplacian),
+            "adjacency": _spectrum_dict(a_spectrum(f)),
+            "laplacian": _spectrum_dict(l_spectrum(f)),
+            "signless_laplacian": _spectrum_dict(q_spectrum(f)),
         },
         "gamma": {
             "values": list(gam.values),
@@ -233,20 +234,6 @@ def batch_verdict(b: FactsBatch) -> tuple[list[tuple[int, str, float]],
     wrong = b.connected & (b.n >= 2) & ((b.groups == 2) != b.complete)
     failures.extend((lane, "two_distinct_q_complete") for lane in np.flatnonzero(wrong).tolist())
     return batch_violations(b), failures
-
-
-def check_graph(f: GraphFacts) -> tuple[list[tuple[str, float]], list[str]]:
-    """The verdict on one graph, batch_verdict on its batch of one: its
-    violated bounds as (bound_id, gap) pairs, as bounds.violations gives
-    them, and the ids of its failed checks. Empty lists mean every applicable
-    bound holds, every spectral check holds, and every solve read so far
-    converged."""
-    violated, failures = batch_verdict(f.batch)
-    failed = [cid for _, cid in failures]
-    # the batch's flag covers the Q solve; f names its A and L solves too
-    if f.unconverged() and "solver:not_converged" not in failed:
-        failed.append("solver:not_converged")
-    return [(bid, gap) for _, bid, gap in violated], failed
 
 
 # Graphs in one verify job, judged as one FactsBatch: each rotation's numpy

@@ -5,17 +5,13 @@ The solver is a cyclic Jacobi iteration with a fixed rotation order,
 terminating when the off-diagonal Frobenius norm drops below 1e-12 times the
 input's Frobenius norm, capped at 50 sweeps (non-convergence is flagged, not
 raised). The compiled kernel is used when its extension imports, the
-pure-Python twin otherwise. The library calls the kernel through
-``jacobi_stack`` only, in ``_solve_stack``, which solves a (B, N, N) stack in
-place; ``jacobi_sweeps``, the stack of one in both kernels, is kept for the
-benchmarks and the twin tests. ``solve_spectra`` is the one path of a
-graph's spectra: it builds the A, L or Q matrices of any set of (GraphFacts,
-matrix kind) pairs, solves them as one stack and keeps each Spectrum in its
-facts' ``spectra``; a lazy read is a stack of one, ``GraphFacts.solve_all``
-(analyze, ``energies``) a stack of three, and a reference table's eight
-prisms a stack of eight. ``FactsBatch.from_masks`` stacks verify's batches.
-``symmetric_eigenvalues`` validates and solves a matrix from outside the
-library; no library path calls it.
+pure-Python twin otherwise. The library solves through ``jacobi_stack``
+only, a (B, N, N) stack in place; ``jacobi_sweeps``, the stack of one, is
+kept for the benchmarks and the twin tests. ``solve_spectra`` is the one
+path of a graph's spectra: it builds the A, L or Q matrices of any set of
+(GraphFacts, matrix kind) pairs, solves them as one stack and keeps each
+Spectrum in its facts' ``spectra``. ``symmetric_eigenvalues`` validates and
+solves a matrix from outside the library.
 
 ``solve_spectra`` zero-pads each matrix of order n to the largest order N
 of its stack, and a lane's eigenvalues are the leading n entries of its
@@ -35,34 +31,26 @@ sweeps, converged, off_frobenius and max_offdiag, and the leading diagonal.
 
 ``FactsBatch`` holds what the bound catalog, its equality families and the
 lemma rules read, as arrays with one lane per graph, for B graphs of one
-order. Its deviation facts (the deviations |q_i - 2m/n| sorted descending,
-QE as their exactly rounded sum, min_is_zero and the group count) come from
-``_deviation_facts``, and ``_splits`` is the one grouping rule,
-``Spectrum.groups``'s too. Its ``common_neighbours``, the matrix square of
-the adjacency, is computed once, on first read, for the U-THM3 / U-COR7
-family and the strong regularity test; verify's judges never read it.
-Its component facts come from ``_components``, the one component rule, at
-any order: each vertex's component label (its least vertex) and whether its
-component has an odd cycle; connectivity and the component counts are
-derived from them. ``from_adjacency`` is the one constructor: ``from_masks``
-feeds it verify's int64 edge masks (up to 11 vertices), every signless
-Laplacian solved in one ``jacobi_stack`` call, and ``FactsBatch.of`` a
-GraphFacts's graph and Q spectrum. ``converged`` is whether each lane's
-signless Laplacian solve converged; ``GraphFacts.unconverged()`` names each
-unconverged solve of one graph, A and L included. ``structure()`` lists one
-graph's components from ``_components``, with no eigensolve.
+order: the deviations |q_i - 2m/n| sorted descending, QE as their exactly
+rounded sum, min_is_zero and the group count (``_splits`` is the one
+grouping rule, ``Spectrum.groups``'s too); each vertex's component label
+(its least vertex) and whether its component has an odd cycle, from
+``_components``, the one component rule; and ``common_neighbours``, the
+matrix square of the adjacency, computed on first read. ``from_adjacency``
+is its one constructor. ``converged`` is whether each lane's signless
+Laplacian solve converged.
 
-``GraphFacts`` holds what the reports read about one graph: the three
-spectra, each solved on first use, plus one tolerance-scale snapshot. Its
-deviation sequence, QE, common-neighbour counts and component facts are lane
-0 of ``GraphFacts.batch``, its batch of one, built once. The spectrum,
-energy, bound and classifier functions accept either a Graph or a
-GraphFacts; a caller that asks several questions about one graph builds the
-facts once and passes them along. Facts are cached once per graph; the
-catalog and lemma rules are pure functions of a batch. Each lemma rule is
-stated once: ``batch_lemma_failures`` judges every lane, and
-``check_spectral_lemmas`` renders the ``LemmaCheck`` records of a graph's
-batch of one.
+``GraphFacts`` holds one graph, one tolerance-scale snapshot and the
+spectra solved so far; ``a_spectrum``, ``l_spectrum`` and ``q_spectrum``
+read them, each solved on first read. Its deviations, QE and structure are
+lane 0 of ``GraphFacts.batch``, its batch of one, built once, and
+``gamma_sequence`` reads its deviations. ``unconverged()`` names each
+unconverged solve of the graph, A and L included. The spectrum, energy,
+bound and classifier functions accept either a Graph or a GraphFacts; a
+caller that asks several questions about one graph builds the facts once
+and passes them along. The catalog and lemma rules are pure functions of a
+batch, and each lemma rule is stated once: ``batch_lemma_failures`` judges
+every lane, and ``check_spectral_lemmas`` renders a graph's batch of one.
 """
 
 from __future__ import annotations
@@ -234,30 +222,6 @@ class GraphFacts:
         call, for a caller that reads all three."""
         solve_spectra((self, kind) for kind in _MATRIX_BUILDERS)
 
-    def _read(self, kind: str) -> Spectrum:
-        solve_spectra(((self, kind),))
-        return self.spectra[kind]
-
-    @property
-    def adjacency(self) -> Spectrum:
-        return self._read("adjacency")
-
-    @property
-    def laplacian(self) -> Spectrum:
-        return self._read("laplacian")
-
-    @property
-    def signless_laplacian(self) -> Spectrum:
-        return self._read("signless_laplacian")
-
-    @cached_property
-    def gamma(self) -> GammaSequence:
-        """Lane 0 of the batch of one."""
-        b = self.batch
-        return GammaSequence(values=tuple(b.gamma[0].tolist()),
-                             mean=2 * self.graph.m / self.graph.n,
-                             min_is_zero=b.min_is_zero.tolist()[0])
-
     @cached_property
     def qe(self) -> float:
         """Signless Laplacian energy: the sum of the deviations, lane 0 of the
@@ -266,8 +230,12 @@ class GraphFacts:
 
     @cached_property
     def batch(self) -> FactsBatch:
-        """This graph as a batch of one, built once."""
-        return FactsBatch.of(self)
+        """This graph as a batch of one, built once: its graph and its signless
+        Laplacian spectrum, solved if not solved yet."""
+        q = q_spectrum(self)
+        return FactsBatch.from_adjacency(adjacency_matrix(self.graph)[None] > 0,
+                                         np.array([q.values]), np.array([q.solve.converged]),
+                                         self.scale)
 
     def unconverged(self) -> tuple[str, ...]:
         """Names ('<kind> of <graph6>') of the matrices solved so far whose
@@ -301,20 +269,30 @@ def graph_facts(g: Graph | GraphFacts) -> GraphFacts:
     return g if isinstance(g, GraphFacts) else GraphFacts(g)
 
 
+def _spectrum(g: Graph | GraphFacts, kind: str) -> Spectrum:
+    f = graph_facts(g)
+    solve_spectra(((f, kind),))
+    return f.spectra[kind]
+
+
 def a_spectrum(g: Graph | GraphFacts) -> Spectrum:
-    return graph_facts(g).adjacency
+    return _spectrum(g, "adjacency")
 
 
 def l_spectrum(g: Graph | GraphFacts) -> Spectrum:
-    return graph_facts(g).laplacian
+    return _spectrum(g, "laplacian")
 
 
 def q_spectrum(g: Graph | GraphFacts) -> Spectrum:
-    return graph_facts(g).signless_laplacian
+    return _spectrum(g, "signless_laplacian")
 
 
 def gamma_sequence(g: Graph | GraphFacts) -> GammaSequence:
-    return graph_facts(g).gamma
+    """Lane 0 of the graph's batch of one."""
+    f = graph_facts(g)
+    b = f.batch
+    return GammaSequence(values=tuple(b.gamma[0].tolist()), mean=2 * f.graph.m / f.graph.n,
+                         min_is_zero=b.min_is_zero.tolist()[0])
 
 
 # -- a batch of graphs on one order, as arrays --------------------------------------
@@ -366,14 +344,6 @@ class FactsBatch:
         values, results = _solve_stack(q)
         return cls.from_adjacency(adjacency, values,
                                   np.array([r[1] for r in results], dtype=bool), scale)
-
-    @classmethod
-    def of(cls, f: GraphFacts) -> FactsBatch:
-        """A batch of one: f's graph and its signless Laplacian spectrum,
-        solved if f has not solved it."""
-        q = f.signless_laplacian
-        return cls.from_adjacency(adjacency_matrix(f.graph)[None] > 0, np.array([q.values]),
-                                  np.array([q.solve.converged]), f.scale)
 
     @cached_property
     def lanes(self) -> np.ndarray:

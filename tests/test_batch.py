@@ -21,9 +21,10 @@ from qspectra.graph_core import (
     MAX_ORDER, cartesian_product, complete, complete_bipartite, cycle, degree_stats,
     disjoint_union, graph_from_edges, graph_from_mask, mask_pairs, matching, path, prism,
     random_graph, star)
-from qspectra.reports import batch_verdict, check_graph
+from qspectra.reports import batch_verdict
 from qspectra.spectral import (
-    FactsBatch, GraphFacts, a_spectrum, adjacency_matrix, structure)
+    FactsBatch, GraphFacts, a_spectrum, adjacency_matrix, gamma_sequence, q_spectrum,
+    structure)
 
 
 def mask_cases():
@@ -75,9 +76,10 @@ def test_batch_verdict_equals_the_per_graph_verdict(scale, solves, monkeypatch):
             chunk = masks[start:start + reports._VERIFY_BATCH]
             batch = lanes_of(batch_verdict(FactsBatch.from_masks(n, chunk, scale)), len(chunk))
             for mask, (violated, failed) in zip(chunk, batch):
-                v, f = check_graph(GraphFacts(graph_from_mask(n, mask), scale))
-                assert (violated, failed) == ([(b, repr(g)) for b, g in v], f), (n, mask)
-                failing += bool(v or f)
+                one, = lanes_of(batch_verdict(
+                    GraphFacts(graph_from_mask(n, mask), scale).batch), 1)
+                assert (violated, failed) == one, (n, mask)
+                failing += bool(violated or failed)
     # the vanishing tolerance must make the comparison cover failing graphs
     assert (failing > 1000) == (scale < 1)
 
@@ -120,7 +122,7 @@ def test_each_from_masks_lane_is_the_batch_of_one_of_its_graph():
             chunk = masks[start:start + 4096]
             b = FactsBatch.from_masks(n, chunk, 1.0)
             for lane, mask in enumerate(chunk):
-                one = FactsBatch.of(GraphFacts(graph_from_mask(n, mask), 1.0))
+                one = GraphFacts(graph_from_mask(n, mask), 1.0).batch
                 assert (one.n, one.scale) == (b.n, b.scale)
                 for name in arrays:
                     got, want = getattr(b, name), getattr(one, name)
@@ -292,11 +294,11 @@ def test_the_reference_predicates():
 
 
 def assert_graph_facts_match_the_reference(f):
-    spec = f.signless_laplacian
+    spec, gam = q_spectrum(f), gamma_sequence(f)
     gamma, qe, zero, groups = reference_deviation_facts(list(spec.values), f.graph.m, f.scale)
-    assert repr((list(f.gamma.values), f.qe, f.gamma.min_is_zero, list(spec.groups))) == repr(
+    assert repr((list(gam.values), f.qe, gam.min_is_zero, list(spec.groups))) == repr(
         (gamma, qe, zero, groups)), graph_core.emit_graph6(f.graph)
-    assert f.gamma.mean == 2 * f.graph.m / f.graph.n
+    assert gam.mean == 2 * f.graph.m / f.graph.n
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-300])
@@ -486,10 +488,10 @@ def test_int64_and_python_int_case_tests_agree_at_the_order_bound(monkeypatch):
 
 def test_a_batch_of_one_reads_the_facts_it_is_given():
     f = GraphFacts(complete(5), 1.0)
-    b = FactsBatch.of(f)
+    b, q = f.batch, q_spectrum(f)
     assert (b.n, b.m.tolist(), b.groups.tolist(), b.qe.tolist()) == (
-        5, [10], [len(f.signless_laplacian.groups)], [f.qe])
-    assert b.eigenvalues.tolist() == [list(f.signless_laplacian.values)]
+        5, [10], [len(q.groups)], [f.qe])
+    assert b.eigenvalues.tolist() == [list(q.values)]
 
 
 def test_a_judged_batch_replaced_with_new_deviations_evaluates_them():

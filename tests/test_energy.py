@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from qspectra.reports import energies
-from qspectra.spectral import GraphFacts, gamma_sequence, q_spectrum, structure
+from qspectra.spectral import (
+    GraphFacts, a_spectrum, gamma_sequence, l_spectrum, q_spectrum, structure)
 from qspectra.graph_core import (
     complete,
     complete_bipartite,
@@ -85,7 +86,7 @@ def test_bipartite_and_regular_graphs_meet_the_spectral_identities():
         for mask in range(1 << (n * (n - 1) // 2)):
             f = GraphFacts(graph_from_mask(n, mask))
             f.solve_all()
-            a, lap, q = f.adjacency, f.laplacian, f.signless_laplacian
+            a, lap, q = a_spectrum(f), l_spectrum(f), q_spectrum(f)
             rounding = 8 * n * sys.float_info.epsilon * max(1.0, q.values[0])
 
             def err(s, t):

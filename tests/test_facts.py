@@ -17,9 +17,9 @@ from qspectra.bounds import all_bounds
 from qspectra.cli import main
 from qspectra.graph_core import crown, cycle, emit_graph6, prism
 from qspectra.reports import (
-    analyze_report, check_graph, energies, reproduce_table1, reproduce_table2,
+    analyze_report, batch_verdict, energies, reproduce_table1, reproduce_table2,
     verify_exhaustive)
-from qspectra.spectral import q_spectrum
+from qspectra.spectral import a_spectrum, l_spectrum, q_spectrum
 
 
 def test_tolerance_change_does_not_outlive_the_call(monkeypatch):
@@ -89,11 +89,11 @@ def test_analyze_solves_a_l_and_q_in_one_stack(counts):
 
 def test_joint_solve_solves_only_the_kinds_not_solved_yet(counts):
     f = spectral.GraphFacts(prism(4))
-    f.signless_laplacian
+    q_spectrum(f)
     energies(f)                  # A and L, in one stack
     analyze_report(f)            # nothing left to solve
     other = spectral.GraphFacts(cycle(6))
-    other.signless_laplacian
+    q_spectrum(other)
     # every pair solved already: no call
     spectral.solve_spectra([(f, "adjacency"), (f, "laplacian"), (other, "signless_laplacian")])
     assert counts["calls"] == [1, 2, 1]
@@ -119,8 +119,8 @@ def test_no_library_path_calls_jacobi_sweeps(monkeypatch, capsys):
     values, report = spectral.symmetric_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
     assert values.tolist() == [3.0, 1.0] and report.converged
     f = spectral.GraphFacts(prism(4))
-    assert f.adjacency.solve.converged and f.laplacian.solve.converged
-    assert f.signless_laplacian.solve.converged and f.qe > 0
+    assert a_spectrum(f).solve.converged and l_spectrum(f).solve.converged
+    assert q_spectrum(f).solve.converged and f.qe > 0
     assert main(["bounds", "--graph6", "OP?gQPC?CAXDEVAPg@CHK", "--json"]) == 0
     assert main(["analyze", "--family", "prism", "4"]) == 0
     capsys.readouterr()
@@ -213,11 +213,11 @@ def catalog(monkeypatch):
     """Batches of one built, and the ids of the catalog rows evaluated, in
     order."""
     seen = {"batches": 0, "rows": []}
-    of = spectral.FactsBatch.of
+    from_adjacency = spectral.FactsBatch.from_adjacency
 
-    def counted_of(cls, f):
+    def counted_from_adjacency(cls, *args):
         seen["batches"] += 1
-        return of(f)
+        return from_adjacency(*args)
 
     def counted(bound_id, rule):
         def run(b):
@@ -225,7 +225,8 @@ def catalog(monkeypatch):
             return rule(b)
         return run
 
-    monkeypatch.setattr(spectral.FactsBatch, "of", classmethod(counted_of))
+    monkeypatch.setattr(spectral.FactsBatch, "from_adjacency",
+                        classmethod(counted_from_adjacency))
     monkeypatch.setattr(bounds, "_CATALOG", tuple(
         (*row[:4], counted(row[0], row[4]), row[5]) for row in bounds._CATALOG))
     return seen
@@ -257,7 +258,7 @@ def test_a_table_builds_one_batch_per_row_and_evaluates_its_columns_once(catalog
 
 def test_a_kept_batch_sees_a_solve_made_after_it(catalog, monkeypatch):
     f = spectral.GraphFacts(prism(4))
-    assert check_graph(f) == ([], [])          # Q solved, the batch kept
+    assert batch_verdict(f.batch) == ([], [])   # Q solved, the batch kept
     kernel = spectral._KERNEL
 
     class Unconverged:
@@ -267,7 +268,10 @@ def test_a_kept_batch_sees_a_solve_made_after_it(catalog, monkeypatch):
 
     monkeypatch.setattr(spectral, "_KERNEL", Unconverged)
     f.solve_all()                               # A and L, neither converged
-    assert check_graph(f) == ([], ["solver:not_converged"])
+    # the kept batch flags its Q solve only; the facts name the A and L solves
+    assert batch_verdict(f.batch) == ([], [])
+    assert f.unconverged() == tuple(f"{kind} of {emit_graph6(f.graph)}"
+                                    for kind in ("adjacency", "laplacian"))
     # one batch, and one whole walk of the catalog per verdict
     assert catalog["batches"] == 1 and catalog["rows"] == [*bounds.BOUND_IDS, *bounds.BOUND_IDS]
 
@@ -287,7 +291,8 @@ def test_a_batch_flags_only_its_signless_laplacian_solve(monkeypatch, capsys):
     f = spectral.GraphFacts(prism(4))
     analyze_report(f)
     assert f.batch.converged.tolist() == [True]
-    assert "solver:not_converged" in check_graph(f)[1]
+    assert batch_verdict(f.batch) == ([], [])
+    assert f.unconverged() == (f"adjacency of {emit_graph6(prism(4))}",)
     assert main(["analyze", "--family", "prism", "4"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         f"qspectra: eigensolve did not converge: adjacency of {emit_graph6(prism(4))}"]

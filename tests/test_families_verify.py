@@ -263,7 +263,7 @@ def test_cor3_and_cor7_are_the_cubic_bounds():
         lower, upper = evaluate_bound(f, "L-COR3"), evaluate_bound(f, "U-COR7")
         assert lower.applicable and upper.applicable, g
         assert lower.value <= qe + tol and upper.value >= qe - tol, g
-        if f.gamma.values[-1] >= 1 - 1e-9:
+        if gamma_sequence(f).values[-1] >= 1 - 1e-9:
             at_least_one += 1
             assert lower.value >= 1.5 * g.n - tol, g
     assert at_least_one >= 2     # K4 and the Petersen graph at least

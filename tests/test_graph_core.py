@@ -28,7 +28,7 @@ from qspectra.graph_core import (
     random_graph,
     star,
 )
-from qspectra.spectral import FactsBatch, GraphFacts, structure
+from qspectra.spectral import GraphFacts, structure
 
 
 def test_graph_from_edges_normalizes():
@@ -179,7 +179,7 @@ def test_structure_components_and_bipartite():
 
 def test_structural_predicates():
     def is_complete(g):
-        return FactsBatch.of(GraphFacts(g, 1.0)).complete.tolist() == [True]
+        return GraphFacts(g, 1.0).batch.complete.tolist() == [True]
 
     assert is_complete(complete(4))
     assert not is_complete(cycle(4))

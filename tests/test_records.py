@@ -18,8 +18,10 @@ from qspectra import (
     degree_stats,
     detect_srg,
     energies,
+    gamma_sequence,
     prism,
     prism_bounds,
+    q_spectrum,
     reproduce_table1,
     structure,
     verify_exhaustive,
@@ -36,7 +38,7 @@ def one_of_each_record() -> list:
     f = GraphFacts(prism(4))
     bound = next(r for r in all_bounds(f) if r.diagnosis is not None)
     table = reproduce_table1()
-    return [f.signless_laplacian.solve, f.signless_laplacian, f.gamma, check_spectral_lemmas(f)[0],
+    return [q_spectrum(f).solve, q_spectrum(f), gamma_sequence(f), check_spectral_lemmas(f)[0],
             bound.diagnosis, bound, classify_q_pattern(f), detect_srg(f), prism_bounds(4),
             energies(f), table.rows[0], table, verify_exhaustive(3),
             degree_stats(f.graph), structure(f.graph)]

@@ -8,6 +8,7 @@ import math
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 from collections import defaultdict
 from itertools import chain
@@ -28,6 +29,7 @@ from qspectra.graph_core import (
     cycle,
     disjoint_union,
     graph_from_mask,
+    mask_pairs,
     matching,
     path,
     prism,
@@ -48,6 +50,9 @@ from qspectra.spectral import (
     structure,
     symmetric_eigenvalues,
 )
+
+# each matrix kind's spectrum reader
+READERS = {"adjacency": a_spectrum, "laplacian": l_spectrum, "signless_laplacian": q_spectrum}
 
 
 def test_backend_reported():
@@ -174,6 +179,32 @@ def test_values_descending():
         g = random_graph(8, 0.5, rng)
         values = q_spectrum(g).values
         assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
+
+
+def test_signless_laplacian_eigenvalues_meet_the_cubic_power_trace():
+    """On every labeled graph with n <= 6, its Q solved by the kernel's
+    jacobi_stack: the sum of q_i^3 is tr Q^3 = sum d_i^3 + 3 M1 + 6 T, where
+    M1 is the sum of d_i^2 and T the triangle count, within
+    3 n max(1, q_1)^2 err, where err = off_frobenius + 8 n eps max(1, q_1)."""
+    for n in range(1, 7):
+        pairs = np.array(mask_pairs(n), dtype=np.intp).reshape(-1, 2).T
+        bits = np.arange(1 << pairs.shape[1])[:, None] >> np.arange(pairs.shape[1]) & 1
+        a = np.zeros((len(bits), n, n), dtype=np.int64)
+        a[:, pairs[0], pairs[1]] = bits
+        a[:, pairs[1], pairs[0]] = bits
+        d = a.sum(axis=2)
+        triangles = np.trace(a @ a @ a, axis1=1, axis2=2) // 6
+        target = (d ** 3).sum(axis=1) + 3 * (d * d).sum(axis=1) + 6 * triangles
+        q = a.astype(np.float64)
+        q[:, np.arange(n), np.arange(n)] = d
+        results = spectral._KERNEL.jacobi_stack(q)
+        values = np.diagonal(q, axis1=1, axis2=2)
+        q1 = np.maximum(1.0, values.max(axis=1))
+        err = np.array([r[2] for r in results]) + 8 * n * sys.float_info.epsilon * q1
+        gap = np.abs((values ** 3).sum(axis=1) - target)
+        assert all(converged for _, converged, _, _ in results), n
+        wrong = np.flatnonzero(gap > 3 * n * q1 ** 2 * err)
+        assert not wrong.size, (n, wrong)
 
 
 # -- grouping and spectra --------------------------------------------------------
@@ -327,10 +358,12 @@ def product_spectrum_diff(g: Graph, h: Graph, kind: str) -> tuple[float, float]:
     sums of the factors' spectra, for all three matrix kinds (the degree
     matrix of the product is the Kronecker sum of the factors' degree
     matrices), and the tolerance it must be within: 1e-7 * max(1, radius)."""
-    sg = getattr(GraphFacts(g, 1.0), kind).values
-    sh = getattr(GraphFacts(h, 1.0), kind).values
+    def values(graph):
+        return READERS[kind](GraphFacts(graph, 1.0)).values
+
+    sg, sh = values(g), values(h)
     expected = sorted((x + y for x in sg for y in sh), reverse=True)
-    actual = getattr(GraphFacts(cartesian_product(g, h), 1.0), kind).values
+    actual = values(cartesian_product(g, h))
     radius = max(abs(actual[0]), abs(actual[-1]))
     return max(abs(a - b) for a, b in zip(actual, expected)), 1e-7 * max(1.0, radius)
 
@@ -740,7 +773,7 @@ def test_stack_solved_spectra_equal_the_lazily_solved_ones():
         batch = FactsBatch.from_masks(n, masks, 1.0)
         for values, converged, mask in zip(batch.eigenvalues.tolist(),
                                            batch.converged.tolist(), masks):
-            lazy = GraphFacts(graph_from_mask(n, mask), 1.0).signless_laplacian
+            lazy = q_spectrum(GraphFacts(graph_from_mask(n, mask), 1.0))
             assert repr(tuple(values)) == repr(lazy.values), (n, mask)
             assert converged is lazy.solve.converged, (n, mask)
 
@@ -801,7 +834,7 @@ def test_joint_solve_equals_each_kind_solved_alone():
         joint.solve_all()
         assert set(kinds) <= joint.spectra.keys()      # solved, not read lazily below
         for kind in kinds:
-            got, alone = getattr(joint, kind), getattr(GraphFacts(g, 1.0), kind)
+            got, alone = READERS[kind](joint), READERS[kind](GraphFacts(g, 1.0))
             assert repr(got.values) == repr(alone.values), (g, kind)
             assert repr(got.groups) == repr(alone.groups), (g, kind)
             assert repr(got.solve._asdict()) == repr(alone.solve._asdict()), (g, kind)
@@ -874,5 +907,5 @@ def test_a_mixed_order_solve_equals_each_matrix_solved_alone():
     pairs = [(GraphFacts(g, 1.0), rng.choice(kinds)) for g in graphs]
     spectral.solve_spectra(pairs)
     for f, kind in pairs:
-        got, alone = f.spectra[kind], getattr(GraphFacts(f.graph, 1.0), kind)
+        got, alone = f.spectra[kind], READERS[kind](GraphFacts(f.graph, 1.0))
         assert repr(got) == repr(alone), (f.graph.n, kind)
