@@ -65,9 +65,7 @@ def sample_batches(n: int, count: int, seed: int) -> list[list[int]]:
 
 
 def q_stack(b: FactsBatch) -> np.ndarray:
-    q = b.adjacency.astype(np.float64)
-    q[:, np.arange(b.n), np.arange(b.n)] = b.degrees
-    return q
+    return spectral._matrices(b.adjacency, "signless_laplacian")
 
 
 def solved(q: np.ndarray) -> np.ndarray:

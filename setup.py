@@ -15,13 +15,6 @@ class OptionalBuildExt(build_ext):
             print(f"warning: compiled kernel skipped ({exc}); "
                   "pure-Python fallback will be used", file=sys.stderr)
 
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: building {ext.name} failed ({exc}); "
-                  "pure-Python fallback will be used", file=sys.stderr)
-
 
 # -ffp-contract=off keeps the compiled kernel bit-identical to the pure-Python
 # one (no FMA fusion); do not add -ffast-math.

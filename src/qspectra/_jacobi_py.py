@@ -13,80 +13,43 @@ Identical to the compiled kernel: the rotation order, the ``apq == 0.0`` skip,
 the theta, t, c and s expressions, the pivot formulas, and the convergence
 test.
 
-Both entry points run one driver, ``_solve``, as both compiled ones run
-``solve_buffer()``; ``jacobi_sweeps(a)`` is its stack of one, ``a[None]``.
-The driver alone states the termination bookkeeping, on arrays with one
-entry per matrix: the Frobenius threshold, the off-diagonal sums, the set of
-matrices still iterating (a matrix leaves it when it converges or reaches
-MAX_SWEEPS), the converged flag and the max-offdiag rule. A stack of more
-than one matrix that fails ``identity_skips`` is solved one matrix at a
-time, each as a stack of one. Otherwise each sweep runs one of two loops on
-the matrices still iterating, and each leaves in a matrix the bits that the
-compiled sweep leaves:
+A sweep runs ``_lanes_last`` above LANES_FIRST_MAX iterating matrices, as in
+verify's batches of graphs, and ``_lanes_first`` at most that, as in
+analyze's A, L and Q of one graph and for every single matrix. Lanes last
+works on an (n, n, B) array, so that each numpy call covers every lane;
+lanes first on a (B, n, n) one, so that each numpy loop runs along a row.
+Both run the matrices in lockstep over the same cyclic (p, q) order.
 
-- ``_lanes_last`` above LANES_FIRST_MAX (16) iterating matrices, as in
-  verify's batches of graphs;
-- ``_lanes_first`` at most that, as in analyze's A, L and Q of one graph,
-  and for every single matrix, as a one-lane stack.
+The identity rule: ``identity_skips`` holds when the stack is all finite,
+exactly symmetric and holds no -0.0, as the A, L and Q of every graph are.
+Under it, a lane whose (p, q) entry is zero, which the compiled loop skips,
+rotates by the identity, c = 1, s = 0 and step = 0, so every write is plain
+and each numpy call of a rotation covers every lane. A rotation that every
+lane skips is skipped, so a lone lane never rotates by the identity. A stack
+of more than one matrix outside the rule is solved one matrix at a time.
 
-``identity_skips`` holds when the stack is all finite, exactly symmetric
-(``a == a.transpose(0, 2, 1)``) and holds no -0.0, as the A, L and Q of every
-graph are. Both loops run the matrices in lockstep over the same cyclic
-(p, q) order, on a work array of the matrices still iterating. A lane whose
-(p, q) entry is zero, which the compiled loop skips, rotates by the identity,
-c = 1, s = 0 and step = 0, so every write is plain and each numpy call of a
-rotation covers every lane. A rotation that every lane skips is skipped, so
-a lone lane never rotates by the identity.
+Both loops write each new row entry as c*x + (-s)*y or s*x + c*y. This is
+the compiled c*x - s*y and s*x + c*y bit for bit, because (-s)*y is exactly
+-(s*y) and x + (-z) is exactly x - z in IEEE arithmetic. Lanes last writes
+columns p and q from the new rows at every rotation; for column p this
+leaves what a block-end copy leaves, because within a p-block only its
+pivot entries are read, and each rotation overwrites those.
 
-Lanes last, the work array is (n, n, B). It is gathered and scattered as
-(n * n, B) rows, one column per matrix; while every matrix still iterates,
-the work array of the last sweep (first, one transposed copy of the stack)
-holds them all, and no gather runs. In the loop:
-
-- theta, t, c, s and the pivot step t * apq are vectors of the same
-  expressions, with the operands in the same order, each written into a
-  buffer allocated once per sweep. The sign flip is
-  ``copysign(t, theta + 0.0)``: adding 0.0 turns a -0.0 theta into +0.0 and
-  leaves every other theta as it is, so t is negated exactly where
-  ``theta < 0.0``. The asymptotic branch, which a NaN theta also takes, is a
-  ``where=`` divide. A skipped lane's theta is +-inf or NaN, and its t is
-  then set to 0.0.
-- Rows p and q are rotated as lanes first rotates them, through the strided
-  pair view and a (2, 2, 1, B) coefficient array, into a buffer whose pivot
-  block is then set. The buffer is written back as rows p and q and, through
-  the same pair view on the column axis, as columns p and q. Column p is
-  written at every rotation of the lane rather than once per p-block: within
-  the block only its pivot entries are read, and each rotation overwrites
-  those, so the last write leaves what the block-end copy leaves.
-
-Lanes first, the work array is (B, n, n), so each numpy loop runs along a
-row, and each lane's theta, t, c and s are Python floats of the compiled
-loop's expressions:
-
-- The driver gathers the work array, and ``_lanes_first_views`` builds its
-  row and column lists, its diagonal view and the strided view of every
-  (p, q) row pair. The array is held across sweeps, and it is scattered and
-  gathered again, with new views, only when lanes leave. No rotation slices
-  the array.
-- Rows p and q of every lane are rotated together: one multiply of the row
-  pairs by a (B, 2, 2, 1) array of [[c, -s], [s, c]] into a buffer, then
-  one add of its two halves back into the rows. Each entry is c*x + (-s)*y
-  or s*x + c*y. This is the compiled c*x - s*y and s*x + c*y bit for bit,
-  because (-s)*y is exactly -(s*y) and x + (-z) is exactly x - z in IEEE
-  arithmetic. Column q is then copied from row q.
-- Once per p-block, the diagonal is read into Python lists. The pivots app
-  and aqq are read from, and their new values written to, those lists. At
-  the block's first rotation column p is set to +0.0. At the end of a block
-  that rotated, column p is copied from row p, and the lists go back into
-  the diagonal; a block without a rotation leaves the matrix as it was.
-- The zeroing keeps every bit. Inside a block, column-p entries are read
-  only into the new (q, p) and (p, p) entries. Each new (q, p) is
-  s * (+0.0) + c * (+0.0), which is +0.0 for either sign of a finite s,
-  because c > 0 and (-0.0) + (+0.0) is +0.0; the copy of column q from row
-  q carries it to (p, q), where the compiled loop writes the literal 0.0.
-  The new (p, p) is stale and is rewritten from the pivot lists, and the
-  stale (q, q) entries are not read. Under the rule, a lane that did not
-  rotate in a block that rotated gets back its column p, which is its row p.
+Lanes first computes each lane's theta, t, c and s as Python floats of the
+compiled loop's expressions, and copies column q from row q after each
+rotation. Once per p-block the diagonal is read into Python lists, and the
+pivots app and aqq are read from, and their new values written to, those
+lists. At the block's first rotation column p is set to +0.0. At the end of
+a block that rotated, column p is copied from row p, and the lists go back
+into the diagonal; a block without a rotation leaves the matrix as it was.
+The zeroing keeps every bit. Inside a block, column-p entries are read only
+into the new (q, p) and (p, p) entries. Each new (q, p) is
+s * (+0.0) + c * (+0.0), which is +0.0 for either sign of a finite s,
+because c > 0 and (-0.0) + (+0.0) is +0.0; the copy of column q from row q
+carries it to (p, q), where the compiled loop writes the literal 0.0. The
+new (p, p) is stale and is rewritten from the pivot lists, and the stale
+(q, q) entries are not read. Under the rule, a lane that did not rotate in
+a block that rotated gets back its column p, which is its row p.
 
 Why a lone lane keeps the compiled bits on any input, including input that
 is symmetric only to rounding or that holds -0.0: it never rotates by the
@@ -116,13 +79,9 @@ column written from its row loses an entry that is symmetric only to
 rounding. In both loops, every write copies bits that the compiled loop's own
 operations, in its own order, produce for that lane.
 
-The driver's Frobenius and off-diagonal sums add each matrix's squares from
-row 0 of a (terms, matrices) array down, in the compiled loop order: by one
-``np.add.accumulate`` call below ROW_ADDS_MIN (256) matrices, as for a single
-matrix or analyze's stacks of three with up to 2,016 terms, and by one
-in-place add per row from there on, as in verify's batches of 1024. Starting
-from row 0 rather than 0.0 gives the same bits, because a square is +0.0 or
-more, or NaN.
+The Frobenius and off-diagonal sums add each matrix's squares top down, in
+the compiled loop order. Starting from the first square rather than 0.0
+gives the same bits, because a square is +0.0 or more, or NaN.
 """
 
 import math
@@ -144,12 +103,10 @@ def _require_square(a, ndim, error):
 
 
 def jacobi_sweeps(a):
-    """Diagonalize a symmetric C-contiguous float64 matrix in place.
-
-    Returns (sweeps, converged, off_frobenius, max_offdiag): the driver's
-    entry for the stack of one, which it sweeps as one lane of the
-    lanes-first loop.
-    """
+    """Diagonalize a symmetric C-contiguous float64 matrix in place and
+    return (sweeps, converged, off_frobenius, max_offdiag). The library
+    solves through ``jacobi_stack`` only; this serves the benchmarks and the
+    twin tests."""
     _require_square(a, 2, "expected a square 2-D float64 buffer")
     return _solve(a[None])[0]
 
@@ -160,10 +117,7 @@ def jacobi_stack(a):
 
     Returns a list of B (sweeps, converged, off_frobenius, max_offdiag)
     tuples. Entry i, and what is left in a[i], are bit for bit what
-    ``jacobi_sweeps(a[i])`` returns and leaves. The driver solves a stack of
-    more than one matrix that fails ``identity_skips`` one matrix at a time,
-    as ``jacobi_sweeps`` does, and sweeps any other with the lanes-last or
-    lanes-first loop.
+    ``jacobi_sweeps(a[i])`` returns and leaves.
     """
     _require_square(a, 3, "expected a 3-D float64 buffer of square matrices")
     return _solve(a)
@@ -189,9 +143,8 @@ def identity_skips(a):
 
 
 def _solve(a):
-    """Diagonalize every matrix of a checked (B, n, n) stack in place, each
-    sweep with the loop that the module docstring names, and return its B
-    (sweeps, converged, off_frobenius, max_offdiag) tuples."""
+    """Diagonalize every matrix of a checked (B, n, n) stack in place and
+    return its B (sweeps, converged, off_frobenius, max_offdiag) tuples."""
     count, n = a.shape[0], a.shape[-1]
     if n < 2:
         return [(0, True, 0.0, 0.0)] * count

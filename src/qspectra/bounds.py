@@ -6,24 +6,17 @@ them true (verified exhaustively on small orders and on large random batches);
 a graph outside a bound's hypotheses gets an inapplicable result with a reason
 rather than a bogus number.
 
-Each bound's hypotheses, with the reason each gives when it fails, and its
-value formula are stated once, on the arrays of a spectral.FactsBatch, one
-lane per graph. batch_violations judges a whole batch at once and is the one
-statement of the violation rule; verify calls it on its stack batches. _tight
-is the one tightness test, for the verdict and the equality diagnosis.
-all_bounds, evaluate_bound and violations evaluate the graph's batch of one.
-Facts are cached once per graph; the catalog rules are pure functions of a
-batch, so the records and the verdict of one graph each walk the catalog.
-all_bounds gives the full report record of every bound, for analyze, the
-bounds command and the tables; violations gives only the (id, gap) pairs of
-the bounds a graph violates. Only the report extras are computed per graph,
-and from its batch of one alone: the stated equality condition and whether
-the graph meets it, the pair details of L-GAN4 and L-GAN5, and U-THM3's
-strictness on one branch. Every stated equality family is a flag per lane,
-U-THM3's and U-COR7's from the batch's common-neighbour counts, and a report
-reads lane 0. The pair rule of L-GAN4 and L-GAN5 is stated once, in
-_extreme_pair, for every lane; verify's batch_violations reads no family flag
-and no pair detail.
+Each bound's hypotheses, with the reason each gives when it fails, its value
+formula and its stated equality family are stated once, on the arrays of a
+spectral.FactsBatch, one lane per graph; a report on one graph reads lane 0
+of its batch of one. batch_violations, the one statement of the violation
+rule, gives the (lane, bound_id, gap) of a batch and violations the
+(bound_id, gap) of one graph; neither builds a report record. all_bounds
+gives the record of every bound, evaluate_bound that of one. _tight is the
+one tightness test, for the verdict and the equality diagnosis. Only a
+record's extras are computed per graph, and batch_violations reads none of
+them: the stated equality condition and whether the graph meets it, the
+pair details of L-GAN4 and L-GAN5, and U-THM3's strictness on one branch.
 
 Bound identifiers are a fixed external interface. The catalog table at the end
 of this module states each bound's id, direction and strictness once; its row

@@ -5,13 +5,7 @@ The solver is a cyclic Jacobi iteration with a fixed rotation order,
 terminating when the off-diagonal Frobenius norm drops below 1e-12 times the
 input's Frobenius norm, capped at 50 sweeps (non-convergence is flagged, not
 raised). The compiled kernel is used when its extension imports, the
-pure-Python twin otherwise. The library solves through ``jacobi_stack``
-only, a (B, N, N) stack in place; ``jacobi_sweeps``, the stack of one, is
-kept for the benchmarks and the twin tests. ``solve_spectra`` is the one
-path of a graph's spectra: it builds the A, L or Q matrices of any set of
-(GraphFacts, matrix kind) pairs, solves them as one stack and keeps each
-Spectrum in its facts' ``spectra``. ``symmetric_eigenvalues`` validates and
-solves a matrix from outside the library.
+pure-Python twin otherwise.
 
 ``solve_spectra`` zero-pads each matrix of order n to the largest order N
 of its stack, and a lane's eigenvalues are the leading n entries of its
@@ -29,28 +23,11 @@ sweeps, converged, off_frobenius and max_offdiag, and the leading diagonal.
   padding keeps them so, so the padded stack still meets
   ``_jacobi_py.identity_skips``.
 
-``FactsBatch`` holds what the bound catalog, its equality families and the
-lemma rules read, as arrays with one lane per graph, for B graphs of one
-order: the deviations |q_i - 2m/n| sorted descending, QE as their exactly
-rounded sum, min_is_zero and the group count (``_splits`` is the one
-grouping rule, ``Spectrum.groups``'s too); each vertex's component label
-(its least vertex) and whether its component has an odd cycle, from
-``_components``, the one component rule; and ``common_neighbours``, the
-matrix square of the adjacency, computed on first read. ``from_adjacency``
-is its one constructor. ``converged`` is whether each lane's signless
-Laplacian solve converged.
-
-``GraphFacts`` holds one graph, one tolerance-scale snapshot and the
-spectra solved so far; ``a_spectrum``, ``l_spectrum`` and ``q_spectrum``
-read them, each solved on first read. Its deviations, QE and structure are
-lane 0 of ``GraphFacts.batch``, its batch of one, built once, and
-``gamma_sequence`` reads its deviations. ``unconverged()`` names each
-unconverged solve of the graph, A and L included. The spectrum, energy,
-bound and classifier functions accept either a Graph or a GraphFacts; a
-caller that asks several questions about one graph builds the facts once
-and passes them along. The catalog and lemma rules are pure functions of a
-batch, and each lemma rule is stated once: ``batch_lemma_failures`` judges
-every lane, and ``check_spectral_lemmas`` renders a graph's batch of one.
+``a_spectrum``, ``l_spectrum`` and ``q_spectrum`` solve on first read and
+keep the Spectrum in the graph's facts. They, and the energy, bound and
+classifier functions, accept either a Graph or a GraphFacts; a caller that
+asks several questions about one graph builds the facts once and passes
+them along. The catalog and lemma rules are pure functions of a batch.
 """
 
 from __future__ import annotations
@@ -133,12 +110,10 @@ def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
 
 
 def _solve_stack(stack: np.ndarray, orders: list[int] | None = None) -> tuple:
-    """Diagonalize a C-contiguous float64 (B, N, N) stack in place, in one
-    jacobi_stack call. Lane i holds a matrix of order orders[i], zero-padded
-    to N (the module docstring says why that keeps every bit), or of order N
-    when orders is None. Returns each lane's eigenvalues, the sorted leading
-    orders[i] entries of its diagonal, descending: as a (B, N) array when
-    orders is None, else as a list of rows. Also returns the kernel's
+    """Diagonalize a C-contiguous float64 (B, N, N) stack in place, lane i
+    holding a matrix of order orders[i] zero-padded to N, or of order N when
+    orders is None. Returns each lane's eigenvalues, descending, as a (B, N)
+    array when orders is None and else as a list of rows, and the kernel's
     (sweeps, converged, off_frobenius, max_offdiag) tuples."""
     results = _KERNEL.jacobi_stack(stack)
     diagonals = np.diagonal(stack, axis1=1, axis2=2)
@@ -149,30 +124,46 @@ def _solve_stack(stack: np.ndarray, orders: list[int] | None = None) -> tuple:
 
 # -- graph matrices ------------------------------------------------------------
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.float64)
+_KINDS = ("adjacency", "laplacian", "signless_laplacian")    # A, L, Q order
+
+
+def _adjacency(g: Graph) -> np.ndarray:
+    """g's (n, n) bool adjacency."""
+    a = np.zeros((g.n, g.n), dtype=bool)
     ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m)
     u, v = ends.reshape(-1, 2).T
-    a[u, v] = 1.0
-    a[v, u] = 1.0
+    a[u, v] = a[v, u] = True
     return a
+
+
+def _matrices(adjacency: np.ndarray, kind: str) -> np.ndarray:
+    """The float64 A, L or Q (kind 'adjacency', 'laplacian' or
+    'signless_laplacian') of each graph of a (..., n, n) bool adjacency stack.
+    L is 0.0 - A, not -A, so that a non-edge holds +0.0 and L meets
+    _jacobi_py.identity_skips."""
+    a = adjacency.astype(np.float64)
+    if kind == "adjacency":
+        return a
+    if kind == "laplacian":
+        a = 0.0 - a
+    n = a.shape[-1]
+    a[..., np.arange(n), np.arange(n)] = adjacency.sum(axis=-1)
+    return a
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    return _matrices(_adjacency(g), "adjacency")
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    # 0.0 - A, not -A: a non-edge holds +0.0, so L meets _jacobi_py.identity_skips
-    a = 0.0 - adjacency_matrix(g)
-    np.fill_diagonal(a, g.degrees)
-    return a
+    return _matrices(_adjacency(g), "laplacian")
 
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    np.fill_diagonal(a, g.degrees)
-    return a
+    return _matrices(_adjacency(g), "signless_laplacian")
 
 
 class Spectrum(NamedTuple):
-    matrix: str                              # adjacency | laplacian | signless_laplacian
     values: tuple[float, ...]                # descending
     groups: tuple[tuple[float, int], ...]    # (representative, multiplicity)
     solve: EigenSolveReport
@@ -188,13 +179,6 @@ def _group(values: tuple[float, ...], scale: float) -> tuple[tuple[float, int], 
     ends = [*(np.flatnonzero(_splits(np.array([values]), scale)[0]) + 1).tolist(), len(values)]
     return tuple((math.fsum(values[start:end]) / (end - start), end - start)
                  for start, end in zip([0, *ends], ends))
-
-
-_MATRIX_BUILDERS = {
-    "adjacency": adjacency_matrix,
-    "laplacian": laplacian_matrix,
-    "signless_laplacian": signless_laplacian_matrix,
-}
 
 
 class GammaSequence(NamedTuple):
@@ -220,7 +204,7 @@ class GraphFacts:
     def solve_all(self) -> None:
         """Solve the A, L and Q matrices not solved yet in one jacobi_stack
         call, for a caller that reads all three."""
-        solve_spectra((self, kind) for kind in _MATRIX_BUILDERS)
+        solve_spectra((self, kind) for kind in _KINDS)
 
     @cached_property
     def qe(self) -> float:
@@ -233,33 +217,32 @@ class GraphFacts:
         """This graph as a batch of one, built once: its graph and its signless
         Laplacian spectrum, solved if not solved yet."""
         q = q_spectrum(self)
-        return FactsBatch.from_adjacency(adjacency_matrix(self.graph)[None] > 0,
+        return FactsBatch.from_adjacency(_adjacency(self.graph)[None],
                                          np.array([q.values]), np.array([q.solve.converged]),
                                          self.scale)
 
     def unconverged(self) -> tuple[str, ...]:
         """Names ('<kind> of <graph6>') of the matrices solved so far whose
         solve did not converge, in A, L, Q order."""
-        solved = (self.spectra.get(kind) for kind in _MATRIX_BUILDERS)
-        return tuple(f"{spec.matrix} of {emit_graph6(self.graph)}"
-                     for spec in solved if spec is not None and not spec.solve.converged)
+        return tuple(f"{kind} of {emit_graph6(self.graph)}" for kind in _KINDS
+                     if kind in self.spectra and not self.spectra[kind].solve.converged)
 
 
 def solve_spectra(pairs: Iterable[tuple[GraphFacts, str]]) -> None:
-    """Build and solve the matrices of the (facts, kind) pairs not solved yet
-    in one jacobi_stack call, each zero-padded to the largest order among
-    them, and keep each Spectrum in its facts' ``spectra``. Graph matrices
-    are finite and exactly symmetric as built, so go in unchecked."""
+    """Solve the matrices of the (facts, kind) pairs not solved yet as one
+    zero-padded stack, and keep each Spectrum in its facts' ``spectra``.
+    Graph matrices are finite and exactly symmetric as built, so go in
+    unchecked."""
     todo = [(f, kind) for f, kind in pairs if kind not in f.spectra]
     if not todo:
         return
     orders = [f.graph.n for f, _ in todo]
     stack = np.zeros((len(todo), max(orders), max(orders)))
     for lane, (f, kind), n in zip(stack, todo, orders):
-        lane[:n, :n] = _MATRIX_BUILDERS[kind](f.graph)
+        lane[:n, :n] = _matrices(_adjacency(f.graph), kind)
     for (f, kind), values, result in zip(todo, *_solve_stack(stack, orders)):
         vt = tuple(values.tolist())
-        f.spectra[kind] = Spectrum(matrix=kind, values=vt, groups=_group(vt, f.scale),
+        f.spectra[kind] = Spectrum(values=vt, groups=_group(vt, f.scale),
                                    solve=EigenSolveReport(BACKEND, *result,
                                                           error_bound=result[2]))
 
@@ -332,16 +315,13 @@ class FactsBatch:
     @classmethod
     def from_masks(cls, n: int, masks, scale: float) -> FactsBatch:
         """The facts of graph_from_mask(n, mask) for each mask, built from the
-        bits. The signless Laplacians are solved in one jacobi_stack call,
-        each matrix bit for bit signless_laplacian_matrix's."""
+        bits."""
         pairs = np.array(mask_pairs(n), dtype=np.intp).reshape(-1, 2).T
         bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(pairs.shape[1])) & 1
         adjacency = np.zeros((len(bits), n, n), dtype=bool)
         adjacency[:, pairs[0], pairs[1]] = bits
         adjacency[:, pairs[1], pairs[0]] = bits
-        q = adjacency.astype(np.float64)
-        q[:, np.arange(n), np.arange(n)] = adjacency.sum(axis=2)
-        values, results = _solve_stack(q)
+        values, results = _solve_stack(_matrices(adjacency, "signless_laplacian"))
         return cls.from_adjacency(adjacency, values,
                                   np.array([r[1] for r in results], dtype=bool), scale)
 
@@ -362,7 +342,7 @@ class FactsBatch:
     def common_neighbours(self) -> np.ndarray:
         """(B, n, n): how many neighbours vertices u and v share, the
         matrix square of the adjacency, which float64 holds exactly."""
-        a = self.adjacency.astype(np.float64)
+        a = _matrices(self.adjacency, "adjacency")
         return (a @ a).astype(np.int64)
 
     @cached_property
@@ -457,7 +437,7 @@ class StructureInfo(NamedTuple):
 def structure(g: Graph) -> StructureInfo:
     """g's components and their two-colorability, from _components on g's
     adjacency, and its regularity; nothing is solved."""
-    (labels,), (odd,) = _components(adjacency_matrix(g)[None] > 0)
+    (labels,), (odd,) = _components(_adjacency(g)[None])
     comps: dict[int, list[int]] = {}
     for v, label in enumerate(labels.tolist()):
         # each label is its component's least vertex, so labels arrive ascending

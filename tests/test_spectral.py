@@ -53,6 +53,8 @@ from qspectra.spectral import (
 
 # each matrix kind's spectrum reader
 READERS = {"adjacency": a_spectrum, "laplacian": l_spectrum, "signless_laplacian": q_spectrum}
+BUILDERS = {"adjacency": adjacency_matrix, "laplacian": laplacian_matrix,
+            "signless_laplacian": signless_laplacian_matrix}
 
 
 def test_backend_reported():
@@ -673,10 +675,15 @@ def test_identity_rule_holds_for_verify_stacks_and_graph_matrices(monkeypatch):
             return kernel.jacobi_stack(a)
 
     monkeypatch.setattr(spectral, "_KERNEL", RecordingKernel)
-    FactsBatch.from_masks(5, range(1024), 1.0)
-    FactsBatch.from_masks(7, sorted(random.Random(7).sample(range(1 << 21), 1024)), 1.0)
+    batches = [(5, range(1024)), (7, sorted(random.Random(7).sample(range(1 << 21), 1024)))]
+    for n, masks in batches:
+        FactsBatch.from_masks(n, masks, 1.0)
     assert [len(a) for a in seen] == [1024, 1024]
     assert all(_jacobi_py.identity_skips(a) for a in seen)
+    # each lane is, byte for byte, the Q of its mask's graph
+    for (n, masks), stack in zip(batches, seen):
+        assert [lane.tobytes() for lane in stack] == [
+            signless_laplacian_matrix(graph_from_mask(n, mask)).tobytes() for mask in masks], n
     rng = random.Random(17)
     graphs = [random_graph(n, p, rng) for n in (2, 7, 16) for p in (0.3, 0.9)]
     for g in graphs + [complete(5), star(6), Graph(4, ())]:
@@ -839,7 +846,7 @@ def test_joint_solve_equals_each_kind_solved_alone():
             assert repr(got.groups) == repr(alone.groups), (g, kind)
             assert repr(got.solve._asdict()) == repr(alone.solve._asdict()), (g, kind)
             # a lazy read, a stack of one, is the validated entry's solve
-            values, report = symmetric_eigenvalues(spectral._MATRIX_BUILDERS[kind](g))
+            values, report = symmetric_eigenvalues(BUILDERS[kind](g))
             assert repr(alone.values) == repr(tuple(values.tolist())), (g, kind)
             assert repr(alone.solve._asdict()) == repr(report._asdict()), (g, kind)
 
