@@ -206,8 +206,7 @@ def _is_perfect_matching(b: FactsBatch) -> np.ndarray:
 
 
 def _connected_bipartite_regular(b: FactsBatch) -> np.ndarray:
-    # a connected graph is bipartite exactly when its one component is
-    return b.connected & (b.bipartite_components == 1) & b.regular
+    return b.connected & b.bipartite & b.regular
 
 
 def _is_crown_like(b: FactsBatch) -> np.ndarray:
@@ -301,9 +300,7 @@ def _l_gan4_report(b: FactsBatch, named: dict) -> _Report:
 def _l_gan5(b: FactsBatch) -> _Rule:
     # connected only: on a disconnected graph deleting the extreme pair can
     # touch several components at once
-    n, m, dmin = b.n, b.m, b.min_degree
-    # connected, so bipartite exactly when its one component is
-    bipartite = b.bipartite_components == 1
+    n, m, dmin, bipartite = b.n, b.m, b.min_degree, b.bipartite
     value = np.where(bipartite, 8 * m / n - 2 * dmin,
                      _bottom_pair_value(b, *_extreme_pair(b, want_max=False)))
     return [], value, {"bipartite": bipartite}

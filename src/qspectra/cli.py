@@ -16,8 +16,7 @@ degree_stats imports Fraction when it runs. Each command imports the library
 modules it runs once its input has been parsed and checked against the order
 cap (bounds: bounds and spectral; analyze, verify, table1 and table2:
 reports). So ``family``, refused input, usage errors and ``--help`` load none
-of the three. Only the commands that solve load dataclasses, for spectral's
-GraphFacts and FactsBatch.
+of the three, and the commands that solve load numpy alone of them.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import tolerances
-from .bounds import all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
+from .bounds import _tight, all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
 from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict
 from .spectral import (FactsBatch, GraphFacts, a_spectrum, batch_lemma_failures,
@@ -59,12 +59,11 @@ def energies(g: Graph | GraphFacts) -> EnergyReport:
     e = math.fsum(abs(v) for v in a_spectrum(f).values)
     le = math.fsum(abs(v - mean) for v in l_spectrum(f).values)
     qe = f.qe
-    same = abs(qe - e) <= tolerances.tight_tol(qe, scale=f.scale)
     return EnergyReport(
         adjacency_energy=e,
         laplacian_energy=le,
         signless_laplacian_energy=qe,
-        qe_equals_adjacency_energy=same,
+        qe_equals_adjacency_energy=bool(_tight(qe - e, qe, f.scale)),
     )
 
 
@@ -182,7 +181,7 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
         "structure": {
             "is_connected": b.connected.tolist()[0],
             "component_count": b.component_count.tolist()[0],
-            "is_bipartite": (b.bipartite_components == b.component_count).tolist()[0],
+            "is_bipartite": b.bipartite.tolist()[0],
             "bipartite_component_count": b.bipartite_components.tolist()[0],
             "is_regular": b.regular.tolist()[0],
             "regularity_degree": b.max_degree.tolist()[0] if b.regular[0] else None,

@@ -33,7 +33,6 @@ them along. The catalog and lemma rules are pure functions of a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple
@@ -189,17 +188,21 @@ class GammaSequence(NamedTuple):
     min_is_zero: bool               # smallest deviation vanishes numerically
 
 
-@dataclass(frozen=True, eq=False)
 class GraphFacts:
     """The facts about one graph, each computed at most once and only when
     first read. ``scale`` is the tolerance multiplier every comparison on this
     graph uses, read from the environment when the facts are built unless
     the caller passes its own snapshot. ``spectra`` maps each matrix kind
     solved so far to its Spectrum; only ``solve_spectra`` writes it."""
-    graph: Graph
-    # a lambda, so the module attribute is looked up at construction time
-    scale: float = field(default_factory=lambda: tolerances.scale())
-    spectra: dict[str, Spectrum] = field(default_factory=dict, init=False, repr=False)
+
+    def __init__(self, graph: Graph, scale: float | None = None):
+        self.graph = graph
+        self.scale = tolerances.scale() if scale is None else scale
+        self.spectra: dict[str, Spectrum] = {}
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        return _adjacency(self.graph)
 
     def solve_all(self) -> None:
         """Solve the A, L and Q matrices not solved yet in one jacobi_stack
@@ -217,9 +220,8 @@ class GraphFacts:
         """This graph as a batch of one, built once: its graph and its signless
         Laplacian spectrum, solved if not solved yet."""
         q = q_spectrum(self)
-        return FactsBatch.from_adjacency(_adjacency(self.graph)[None],
-                                         np.array([q.values]), np.array([q.solve.converged]),
-                                         self.scale)
+        return FactsBatch(self.adjacency[None], np.array([q.values]),
+                          np.array([q.solve.converged]), self.scale)
 
     def unconverged(self) -> tuple[str, ...]:
         """Names ('<kind> of <graph6>') of the matrices solved so far whose
@@ -239,7 +241,7 @@ def solve_spectra(pairs: Iterable[tuple[GraphFacts, str]]) -> None:
     orders = [f.graph.n for f, _ in todo]
     stack = np.zeros((len(todo), max(orders), max(orders)))
     for lane, (f, kind), n in zip(stack, todo, orders):
-        lane[:n, :n] = _matrices(_adjacency(f.graph), kind)
+        lane[:n, :n] = _matrices(f.adjacency, kind)
     for (f, kind), values, result in zip(todo, *_solve_stack(stack, orders)):
         vt = tuple(values.tolist())
         f.spectra[kind] = Spectrum(values=vt, groups=_group(vt, f.scale),
@@ -280,37 +282,30 @@ def gamma_sequence(g: Graph | GraphFacts) -> GammaSequence:
 
 # -- a batch of graphs on one order, as arrays --------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FactsBatch:
-    """The facts of B graphs on n vertices each, one array lane per graph,
-    each equal to what GraphFacts gives for that graph. Integer facts are
-    int64 arrays. ``converged`` is whether the graph's signless Laplacian
-    solve converged."""
-    n: int
-    scale: float                     # the tolerance multiplier of every lane
-    adjacency: np.ndarray            # (B, n, n) bool
-    degrees: np.ndarray              # (B, n)
-    labels: np.ndarray               # (B, n) the least vertex of each vertex's component
-    odd: np.ndarray                  # (B, n) whether that component has an odd cycle
-    eigenvalues: np.ndarray          # (B, n) signless Laplacian, descending
-    groups: np.ndarray               # number of grouped eigenvalues
-    gamma: np.ndarray                # (B, n) deviations |q_i - 2m/n|, descending
-    min_is_zero: np.ndarray
-    qe: np.ndarray
-    converged: np.ndarray
+    """The facts of the graphs of a (B, n, n) bool adjacency stack, one array
+    lane per graph, each equal to what GraphFacts gives for that graph, given
+    the (B, n) descending eigenvalues of their signless Laplacians, whether
+    each solve converged, and the tolerance multiplier of every lane.
+    Integer facts are int64 arrays."""
 
-    @classmethod
-    def from_adjacency(cls, adjacency: np.ndarray, eigenvalues: np.ndarray,
-                       converged: np.ndarray, scale: float) -> FactsBatch:
-        """The facts of the graphs of a (B, n, n) bool adjacency stack, given
-        the (B, n) descending eigenvalues of their signless Laplacians and
-        whether each solve converged."""
-        n, degrees = adjacency.shape[1], adjacency.sum(axis=2)
-        labels, odd = _components(adjacency)
-        return cls(n=n, scale=scale, adjacency=adjacency, degrees=degrees, labels=labels,
-                   odd=odd, eigenvalues=eigenvalues,
-                   **_deviation_facts(eigenvalues, degrees.sum(axis=1) // 2, n, scale),
-                   converged=converged)
+    def __init__(self, adjacency: np.ndarray, eigenvalues: np.ndarray,
+                 converged: np.ndarray, scale: float):
+        self.adjacency, self.eigenvalues, self.converged = adjacency, eigenvalues, converged
+        self.scale = scale
+        self.n = n = adjacency.shape[1]
+        self.degrees = adjacency.sum(axis=2)
+        # per vertex, the least vertex of its component and whether that
+        # component has an odd cycle
+        self.labels, self.odd = _components(adjacency)
+        self.groups = 1 + _splits(eigenvalues, scale).sum(axis=1)
+        # the deviations |q_i - 2m/n|, descending
+        self.gamma = np.sort(np.abs(eigenvalues - (2 * self.m / n)[:, None]), axis=1)[:, ::-1]
+        q1 = eigenvalues[:, 0]
+        # zero_tol(max(1.0, q1))
+        self.min_is_zero = self.gamma[:, -1] <= tolerances.zero_tol(
+            np.where(q1 > 1.0, q1, 1.0), scale=scale)
+        self.qe = _row_fsums(self.gamma)      # an exactly rounded sum per row
 
     @classmethod
     def from_masks(cls, n: int, masks, scale: float) -> FactsBatch:
@@ -322,8 +317,7 @@ class FactsBatch:
         adjacency[:, pairs[0], pairs[1]] = bits
         adjacency[:, pairs[1], pairs[0]] = bits
         values, results = _solve_stack(_matrices(adjacency, "signless_laplacian"))
-        return cls.from_adjacency(adjacency, values,
-                                  np.array([r[1] for r in results], dtype=bool), scale)
+        return cls(adjacency, values, np.array([r[1] for r in results], dtype=bool), scale)
 
     @cached_property
     def lanes(self) -> np.ndarray:
@@ -369,6 +363,10 @@ class FactsBatch:
     @cached_property
     def bipartite_components(self) -> np.ndarray:
         return (self.leaders & ~self.odd).sum(axis=1)
+
+    @property
+    def bipartite(self) -> np.ndarray:
+        return self.bipartite_components == self.component_count
 
     @property
     def regular(self) -> np.ndarray:
@@ -530,22 +528,6 @@ def _splits(values: np.ndarray, scale: float) -> np.ndarray:
     spectral radius, which starts a new group."""
     steps = values[:, :-1] - values[:, 1:]
     return steps > tolerances.grouping_tol(_radius(values), scale=scale)[:, None]
-
-
-def _deviation_facts(values: np.ndarray, m: np.ndarray, n: int, scale: float) -> dict:
-    """The group count, the descending deviations, min_is_zero and QE of each
-    row of descending signless Laplacian eigenvalues of graphs with m edges.
-    QE is an exactly rounded sum per row."""
-    gamma = np.sort(np.abs(values - (2 * m / n)[:, None]), axis=1)[:, ::-1]
-    q1 = values[:, 0]
-    return {
-        "groups": 1 + _splits(values, scale).sum(axis=1),
-        "gamma": gamma,
-        # zero_tol(max(1.0, q1))
-        "min_is_zero": gamma[:, -1] <= tolerances.zero_tol(np.where(q1 > 1.0, q1, 1.0),
-                                                           scale=scale),
-        "qe": _row_fsums(gamma),
-    }
 
 
 def _zero_counts(values: np.ndarray, scale: float) -> np.ndarray:

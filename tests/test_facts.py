@@ -1,10 +1,11 @@
-"""Per-graph facts: each spectrum is solved once per top-level call, the
-batch's common-neighbour counts are computed once per graph at most, the
-batch of one is built once per graph, the tolerance scale is read once per graph at most,
-and no result outlives the call that computed it. Facts are cached once per
-graph; the catalog and lemma rules are pure functions of a batch, so each
-report and each verdict walks the whole catalog, in order, on that one
-batch, and an analyze report renders the lemma records once.
+"""Per-graph facts: each spectrum is solved once per top-level call, each
+graph's adjacency is built once, the batch's common-neighbour counts are
+computed once per graph at most, the batch of one is built once per graph,
+the tolerance scale is read once per graph at most, and no result outlives
+the call that computed it. Facts are cached once per graph; the catalog and
+lemma rules are pure functions of a batch, so each report and each verdict
+walks the whole catalog, in order, on that one batch, and an analyze report
+renders the lemma records once.
 """
 
 from collections import Counter
@@ -213,11 +214,11 @@ def catalog(monkeypatch):
     """Batches of one built, and the ids of the catalog rows evaluated, in
     order."""
     seen = {"batches": 0, "rows": []}
-    from_adjacency = spectral.FactsBatch.from_adjacency
+    init = spectral.FactsBatch.__init__
 
-    def counted_from_adjacency(cls, *args):
+    def counted_init(self, *args):
         seen["batches"] += 1
-        return from_adjacency(*args)
+        init(self, *args)
 
     def counted(bound_id, rule):
         def run(b):
@@ -225,8 +226,7 @@ def catalog(monkeypatch):
             return rule(b)
         return run
 
-    monkeypatch.setattr(spectral.FactsBatch, "from_adjacency",
-                        classmethod(counted_from_adjacency))
+    monkeypatch.setattr(spectral.FactsBatch, "__init__", counted_init)
     monkeypatch.setattr(bounds, "_CATALOG", tuple(
         (*row[:4], counted(row[0], row[4]), row[5]) for row in bounds._CATALOG))
     return seen
@@ -254,6 +254,21 @@ def test_a_table_builds_one_batch_per_row_and_evaluates_its_columns_once(catalog
     columns = [name for name in report.column_names
                if name in bounds.BOUND_IDS and name != "L-GAN5"]
     assert Counter(catalog["rows"]) == {bound_id: rows for bound_id in columns}
+
+
+def test_each_graph_has_its_adjacency_built_once(monkeypatch, capsys):
+    # the A, L and Q solves and the batch of one all read GraphFacts.adjacency
+    built = []
+    adjacency = spectral._adjacency
+    monkeypatch.setattr(spectral, "_adjacency", lambda g: built.append(g) or adjacency(g))
+    for argv in (["analyze", "--family", "prism", "5"], ["bounds", "--family", "prism", "5"]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == [prism(5)], argv
+    capsys.readouterr()
+    built.clear()
+    rows = reproduce_table1().rows
+    assert len(built) == len(set(built)) == len(rows)
 
 
 def test_a_kept_batch_sees_a_solve_made_after_it(catalog, monkeypatch):

@@ -1,5 +1,6 @@
-"""The package surface, exported lazily, and the command-line paths that must
-run without numpy: `family`, refused input, usage errors and --help."""
+"""The package surface, exported lazily, the command-line paths that must
+run without numpy: `family`, refused input, usage errors and --help, and the
+solving commands, which load no dataclasses or fractions."""
 
 import ast
 import subprocess
@@ -113,6 +114,21 @@ def test_cli_import_and_family_load_neither_dataclasses_nor_fractions():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
+def test_solving_commands_load_neither_dataclasses_nor_fractions():
+    # GraphFacts and FactsBatch are plain classes, so a command that solves
+    # loads numpy alone of the three
+    proc = fresh_python(
+        "import contextlib, io, sys\n"
+        "from qspectra.cli import main\n"
+        "for argv in (['bounds', '--graph6', 'Bw'], ['analyze', '--family', 'prism', '5'],\n"
+        "             ['table1', '--json'], ['verify', '4']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        f"    print(code, [m for m in {COLD_PATH_SKIPS!r} if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 ['numpy']"] * 4
 
 
 @pytest.mark.parametrize("argv, code", [
