@@ -20,8 +20,10 @@ so they are left out. Exits 1 when a harness or the verify run exits with
 another code than 0 or writes no JSON, or the verify run is not ok.
 
 ``--smoke`` runs each harness in its smoke mode (``bench_eigensolver.py`` on
-two small sizes) and ``verify 5`` in place of ``verify 7``; ``--json FILE``
-writes the results to FILE in place of ``BENCH_<backend>.json``.
+two small sizes) and ``verify 5`` in place of ``verify 7``, and writes
+``BENCH_<backend>.json`` in a new temporary directory, so the tracked file
+holds full runs only; ``--json FILE`` writes the results to FILE in either
+mode (``results_path``).
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_all.py [--smoke] [--json FILE]
 """
@@ -67,6 +69,15 @@ def machine(cpu: int) -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
+def results_path(backend: str, smoke: bool, named: str | None) -> str:
+    """Where the results go: the named file, else a new temporary directory's
+    BENCH_<backend>.json for a smoke run, else the tracked one."""
+    if named:
+        return named
+    directory = tempfile.mkdtemp(prefix="bench_all-smoke-") if smoke else str(HERE.parent)
+    return os.path.join(directory, f"BENCH_{backend}.json")
+
+
 def harness(name: str, argv: list[str], env: dict[str, str], directory: str) -> dict:
     """Runs one harness with --json; its exit code and what its JSON holds."""
     out = os.path.join(directory, f"{name}.json")
@@ -90,7 +101,8 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="each harness's smoke mode, and verify 5 in place of verify 7")
     parser.add_argument("--json", metavar="FILE",
-                        help="write the results to FILE in place of BENCH_<backend>.json")
+                        help="write the results to FILE in place of BENCH_<backend>.json "
+                             "(a smoke run's goes to a temporary directory)")
     args = parser.parse_args()
     pinned = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {pinned})
@@ -119,7 +131,7 @@ def main() -> int:
     # the commit is read before the file is opened: BENCH_<backend>.json is tracked
     report = {"backend": backend, "commit": source_commit(), "machine": machine(pinned),
               "smoke": args.smoke, "harnesses": results, "verify": verify, "failed": failed}
-    path = args.json or str(HERE.parent / f"BENCH_{backend}.json")
+    path = results_path(backend, args.smoke, args.json)
     with open(path, "w", encoding="utf-8") as out:
         json.dump(report, out, indent=2)
         out.write("\n")

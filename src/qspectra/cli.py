@@ -10,6 +10,11 @@ closed, which ends the command quietly. Text output prints values to four
 decimals (banker's rounding); --json emits the canonical sorted-key rendering
 instead.
 
+Entry points: ``run()`` is the process entry point, which the ``qspectra``
+console script and ``python -m qspectra.cli`` call; it exits with main's
+status. ``main(argv)`` is the in-process one: it returns the exit code and
+neither exits nor touches the collector.
+
 Import rule: at top level this module imports only graph_core, which needs
 none of numpy, dataclasses and fractions: its records are NamedTuples, and
 degree_stats imports Fraction when it runs. Each command imports the library
@@ -22,6 +27,7 @@ of the three, and the commands that solve load numpy alone of them.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -365,5 +371,16 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The process entry point: runs main, then exits with its status. Once
+    main returns, every live object moves to the collector's permanent
+    generation, so the interpreter's shutdown does not collect numpy's and
+    the package's objects one by one; it still flushes stdout and stderr and
+    runs atexit handlers. An exception that escapes main is not caught."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,8 +1,11 @@
 """The package surface, exported lazily, the command-line paths that must
 run without numpy: `family`, refused input, usage errors and --help, and the
-solving commands, which load no dataclasses or fractions."""
+solving commands, which load no dataclasses or fractions; the process entry
+point, and where a benchmark run writes its results."""
 
 import ast
+import gc
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +14,12 @@ import pytest
 
 import qspectra
 from qspectra import bounds, families_verify, graph_core, reports, spectral, tolerances
+from qspectra import cli
 from qspectra.cli import main
 
 MODULES = (graph_core, spectral, bounds, families_verify, reports)
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def fresh_python(code: str, **kwargs) -> subprocess.CompletedProcess:
@@ -155,3 +160,59 @@ def test_cli_help_runs_without_numpy():
     proc = fresh_python(WITHOUT_NUMPY.format(argv=["--help"]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: qspectra")
+
+
+# -- the process entry point ------------------------------------------------------------
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The calls of main and gc.freeze that cli.run makes, in order, with
+    gc.freeze patched so that no test freezes the session."""
+    made = []
+    monkeypatch.setattr(gc, "freeze", lambda: made.append("freeze"))
+    return made
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 141])
+def test_run_freezes_once_after_main_and_exits_with_its_status(made, monkeypatch, code):
+    monkeypatch.setattr(cli, "main", lambda: made.append("main") or code)
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == code
+    assert made == ["main", "freeze"]
+
+
+def test_an_exception_from_main_escapes_run_without_a_freeze(made, monkeypatch):
+    def failing_main():
+        made.append("main")
+        raise RuntimeError("from main")
+
+    monkeypatch.setattr(cli, "main", failing_main)
+    with pytest.raises(RuntimeError, match="from main"):
+        cli.run()
+    assert made == ["main"]
+
+
+def test_the_console_script_calls_run():
+    # read as text: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert scripts is not None
+    assert scripts.group(1).split() == ["qspectra", "=", '"qspectra.cli:run"']
+
+
+# -- benchmark results ---------------------------------------------------------------------
+
+
+def test_only_a_full_benchmark_run_writes_the_tracked_results(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    import bench_all
+
+    assert bench_all.results_path("python", False, None) == str(ROOT / "BENCH_python.json")
+    smoke = Path(bench_all.results_path("compiled", True, None))
+    assert smoke.name == "BENCH_compiled.json"
+    assert smoke.parent.parent == tmp_path and list(smoke.parent.iterdir()) == []
+    for smoke_run in (False, True):
+        assert bench_all.results_path("python", smoke_run, "out.json") == "out.json"
