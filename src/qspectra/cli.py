@@ -372,11 +372,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry point: runs main, then exits with its status. Once
-    main returns, every live object moves to the collector's permanent
-    generation, so the interpreter's shutdown does not collect numpy's and
-    the package's objects one by one; it still flushes stdout and stderr and
-    runs atexit handlers. An exception that escapes main is not caught."""
+    """Exits with main's status once every live object is in the collector's
+    permanent generation, so that the collections at shutdown skip numpy's
+    and the package's objects. An exception from main escapes unfrozen."""
     code = main()
     gc.freeze()
     sys.exit(code)
