@@ -17,7 +17,8 @@ plus system, from ``getrusage(RUSAGE_CHILDREN)`` deltas), and takes ROUNDS
 (15) samples; the table prints their median wall and least CPU time. The
 ``cycle`` row sums the seven request rows of each round, one of each kind,
 as one cli-cold cycle runs them. One more run of each row under ``-X
-importtime`` names which of numpy, dataclasses and fractions it loaded.
+importtime`` names which of numpy, dataclasses, fractions and
+qspectra.families_verify it loaded.
 Exits 1 when a process exits with another code than its row expects, or when
 a row's stdout differs between runs. ``--json FILE`` also writes the rows.
 
@@ -48,7 +49,7 @@ from qspectra.graph_core import emit_graph6, random_graph
 REPEATS = 5         # samples per row in process; --smoke takes one
 ROUNDS = 15         # samples per row of this harness; --smoke takes one
 MIN_SAMPLE_S = 0.02     # seconds below which a sample runs several passes
-WATCHED = ("numpy", "dataclasses", "fractions")
+WATCHED = ("numpy", "dataclasses", "fractions", "qspectra.families_verify")
 SRC = str(Path(qspectra.__file__).resolve().parent.parent)
 
 

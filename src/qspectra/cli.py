@@ -11,17 +11,20 @@ decimals (banker's rounding); --json emits the canonical sorted-key rendering
 instead.
 
 Entry points: ``run()`` is the process entry point, which the ``qspectra``
-console script and ``python -m qspectra.cli`` call; it exits with main's
-status. ``main(argv)`` is the in-process one: it returns the exit code and
-neither exits nor touches the collector.
+console script and ``python -m qspectra.cli`` call; it runs main with the
+cyclic collector off and exits with main's status. ``main(argv)`` is the
+in-process one: it returns the exit code and neither exits nor touches the
+collector.
 
 Import rule: at top level this module imports only graph_core, which needs
 none of numpy, dataclasses and fractions: its records are NamedTuples, and
 degree_stats imports Fraction when it runs. Each command imports the library
 modules it runs once its input has been parsed and checked against the order
-cap (bounds: bounds and spectral; analyze, verify, table1 and table2:
-reports). So ``family``, refused input, usage errors and ``--help`` load none
-of the three, and the commands that solve load numpy alone of them.
+cap (bounds: bounds and spectral; verify: reports, which loads bounds and
+spectral; analyze, table1 and table2: reports, which then loads
+families_verify too). So ``family``, refused input, usage errors and
+``--help`` load none of the three, and the commands that solve load numpy
+alone of them.
 """
 
 from __future__ import annotations
@@ -372,9 +375,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Exits with main's status once every live object is in the collector's
-    permanent generation, so that the collections at shutdown skip numpy's
-    and the package's objects. An exception from main escapes unfrozen."""
+    """Runs main with the cyclic collector off, so that the imports of numpy
+    and the package run no collections, and exits with its status once every
+    live object is in the collector's permanent generation, which shutdown's
+    collections skip. The solving paths make no reference cycles (a test
+    checks), so only argparse's and a verify pool's few fixed cycles wait
+    for exit. An exception from main escapes unfrozen."""
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

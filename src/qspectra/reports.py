@@ -5,6 +5,9 @@ Reports are plain dictionaries of JSON-safe values so that serialized output
 is byte-stable: keys are sorted at dump time and no timestamps are embedded.
 Wall-clock durations live on the summary objects for programmatic use but are
 kept out of the JSON rendering.
+
+families_verify and importlib.resources are imported where they are read,
+so that a verify run loads neither.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ import math
 import os
 import random
 import time
-from importlib import resources
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import tolerances
 from .bounds import _tight, all_bounds, batch_violations, evaluate_bound, gan5_two_case_value
-from .families_verify import classify_q_pattern, detect_srg, prism_bounds
 from .graph_core import Graph, emit_graph6, graph_from_mask, prism, record_dict
 from .spectral import (FactsBatch, GraphFacts, a_spectrum, batch_lemma_failures,
                        check_spectral_lemmas, gamma_sequence, graph_facts, l_spectrum,
@@ -89,6 +90,7 @@ class TableReport(NamedTuple):
 
 
 def _load_expected(name: str) -> tuple[tuple[str, ...], dict[int, dict[str, float]]]:
+    from importlib import resources
     text = resources.files("qspectra.data").joinpath(name).read_text(encoding="ascii")
     lines = (line.strip() for line in text.splitlines())
     header, *body = [line.split(",") for line in lines if line and not line.startswith("#")]
@@ -98,6 +100,7 @@ def _load_expected(name: str) -> tuple[tuple[str, ...], dict[int, dict[str, floa
 
 def _column_value(name: str, cycle_n: int, f: GraphFacts) -> float:
     """The computed value of one reference-table column on prism(cycle_n)."""
+    from .families_verify import prism_bounds
     if name == "exact":
         return f.qe
     if name == "prism_lower":
@@ -160,6 +163,7 @@ def _spectrum_dict(spec) -> dict[str, Any]:
 
 def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
     """Everything the library knows about one graph, as a JSON-safe dict."""
+    from .families_verify import classify_q_pattern, detect_srg
     f = graph_facts(g)
     f.solve_all()
     g, b, gam = f.graph, f.batch, gamma_sequence(f)

@@ -1,10 +1,12 @@
 """The package surface, exported lazily, the command-line paths that must
 run without numpy: `family`, refused input, usage errors and --help, and the
 solving commands, which load no dataclasses or fractions; the process entry
-point, and where a benchmark run writes its results."""
+point, the reference cycles it relies on the library not making, and where
+a benchmark run writes its results."""
 
 import ast
 import gc
+import random
 import re
 import subprocess
 import sys
@@ -121,19 +123,32 @@ def test_cli_import_and_family_load_neither_dataclasses_nor_fractions():
     assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
+LAZY = ("qspectra.families_verify", "importlib.resources")
+
+
 def test_solving_commands_load_neither_dataclasses_nor_fractions():
     # GraphFacts and FactsBatch are plain classes, so a command that solves
-    # loads numpy alone of the three
-    proc = fresh_python(
-        "import contextlib, io, sys\n"
-        "from qspectra.cli import main\n"
-        "for argv in (['bounds', '--graph6', 'Bw'], ['analyze', '--family', 'prism', '5'],\n"
-        "             ['table1', '--json'], ['verify', '4']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = main(argv)\n"
-        f"    print(code, [m for m in {COLD_PATH_SKIPS!r} if m in sys.modules])\n")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 ['numpy']"] * 4
+    # loads numpy alone of the three. Of the LAZY modules, analyze and the
+    # tables load families_verify and the tables alone importlib.resources.
+    # A site module may import importlib.resources before qspectra runs, so
+    # the test names the LAZY modules that main adds to sys.modules.
+    for argv, lazy in ((["bounds", "--graph6", "Bw"], set()),
+                       (["verify", "4"], set()),
+                       (["analyze", "--family", "prism", "5"], {LAZY[0]}),
+                       (["table1", "--json"], set(LAZY))):
+        proc = fresh_python(
+            "import contextlib, io, sys\n"
+            "from qspectra.cli import main\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            f"print(code, [m for m in {COLD_PATH_SKIPS!r} if m in sys.modules])\n"
+            f"print(sorted(before.intersection({LAZY!r})))\n"
+            f"print(sorted(set(sys.modules).difference(before).intersection({LAZY!r})))\n")
+        assert proc.returncode == 0, proc.stderr
+        skips, preloaded, added = proc.stdout.splitlines()
+        assert skips == "0 ['numpy']", argv
+        assert added == repr(sorted(lazy.difference(ast.literal_eval(preloaded)))), argv
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -167,9 +182,11 @@ def test_cli_help_runs_without_numpy():
 
 @pytest.fixture
 def made(monkeypatch):
-    """The calls of main and gc.freeze that cli.run makes, in order, with
-    gc.freeze patched so that no test freezes the session."""
+    """The calls of gc.disable, main and gc.freeze that cli.run makes, in
+    order, with the two gc calls patched so that no test switches off the
+    collector of the session or freezes it."""
     made = []
+    monkeypatch.setattr(gc, "disable", lambda: made.append("disable"))
     monkeypatch.setattr(gc, "freeze", lambda: made.append("freeze"))
     return made
 
@@ -180,7 +197,7 @@ def test_run_freezes_once_after_main_and_exits_with_its_status(made, monkeypatch
     with pytest.raises(SystemExit) as exited:
         cli.run()
     assert exited.value.code == code
-    assert made == ["main", "freeze"]
+    assert made == ["disable", "main", "freeze"]
 
 
 def test_an_exception_from_main_escapes_run_without_a_freeze(made, monkeypatch):
@@ -191,7 +208,36 @@ def test_an_exception_from_main_escapes_run_without_a_freeze(made, monkeypatch):
     monkeypatch.setattr(cli, "main", failing_main)
     with pytest.raises(RuntimeError, match="from main"):
         cli.run()
-    assert made == ["main"]
+    assert made == ["disable", "main"]
+
+
+def test_the_solving_paths_make_no_reference_cycles():
+    # cli.run keeps the cyclic collector off for the whole run, which leaves
+    # no garbage behind only while the library's solving paths make no
+    # reference cycles. render_json is left out: the standard library's
+    # indenting JSON encoder makes a few cycles per call. So is verify's
+    # --workers pool: multiprocessing makes a few once per run.
+    g = graph_core.random_graph(40, 0.3, random.Random(5))
+    calls = {
+        "verify 5": lambda: reports.verify_exhaustive(5),
+        "verify 7 sample": lambda: reports.verify_exhaustive(7, sample=3000, seed=2),
+        "table1": reports.reproduce_table1,
+        "table2": reports.reproduce_table2,
+        "analyze": lambda: reports.analyze_report(g),
+        "bounds": lambda: bounds.all_bounds(g),
+    }
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name, call in calls.items():
+            call()
+            left[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == dict.fromkeys(calls, 0)
 
 
 def test_the_console_script_calls_run():
