@@ -5,16 +5,19 @@ and prints the CPU milliseconds each stage takes over all batches of an
 order. A pass runs the stage once on each batch of the order, timed with
 ``time.process_time``, and every (order, stage) row takes REPEATS (5)
 samples by the rule of ``bench_cold.sample``; the table prints each row's
-least sample. The judges are pure functions of a batch, so every sample of
-``batch_violations`` and ``batch_lemma_failures`` gets the one batch and
-must give the same verdict; each kernel call gets a Q stack of its own,
-built before it is timed, which it diagonalizes in place. The stages are
-``FactsBatch.from_masks``; within it ``jacobi_stack`` and ``_components``,
-run again on the arrays it built; ``batch_violations``;
-``batch_lemma_failures``; and ``row_sums``, the three exactly rounded row
-sums a batch reads, run again: QE's over the deviations (part of
-``from_masks``) and the two trace lemmas' over the eigenvalues and their
-squares (part of ``batch_lemma_failures``). The ``identity`` column says
+least sample. What a call changes or fills is built anew before it is
+timed: each kernel call gets a Q stack, which it diagonalizes in place,
+and each call of ``batch_violations`` and ``batch_lemma_failures`` a fresh
+``FactsBatch`` built from the batch's arrays, so that it pays for the
+lazily cached facts it reads. The stages are ``FactsBatch.from_masks``;
+within it ``jacobi_stack`` and ``_components``, run again on the arrays it
+built, and ``facts``, the ``FactsBatch`` constructor on the solved arrays
+(which runs ``_components`` and the row sums); ``batch_violations``;
+``batch_lemma_failures``; and ``row_sums``, the one call of exactly rounded
+row sums the constructor makes, run again: QE's over the deviations and the
+two trace lemmas' over the eigenvalues and their squares. The time an
+order-7 batch spends outside the kernel is ``from_masks`` less
+``jacobi_stack`` plus the two judge rows. The ``identity`` column says
 whether every Q stack of the order meets ``_jacobi_py.identity_skips``, under
 which the Python kernel's loops rotate a skipped lane by the identity and
 write every lane with plain copies; a stack outside the rule is solved one
@@ -51,7 +54,7 @@ from qspectra.spectral import FactsBatch, batch_lemma_failures
 from bench_cold import REPEATS, sample, summary, write_json
 
 BATCHES = 15        # batches per order; --smoke runs one
-STAGES = ("from_masks", "jacobi_stack", "_components", "batch_violations",
+STAGES = ("from_masks", "jacobi_stack", "_components", "facts", "batch_violations",
           "batch_lemma_failures", "row_sums")
 
 
@@ -98,6 +101,9 @@ def stage_rows(n: int, batches: list[list[int]], built: list[FactsBatch], scale:
     def same_values(values: np.ndarray, b: FactsBatch) -> bool:
         return values.tobytes() == b.eigenvalues.tobytes()
 
+    def fresh(masks: list[int], b: FactsBatch) -> tuple[FactsBatch]:
+        return (FactsBatch(b.adjacency, b.eigenvalues, b.converged, scale),)
+
     return [row(FactsBatch.from_masks, lambda masks, b: (n, masks, scale),
                 lambda x, b, *_: same_values(x.eigenvalues, b)),
             row(solved, lambda masks, b: (q_stack(b),),
@@ -105,19 +111,19 @@ def stage_rows(n: int, batches: list[list[int]], built: list[FactsBatch], scale:
                     np.sort(np.diagonal(q, axis1=1, axis2=2), axis=1)[:, ::-1], b)),
             row(spectral._components, lambda masks, b: (b.adjacency,),
                 lambda got, b, *_: (got[0] == b.labels).all() and (got[1] == b.odd).all()),
-            row(batch_violations, lambda masks, b: (b,),
-                lambda v, b, verdict, _: v == verdict[0]),
-            row(batch_lemma_failures, lambda masks, b: (b,),
-                lambda f, b, verdict, _: f == verdict[1][:len(f)]),
-            row(lambda *summed: [spectral._row_fsums(a) for a in summed],
-                lambda masks, b: summed_rows(b),
-                lambda got, b, _, sums: (got[0].tobytes() == b.qe.tobytes()
-                                         and [x.tobytes() for x in got] == sums))]
+            row(FactsBatch, lambda masks, b: (b.adjacency, b.eigenvalues, b.converged, scale),
+                lambda got, b, *_: (got.qe.tobytes() == b.qe.tobytes()
+                                    and (got.labels == b.labels).all())),
+            row(batch_violations, fresh, lambda v, b, verdict, _: v == verdict[0]),
+            row(batch_lemma_failures, fresh, lambda f, b, verdict, _: f == verdict[1][:len(f)]),
+            row(spectral._row_fsums, lambda masks, b: (np.concatenate(summed_rows(b)),),
+                lambda got, b, _, sums: (got[:len(b.qe)].tobytes() == b.qe.tobytes()
+                                         and [x.tobytes() for x in got.reshape(3, -1)] == sums))]
 
 
 def summed_rows(b: FactsBatch) -> tuple[np.ndarray, ...]:
     """QE's deviations, and the eigenvalues and their squares of the trace
-    lemmas: the arrays whose row sums a batch reads."""
+    lemmas: the arrays whose row sums a batch holds."""
     return b.gamma, b.eigenvalues, b.eigenvalues * b.eigenvalues
 
 
@@ -152,8 +158,8 @@ def main() -> int:
     # each row's samples and whether each sample's last pass checked
     timed = dict(zip(rows, zip(*sample(list(rows.values()), count))))
     print(f"kernel: {spectral.BACKEND}; CPU ms over every batch of an order, least of {count} "
-          f"sample(s); jacobi_stack and _components are parts of from_masks, and row_sums "
-          f"of from_masks and batch_lemma_failures")
+          f"sample(s); jacobi_stack and facts are parts of from_masks, and _components "
+          f"and row_sums of facts")
     header = f"{'n':>3} {'batches':>8} {'graphs':>7}" + "".join(f" {s:>21}" for s in STAGES)
     print(header + f" {'identity':>8} {'checked':>8}")
     print("-" * (len(header) + 18))

@@ -13,7 +13,8 @@ of its batch of one. batch_violations, the one statement of the violation
 rule, gives the (lane, bound_id, gap) of a batch and violations the
 (bound_id, gap) of one graph; neither builds a report record. all_bounds
 gives the record of every bound, evaluate_bound that of one. _tight is the
-one tightness test, for the verdict and the equality diagnosis. Only a
+one tightness test, for the equality diagnosis; a violation is a gap below
+minus the same tolerance, a negative gap that is not tight. Only a
 record's extras are computed per graph, and batch_violations reads none of
 them: the stated equality condition and whether the graph meets it, the
 pair details of L-GAN4 and L-GAN5, and U-THM3's strictness on one branch.
@@ -26,7 +27,8 @@ within tolerance instead of claiming equality.
 
 Used throughout: n vertices, m edges, M1 is the sum of squared degrees, the
 mean eigenvalue is 2m/n, deviations gamma_i = |q_i - 2m/n| are sorted
-descending, and T = 2m + M1 - 4m^2/n is the sum of squared deviations.
+descending, and T = 2m + M1 - 4m^2/n is the sum of squared deviations
+(FactsBatch.mean and FactsBatch.deviation_square_sum).
 Formulas keep the operation order of the scalar expressions they state, so a
 batch of one and a lane of a larger batch give the same bits.
 """
@@ -34,7 +36,8 @@ batch of one and a lane of a larger batch give the same bits.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, NamedTuple
+from collections import namedtuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,7 +59,8 @@ __all__ = [
 PAIR_ENUMERATION_LIMIT = 20   # enumerate all valid vertex pairs only below this order
 
 
-class EqualityDiagnosis(NamedTuple):
+class EqualityDiagnosis(namedtuple("EqualityDiagnosis",
+                                  ["tight", "condition", "condition_met", "verdict"])):
     """Comparison of numerical tightness against the recorded equality family.
 
     verdict is one of:
@@ -69,22 +73,19 @@ class EqualityDiagnosis(NamedTuple):
                               indicate a defect
       near-tight-strict       a strict bound came within tolerance of equality
     """
-    tight: bool
-    condition: str | None
-    condition_met: bool | None
-    verdict: str
+    __slots__ = ()
 
 
-class BoundResult(NamedTuple):
-    bound_id: str
-    direction: str              # lower | upper
-    strict: bool
-    applicable: bool
-    reason: str | None          # populated when not applicable
-    value: float | None
-    gap: float | None           # qe - value (lower) or value - qe (upper)
-    diagnosis: EqualityDiagnosis | None
-    details: dict[str, Any]
+BoundResult = namedtuple("BoundResult", [
+    "bound_id",
+    "direction",     # lower | upper
+    "strict", "applicable",
+    "reason",        # populated when not applicable
+    "value",
+    "gap",           # qe - value (lower) or value - qe (upper)
+    "diagnosis",     # an EqualityDiagnosis, or None when not applicable
+    "details",       # a dict
+])
 
 
 # -- arithmetic that must round as the scalar expressions do ---------------------
@@ -99,22 +100,7 @@ INT64_ORDER_MAX = 1024
 def _exact(a: np.ndarray, n: int) -> np.ndarray:
     """An integer array in a type whose products in the integer case tests
     stay exact at order n: int64 up to INT64_ORDER_MAX, Python ints above."""
-    return np.asarray(a).astype(np.int64 if n <= INT64_ORDER_MAX else object)
-
-
-def _squared(x):
-    """x ** 2 of each float as Python rounds it. Python's float power calls
-    C's pow, which rounds some squares (322/30, for one) away from x * x;
-    numpy's array power is x * x. Each distinct value of a batch is squared
-    once."""
-    values, where = np.unique(np.ravel(x), return_inverse=True)
-    return np.array([v ** 2 for v in values.tolist()])[where].reshape(np.shape(x))
-
-
-def _deviation_square_sum(b: FactsBatch) -> np.ndarray:
-    """T = 2m + M1 - 4m^2/n."""
-    m = b.m
-    return 2 * m + b.m1 - 4 * m * m / b.n
+    return np.asarray(a).astype(np.int64 if n <= INT64_ORDER_MAX else object, copy=False)
 
 
 # -- degree-pair selection shared by the two pair-based estimates ----------------
@@ -142,14 +128,15 @@ def _bottom_pair_value(b: FactsBatch, vn: np.ndarray, vn1: np.ndarray) -> np.nda
 
 
 def _extreme_pair(b: FactsBatch, want_max: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The deterministic (anchor, partner) of every lane."""
-    extreme, excluded = (b.max_degree, -1) if want_max else (b.min_degree, b.n)
-    anchor = np.argmax(b.degrees == extreme[:, None], axis=1)
-    rest = b.degrees.copy()
-    rest[b.lanes, anchor] = excluded
-    # the extreme itself when several vertices share it
-    partner_degree = rest.max(axis=1) if want_max else rest.min(axis=1)
-    return anchor, np.argmax(rest == partner_degree[:, None], axis=1)
+    """The deterministic (anchor, partner) of every lane: its first two
+    vertices by degree, largest first when want_max and smallest first
+    otherwise, the lower index first among equal degrees."""
+    n = b.n
+    # one key per vertex, distinct within a lane, in that order
+    key = (n - 1 - b.degrees if want_max else b.degrees) * n + np.arange(n)
+    first = key.min(axis=1)
+    second = np.where(key == first[:, None], n * n, key).min(axis=1)
+    return first % n, second % n
 
 
 def _pair_details(b: FactsBatch, want_max: bool, value_fn) -> dict[str, Any]:
@@ -273,8 +260,8 @@ _thm3_condition = _family("complete graph, perfect matching, or regular graph "
 # Each rule unpacks the facts it reads into the paper's notation.
 
 def _l_gan1(b: FactsBatch) -> _Rule:
-    n, m, m1 = b.n, b.m, b.m1
-    return [], 2 * (m1 / m - 2 * m / n), {}
+    m, m1, mean = b.m, b.m1, b.mean
+    return [], 2 * (m1 / m - mean), {}
 
 
 def _l_gan2(b: FactsBatch) -> _Rule:
@@ -317,7 +304,7 @@ def _l_gan5_report(b: FactsBatch, named: dict) -> _Report:
 def _l_thm1(b: FactsBatch) -> _Rule:
     n = b.n
     g1, gn = b.gamma[:, 0], b.gamma[:, -1]
-    t = _deviation_square_sum(b)
+    t = b.deviation_square_sum
     value = (2 * np.sqrt(t * n) * np.sqrt(g1 * gn) / (g1 + gn))
     return ([(~b.min_is_zero, "requires every eigenvalue to deviate from the mean")],
             value, {"gamma_max": g1, "gamma_min": gn})
@@ -357,13 +344,13 @@ def _l_cor5(b: FactsBatch) -> _Rule:
 def _l_thm2(b: FactsBatch) -> _Rule:
     g1 = b.gamma[:, 0]
     return ([(b.min_is_zero, "requires some eigenvalue to sit at the mean")],
-            _deviation_square_sum(b) / g1, {"gamma_max": g1})
+            b.deviation_square_sum / g1, {"gamma_max": g1})
 
 
 def _l_cor2(b: FactsBatch) -> _Rule:
-    n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
+    m, mean, dmax, dmin = b.m, b.mean, b.max_degree, b.min_degree
     value = ((2 * m + 0.5 * (dmax - dmin) ** 2)
-             / (2 * dmax - 2 * m / n))
+             / (2 * dmax - mean))
     return [(b.min_is_zero, "requires some eigenvalue to sit at the mean")], value, {}
 
 
@@ -401,8 +388,8 @@ _u_abr1_report = _family("edgeless, or a single edge plus isolated vertices",
 
 
 def _u_abr2(b: FactsBatch) -> _Rule:
-    n, m, m1 = b.n, b.m, b.m1
-    rad = m / 2 - (2 * m / n - 1)
+    n, m, m1, mean = b.n, b.m, b.m1, b.mean
+    rad = m / 2 - (mean - 1)
     spread = m1 - 2 * m
     # disconnected graphs (any union of single edges has M1 = 2m) and the
     # two-vertex graph break this estimate
@@ -424,19 +411,18 @@ _u_li_report = _family("single edge", lambda b: (b.n == 2) & (b.m == 1))
 
 
 def _u_gan(b: FactsBatch) -> _Rule:
-    n, m, dmax = b.n, b.m, b.max_degree
+    m, mean, dmax = b.m, b.mean, b.max_degree
     return ([(b.connected, "requires a connected graph")],
-            2 * (2 * m + 1 - dmax - 2 * m / n), {})
+            2 * (2 * m + 1 - dmax - mean), {})
 
 
 def _u_thm3(b: FactsBatch) -> _Rule:
-    n, m, m1 = b.n, b.m, b.m1
-    t = _deviation_square_sum(b)
+    n, m, m1, mean, t = b.n, b.m, b.m1, b.mean, b.deviation_square_sum
     # integer case test: n (2m + M1) <= 8 m^2
     em = _exact(m, n)
-    mean_dominant = (n * (2 * em + _exact(m1, n)) <= 8 * em * em).astype(bool)
+    mean_dominant = (n * (2 * em + _exact(m1, n)) <= 8 * em * em).astype(bool, copy=False)
     value = np.where(mean_dominant,
-                     2 * m / n + np.sqrt((n - 1) * (t - _squared(2 * m / n))),
+                     mean + np.sqrt((n - 1) * (t - b.mean_squared)),
                      np.sqrt(t / n) + np.sqrt((n - 1) * t * (1 - 1 / n)))
     return [], value, {"mean_dominant": mean_dominant}
 
@@ -449,16 +435,15 @@ def _u_thm3_report(b: FactsBatch, named: dict) -> _Report:
 
 
 def _u_cor6(b: FactsBatch) -> _Rule:
-    n, m, dmax, dmin = b.n, b.m, b.max_degree, b.min_degree
+    n, m, mean, dmax, dmin = b.n, b.m, b.mean, b.max_degree, b.min_degree
     dd = (dmax - dmin) ** 2
     # integer case test: (n dd + 4m)^2 <= 16 m^2 (1 + dd)
     em, edd = _exact(m, n), _exact(dd, n)
-    inside = ((n * edd + 4 * em) ** 2 <= 16 * em * em * (1 + edd)).astype(bool)
+    inside = ((n * edd + 4 * em) ** 2 <= 16 * em * em * (1 + edd)).astype(bool, copy=False)
     value = np.where(inside,
-                     2 * m / n
-                     + np.sqrt((n - 1) * (2 * m + n * dd / 4 - _squared(2 * m / n))),
-                     np.sqrt(2 * m / n + dd / 4)
-                     + np.sqrt((n - 1) * (2 * m + (n - 1) * dd / 4 - 2 * m / n)))
+                     mean + np.sqrt((n - 1) * (2 * m + n * dd / 4 - b.mean_squared)),
+                     np.sqrt(mean + dd / 4)
+                     + np.sqrt((n - 1) * (2 * m + (n - 1) * dd / 4 - mean)))
     return ([(b.connected & ~b.regular, "requires a connected irregular graph")],
             value, {"inside": inside})
 
@@ -468,15 +453,15 @@ def _u_cor6_report(b: FactsBatch, named: dict) -> _Report:
                                    else "above-degree-spread-threshold")}
 
 
-def _cor7_value(n: int, m):
-    """U-COR7 on regular graphs with n vertices and m edges; scalars or
-    arrays."""
-    return 2 * m / n + np.sqrt((n - 1) * (2 * m - _squared(2 * m / n)))
+def _cor7_value(n: int, m, mean_squared):
+    """U-COR7 on regular graphs with n vertices and m edges, given (2m/n) ** 2
+    as Python rounds it (FactsBatch.mean_squared); scalars or arrays."""
+    return 2 * m / n + np.sqrt((n - 1) * (2 * m - mean_squared))
 
 
 def _u_cor7(b: FactsBatch) -> _Rule:
     return ([(b.regular & (b.m >= 1), "requires a regular graph with at least one edge")],
-            _cor7_value(b.n, b.m), {})
+            _cor7_value(b.n, b.m, b.mean_squared), {})
 
 
 # -- the catalog --------------------------------------------------------------------
@@ -512,12 +497,15 @@ BOUND_IDS = tuple(row[0] for row in _CATALOG)
 def _evaluate(rows: tuple, b: FactsBatch) -> list[_Rule]:
     """Each catalog row of rows on every lane: its hypotheses, the shared one
     first, its value and its named arrays."""
-    evaluated = []
+    evaluated, shared_holds = [], {}
     with np.errstate(all="ignore"):
         for _, _, _, shared, rule, _ in rows:
             hypotheses, value, named = rule(b)
             if shared is not None:
-                hypotheses = [(shared[0](b), shared[1]), *hypotheses]
+                # each shared hypothesis is tested once per batch
+                if shared not in shared_holds:
+                    shared_holds[shared] = shared[0](b)
+                hypotheses = [(shared_holds[shared], shared[1]), *hypotheses]
             evaluated.append((hypotheses, value, named))
     return evaluated
 
@@ -541,7 +529,7 @@ def batch_violations(b: FactsBatch) -> list[tuple[int, str, float]]:
     with np.errstate(all="ignore"):
         gaps = np.array([_gap(row[1], value, b.qe)
                          for row, (_, value, _) in zip(_CATALOG, evaluated)])
-        wrong = (gaps < 0) & ~_tight(gaps, b.qe, b.scale)
+        wrong = gaps < -tolerances.tight_tol(b.qe, scale=b.scale)
     for row_wrong, (hypotheses, _, _) in zip(wrong, evaluated):
         for holds, _ in hypotheses:
             row_wrong &= holds

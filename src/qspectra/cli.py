@@ -1,30 +1,24 @@
 """Command-line interface.
 
 Subcommands: analyze, family, bounds, table1, table2, verify. Exit codes:
-0 success, 1 usage error, 2 input parse error or a graph above the order cap
-(qspectra.MAX_ORDER, defined in graph_core), 3 verification violations
-(a violated bound, or for analyze and verify a failed spectral check; analyze
-and bounds name them on stderr), table mismatch, or an eigensolve that did not
-converge, 141 (128 + SIGPIPE) when stdout is a pipe that its reader has
-closed, which ends the command quietly. Text output prints values to four
-decimals (banker's rounding); --json emits the canonical sorted-key rendering
-instead.
+0 success; 1 usage error; 2 input parse error or a graph above the order
+cap (qspectra.MAX_ORDER); 3 a violated bound, a failed spectral check
+(analyze and verify), a table mismatch, or an eigensolve that did not
+converge, with analyze and bounds naming the failures on stderr; 141
+(128 + SIGPIPE) when stdout is a pipe whose reader has closed it, which
+ends the command quietly. Text output prints values to four decimals
+(banker's rounding); --json emits the canonical sorted-key rendering.
 
-Entry points: ``run()`` is the process entry point, which the ``qspectra``
-console script and ``python -m qspectra.cli`` call; it runs main with the
-cyclic collector off and exits with main's status. ``main(argv)`` is the
+``run()`` is the process entry point, which the ``qspectra`` console
+script and ``python -m qspectra.cli`` call. ``main(argv)`` is the
 in-process one: it returns the exit code and neither exits nor touches the
 collector.
 
-Import rule: at top level this module imports only graph_core, which needs
-none of numpy, dataclasses and fractions: its records are NamedTuples, and
-degree_stats imports Fraction when it runs. Each command imports the library
-modules it runs once its input has been parsed and checked against the order
-cap (bounds: bounds and spectral; verify: reports, which loads bounds and
-spectral; analyze, table1 and table2: reports, which then loads
-families_verify too). So ``family``, refused input, usage errors and
-``--help`` load none of the three, and the commands that solve load numpy
-alone of them.
+At top level this module imports only graph_core, which loads none of
+numpy, dataclasses and fractions. Each command imports the library modules
+it runs after its input has been parsed and checked against the order cap,
+so ``family``, refused input, usage errors and ``--help`` load none of
+them.
 """
 
 from __future__ import annotations
@@ -375,12 +369,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Runs main with the cyclic collector off, so that the imports of numpy
-    and the package run no collections, and exits with its status once every
-    live object is in the collector's permanent generation, which shutdown's
-    collections skip. The solving paths make no reference cycles (a test
-    checks), so only argparse's and a verify pool's few fixed cycles wait
-    for exit. An exception from main escapes unfrozen."""
+    """Runs main with the cyclic collector off and exits with its status,
+    every live object frozen first so that shutdown collects none of them.
+    This is safe because the solving paths make no reference cycles (a test
+    checks). An exception from main escapes unfrozen."""
     gc.disable()
     code = main()
     gc.freeze()

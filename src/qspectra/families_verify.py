@@ -13,7 +13,7 @@ catalog's own L-COR3 and U-COR7 rows are the cubic bounds.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,7 +35,9 @@ __all__ = [
 
 # -- union-of-complete-and-crown recognition --------------------------------------
 
-class QPatternResult(NamedTuple):
+class QPatternResult(namedtuple("QPatternResult", [
+        "pattern_found", "reason", "degree", "complete_copies", "crown_copies",
+        "structure_verified"])):
     """Outcome of matching a spectrum against the four-value target pattern
     {2r, r+1, r-1, 0} of a disjoint union of complete graphs on r+1 vertices
     and crown graphs of degree r.
@@ -44,12 +46,7 @@ class QPatternResult(NamedTuple):
     carry the inferred counts; structure_verified confirms the inferred union
     against the actual graph (components, sizes, bipartiteness).
     """
-    pattern_found: bool
-    reason: str | None
-    degree: int | None
-    complete_copies: int | None
-    crown_copies: int | None
-    structure_verified: bool | None
+    __slots__ = ()
 
 
 def _no_pattern(reason: str) -> QPatternResult:
@@ -111,7 +108,9 @@ def classify_q_pattern(g: Graph | GraphFacts) -> QPatternResult:
 
 # -- strong regularity -------------------------------------------------------------
 
-class SrgResult(NamedTuple):
+class SrgResult(namedtuple("SrgResult", [
+        "is_srg", "reason", "degree", "adjacent_common", "nonadjacent_common", "is_S_nr",
+        "feasibility_ok", "three_eigenvalue_consistent"])):
     """Strong regularity certificate from exhaustive common-neighbour counts.
 
     adjacent_common / nonadjacent_common are the shared counts when constant.
@@ -121,14 +120,7 @@ class SrgResult(NamedTuple):
     connected strongly regular graph has at most three distinct adjacency
     eigenvalues (None when not applicable).
     """
-    is_srg: bool
-    reason: str | None
-    degree: int | None
-    adjacent_common: int | None
-    nonadjacent_common: int | None
-    is_S_nr: bool
-    feasibility_ok: bool | None
-    three_eigenvalue_consistent: bool | None
+    __slots__ = ()
 
 
 def _not_srg(reason: str) -> SrgResult:
@@ -182,11 +174,10 @@ def prism_gamma_min(n: int) -> float:
     return 1.0 - 2.0 * math.cos(2.0 * math.pi * math.ceil(n / 6) / n)
 
 
-class PrismBounds(NamedTuple):
-    n: int                  # cycle length; the graph has 2n vertices
-    gamma_min: float
-    lower: float
-    upper: float
+PrismBounds = namedtuple("PrismBounds", [
+    "n",    # cycle length; the graph has 2n vertices
+    "gamma_min", "lower", "upper",
+])
 
 
 def prism_bounds(n: int) -> PrismBounds:
@@ -196,5 +187,5 @@ def prism_bounds(n: int) -> PrismBounds:
     gamma = prism_gamma_min(n)
     return PrismBounds(n=n, gamma_min=gamma,
                        lower=float(_cor3_value(2 * n, 3, gamma, gamma == 0.0)),
-                       upper=float(_cor7_value(2 * n, 3 * n)))
+                       upper=float(_cor7_value(2 * n, 3 * n, (2 * (3 * n) / (2 * n)) ** 2)))
 

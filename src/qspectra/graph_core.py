@@ -13,10 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from collections import namedtuple
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "MAX_ORDER",
@@ -270,13 +268,11 @@ def _as_int(value) -> int:
 
 # -- degree statistics -------------------------------------------------------
 
-class DegreeStats(NamedTuple):
-    n: int
-    m: int
-    max_degree: int
-    min_degree: int
-    average_degree: Fraction  # 2m/n, exact
-    zagreb_m1: int            # sum of squared degrees
+DegreeStats = namedtuple("DegreeStats", [
+    "n", "m", "max_degree", "min_degree",
+    "average_degree",   # 2m/n, an exact Fraction
+    "zagreb_m1",        # sum of squared degrees
+])
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -416,7 +412,7 @@ def parse_edgelist(text: str,
     return Graph(n, tuple(sorted(set(edges))))
 
 
-def record_dict(record: NamedTuple) -> dict[str, Any]:
+def record_dict(record: tuple) -> dict[str, Any]:
     """A record's fields by name, for render_json, which would print a
     record as a list. A field that holds a record (a BoundResult's
     diagnosis) becomes a nested dict too."""

@@ -1,11 +1,9 @@
 """Graph energies, reference-table reproduction, whole-graph analysis
 reports, and the exhaustive verification harness.
 
-Reports are plain dictionaries of JSON-safe values so that serialized output
-is byte-stable: keys are sorted at dump time and no timestamps are embedded.
-Wall-clock durations live on the summary objects for programmatic use but are
-kept out of the JSON rendering.
-
+Reports are plain dictionaries of JSON-safe values, rendered with sorted
+keys and without timestamps, so serialized output is byte-stable.
+Wall-clock durations live on the summary records and stay out of the JSON.
 families_verify and importlib.resources are imported where they are read,
 so that a verify run loads neither.
 """
@@ -16,7 +14,8 @@ import math
 import os
 import random
 import time
-from typing import Any, NamedTuple
+from collections import namedtuple
+from typing import Any
 
 import numpy as np
 
@@ -44,11 +43,10 @@ __all__ = [
 
 # -- energies ------------------------------------------------------------------------
 
-class EnergyReport(NamedTuple):
-    adjacency_energy: float
-    laplacian_energy: float
-    signless_laplacian_energy: float
-    qe_equals_adjacency_energy: bool   # coincidence guaranteed for regular graphs
+EnergyReport = namedtuple("EnergyReport", [
+    "adjacency_energy", "laplacian_energy", "signless_laplacian_energy",
+    "qe_equals_adjacency_energy",    # coincidence guaranteed for regular graphs
+])
 
 
 def energies(g: Graph | GraphFacts) -> EnergyReport:
@@ -70,23 +68,19 @@ def energies(g: Graph | GraphFacts) -> EnergyReport:
 
 # -- reference tables ---------------------------------------------------------------
 
-class TableRow(NamedTuple):
-    label: str
-    exact_qe: float
-    columns: dict[str, float]     # computed values, in table column order
-    expected: dict[str, float]
-    deviation: dict[str, float]   # |computed - expected| per column
+TableRow = namedtuple("TableRow", [
+    "label", "exact_qe",
+    "columns",       # computed values by column name, in table column order
+    "expected",
+    "deviation",     # |computed - expected| per column
+])
 
-
-class TableReport(NamedTuple):
-    title: str
-    column_names: tuple[str, ...]
-    rows: tuple[TableRow, ...]
-    tolerance: float
-    max_deviation: float
-    ok: bool                       # within tolerance, and every solve converged
-    wall_time: float
-    unconverged: tuple[str, ...]   # GraphFacts.unconverged() over the rows
+TableReport = namedtuple("TableReport", [
+    "title", "column_names", "rows", "tolerance", "max_deviation",
+    "ok",            # within tolerance, and every solve converged
+    "wall_time",
+    "unconverged",   # GraphFacts.unconverged() over the rows
+])
 
 
 def _load_expected(name: str) -> tuple[tuple[str, ...], dict[int, dict[str, float]]]:
@@ -210,12 +204,12 @@ def analyze_report(g: Graph | GraphFacts) -> dict[str, Any]:
 
 # -- exhaustive verification -----------------------------------------------------------
 
-class VerifySummary(NamedTuple):
-    max_n: int
-    graphs_checked: int
-    violations: tuple[tuple[str, str, float], ...]    # (graph6, bound_id, gap)
-    lemma_failures: tuple[tuple[str, str], ...]       # (graph6, check_id)
-    wall_time: float
+class VerifySummary(namedtuple("VerifySummary", [
+        "max_n", "graphs_checked",
+        "violations",        # (graph6, bound_id, gap) tuples
+        "lemma_failures",    # (graph6, check_id) tuples
+        "wall_time"])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

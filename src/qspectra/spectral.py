@@ -33,9 +33,10 @@ them along. The catalog and lemma rules are pure functions of a batch.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -74,17 +75,16 @@ except ImportError:
     BACKEND = "python"
 
 
-class EigenSolveReport(NamedTuple):
-    backend: str
-    sweeps: int
-    converged: bool
-    off_frobenius: float       # off-diagonal Frobenius norm at termination
-    max_offdiag: float
+EigenSolveReport = namedtuple("EigenSolveReport", [
+    "backend", "sweeps", "converged",
+    "off_frobenius",       # off-diagonal Frobenius norm at termination
+    "max_offdiag",
     # the off-diagonal Frobenius norm at termination, as off_frobenius: by
     # Weyl's inequality it bounds how far the final iterate's diagonal lies
     # from that iterate's eigenvalues, leaving out rounding in the rotations,
     # so it does not bound the error of the computed eigenvalues
-    error_bound: float
+    "error_bound",
+])
 
 
 def symmetric_eigenvalues(mat) -> tuple[np.ndarray, EigenSolveReport]:
@@ -143,11 +143,21 @@ def _matrices(adjacency: np.ndarray, kind: str) -> np.ndarray:
     a = adjacency.astype(np.float64)
     if kind == "adjacency":
         return a
+    degrees = _degree_sums(a)
     if kind == "laplacian":
         a = 0.0 - a
     n = a.shape[-1]
-    a[..., np.arange(n), np.arange(n)] = adjacency.sum(axis=-1)
+    a[..., np.arange(n), np.arange(n)] = degrees
     return a
+
+
+def _degree_sums(adjacency: np.ndarray) -> np.ndarray:
+    """The degree of each vertex of a (..., n, n) bool or 0/1 float64
+    adjacency stack, as float64, which holds these sums of at most n ones
+    exactly. One matrix-vector product over every row is several times as
+    fast as a sum over a short last axis."""
+    n = adjacency.shape[-1]
+    return (adjacency.reshape(-1, n) @ np.ones(n)).reshape(adjacency.shape[:-1])
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -162,10 +172,12 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return _matrices(_adjacency(g), "signless_laplacian")
 
 
-class Spectrum(NamedTuple):
-    values: tuple[float, ...]                # descending
-    groups: tuple[tuple[float, int], ...]    # (representative, multiplicity)
-    solve: EigenSolveReport
+class Spectrum(namedtuple("Spectrum", [
+        "values",    # descending
+        "groups",    # (representative, multiplicity) pairs
+        "solve",     # the EigenSolveReport
+])):
+    __slots__ = ()
 
     @property
     def radius(self) -> float:
@@ -180,12 +192,14 @@ def _group(values: tuple[float, ...], scale: float) -> tuple[tuple[float, int], 
                  for start, end in zip([0, *ends], ends))
 
 
-class GammaSequence(NamedTuple):
+class GammaSequence(namedtuple("GammaSequence", [
+        "values",
+        "mean",            # 2m/n
+        "min_is_zero",     # smallest deviation vanishes numerically
+])):
     """Deviations |q_i - 2m/n| of the signless Laplacian eigenvalues from the
     average degree, sorted descending."""
-    values: tuple[float, ...]
-    mean: float                     # 2m/n
-    min_is_zero: bool               # smallest deviation vanishes numerically
+    __slots__ = ()
 
 
 class GraphFacts:
@@ -287,35 +301,44 @@ class FactsBatch:
     lane per graph, each equal to what GraphFacts gives for that graph, given
     the (B, n) descending eigenvalues of their signless Laplacians, whether
     each solve converged, and the tolerance multiplier of every lane.
-    Integer facts are int64 arrays."""
+    Integer facts are int64 arrays. The (B, n) vertex facts (degrees,
+    labels, odd) are laid out vertex-major, so that a reduction over each
+    graph's vertices runs as n operations along the batch."""
 
     def __init__(self, adjacency: np.ndarray, eigenvalues: np.ndarray,
                  converged: np.ndarray, scale: float):
         self.adjacency, self.eigenvalues, self.converged = adjacency, eigenvalues, converged
         self.scale = scale
         self.n = n = adjacency.shape[1]
-        self.degrees = adjacency.sum(axis=2)
+        self.degrees = np.asfortranarray(_degree_sums(adjacency).astype(np.int64))
         # per vertex, the least vertex of its component and whether that
         # component has an odd cycle
-        self.labels, self.odd = _components(adjacency)
+        self.labels, self.odd = map(np.asfortranarray, _components(adjacency))
         self.groups = 1 + _splits(eigenvalues, scale).sum(axis=1)
         # the deviations |q_i - 2m/n|, descending
-        self.gamma = np.sort(np.abs(eigenvalues - (2 * self.m / n)[:, None]), axis=1)[:, ::-1]
+        self.gamma = np.sort(np.abs(eigenvalues - self.mean[:, None]), axis=1)[:, ::-1]
         q1 = eigenvalues[:, 0]
         # zero_tol(max(1.0, q1))
         self.min_is_zero = self.gamma[:, -1] <= tolerances.zero_tol(
             np.where(q1 > 1.0, q1, 1.0), scale=scale)
-        self.qe = _row_fsums(self.gamma)      # an exactly rounded sum per row
+        # exactly rounded row sums, in one call: QE over the deviations, and
+        # the trace lemmas' sums of the eigenvalues and of their squares
+        self.qe, self.q_sum, self.q_square_sum = _row_fsums(
+            np.concatenate([self.gamma, eigenvalues, eigenvalues * eigenvalues])).reshape(3, -1)
 
     @classmethod
     def from_masks(cls, n: int, masks, scale: float) -> FactsBatch:
-        """The facts of graph_from_mask(n, mask) for each mask, built from the
-        bits."""
+        """The facts of graph_from_mask(n, mask) for each non-negative int64
+        mask, built from the bits."""
+        # entry (u, v) of a graph's adjacency is the mask bit of its pair, and
+        # a diagonal entry the sign bit, which no such mask sets
         pairs = np.array(mask_pairs(n), dtype=np.intp).reshape(-1, 2).T
-        bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(pairs.shape[1])) & 1
-        adjacency = np.zeros((len(bits), n, n), dtype=bool)
-        adjacency[:, pairs[0], pairs[1]] = bits
-        adjacency[:, pairs[1], pairs[0]] = bits
+        entry = np.full((n, n), 63)
+        entry[pairs[0], pairs[1]] = entry[pairs[1], pairs[0]] = np.arange(pairs.shape[1])
+        # column i of bits is bit i of each mask
+        bits = np.unpackbits(np.asarray(masks, dtype="<i8").view(np.uint8).reshape(-1, 8),
+                             axis=1, bitorder="little")
+        adjacency = bits.take(entry.ravel(), axis=1).reshape(-1, n, n).view(bool)
         values, results = _solve_stack(_matrices(adjacency, "signless_laplacian"))
         return cls(adjacency, values, np.array([r[1] for r in results], dtype=bool), scale)
 
@@ -331,6 +354,28 @@ class FactsBatch:
     def m1(self) -> np.ndarray:
         """The first Zagreb index, the sum of squared degrees."""
         return (self.degrees * self.degrees).sum(axis=1)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """The average degree 2m/n, also the mean eigenvalue."""
+        return 2 * self.m / self.n
+
+    @cached_property
+    def deviation_square_sum(self) -> np.ndarray:
+        """T = 2m + M1 - 4m^2/n, the sum of the squared deviations."""
+        m = self.m
+        return 2 * m + self.m1 - 4 * m * m / self.n
+
+    @cached_property
+    def mean_squared(self) -> np.ndarray:
+        """The squared average degree (2m/n) ** 2 as Python rounds it. Python's
+        float power calls C's pow, which rounds some squares (322/30, for one)
+        away from x * x, numpy's square. Each distinct m is squared once."""
+        counts = np.bincount(self.m)
+        squares = np.zeros(len(counts))
+        seen = np.flatnonzero(counts)
+        squares[seen] = [(2 * m / self.n) ** 2 for m in seen.tolist()]
+        return squares[self.m]
 
     @cached_property
     def common_neighbours(self) -> np.ndarray:
@@ -378,10 +423,11 @@ class FactsBatch:
 
     def degree_of(self, v: np.ndarray) -> np.ndarray:
         """The degree of vertex v[i] in lane i (a batch of one: in lane 0)."""
-        return self.degrees[self.lanes, v]
+        # flat indices into the vertex-major degrees, faster than a 2-D index
+        return self.degrees.T.reshape(-1)[v * len(self.lanes) + self.lanes]
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.adjacency[self.lanes, u, v]
+        return self.adjacency.reshape(-1)[(self.lanes * self.n + u) * self.n + v]
 
 
 # the bits of a bitset word: 63, so that no word sets the int64 sign bit
@@ -395,7 +441,38 @@ def _components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reachability in the bipartite double cover, where a vertex reaches its
     own copy exactly when its component has an odd cycle. Reachability is
     Warshall's transitive closure (J. ACM 9, 1962) on bitset rows, one per
-    vertex of the cover, of 2n bits in ceil(2n / 63) int64 words each."""
+    vertex of the cover, of 2n bits: one word of the narrowest of int16,
+    int32 and int64 that holds them below its sign bit, and above 63 bits
+    ceil(2n / 63) int64 words."""
+    n = adjacency.shape[1]
+    if 2 * n > _WORD:
+        return _word_components(adjacency)
+    word = np.int16 if 2 * n < 16 else np.int32 if 2 * n < 32 else np.int64
+    # cover vertex v is copy 0 of vertex v, n + v its copy 1, and bit p of a
+    # row is cover vertex p. Each vertex's neighbours as n bits: sums of
+    # distinct powers of two below 2^31, which float64 holds exactly
+    p = np.arange(2 * n)
+    neighbours = np.ascontiguousarray(
+        (adjacency.reshape(-1, n) @ 2.0 ** p[:n]).astype(word).reshape(-1, n).T)
+    # reach[i, b] is what cover vertex i reaches in graph b: itself, and copy
+    # 0 of v is joined to copy 1 of each neighbour. The row of each pivot k
+    # broadcasts along the batch
+    one = np.left_shift(1, p).astype(word)[:, None]
+    reach = np.concatenate([one[:n] | neighbours << n, neighbours | one[n:]])
+    for k in range(2 * n):
+        # every vertex that reaches k reaches what k reaches
+        reach |= (reach >> k & 1) * reach[k]
+    # copy 1 of v reaches copy 0 of u when copy 0 of v reaches copy 1 of u,
+    # so the copy-0 bits of the two rows of v are v's component
+    component = (reach[:n] | reach[n:]) & ((1 << n) - 1)
+    # the exponent of the lowest set bit, a power of two that float64 holds exactly
+    labels = np.frexp((component & -component).astype(np.float64))[1] - 1
+    odd = (reach[:n] >> p[n:, None] & 1) == 1
+    return labels.astype(np.int64).T, odd.T
+
+
+def _word_components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_components on rows of ceil(2n / 63) int64 words."""
     n = adjacency.shape[1]
     # cover vertex v is copy 0 of vertex v, n + v its copy 1; bit p of a row
     # is bit p % 63 of its word p // 63, and row p of bits holds bit p alone
@@ -408,28 +485,24 @@ def _components(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reach = np.concatenate([copy0 + adjacency @ copy1, adjacency @ copy0 + copy1],
                            axis=1).transpose(2, 0, 1).copy()
     for k in range(2 * n):
-        # every vertex that reaches k reaches what k reaches (-1 is all ones)
+        # -1 is all ones: a row that reaches k takes the row of k
         reach |= -((reach[k // _WORD] >> (k % _WORD)) & 1) & reach[:, :, k:k + 1]
-    # copy 1 of v reaches copy 0 of u when copy 0 of v reaches copy 1 of u,
-    # so the copy-0 bits of the two rows of v are v's component
     component = (reach[:, :, :n] | reach[:, :, n:]) & copy0.sum(axis=0)[:, None, None]
+    # the lowest set bit is in the first nonzero word
     word = (component != 0).argmax(axis=0)
     low = np.take_along_axis(component, word[None], 0)[0]
-    # the exponent of the lowest set bit, a power of two that float64 holds exactly
     labels = _WORD * word + np.frexp((low & -low).astype(np.float64))[1] - 1
     v = p[:n]
     odd = (reach[(n + v) // _WORD, :, v].T >> ((n + v) % _WORD)) & 1
     return labels, odd == 1
 
 
-class StructureInfo(NamedTuple):
-    components: tuple[tuple[int, ...], ...]   # vertex lists, each sorted, by min vertex
-    is_connected: bool
-    component_bipartite: tuple[bool, ...]
-    is_bipartite: bool
-    bipartite_component_count: int
-    is_regular: bool
-    regularity_degree: int | None
+StructureInfo = namedtuple("StructureInfo", [
+    "components",      # vertex lists, each sorted, by min vertex
+    "is_connected", "component_bipartite", "is_bipartite", "bipartite_component_count",
+    "is_regular",
+    "regularity_degree",   # None unless regular
+])
 
 
 def structure(g: Graph) -> StructureInfo:
@@ -525,46 +598,37 @@ def _radius(values: np.ndarray) -> np.ndarray:
 def _splits(values: np.ndarray, scale: float) -> np.ndarray:
     """The grouping rule: for each row of descending eigenvalues, whether each
     step between neighbours exceeds the grouping tolerance at the row's
-    spectral radius, which starts a new group."""
-    steps = values[:, :-1] - values[:, 1:]
-    return steps > tolerances.grouping_tol(_radius(values), scale=scale)[:, None]
+    spectral radius, which starts a new group. The flags are laid out
+    step-major, so that a count over each row runs along the batch."""
+    columns = values.T
+    steps = columns[:-1] - columns[1:]
+    return (steps > tolerances.grouping_tol(_radius(values), scale=scale)).T
 
 
 def _zero_counts(values: np.ndarray, scale: float) -> np.ndarray:
     """How many eigenvalues of each row vanish within the zero tolerance at
     the row's spectral radius."""
     tol = tolerances.zero_tol(_radius(values), scale=scale)
-    return (np.abs(values) <= tol[:, None]).sum(axis=1)
+    return (np.abs(values.T) <= tol).sum(axis=0)
 
 
 # -- lemma checks ---------------------------------------------------------------
 
-class LemmaCheck(NamedTuple):
-    check_id: str
-    applicable: bool
-    holds: bool | None
-    lhs: float | None
-    rhs: float | None
-    slack: float | None
-    note: str
-    equality: bool | None = None
-    condition: str | None = None      # stated equality condition, when one exists
-    condition_met: bool | None = None
-    consistent: bool | None = None    # equality flag matches the stated condition
+LemmaCheck = namedtuple("LemmaCheck", [
+    "check_id", "applicable", "holds", "lhs", "rhs", "slack", "note", "equality",
+    "condition",       # stated equality condition, when one exists
+    "condition_met",
+    "consistent",      # equality flag matches the stated condition
+], defaults=(None, None, None, None))
 
 
-class _Judged(NamedTuple):
-    """A lemma rule judged on every lane of a batch. A rule with a stated
-    equality condition also gives its numerical equality flag, whether the
-    condition is met, and where the two are compared."""
-    applicable: np.ndarray
-    holds: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    slack: np.ndarray
-    equality: np.ndarray | None = None
-    condition_met: np.ndarray | None = None
-    compared: np.ndarray | None = None
+class _Judged(namedtuple("_Judged", ["applicable", "holds", "lhs", "rhs", "slack",
+                                     "equality", "condition_met", "compared"],
+                         defaults=(None, None, None))):
+    """A lemma rule judged on every lane of a batch, as arrays. A rule with a
+    stated equality condition also gives its numerical equality flag,
+    whether the condition is met, and where the two are compared."""
+    __slots__ = ()
 
 
 def _everywhere(b: FactsBatch) -> np.ndarray:
@@ -572,15 +636,14 @@ def _everywhere(b: FactsBatch) -> np.ndarray:
 
 
 def _q_sum(b: FactsBatch) -> _Judged:
-    s1, target = _row_fsums(b.eigenvalues), 2 * b.m
+    s1, target = b.q_sum, 2 * b.m
     slack = np.abs(s1 - target)
     return _Judged(_everywhere(b), slack <= tolerances.TRACE_SUM_REL * max(1, b.n) * b.scale,
                    s1, target.astype(np.float64), slack)
 
 
 def _q_square_sum(b: FactsBatch) -> _Judged:
-    q = b.eigenvalues
-    s2, target = _row_fsums(q * q), 2 * b.m + b.m1
+    s2, target = b.q_square_sum, 2 * b.m + b.m1
     slack = np.abs(s2 - target)
     return _Judged(_everywhere(b),
                    slack <= tolerances.TRACE_SQUARE_REL * max(1, b.n) * b.scale,
@@ -597,7 +660,7 @@ def _radius_terms(b: FactsBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The spectral radius q1, the average degree, and the equality
     tolerance at q1."""
     q1 = b.eigenvalues[:, 0]
-    return q1, 2 * b.m / b.n, tolerances.grouping_tol(q1, scale=b.scale)
+    return q1, b.mean, tolerances.grouping_tol(q1, scale=b.scale)
 
 
 def _radius_vs_average(b: FactsBatch) -> _Judged:
@@ -628,12 +691,12 @@ def _radius_degree_window(b: FactsBatch) -> _Judged:
                    eq, b.regular, b.connected)
 
 
-class _Lemma(NamedTuple):
-    check_id: str
-    note: str
-    condition: str | None      # stated equality condition
-    rule: Callable[[FactsBatch], _Judged]
-    requires: str | None = None    # the note where the rule does not apply
+_Lemma = namedtuple("_Lemma", [
+    "check_id", "note",
+    "condition",   # stated equality condition, or None
+    "rule",        # FactsBatch -> _Judged
+    "requires",    # the note where the rule does not apply, or None
+], defaults=(None,))
 
 
 # in report order

@@ -109,7 +109,7 @@ COLD_PATH_SKIPS = ("numpy", "dataclasses", "fractions")
 
 
 def test_cli_import_and_family_load_neither_dataclasses_nor_fractions():
-    # the records are NamedTuples and degree_stats imports Fraction itself,
+    # the records are named tuples and degree_stats imports Fraction itself,
     # so the numpy-free path generates no dataclass code on a cold start
     proc = fresh_python(
         "import sys\n"

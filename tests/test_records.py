@@ -1,5 +1,5 @@
-"""The value records and Graph: each record is a NamedTuple that refuses
-attribute assignment, Graph is an immutable class that compares and hashes by
+"""The value records and Graph: each record is a named tuple that refuses
+attribute assignment and survives pickle and copy, Graph is an immutable class that compares and hashes by
 (n, edges), and the canonical JSON shows a record's nested record as an
 object."""
 
@@ -54,6 +54,21 @@ def test_every_record_is_a_named_tuple_that_refuses_assignment():
         with pytest.raises(AttributeError):
             r.not_a_field = None
         assert r._asdict() == dict(zip(r._fields, r))
+
+
+def test_every_record_survives_pickle_and_copy_and_keeps_its_defaults():
+    defaulted = 0
+    for r in one_of_each_record():
+        for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert type(twin) is type(r) and twin == r, type(r)
+            assert twin._field_defaults == r._field_defaults
+        # a record built from its leading fields alone takes the defaults
+        defaults = r._field_defaults
+        leading = r[:len(r) - len(defaults)]
+        assert type(r)(*leading)._asdict() == {**dict(zip(r._fields, leading)), **defaults}
+        defaulted += bool(defaults)
+    # LemmaCheck's last four fields default to None
+    assert defaulted == 1
 
 
 def test_graph_compares_and_hashes_by_order_and_edges():
